@@ -79,7 +79,6 @@ from .transforms import (
     aggregate,
     bernoulli_sample,
     distinct,
-    filter_project,
     group_by,
     linear_map,
     map_column,

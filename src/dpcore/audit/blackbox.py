@@ -17,7 +17,7 @@ they are handed, so search samples and test samples can never overlap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -34,12 +34,19 @@ class MechanismUnderTest:
 
     `run_many`, when provided, returns n outcomes at once; the harness uses
     it purely as a throughput optimization and never inspects internals.
+    A mechanism given only `run_many` gets `run` as its one-outcome case.
     """
 
     name: str
-    run: Callable
+    run: Callable | None = None
     run_many: Callable | None = None
-    claimed_eps_semantics: str = "pure-dp, add/remove neighbors"
+
+    def __post_init__(self) -> None:
+        if self.run is None:
+            if self.run_many is None:
+                raise ContractViolation("a mechanism needs run or run_many")
+            run_many = self.run_many
+            self.run = lambda table, eps, rng: float(run_many(table, eps, rng, 1)[0])
 
     def sample(self, table: Table, eps: float, rng: RandomSource, n: int) -> np.ndarray:
         if self.run_many is not None:

@@ -23,15 +23,11 @@ def half_noise_laplace_count() -> MechanismUnderTest:
     """Claims eps but adds Laplace noise at half the required scale, so it
     actually satisfies only 2*eps-DP.  Caught by the black-box battery."""
 
-    def run(table: Table, eps: float, rng: RandomSource) -> float:
-        v = aggregate(table, "count")
-        return float(v.values[0] + sample_laplace(rng, v.l1_sensitivity / (2.0 * eps)))
-
     def run_many(table: Table, eps: float, rng: RandomSource, n: int) -> np.ndarray:
         v = aggregate(table, "count")
         return v.values[0] + sample_laplace(rng, v.l1_sensitivity / (2.0 * eps), size=n)
 
-    return MechanismUnderTest("bug:half_noise_laplace_count", run, run_many)
+    return MechanismUnderTest("bug:half_noise_laplace_count", run_many=run_many)
 
 
 def data_dependent_histogram(key_column: str):

@@ -7,8 +7,6 @@ discrete distributions with few outcomes.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from scipy import stats
 

@@ -13,7 +13,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from ..relational import (
     StatVector,
     Table,
     make_table,
-    row_symmetric_difference,
+    symmetric_difference,
 )
 
 
@@ -66,7 +66,7 @@ def enumerate_neighbor_pairs(
 def output_distance(x, y) -> float:
     """Symmetric difference for tables/grouped tables, L1 for vectors."""
     if isinstance(x, Table) and isinstance(y, Table):
-        return float(row_symmetric_difference(x.rows, y.rows))
+        return float(symmetric_difference(x, y))
     if isinstance(x, GroupedTable) and isinstance(y, GroupedTable):
         # A grouped table is a multiset of (key, record-set) entries; a
         # changed group counts once on each side.

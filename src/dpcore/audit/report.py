@@ -5,15 +5,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..randomness import RandomSource, derive_source
 from .blackbox import (
     MEAN_POLICY,
     MechanismUnderTest,
     NeighborPair,
     OutcomeEvent,
-    PValueVerdict,
     aggregate_pvalues,
     dp_hypothesis_test,
     event_search,
@@ -28,10 +25,6 @@ EXIT_VIOLATION = 2
 DEFAULT_N_SEARCH = 50_000
 DEFAULT_N_TEST = 100_000
 DEFAULT_REPETITIONS = 50
-
-#: Multipliers applied to each claimed epsilon when probing around it.
-DEFAULT_EPS_FACTORS = (0.5, 0.75, 1.0, 1.25, 1.5)
-
 
 @dataclass(frozen=True)
 class Counterexample:

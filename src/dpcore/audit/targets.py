@@ -1,9 +1,10 @@
 """Built-in mechanisms packaged for the black-box harness.
 
-Each target wires a data-access aggregation to a privacy-layer mechanism
-with a throwaway unlimited accountant, and provides a `run_many` fast path
-(the exact aggregate is computed once per table; only the noise is redrawn
-per run, which is exactly the separation the layering exists to allow).
+Each target wires a data-access aggregation to the Laplace sampler of the
+privacy layer, charged to a throwaway unlimited accountant, and defines only
+`run_many` (the exact aggregate is computed once per table; only the noise
+is redrawn per run, which is exactly the separation the layering exists to
+allow).  `MechanismUnderTest` derives `run` from it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import math
 import numpy as np
 
 from ..accounting import Accountant
-from ..mechanisms import laplace_mechanism
 from ..randomness import RandomSource, sample_laplace
 from ..relational import Table
 from ..transforms import aggregate
@@ -28,34 +28,23 @@ def _unlimited_scope():
     return acct.create_scope(f"audit-{_scope_counter[0]}", budget=math.inf)
 
 
-def laplace_count_target() -> MechanismUnderTest:
-    """COUNT(*) + Laplace(1/eps)."""
-
-    def run(table: Table, eps: float, rng: RandomSource) -> float:
-        v = aggregate(table, "count")
-        return float(laplace_mechanism(v, eps, _unlimited_scope(), rng).values[0])
-
+def _laplace_target(name: str, *agg) -> MechanismUnderTest:
     def run_many(table: Table, eps: float, rng: RandomSource, n: int) -> np.ndarray:
-        v = aggregate(table, "count")
+        v = aggregate(table, *agg)
         _unlimited_scope().charge(eps * n, "laplace")  # one charge per run
         return v.values[0] + sample_laplace(rng, v.l1_sensitivity / eps, size=n)
 
-    return MechanismUnderTest("laplace_count", run, run_many)
+    return MechanismUnderTest(name, run_many=run_many)
+
+
+def laplace_count_target() -> MechanismUnderTest:
+    """COUNT(*) + Laplace(1/eps)."""
+    return _laplace_target("laplace_count", "count")
 
 
 def laplace_sum_target(column: str = "c0") -> MechanismUnderTest:
     """SUM(column) + Laplace(sensitivity/eps) with metadata-derived sensitivity."""
-
-    def run(table: Table, eps: float, rng: RandomSource) -> float:
-        v = aggregate(table, "sum", column)
-        return float(laplace_mechanism(v, eps, _unlimited_scope(), rng).values[0])
-
-    def run_many(table: Table, eps: float, rng: RandomSource, n: int) -> np.ndarray:
-        v = aggregate(table, "sum", column)
-        _unlimited_scope().charge(eps * n, "laplace")
-        return v.values[0] + sample_laplace(rng, v.l1_sensitivity / eps, size=n)
-
-    return MechanismUnderTest(f"laplace_sum({column})", run, run_many)
+    return _laplace_target(f"laplace_sum({column})", "sum", column)
 
 
 def _builtin_targets() -> dict:

@@ -18,7 +18,6 @@ import sys
 
 import numpy as np
 
-from .accounting import Accountant
 from .audit import (
     BUILTIN_TARGETS,
     MechanismUnderTest,
@@ -148,10 +147,7 @@ def _external_target(command: str) -> MechanismUnderTest:
             os.unlink(path)
         return np.array([float(line) for line in out.split()])
 
-    def run(table, eps, rng):
-        return float(run_many(table, eps, rng, 1)[0])
-
-    return MechanismUnderTest(f"external:{command}", run, run_many)
+    return MechanismUnderTest(f"external:{command}", run_many=run_many)
 
 
 def _audit_schema() -> Schema:

@@ -32,8 +32,6 @@ def private_release(
     if mechanism not in MECHANISMS:
         raise ContractViolation(f"unknown mechanism {mechanism!r}")
     vector = registry.execute_plan(handle, plan, rng=rng, clock=clock, xi=xi)
-    if mechanism == "laplace":
-        return laplace_mechanism(vector, eps, scope, rng)
-    if mechanism == "laplace_int":
-        return laplace_mechanism(vector, eps, scope, rng, discretize=True)
-    return noisy_histogram(vector, eps, scope, rng)
+    if mechanism == "noisy_histogram":
+        return noisy_histogram(vector, eps, scope, rng)
+    return laplace_mechanism(vector, eps, scope, rng, discretize=mechanism == "laplace_int")

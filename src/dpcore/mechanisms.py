@@ -44,6 +44,30 @@ def _check_floor(eps: float, sensitivity: float) -> None:
         )
 
 
+def _charge(accountant: ScopeHandle, kind: str, amount: float, mechanism: str) -> PrivacyCharge:
+    """The one charge path of every mechanism: the scope must hold the kind
+    of budget the mechanism spends, so an epsilon is never booked as a rho."""
+    if accountant.kind != kind:
+        raise ScopeMismatchError(f"{mechanism} requires a {kind} scope")
+    return accountant.charge(amount, mechanism)
+
+
+def _laplace_release(
+    v: StatVector, eps: float, accountant: ScopeHandle, rng: RandomSource,
+    mechanism: str, discretize: bool = False,
+) -> MechanismResult:
+    if eps <= 0:
+        raise ParameterError("eps must be positive")
+    _check_floor(eps, v.l1_sensitivity)
+    charge = _charge(accountant, PURE_EPS, eps, mechanism)
+    values = v.values.copy()
+    if v.l1_sensitivity > 0:
+        values = values + sample_laplace(rng, v.l1_sensitivity / eps, size=len(v))
+    if discretize:
+        values = np.rint(values)
+    return MechanismResult(values, charge, v.dimension_labels)
+
+
 def laplace_mechanism(
     v: StatVector,
     eps: float,
@@ -57,17 +81,7 @@ def laplace_mechanism(
     are the postprocessing layer's business.  `discretize` optionally rounds
     the release to integers.
     """
-    if eps <= 0:
-        raise ParameterError("eps must be positive")
-    _check_floor(eps, v.l1_sensitivity)
-    charge = accountant.charge(eps, "laplace")
-    scale = v.l1_sensitivity / eps if v.l1_sensitivity > 0 else None
-    values = v.values.copy()
-    if scale is not None:
-        values = values + sample_laplace(rng, scale, size=len(v))
-    if discretize:
-        values = np.rint(values)
-    return MechanismResult(values, charge, v.dimension_labels)
+    return _laplace_release(v, eps, accountant, rng, "laplace", discretize)
 
 
 def gaussian_mechanism(
@@ -79,9 +93,7 @@ def gaussian_mechanism(
     """
     if rho <= 0:
         raise ParameterError("rho must be positive")
-    if accountant.kind != ZCDP_RHO:
-        raise ScopeMismatchError("gaussian_mechanism requires a zCDP scope")
-    charge = accountant.charge(rho, "gaussian")
+    charge = _charge(accountant, ZCDP_RHO, rho, "gaussian")
     values = v.values.copy()
     if v.l1_sensitivity > 0:
         sigma = v.l1_sensitivity / math.sqrt(2.0 * rho)
@@ -103,9 +115,19 @@ def report_noisy_max(
     if len(answers) == 0:
         raise ContractViolation("report_noisy_max requires a nonempty vector")
     _check_floor(eps, 1.0)
-    accountant.charge(eps, "report_noisy_max")
+    _charge(accountant, PURE_EPS, eps, "report_noisy_max")
     noisy = answers.values + sample_exponential(rng, 2.0 / eps, size=len(answers))
     return int(np.argmax(noisy))  # argmax takes the first of equal maxima
+
+
+def _log_weights(quality, delta_q: float, eps: float) -> tuple[np.ndarray, float]:
+    """Unnormalized log weights b_i = eps*q_i/(2 delta_q) and log Z, summed
+    in log domain by log_add."""
+    b = eps * np.asarray(quality, dtype=np.float64) / (2.0 * delta_q)
+    log_z = -math.inf
+    for bi in b:
+        log_z = log_add(log_z, float(bi))
+    return b, log_z
 
 
 def exponential_mechanism_log_probabilities(
@@ -116,10 +138,7 @@ def exponential_mechanism_log_probabilities(
     Exposed so audits can check the privacy ratio constraints directly on
     the weights the sampler actually uses.  Never leaves log scale.
     """
-    b = eps * np.asarray(quality, dtype=np.float64) / (2.0 * delta_q)
-    log_z = -math.inf
-    for bi in b:
-        log_z = log_add(log_z, float(bi))
+    b, log_z = _log_weights(quality, delta_q, eps)
     return b - log_z
 
 
@@ -149,11 +168,8 @@ def exponential_mechanism(
         raise ContractViolation("exponential_mechanism requires candidates")
     if len(candidates) != quality.shape[0]:
         raise ContractViolation("one quality score per candidate required")
-    accountant.charge(eps, "exponential_mechanism")
-    b = eps * quality / (2.0 * delta_q)
-    log_z = -math.inf
-    for bi in b:
-        log_z = log_add(log_z, float(bi))
+    _charge(accountant, PURE_EPS, eps, "exponential_mechanism")
+    b, log_z = _log_weights(quality, delta_q, eps)
     # Inverse-CDF in log domain: find the first index whose cumulative log
     # weight reaches log(u) + log Z.
     target = math.log(rng.uniform_full()) + log_z
@@ -173,15 +189,7 @@ def noisy_histogram(
     The cell set comes from metadata, so it is identical across runs and
     across neighboring inputs; empty groups are released as pure noise.
     """
-    if eps <= 0:
-        raise ParameterError("eps must be positive")
-    _check_floor(eps, grouped_counts.l1_sensitivity)
-    charge = accountant.charge(eps, "noisy_histogram")
-    scale = grouped_counts.l1_sensitivity / eps if grouped_counts.l1_sensitivity > 0 else None
-    values = grouped_counts.values.copy()
-    if scale is not None:
-        values = values + sample_laplace(rng, scale, size=len(grouped_counts))
-    return MechanismResult(values, charge, grouped_counts.dimension_labels)
+    return _laplace_release(grouped_counts, eps, accountant, rng, "noisy_histogram")
 
 
 def soft_threshold_filter(
@@ -202,7 +210,7 @@ def soft_threshold_filter(
         raise ParameterError("lap_scale must be positive")
     eps_equiv = counts.l1_sensitivity / lap_scale
     _check_floor(eps_equiv, counts.l1_sensitivity)
-    charge = accountant.charge(eps_equiv, "soft_threshold_filter")
+    charge = _charge(accountant, PURE_EPS, eps_equiv, "soft_threshold_filter")
     noise = sample_laplace(rng, lap_scale, size=len(counts))
     included = tuple(
         label

@@ -12,8 +12,8 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ContractViolation
-from .relational import Table, dev_log, load_csv, load_schema, make_table
-from .transforms import Predicate, TransformPlan, select_where
+from .relational import Table, dev_log, load_csv, load_schema
+from .transforms import Predicate, TransformPlan
 
 
 @dataclass(frozen=True)
@@ -32,9 +32,6 @@ class PacedPredicate:
     @property
     def conjuncts(self):
         return self.inner.conjuncts
-
-    def columns(self):
-        return self.inner.columns()
 
     def matches(self, row, schema) -> bool:
         cost = self.inner.simulated_cost(row) if self.inner.simulated_cost else 0.0

@@ -17,7 +17,7 @@ import enum
 import math
 import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -126,9 +126,6 @@ class Schema:
 
     def __len__(self) -> int:
         return len(self.columns)
-
-
-_INFINITE = object()
 
 
 @dataclass(frozen=True)
@@ -263,13 +260,6 @@ def symmetric_difference(a: Table, b: Table) -> int:
     if a.schema != b.schema:
         raise ContractViolation("schema mismatch")
     ca, cb = a.multiset(), b.multiset()
-    return sum(abs(ca[r] - cb[r]) for r in set(ca) | set(cb))
-
-
-def row_symmetric_difference(rows_a: Iterable[Row], rows_b: Iterable[Row]) -> int:
-    """Symmetric difference on bare row multisets (no schema check)."""
-    ca = collections.Counter(tuple(r) for r in rows_a)
-    cb = collections.Counter(tuple(r) for r in rows_b)
     return sum(abs(ca[r] - cb[r]) for r in set(ca) | set(cb))
 
 

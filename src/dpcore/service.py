@@ -16,12 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .accounting import Accountant, DEFAULT_ALPHA, PURE_EPS, ScopeHandle, power_bound
-from .errors import BudgetExceededError, ContractViolation
+from .errors import ContractViolation
 from .gateway import private_release
 from .mechanisms import MechanismResult
 from .randomness import RandomSource, derive_source
 from .registry import DatasetRegistry
-from .transforms import TransformPlan, parse_plan
+from .transforms import parse_plan
 
 
 class SystemClock:
@@ -31,7 +31,10 @@ class SystemClock:
         return time.monotonic()
 
     def advance(self, dt: float) -> None:
-        time.sleep(max(dt, 0.0))
+        """Does not sleep.  Paced scans call this once per row, and every
+        `time.sleep` overshoots by tens of microseconds, so sleeping here
+        would make the release time track the rows scanned.  The response
+        schedule's single `sleep_until` pays for the whole scan instead."""
 
     def sleep_until(self, t: float) -> None:
         time.sleep(max(t - time.monotonic(), 0.0))
@@ -45,7 +48,6 @@ class ServiceConfig:
     xi: float = 1.0  # per-record predicate time budget
     overhead: float = 5.0  # fixed response-schedule overhead
     startup_fraction: float = 0.01  # share of scope budget spent on n-hat
-    sharing: str = "per-group"  # or "global"
     ledger_path: str | None = None
     state_dir: str | None = None
 
@@ -61,7 +63,6 @@ class ServiceConfig:
             xi=float(raw.get("xi", 1.0)),
             overhead=float(raw.get("overhead", 5.0)),
             startup_fraction=float(raw.get("startup_fraction", 0.01)),
-            sharing=raw.get("sharing", "per-group"),
             ledger_path=raw.get("ledger"),
             state_dir=raw.get("state_dir"),
         )
@@ -142,13 +143,10 @@ class QueryService:
 
     # -- sessions ----------------------------------------------------------
 
-    def open_session(self, dataset: str, scope_id: str,
-                     startup_eps: float | None = None) -> QuerySession:
+    def open_session(self, dataset: str, scope_id: str) -> QuerySession:
         """Create a session; spends a small startup charge on a noisy size
         estimate that is cached for the life of the session."""
         scope = self._accountant.scope(scope_id)
-        if startup_eps is None:
-            startup_eps = max(self._config.startup_fraction * scope.remaining(), 1e-3)
         self._session_counter += 1
         session = QuerySession(
             session_id=f"s{self._session_counter}",
@@ -158,7 +156,7 @@ class QueryService:
             xi=self._config.xi,
             rng=derive_source(self._rng),
         )
-        session.n_hat = self._estimate_size(session, startup_eps)
+        session.n_hat = self._estimate_size(session)
         self._sessions[session.session_id] = session
         return session
 
@@ -197,7 +195,8 @@ class QueryService:
         except KeyError:
             raise ContractViolation(f"unknown session: {session_id}") from None
 
-    def _estimate_size(self, session: QuerySession, eps: float) -> float:
+    def _estimate_size(self, session: QuerySession) -> float:
+        eps = max(self._config.startup_fraction * session.scope.remaining(), 1e-3)
         result = private_release(
             self._registry, session.dataset, parse_plan("count"),
             "laplace", eps, session.scope, derive_source(session.rng),
@@ -234,8 +233,10 @@ class QueryService:
             status, code = "ok", ""
             values = tuple(float(x) for x in result.values)
             labels = tuple(result.labels)
-        except (ContractViolation, BudgetExceededError, ValueError):
-            pass  # uniform error path; padding below applies either way
+        except Exception:
+            # Every failure, anticipated or not, takes the one error shape and
+            # the padding below; an escaping exception would skip both.
+            pass
         if clock.now() > target:
             # Fixed-prediction schedule overran: take one doubling step.
             target = start + 2.0 * max(self._n_hat_for_padding(session), 0.0) \
@@ -251,12 +252,6 @@ class QueryService:
         # in the response schedule.
         inflated = max(session.n_hat, 0.0) + 16.0
         return math.ldexp(1.0, math.ceil(math.log2(inflated)))
-
-    # -- postprocessing ----------------------------------------------------
-
-    @staticmethod
-    def derived_mean(noisy_sum: MechanismResult, noisy_count: MechanismResult) -> float:
-        return derived_mean(noisy_sum, noisy_count)
 
     # -- reporting ---------------------------------------------------------
 
@@ -300,10 +295,7 @@ def build_accountant(config: ServiceConfig) -> Accountant:
             pass
     acct = Accountant(ledger_path=config.ledger_path)
     for spec in config.budgets:
-        acct.create_scope(
-            spec["id"], spec.get("kind", PURE_EPS), float(spec["budget"]),
-            sharing="global" if config.sharing == "global" else f"per-group:{spec['id']}",
-        )
+        acct.create_scope(spec["id"], spec.get("kind", PURE_EPS), float(spec["budget"]))
     for record in existing:
         acct._scope(record.scope_id).spent += record.amount
         acct._ledger.append(record)

@@ -9,18 +9,17 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ContractViolation, RejectedOperationError, UnknownColumnError
+from .errors import ContractViolation, RejectedOperationError
 from .relational import (
     ColumnKind,
     ColumnMeta,
     GroupedTable,
     Schema,
-    StabilityBound,
     StatVector,
     Table,
     _cross_product,
@@ -51,6 +50,15 @@ class Comparison:
     def matches(self, row: tuple, schema: Schema) -> bool:
         return _OPS[self.op](row[schema.index(self.column)], self.constant)
 
+    def check_kind(self, col: ColumnMeta) -> None:
+        """Reject a constant that cannot be compared with the column's values:
+        a str for categorical columns, a finite int or float for numeric ones.
+        Checked from metadata, before any row is read."""
+        c = self.constant
+        numeric = isinstance(c, (int, float)) and not isinstance(c, bool)
+        if numeric != col.is_numeric or (isinstance(c, float) and not math.isfinite(c)):
+            raise ContractViolation(f"column {col.name}: constant of the wrong kind")
+
     def implied_bounds(self, col: ColumnMeta) -> tuple[float, float] | None:
         """Bounds on a numeric column implied by this comparison, or None."""
         if not col.is_numeric or not isinstance(self.constant, (int, float)):
@@ -58,13 +66,13 @@ class Comparison:
         c = self.constant
         integral = col.kind is ColumnKind.INTEGER
         if self.op == "<":
-            return (col.lower, c - 1 if integral else c)
+            return (col.lower, math.ceil(c) - 1 if integral else c)
         if self.op == "<=":
-            return (col.lower, c)
+            return (col.lower, math.floor(c) if integral else c)
         if self.op == ">":
-            return (c + 1 if integral else c, col.upper)
+            return (math.floor(c) + 1 if integral else c, col.upper)
         if self.op == ">=":
-            return (c, col.upper)
+            return (math.ceil(c) if integral else c, col.upper)
         if self.op == "==":
             return (c, c)
         return None  # != refines nothing
@@ -84,9 +92,6 @@ class Predicate:
 
     def matches(self, row: tuple, schema: Schema) -> bool:
         return all(c.matches(row, schema) for c in self.conjuncts)
-
-    def columns(self) -> tuple[str, ...]:
-        return tuple(c.column for c in self.conjuncts)
 
 
 def _refine_column(col: ColumnMeta, pred: Predicate) -> ColumnMeta:
@@ -108,8 +113,8 @@ def _refine_column(col: ColumnMeta, pred: Predicate) -> ColumnMeta:
 
 def select_where(t: Table, pred: Predicate) -> Table:
     """Row filter; 1-stable; output bounds refined by the predicate."""
-    for name in pred.columns():
-        t.schema.index(name)  # raises UnknownColumnError
+    for comp in pred.conjuncts:
+        comp.check_kind(t.schema.column(comp.column))  # or UnknownColumnError
     new_cols = tuple(
         _refine_column(c, pred) if c.is_numeric else c for c in t.schema.columns
     )
@@ -136,17 +141,6 @@ def distinct(t: Table, columns: Sequence[str]) -> Table:
     keyed = project(t, columns)
     seen = sorted(set(keyed.rows))
     return Table(keyed.schema, tuple(seen), t.stability)
-
-
-def filter_project(t: Table, kind: str, **kwargs) -> Table:
-    """Dispatcher for the three 1-stable row/column operators."""
-    if kind == "select_where":
-        return select_where(t, kwargs["pred"])
-    if kind == "project":
-        return project(t, kwargs["columns"])
-    if kind == "distinct":
-        return distinct(t, kwargs["columns"])
-    raise ContractViolation(f"unknown filter_project kind {kind!r}")
 
 
 def _hull_column(a: ColumnMeta, b: ColumnMeta) -> ColumnMeta:
@@ -362,50 +356,14 @@ def rejected_operation(name: str):
 #   bernoulli_sample <p>
 #   map_column <col> clamp <lo> <hi> | affine <a> <b> | square
 #   count | sum <col>
-# All constants are data-independent literals.
+# All constants are data-independent literals.  A grouped table can only be
+# aggregated: group_by, when present, is the step right before the
+# aggregation.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TransformPlan:
-    steps: tuple = ()
-
-    def __post_init__(self) -> None:
-        if not self.steps:
-            raise ContractViolation("empty plan")
-        kinds = [s[0] for s in self.steps]
-        for k in kinds[:-1]:
-            if k in ("count", "sum"):
-                raise ContractViolation("aggregation must be the final step")
-        if kinds[-1] not in ("count", "sum"):
-            raise ContractViolation("plan must end in an aggregation")
-
-    def execute(self, t: Table, rng=None) -> StatVector:
-        current: Table | GroupedTable = t
-        for step in self.steps:
-            kind, args = step[0], step[1:]
-            if kind == "select_where":
-                current = select_where(current, args[0])
-            elif kind == "project":
-                current = project(current, args[0])
-            elif kind == "distinct":
-                current = distinct(current, args[0])
-            elif kind == "self_union":
-                current = union(current, current)
-            elif kind == "group_by":
-                current = group_by(current, args[0])
-            elif kind == "bernoulli_sample":
-                if rng is None:
-                    raise ContractViolation("bernoulli_sample requires a random source")
-                current = bernoulli_sample(current, args[0], rng)
-            elif kind == "map_column":
-                current = map_column(current, args[0], args[1])
-            elif kind == "count":
-                return aggregate(current, "count")
-            elif kind == "sum":
-                return aggregate(current, "sum", args[0])
-            else:
-                raise ContractViolation(f"unknown plan step {kind!r}")
-        raise AssertionError("unreachable: plan ends in aggregation")
+def _expect(ok) -> None:
+    if not ok:
+        raise ContractViolation("malformed plan step")
 
 
 def _parse_literal(text: str):
@@ -419,48 +377,101 @@ def _parse_literal(text: str):
         return text
 
 
+def _number(word: str) -> float:
+    try:
+        return float(word)
+    except ValueError:
+        raise ContractViolation("malformed plan step") from None
+
+
+def _no_words(words):
+    _expect(not words)
+    return ()
+
+
+def _one_word(words):
+    _expect(len(words) == 1)
+    return (words[0],)
+
+
+def _columns(words):
+    _expect(words)
+    return (tuple(words),)
+
+
+def _probability(words):
+    return (_number(*_one_word(words)),)
+
+
+def _predicate(words):
+    _expect(len(words) % 4 == 3 and all(w == "and" for w in words[3::4]))
+    comps = zip(words[0::4], words[1::4], words[2::4])
+    return (Predicate(tuple(Comparison(c, op, _parse_literal(k)) for c, op, k in comps)),)
+
+
+_MAPS = {"clamp": (Clamp, 2), "affine": (Affine, 2), "square": (Square, 0)}
+
+
+def _column_map(words):
+    _expect(len(words) >= 2 and words[1] in _MAPS)
+    make, arity = _MAPS[words[1]]
+    _expect(len(words) == 2 + arity)
+    return (words[0], make(*(_number(w) for w in words[2:])))
+
+
+def _bernoulli(t, rng, p):
+    if rng is None:
+        raise ContractViolation("bernoulli_sample requires a random source")
+    return bernoulli_sample(t, p, rng)
+
+
+#: Plan step -> (parser of the words after its name, executor).  The parser
+#: returns the step's arguments; the executor is called as (table, rng, *args).
+_STEPS = {
+    "select_where": (_predicate, lambda t, rng, pred: select_where(t, pred)),
+    "project": (_columns, lambda t, rng, cols: project(t, cols)),
+    "distinct": (_columns, lambda t, rng, cols: distinct(t, cols)),
+    "self_union": (_no_words, lambda t, rng: union(t, t)),
+    "group_by": (_columns, lambda t, rng, keys: group_by(t, keys)),
+    "bernoulli_sample": (_probability, _bernoulli),
+    "map_column": (_column_map, lambda t, rng, col, f: map_column(t, col, f)),
+    "count": (_no_words, lambda t, rng: aggregate(t, "count")),
+    "sum": (_one_word, lambda t, rng, col: aggregate(t, "sum", col)),
+}
+_AGGREGATIONS = ("count", "sum")
+
+
+@dataclass(frozen=True)
+class TransformPlan:
+    steps: tuple = ()
+
+    def __post_init__(self) -> None:
+        kinds = [s[0] for s in self.steps]
+        if not kinds or kinds[-1] not in _AGGREGATIONS:
+            raise ContractViolation("plan must end in an aggregation")
+        for i, kind in enumerate(kinds[:-1]):
+            if kind not in _STEPS or kind in _AGGREGATIONS:
+                raise ContractViolation(f"unknown or misplaced plan step {kind!r}")
+            if kind == "group_by" and i != len(kinds) - 2:
+                raise ContractViolation("a grouped table can only be aggregated")
+
+    def execute(self, t: Table, rng=None) -> StatVector:
+        current: Table | GroupedTable = t
+        for kind, *args in self.steps:
+            current = _STEPS[kind][1](current, rng, *args)
+        return current
+
+
 def parse_plan(text: str) -> TransformPlan:
     steps = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for line in text.splitlines():
+        words = line.split()
+        if not words or words[0].startswith("#"):
             continue
-        parts = line.split()
-        head = parts[0]
-        try:
-            if head in ("limit", "order_by", "skip", "window"):
-                rejected_operation(head)
-            elif head == "select_where":
-                comps, rest = [], parts[1:]
-                while rest:
-                    comps.append(Comparison(rest[0], rest[1], _parse_literal(rest[2])))
-                    if len(rest) > 3 and rest[3] != "and":
-                        raise ContractViolation("expected 'and' between comparisons")
-                    rest = rest[4:]
-                steps.append(("select_where", Predicate(tuple(comps))))
-            elif head in ("project", "distinct", "group_by"):
-                steps.append((head, tuple(parts[1:])))
-            elif head == "self_union":
-                steps.append(("self_union",))
-            elif head == "bernoulli_sample":
-                steps.append(("bernoulli_sample", float(parts[1])))
-            elif head == "map_column":
-                col, fname = parts[1], parts[2]
-                if fname == "clamp":
-                    f = Clamp(float(parts[3]), float(parts[4]))
-                elif fname == "affine":
-                    f = Affine(float(parts[3]), float(parts[4]))
-                elif fname == "square":
-                    f = Square()
-                else:
-                    raise ContractViolation(f"unknown map function {fname!r}")
-                steps.append(("map_column", col, f))
-            elif head == "count":
-                steps.append(("count",))
-            elif head == "sum":
-                steps.append(("sum", parts[1]))
-            else:
-                raise ContractViolation(f"unknown plan step {head!r}")
-        except IndexError:
-            raise ContractViolation(f"plan line {lineno}: missing arguments") from None
+        head, words = words[0], words[1:]
+        if head in _REJECTED:
+            rejected_operation(head)
+        if head not in _STEPS:
+            raise ContractViolation(f"unknown plan step {head!r}")
+        steps.append((head, *_STEPS[head][0](words)))
     return TransformPlan(tuple(steps))

@@ -49,7 +49,7 @@ from dpcore.audit.bugs import (
 )
 from dpcore.audit.targets import laplace_count_target
 from dpcore.mechanisms import exponential_mechanism_log_probabilities, report_noisy_max
-from dpcore.testing import zero_noise_source
+from dpcore.testing import ScriptedSource, zero_noise_source
 from dpcore.transforms import Comparison, Predicate
 from oracles import anderson_darling_reference, laplace_cdf_mp
 
@@ -143,6 +143,16 @@ def test_event_search_degenerate_mechanism(two_col_schema, rng):
     suite = default_neighbor_suite(two_col_schema)
     ev = event_search(const, suite[0], 1.0, 1000, rng)
     assert (ev.lo, ev.hi) == (7.0, 7.0)
+
+
+@pytest.mark.parametrize("make", [laplace_count_target, half_noise_laplace_count])
+def test_run_is_the_one_outcome_case_of_run_many(make, small_tables):
+    m = make()
+    script = dict(uniforms=(0.25, 0.5, 0.75), bits=(0, 1))
+    one = m.run(small_tables["db2"], 1.0, ScriptedSource(**script))
+    assert one == float(m.run_many(small_tables["db2"], 1.0, ScriptedSource(**script), 1)[0])
+    with pytest.raises(ContractViolation):
+        MechanismUnderTest("neither")
 
 
 def test_event_search_requires_enough_samples(two_col_schema, rng):

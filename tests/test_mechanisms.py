@@ -132,6 +132,28 @@ def test_gaussian_charges_rho_and_matches_sigma(tmp_path, rng):
     acct.close()
 
 
+def test_epsilon_mechanisms_require_pure_scope(tmp_path, rng):
+    """Every epsilon-spending mechanism refuses a zCDP scope before it
+    charges, so no epsilon is ever booked as a rho."""
+    acct = Accountant(ledger_path=str(tmp_path / "l.txt"))
+    acct.create_scope("z", ZCDP_RHO, 100.0)
+    scope = acct.scope("z")
+    v = _vec([1.0, 2.0])
+    calls = (
+        lambda: laplace_mechanism(v, 3.0, scope, rng),
+        lambda: laplace_mechanism(v, 3.0, scope, rng, discretize=True),
+        lambda: noisy_histogram(v, 3.0, scope, rng),
+        lambda: report_noisy_max(v, 3.0, scope, rng),
+        lambda: exponential_mechanism(["a", "b"], [0.0, 1.0], 1.0, 3.0, scope, rng),
+        lambda: soft_threshold_filter(v, 100.0, 0.5, scope, rng),
+    )
+    for call in calls:
+        with pytest.raises(ScopeMismatchError):
+            call()
+    assert acct.spent("z") == 0.0 and acct.ledger == ()
+    acct.close()
+
+
 # -- report noisy max ----------------------------------------------------------------
 
 def test_report_noisy_max_returns_argmax_index(scope):

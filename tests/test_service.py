@@ -1,8 +1,10 @@
 import inspect
 import json
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpcore import (
     Accountant,
@@ -12,8 +14,10 @@ from dpcore import (
     PURE_EPS,
     RandomSource,
     Schema,
+    ScopeMismatchError,
     StatVector,
     Table,
+    ZCDP_RHO,
     make_table,
     parse_plan,
 )
@@ -28,6 +32,7 @@ from dpcore.service import (
     QueryResponse,
     QueryService,
     ServiceConfig,
+    SystemClock,
     build_accountant,
     clamp_nonnegative,
     derived_mean,
@@ -122,6 +127,19 @@ def test_dump_restore_sessions_drops_randomness(tmp_path):
     assert restored.rng is not session.rng
 
 
+def test_open_session_on_zcdp_scope_is_a_scope_mismatch(tmp_path):
+    """The gateway's mechanisms all spend epsilon, so a zCDP scope cannot pay
+    for the startup size estimate, and nothing is booked against it."""
+    csv, sidecar = _write_dataset(tmp_path, [(1, 0)])
+    acct = Accountant()
+    acct.create_scope("z", ZCDP_RHO, 10.0)
+    svc = QueryService(DatasetRegistry(), acct, ServiceConfig())
+    handle = svc.ingest(csv, sidecar)
+    with pytest.raises(ScopeMismatchError):
+        svc.open_session(handle, "z")
+    assert acct.spent("z") == 0.0 and acct.ledger == ()
+
+
 def test_unknown_session_rejected(tmp_path):
     svc, _, _ = _service(tmp_path, [])
     with pytest.raises(ContractViolation):
@@ -214,6 +232,57 @@ def test_timing_trace_identical_across_neighbors(tmp_path):
     assert t1 == t2  # byte-for-byte
 
 
+_FUZZ_SCHEMA = Schema((
+    ColumnMeta("region", ColumnKind.CATEGORICAL, values=("north", "south")),
+    ColumnMeta("age", ColumnKind.INTEGER, lower=0, upper=99),
+    ColumnMeta("income", ColumnKind.REAL, lower=0.0, upper=200.0),
+))
+_FUZZ_COLUMNS = st.sampled_from(("region", "age", "income", "nope"))
+_FUZZ_COMPARISON = st.builds(
+    "{} {} {}".format, _FUZZ_COLUMNS, st.sampled_from(("<", "<=", ">", ">=", "==", "!=")),
+    st.sampled_from(("north", "west", "5", "-3", "2.5", "1e400", "nan")))
+_FUZZ_AGGREGATION = st.one_of(st.just("count"), _FUZZ_COLUMNS.map("sum {}".format))
+_FUZZ_STEP = st.one_of(
+    st.builds(lambda comps, dangling: "select_where " + " and ".join(comps)
+              + (" and" if dangling else ""),
+              st.lists(_FUZZ_COMPARISON, min_size=1, max_size=3), st.booleans()),
+    st.builds("{} {}".format, st.sampled_from(("project", "distinct", "group_by")),
+              st.lists(_FUZZ_COLUMNS, max_size=2).map(" ".join)),
+    st.just("self_union"),
+    st.sampled_from(("0.5", "1.5", "x")).map("bernoulli_sample {}".format),
+    st.builds("map_column {} {}".format, _FUZZ_COLUMNS,
+              st.sampled_from(("clamp 0 50", "clamp 9 1", "affine -2 3", "square", "square 2"))),
+    _FUZZ_AGGREGATION,
+)
+_FUZZ_PLAN = st.builds(lambda steps, agg: "\n".join(steps + [agg]),
+                       st.lists(_FUZZ_STEP, max_size=4), _FUZZ_AGGREGATION)
+
+
+def _fuzz_outcome(rows, plan_text, mechanism):
+    registry = DatasetRegistry()
+    handle = registry.register(make_table(_FUZZ_SCHEMA, rows))
+    acct = Accountant()
+    acct.create_scope("main", PURE_EPS, 10.0)
+    clock = SimulatedClock()
+    svc = QueryService(registry, acct, ServiceConfig(xi=1.0, overhead=5.0), clock=clock,
+                       rng=ScriptedSource(bits=(7,)))
+    session = svc.open_session(handle, "main")
+    resp = svc.run_query(session, QueryRequest(plan_text, mechanism, 1.0))
+    return resp.status, resp.code, resp.labels, clock.trace_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FUZZ_PLAN, st.sampled_from(MECHANISMS),
+       st.tuples(st.sampled_from(("north", "south")), st.integers(0, 99),
+                 st.floats(0.0, 200.0)))
+def test_plan_fuzz_outcome_identical_on_neighbors(plan_text, mechanism, row):
+    """Plans from the grammar, malformed ones included: run_query never
+    raises, and status, code, labels and the clock trace are the same on the
+    empty dataset and on its one-row neighbor."""
+    assert _fuzz_outcome([], plan_text, mechanism) == \
+        _fuzz_outcome([row], plan_text, mechanism)
+
+
 def test_padding_is_a_power_of_two_bucket(tmp_path):
     clock = SimulatedClock()
     svc, handle, _ = _service(tmp_path, [(1, 0)] * 10, clock=clock)
@@ -242,6 +311,12 @@ def test_fast_predicate_same_cost_as_slow(tmp_path):
     paced = PacedPredicate(fast, xi=1.0, clock=clock)
     assert paced.matches((10,), schema) is False
     assert clock.now() == 1.0  # same per-row cost as the slow path
+
+
+def test_system_clock_advance_does_not_sleep():
+    start = time.monotonic()
+    SystemClock().advance(5.0)
+    assert time.monotonic() - start < 1.0
 
 
 def test_schedule_overrun_takes_one_doubling_step(tmp_path):

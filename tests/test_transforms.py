@@ -56,6 +56,37 @@ def test_select_where_unknown_column():
         select_where(t, Predicate((Comparison("nope", "==", 1),)))
 
 
+@pytest.mark.parametrize("rows", [[], [("a", 1)]])
+def test_select_where_checks_constant_kind_before_scanning(rows):
+    """A constant of the wrong kind is rejected from metadata alone, so the
+    empty table and a one-row table fail alike."""
+    schema = Schema((
+        ColumnMeta("k", ColumnKind.CATEGORICAL, values=("a", "b")),
+        ColumnMeta("v", ColumnKind.INTEGER, lower=0, upper=9),
+    ))
+    t = make_table(schema, rows)
+    for comp in (Comparison("k", "<", 5), Comparison("v", "==", "a"),
+                 Comparison("v", "<", math.nan), Comparison("v", ">", math.inf)):
+        with pytest.raises(ContractViolation):
+            select_where(t, Predicate((comp,)))
+    assert len(select_where(t, Predicate((Comparison("v", "<", 2.5),))).rows) == len(rows)
+
+
+@pytest.mark.parametrize("lower,upper,row,line", [
+    (0, 99, 5, "select_where c0 < 5.5"),
+    (-99, 0, -5, "select_where c0 > -5.5"),
+    (0, 99, 5, "select_where c0 <= 5.5"),
+    (-99, 0, -5, "select_where c0 >= -5.5"),
+])
+def test_fractional_constant_keeps_integer_bounds_sound(lower, upper, row, line):
+    """A non-integral constant on an integer column rounds the refined bound
+    outward, so a row that passes the filter stays inside it."""
+    schema = Schema((ColumnMeta("c0", ColumnKind.INTEGER, lower=lower, upper=upper),))
+    v = parse_plan(line + "\nsum c0\n").execute(make_table(schema, [(row,)]))
+    assert v.values.tolist() == [float(row)]
+    assert v.l1_sensitivity == abs(row)
+
+
 def test_project_drops_metadata():
     t = make_table(_schema(), [(10, 0), (60, 1)])
     out = project(t, ["c1"])
@@ -268,17 +299,30 @@ def test_parse_plan_sum_and_self_union():
 
 
 def test_plan_must_end_in_aggregation():
-    with pytest.raises(ContractViolation):
-        parse_plan("project c0\n")
-    with pytest.raises(ContractViolation):
-        parse_plan("count\nproject c0\n")
-    with pytest.raises(ContractViolation):
-        parse_plan("")
+    # A grouped table can only be aggregated, so group_by comes last but one.
+    for text in ("project c0\n", "count\nproject c0\n", "",
+                 "group_by c1\nselect_where c0 > 3\ncount\n",
+                 "group_by c0\ngroup_by c1\ncount\n",
+                 "group_by c1\nself_union\nsum c0\n"):
+        with pytest.raises(ContractViolation):
+            parse_plan(text)
 
 
 def test_plan_rejects_limit():
     with pytest.raises(RejectedOperationError):
         parse_plan("limit 10\ncount\n")
+    # Missing or surplus words are rejected too, a trailing `and` included.
+    for line in ("select_where c0 > 3 and", "select_where c0 > 3 c1", "select_where c0 >",
+                 "select_where c0 > 3 or c1 == 1", "select_where", "project", "distinct",
+                 "group_by", "self_union c0", "bernoulli_sample", "bernoulli_sample 0.5 1",
+                 "bernoulli_sample half", "map_column c0", "map_column c0 clamp 1",
+                 "map_column c0 clamp 1 2 3", "map_column c0 square 2", "map_column c0 floor",
+                 "map_column c0 affine x 1", "frobnicate"):
+        with pytest.raises(ContractViolation):
+            parse_plan(line + "\ncount\n")
+    for text in ("count c0\n", "sum\n", "sum c0 c1\n"):
+        with pytest.raises(ContractViolation):
+            parse_plan(text)
 
 
 def test_plan_bernoulli_requires_rng():
