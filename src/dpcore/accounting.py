@@ -160,6 +160,17 @@ class Accountant:
                 self._ledger_file.flush()
         return record
 
+    def replay_ledger(self, path: str) -> None:
+        """Re-apply a ledger file's charges in file order: `spent` is the same
+        left-to-right sum `charge` made, and new charges continue its `seq`."""
+        with open(path, "r", encoding="utf-8") as fh:
+            records = [PrivacyCharge.from_line(line) for line in fh if line.strip()]
+        with self._lock:
+            for record in records:
+                self._scope(record.scope_id).spent += record.amount
+                self._ledger.append(record)
+                self._seq = max(self._seq, record.seq)
+
     def remaining(self, scope_id: str) -> float:
         with self._lock:
             scope = self._scope(scope_id)

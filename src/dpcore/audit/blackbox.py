@@ -128,19 +128,6 @@ def default_neighbor_suite(schema: Schema) -> list[NeighborPair]:
     raise ContractViolation("no default suite for this schema shape")
 
 
-def _candidate_events(pooled: np.ndarray) -> list[tuple[float, float]]:
-    """Finite, deterministic candidate set: every interval between adjacent
-    empirical quantiles at 1% granularity, plus one-sided rays."""
-    qs = np.unique(np.quantile(pooled, np.linspace(0.0, 1.0, 101)))
-    events: list[tuple[float, float]] = []
-    for i in range(len(qs)):
-        events.append((-math.inf, float(qs[i])))
-        events.append((float(qs[i]), math.inf))
-        for j in range(i, len(qs)):
-            events.append((float(qs[i]), float(qs[j])))
-    return events
-
-
 def event_search(
     m: MechanismUnderTest,
     pair: NeighborPair,
@@ -152,7 +139,8 @@ def event_search(
 
     Only intervals holding at least 0.001 * n_search * e^eps points on the
     denser side are eligible, which keeps the search away from pure noise in
-    the far tails.  Degenerate outcome sets collapse to the point event.
+    the far tails.  Among equal scores the first candidate in search order
+    wins.  Degenerate outcome sets collapse to the point event.
     """
     if n_search < 10 ** 3:
         raise ContractViolation("n_search must be at least 1000")
@@ -164,21 +152,29 @@ def event_search(
         return OutcomeEvent(float(pooled[0]), float(pooled[0]))
     min_count = 0.001 * n_search * math.exp(eps)
     e_eps = math.exp(eps)
-    best: tuple[float, OutcomeEvent] | None = None
-    for lo, hi in _candidate_events(pooled):
-        c1 = int(np.searchsorted(out1, hi, side="right") - np.searchsorted(out1, lo, side="left"))
-        c2 = int(np.searchsorted(out2, hi, side="right") - np.searchsorted(out2, lo, side="left"))
-        if max(c1, c2) < min_count:
-            continue
-        # +1 smoothing on the sparse side keeps the score finite.
-        score_fwd = c1 / (e_eps * (c2 + 1.0))
-        score_rev = c2 / (e_eps * (c1 + 1.0))
-        score, swapped = max((score_fwd, False), (score_rev, True))
-        if best is None or score > best[0]:
-            best = (score, OutcomeEvent(lo, hi, swapped))
-    if best is None:
+    # Candidates in search order: for each unique 1% quantile q_i, the ray
+    # (-inf, q_i], the ray [q_i, inf), then [q_i, q_j] for ascending j >= i.
+    # Row i of this grid holds them once the cells with j < i are dropped.
+    qs = np.unique(np.quantile(pooled, np.linspace(0.0, 1.0, 101)))
+    k = len(qs)
+    lo = np.repeat(qs[:, None], k + 2, axis=1)
+    lo[:, 0] = -math.inf
+    hi = np.column_stack([qs, np.full(k, math.inf), np.tile(qs, (k, 1))])
+    keep = np.triu(np.ones((k, k + 2), dtype=bool), 2)
+    keep[:, :2] = True
+    lo, hi = lo[keep], hi[keep]
+    c1 = np.searchsorted(out1, hi, side="right") - np.searchsorted(out1, lo, side="left")
+    c2 = np.searchsorted(out2, hi, side="right") - np.searchsorted(out2, lo, side="left")
+    # +1 smoothing on the sparse side keeps the score finite.
+    score_fwd = c1 / (e_eps * (c2 + 1.0))
+    score_rev = c2 / (e_eps * (c1 + 1.0))
+    score = np.where(np.maximum(c1, c2) >= min_count,
+                     np.maximum(score_fwd, score_rev), -math.inf)
+    best = int(np.argmax(score))
+    if score[best] == -math.inf:
         return OutcomeEvent(-math.inf, math.inf)
-    return best[1]
+    return OutcomeEvent(float(lo[best]), float(hi[best]),
+                        bool(score_rev[best] >= score_fwd[best]))
 
 
 def _binomial_pvalue(

@@ -15,19 +15,14 @@ import shutil
 import socketserver
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 
-from .audit import (
-    BUILTIN_TARGETS,
-    MechanismUnderTest,
-    black_box_battery,
-    default_neighbor_suite,
-)
 from .errors import BudgetExceededError, ContractViolation
 from .randomness import RandomSource
 from .registry import DatasetRegistry
-from .relational import ColumnKind, ColumnMeta, Schema
+from .relational import parse_schema
 from .service import QueryRequest, QueryService, ServiceConfig, build_accountant
 
 
@@ -41,25 +36,11 @@ class CliState:
         self.state_dir = self.config.state_dir
         os.makedirs(os.path.join(self.state_dir, "datasets"), exist_ok=True)
         self.accountant = build_accountant(self.config)
-        self.registry = DatasetRegistry()
-        self._load_datasets()
+        self.registry = DatasetRegistry(os.path.join(self.state_dir, "datasets"))
         self.service = QueryService(self.registry, self.accountant, self.config)
         self._load_sessions()
 
     # -- persistence -------------------------------------------------------
-
-    def _dataset_dir(self, handle: str) -> str:
-        return os.path.join(self.state_dir, "datasets", handle)
-
-    def _load_datasets(self) -> None:
-        root = os.path.join(self.state_dir, "datasets")
-        for handle in sorted(os.listdir(root)):
-            d = self._dataset_dir(handle)
-            self.registry.register_as(
-                handle,
-                os.path.join(d, "data.csv"),
-                os.path.join(d, "schema.txt"),
-            )
 
     def _sessions_path(self) -> str:
         return os.path.join(self.state_dir, "sessions.json")
@@ -73,11 +54,19 @@ class CliState:
         self.service.restore_sessions(raw)
 
     def save_sessions(self) -> None:
-        with open(self._sessions_path(), "w", encoding="utf-8") as fh:
-            json.dump(self.service.dump_sessions(), fh)
+        """Write to a temporary file and rename it over `sessions.json`, so a
+        failed write leaves the previous file whole."""
+        fd, tmp = tempfile.mkstemp(dir=self.state_dir, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(self.service.dump_sessions(), fh)
+            os.replace(tmp, self._sessions_path())
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     def persist_dataset(self, handle: str, csv_path: str, sidecar_path: str) -> None:
-        d = self._dataset_dir(handle)
+        d = os.path.join(self.state_dir, "datasets", handle)
         os.makedirs(d, exist_ok=True)
         shutil.copyfile(csv_path, os.path.join(d, "data.csv"))
         shutil.copyfile(sidecar_path, os.path.join(d, "schema.txt"))
@@ -123,14 +112,15 @@ def _cmd_budget(args) -> int:
     return 0
 
 
-def _external_target(command: str) -> MechanismUnderTest:
-    """Wrap an external command as a mechanism under test.
+def _external_target(command: str):
+    """Wrap an external command as a MechanismUnderTest.
 
     The command is invoked as: CMD <csv-path> <eps> <n> and must print n
     outcomes, one per line, on stdout.
     """
     import csv as csv_mod
-    import tempfile
+
+    from .audit import MechanismUnderTest
 
     def run_many(table, eps, rng, n):
         with tempfile.NamedTemporaryFile("w", suffix=".csv", delete=False) as fh:
@@ -150,14 +140,10 @@ def _external_target(command: str) -> MechanismUnderTest:
     return MechanismUnderTest(f"external:{command}", run_many=run_many)
 
 
-def _audit_schema() -> Schema:
-    return Schema((
-        ColumnMeta("c0", ColumnKind.INTEGER, lower=0, upper=100),
-        ColumnMeta("c1", ColumnKind.INTEGER, lower=0, upper=1),
-    ))
-
-
 def _cmd_audit(args) -> int:
+    # The audit package pulls in scipy; only this command pays for it.
+    from .audit import BUILTIN_TARGETS, black_box_battery, default_neighbor_suite
+
     if args.target in BUILTIN_TARGETS:
         target = BUILTIN_TARGETS[args.target]()
     elif args.external:
@@ -165,7 +151,7 @@ def _cmd_audit(args) -> int:
     else:
         print(f"unknown builtin target {args.target!r}", file=sys.stderr)
         return 1
-    suite = default_neighbor_suite(_audit_schema())
+    suite = default_neighbor_suite(parse_schema("c0 int 0 100\nc1 int 0 1"))
     eps_values = [float(x) for x in args.eps_grid.split(",")]
     report = black_box_battery(
         target, suite, eps_values, RandomSource.from_os_entropy(),

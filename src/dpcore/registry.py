@@ -9,6 +9,9 @@ budget, with slow predicates defaulting to TRUE instead of running long.
 from __future__ import annotations
 
 import itertools
+import os
+import re
+import threading
 from dataclasses import dataclass
 
 from .errors import ContractViolation
@@ -43,10 +46,13 @@ class PacedPredicate:
 
 
 class DatasetRegistry:
-    """Maps opaque handles to tables."""
+    """Maps opaque handles to tables.  With a `root` directory, a handle's
+    `<root>/<handle>/data.csv` and `schema.txt` load on its first use."""
 
-    def __init__(self) -> None:
+    def __init__(self, root: str | None = None) -> None:
+        self._root = root
         self._tables: dict[str, Table] = {}
+        self._lock = threading.Lock()
         self._counter = itertools.count(1)
 
     def ingest_files(self, csv_path: str, sidecar_path: str) -> str:
@@ -54,22 +60,31 @@ class DatasetRegistry:
         return self.register(load_csv(csv_path, schema))
 
     def register(self, table: Table) -> str:
-        handle = f"ds{next(self._counter)}"
-        while handle in self._tables:
+        with self._lock:
+            # A handle persisted by an earlier process is taken.
             handle = f"ds{next(self._counter)}"
-        self._tables[handle] = table
-        return handle
-
-    def register_as(self, handle: str, csv_path: str, sidecar_path: str) -> None:
-        """Re-register a persisted dataset under its stable handle."""
-        schema = load_schema(sidecar_path)
-        self._tables[handle] = load_csv(csv_path, schema)
+            while handle in self._tables or (
+                    self._root is not None and os.path.exists(os.path.join(self._root, handle))):
+                handle = f"ds{next(self._counter)}"
+            self._tables[handle] = table
+            return handle
 
     def _table(self, handle: str) -> Table:
-        try:
-            return self._tables[handle]
-        except KeyError:
-            raise ContractViolation(f"unknown dataset handle: {handle}") from None
+        with self._lock:
+            # Only names `register` hands out are looked up on disk, so a
+            # handle cannot reach outside the root.
+            if handle not in self._tables and self._root is not None \
+                    and re.fullmatch(r"ds[0-9]+", handle):
+                d = os.path.join(self._root, handle)
+                try:
+                    schema = load_schema(os.path.join(d, "schema.txt"))
+                    self._tables[handle] = load_csv(os.path.join(d, "data.csv"), schema)
+                except FileNotFoundError:
+                    pass
+            try:
+                return self._tables[handle]
+            except KeyError:
+                raise ContractViolation(f"unknown dataset handle: {handle}") from None
 
     def execute_plan(self, handle: str, plan: TransformPlan, rng=None,
                      clock=None, xi: float | None = None):

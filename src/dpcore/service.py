@@ -285,19 +285,9 @@ def clamp_nonnegative(values) -> np.ndarray:
 def build_accountant(config: ServiceConfig) -> Accountant:
     """Accountant with the configured scopes, restored from the ledger file
     if one already exists."""
-    existing = []
-    if config.ledger_path:
-        try:
-            with open(config.ledger_path, "r", encoding="utf-8") as fh:
-                from .accounting import PrivacyCharge
-                existing = [PrivacyCharge.from_line(line) for line in fh if line.strip()]
-        except FileNotFoundError:
-            pass
     acct = Accountant(ledger_path=config.ledger_path)
     for spec in config.budgets:
         acct.create_scope(spec["id"], spec.get("kind", PURE_EPS), float(spec["budget"]))
-    for record in existing:
-        acct._scope(record.scope_id).spent += record.amount
-        acct._ledger.append(record)
-        acct._seq = max(acct._seq, record.seq)
+    if config.ledger_path:
+        acct.replay_ledger(config.ledger_path)
     return acct

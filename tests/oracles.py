@@ -96,3 +96,37 @@ def anderson_darling_reference(sample, cdf) -> float:
     i = np.arange(1, n + 1)
     s = np.sum((2 * i - 1) * (np.log(f) + np.log1p(-f[::-1])))
     return float(-n - s / n)
+
+
+def event_search_reference(out1, out2, eps: float) -> tuple[float, float, bool]:
+    """`(lo, hi, swapped)` of the event `blackbox.event_search` must pick from
+    these two sample sets, found by listing every candidate interval and
+    scoring it with scalar searches, one candidate at a time."""
+    out1, out2 = np.sort(out1), np.sort(out2)
+    n_search = len(out1)
+    pooled = np.concatenate([out1, out2])
+    if np.all(pooled == pooled[0]):
+        return float(pooled[0]), float(pooled[0]), False
+    qs = np.unique(np.quantile(pooled, np.linspace(0.0, 1.0, 101)))
+    candidates = []
+    for i in range(len(qs)):
+        candidates.append((-math.inf, float(qs[i])))
+        candidates.append((float(qs[i]), math.inf))
+        for j in range(i, len(qs)):
+            candidates.append((float(qs[i]), float(qs[j])))
+    min_count = 0.001 * n_search * math.exp(eps)
+    e_eps = math.exp(eps)
+    best = None
+    for lo, hi in candidates:
+        c1 = int(np.searchsorted(out1, hi, side="right") - np.searchsorted(out1, lo, side="left"))
+        c2 = int(np.searchsorted(out2, hi, side="right") - np.searchsorted(out2, lo, side="left"))
+        if max(c1, c2) < min_count:
+            continue
+        score_fwd = c1 / (e_eps * (c2 + 1.0))
+        score_rev = c2 / (e_eps * (c1 + 1.0))
+        score, swapped = max((score_fwd, False), (score_rev, True))
+        if best is None or score > best[0]:
+            best = (score, (lo, hi, swapped))
+    if best is None:
+        return -math.inf, math.inf, False
+    return best[1]

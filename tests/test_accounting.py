@@ -60,6 +60,25 @@ def test_replay_spent_reproduces_float_order(accountant, scope):
     assert replay_spent(list(accountant.ledger))["main"] == accountant.spent("main")
 
 
+def test_replay_ledger_restores_spend_and_seq(tmp_path):
+    path = str(tmp_path / "ledger.txt")
+    live = Accountant(ledger_path=path)
+    live.create_scope("a", PURE_EPS, 10.0)
+    live.create_scope("b", PURE_EPS, 10.0)
+    for i, amount in enumerate([0.1, 0.2, 0.3, 0.07, 1e-9, 0.3, 1 / 3]):
+        live.charge("ab"[i % 2], amount, "laplace")
+    live.close()
+    restored = Accountant(ledger_path=path)
+    restored.create_scope("a", PURE_EPS, 10.0)
+    restored.create_scope("b", PURE_EPS, 10.0)
+    restored.replay_ledger(path)
+    # The same left-to-right float sum, not an approximation of it.
+    assert restored.spent("a") == live.spent("a") and restored.spent("b") == live.spent("b")
+    assert restored.ledger == live.ledger
+    assert restored.charge("a", 0.5, "laplace").seq == 8
+    restored.close()
+
+
 def test_budget_exceeded_is_atomic_and_uniform(tmp_path):
     acct = Accountant(ledger_path=str(tmp_path / "l.txt"))
     acct.create_scope("s", PURE_EPS, 1.0)

@@ -51,7 +51,7 @@ from dpcore.audit.targets import laplace_count_target
 from dpcore.mechanisms import exponential_mechanism_log_probabilities, report_noisy_max
 from dpcore.testing import ScriptedSource, zero_noise_source
 from dpcore.transforms import Comparison, Predicate
-from oracles import anderson_darling_reference, laplace_cdf_mp
+from oracles import anderson_darling_reference, event_search_reference, laplace_cdf_mp
 
 
 # -- goodness of fit ---------------------------------------------------------
@@ -177,6 +177,57 @@ def test_half_noise_bug_yields_tiny_pvalues(two_col_schema, rng):
     ev = event_search(m, suite[1], 1.0, 20_000, rng)
     p = dp_hypothesis_test(m, suite[1], ev, 1.0, 0.0, 50_000, rng)
     assert p < 1e-4
+
+
+def _replaying(pair, out1, out2):
+    """A mechanism that returns fixed outcome arrays for the two sides of `pair`."""
+    return MechanismUnderTest(
+        "replay", run_many=lambda table, eps, rng, n: out1 if table is pair.d1 else out2)
+
+
+def _fixed_sample_pairs():
+    """Neighbour-like outcome pairs: continuous, rounded and small-integer
+    Laplace draws (the last with heavy ties), at a correct and a halved noise
+    scale, a neighbour shift of 1 and of 3, and one pair of identical sets."""
+    gen = np.random.default_rng(20181015)
+    pairs = []
+    for kind in ("continuous", "rounded", "small-int"):
+        for n in (2000, 50_000):
+            for eps in (0.5, 1.0, 2.0):
+                for scale, shift in ((1.0, 1.0), (0.5, 1.0), (1.0, 3.0), (0.5, 3.0)):
+                    a = gen.laplace(0.0, scale / eps, n)
+                    b = shift + gen.laplace(0.0, scale / eps, n)
+                    if kind == "rounded":
+                        a, b = np.round(a, 1), np.round(b, 1)
+                    elif kind == "small-int":
+                        a, b = np.clip(np.rint(a), -2, 2), np.clip(np.rint(b), -2, 5)
+                    pairs.append((f"{kind}-n{n}-eps{eps}-x{scale}-d{shift}", eps, a, b))
+            same = np.rint(gen.laplace(0.0, 1.0, 2000))
+            pairs.append((f"{kind}-identical-n2000", 1.0, same, same.copy()))
+    return pairs
+
+
+def test_event_search_matches_reference_loop(two_col_schema, rng):
+    """The array search picks the same event, ties included, as the
+    one-candidate-at-a-time loop in `oracles.event_search_reference`."""
+    pair = default_neighbor_suite(two_col_schema)[1]
+    cases = _fixed_sample_pairs()
+    assert len(cases) >= 60
+    for name, eps, out1, out2 in cases:
+        ev = event_search(_replaying(pair, out1, out2), pair, eps, len(out1), rng)
+        assert (ev.lo, ev.hi, ev.swapped) == event_search_reference(out1, out2, eps), name
+
+
+def test_event_search_degenerate_cases_match_reference_loop(two_col_schema, rng):
+    pair = default_neighbor_suite(two_col_schema)[1]
+    gen = np.random.default_rng(7)
+    constant = np.full(1000, 3.5)
+    # At eps = 8 the floor 0.001 * n * e^8 exceeds n: no interval is eligible.
+    spread1, spread2 = gen.laplace(0.0, 1.0, 1000), gen.laplace(1.0, 1.0, 1000)
+    for eps, out1, out2, want in ((1.0, constant, constant.copy(), (3.5, 3.5, False)),
+                                  (8.0, spread1, spread2, (-math.inf, math.inf, False))):
+        ev = event_search(_replaying(pair, out1, out2), pair, eps, 1000, rng)
+        assert (ev.lo, ev.hi, ev.swapped) == want == event_search_reference(out1, out2, eps)
 
 
 def test_constant_mechanism_is_trivially_private(two_col_schema, rng):

@@ -1,10 +1,17 @@
 import json
 import os
+import shutil
+import socket
 import stat
+import subprocess
+import sys
+import tempfile
+import threading
 
 import pytest
 
-from dpcore.cli import build_parser, main
+import dpcore
+from dpcore.cli import CliState, _Server, build_parser, main
 
 
 @pytest.fixture
@@ -28,12 +35,123 @@ def _run(argv, capsys):
     return code, out
 
 
-def test_ingest_prints_only_the_handle(workspace, capsys):
-    code, out = _run(["ingest", "--csv", str(workspace / "d.csv"),
+def _ingest(workspace, capsys, csv="d.csv"):
+    code, out = _run(["ingest", "--csv", str(workspace / csv),
                       "--schema", str(workspace / "d.schema"),
                       "--config", str(workspace / "cfg.json")], capsys)
     assert code == 0
-    assert out.strip() == "ds1"  # no row counts, no ranges
+    return out.strip()
+
+
+def test_ingest_prints_only_the_handle(workspace, capsys):
+    (workspace / "e.csv").write_text("c0,c1\n40,1\n")
+    assert _ingest(workspace, capsys) == "ds1"  # no row counts, no ranges
+    # Each command builds its state afresh, as a new process would, and
+    # must not hand out a handle already persisted.
+    assert _ingest(workspace, capsys, "e.csv") == "ds2"
+    datasets = workspace / "state" / "datasets"
+    assert (datasets / "ds1" / "data.csv").read_text() == (workspace / "d.csv").read_text()
+    assert (datasets / "ds2" / "data.csv").read_text() == (workspace / "e.csv").read_text()
+
+
+def test_commands_load_only_the_dataset_they_name(workspace, capsys):
+    cfg = str(workspace / "cfg.json")
+    handle = _ingest(workspace, capsys)
+    _ingest(workspace, capsys)
+    os.unlink(workspace / "state" / "datasets" / "ds2" / "data.csv")
+    code, sid = _run(["session", "--dataset", handle, "--scope", "main",
+                      "--config", cfg], capsys)
+    assert code == 0
+    code, out = _run(["query", "--session", sid.strip(), "--plan", str(workspace / "plan.txt"),
+                      "--mechanism", "laplace", "--eps", "1.0", "--config", cfg], capsys)
+    assert code == 0 and json.loads(out)["status"] == "ok"
+    code, out = _run(["budget", "--session", sid.strip(), "--config", cfg], capsys)
+    assert code == 0 and "spent=" in out
+    code = main(["session", "--dataset", "ds2", "--scope", "main", "--config", cfg])
+    assert code == 1
+    # A handle is a name inside the state's datasets directory, never a path.
+    outside = workspace / "outside"
+    outside.mkdir()
+    shutil.copyfile(workspace / "d.csv", outside / "data.csv")
+    shutil.copyfile(workspace / "d.schema", outside / "schema.txt")
+    code = main(["session", "--dataset", os.path.join("..", "..", "outside"),
+                 "--scope", "main", "--config", cfg])
+    assert code == 1
+
+
+def test_failed_session_save_keeps_the_previous_file(workspace, capsys, monkeypatch):
+    cfg = str(workspace / "cfg.json")
+    handle = _ingest(workspace, capsys)
+    _, sid = _run(["session", "--dataset", handle, "--scope", "main", "--config", cfg], capsys)
+    path = workspace / "state" / "sessions.json"
+    before = path.read_text()
+
+    def torn_dump(obj, fh, **kwargs):
+        fh.write('{"counter": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", torn_dump)
+    with pytest.raises(OSError):
+        main(["session", "--dataset", handle, "--scope", "main", "--config", cfg])
+    monkeypatch.undo()
+    assert path.read_text() == before
+    assert sorted(os.listdir(workspace / "state")) == ["datasets", "sessions.json"]
+    code, out = _run(["budget", "--session", sid.strip(), "--config", cfg], capsys)
+    assert code == 0 and "spent=" in out
+
+
+def test_cli_import_leaves_out_the_audit_package():
+    src = os.path.dirname(os.path.dirname(dpcore.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, dpcore.cli; print(sorted({'scipy', 'dpcore.audit'} & set(sys.modules)))"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "[]"
+
+
+def test_serve_protocol(workspace, capsys):
+    cfg = str(workspace / "cfg.json")
+    handle = _ingest(workspace, capsys)
+    # A unix socket path must stay short, so it does not live under tmp_path.
+    sock_dir = tempfile.mkdtemp(prefix="dpcore-")
+    server = _Server(os.path.join(sock_dir, "s"), CliState(cfg))
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        with socket.socket(socket.AF_UNIX) as conn:
+            conn.connect(os.path.join(sock_dir, "s"))
+            reader = conn.makefile("rb")
+
+            def ask(line: bytes) -> dict:
+                conn.sendall(line + b"\n")
+                return json.loads(reader.readline())
+
+            opened = ask(json.dumps({"cmd": "session", "dataset": handle,
+                                     "scope": "main"}).encode())
+            assert opened["status"] == "ok"
+            sid = opened["session"]
+            reply = ask(json.dumps({"cmd": "query", "session": sid, "plan": "count",
+                                    "mechanism": "laplace", "eps": 1.0}).encode())
+            assert reply["status"] == "ok" and len(reply["values"]) == 1
+            budget = ask(json.dumps({"cmd": "budget", "session": sid}).encode())
+            assert budget["status"] == "ok"
+            assert budget["remaining"] == reply["remaining_budget"]
+            assert budget["spent"] + budget["remaining"] == pytest.approx(20.0)
+            rejected = {"status": "error", "code": "request rejected"}
+            assert ask(b'{"cmd": "drop_ledger"}') == rejected
+            assert ask(b'{"cmd": "query", "session"') == rejected
+            reader.close()
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        server.state.accountant.close()
+        shutil.rmtree(sock_dir)
+    # The session the daemon opened is on disk for later commands.
+    code, out = _run(["budget", "--session", sid, "--config", cfg], capsys)
+    assert code == 0
 
 
 def test_full_query_workflow(workspace, capsys):
