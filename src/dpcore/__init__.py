@@ -46,11 +46,10 @@ from .randomness import (
     RandomSource,
     derive_source,
     log_add,
+    sample_discrete_laplace,
     sample_exponential,
     sample_gaussian,
     sample_laplace,
-    sample_snapped_laplace,
-    sample_two_sided_geometric,
 )
 from .relational import (
     ColumnKind,

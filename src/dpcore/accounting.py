@@ -162,12 +162,19 @@ class Accountant:
 
     def replay_ledger(self, path: str) -> None:
         """Re-apply a ledger file's charges in file order: `spent` is the same
-        left-to-right sum `charge` made, and new charges continue its `seq`."""
-        with open(path, "r", encoding="utf-8") as fh:
-            records = [PrivacyCharge.from_line(line) for line in fh if line.strip()]
+        left-to-right sum `charge` made, and new charges continue its `seq`.
+        A last line without its newline is an unfinished write and is cut off
+        the file; a record of a scope no longer configured spends nothing."""
+        with open(path, "r+b") as fh:
+            data = fh.read()
+            end = data.rfind(b"\n") + 1
+            fh.truncate(end)
+        lines = data[:end].decode("utf-8").splitlines()
+        records = [PrivacyCharge.from_line(line) for line in lines if line.strip()]
         with self._lock:
             for record in records:
-                self._scope(record.scope_id).spent += record.amount
+                if record.scope_id in self._scopes:
+                    self._scopes[record.scope_id].spent += record.amount
                 self._ledger.append(record)
                 self._seq = max(self._seq, record.seq)
 

@@ -13,12 +13,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .accounting import PURE_EPS, ZCDP_RHO, PrivacyCharge, ScopeHandle
 from .errors import ContractViolation, ParameterError, ScopeMismatchError
-from .randomness import RandomSource, log_add, sample_exponential, sample_gaussian, sample_laplace
+from .randomness import (
+    RandomSource, log_add, sample_discrete_laplace, sample_exponential, sample_gaussian,
+    sample_laplace,
+)
 from .relational import StatVector
 
 #: Lower limit on eps/sensitivity.  Tiny budgets mean enormous noise scales,
@@ -59,12 +63,15 @@ def _laplace_release(
     if eps <= 0:
         raise ParameterError("eps must be positive")
     _check_floor(eps, v.l1_sensitivity)
+    if discretize and not v.integral:
+        raise ContractViolation("integer noise is private on integer-valued statistics only")
     charge = _charge(accountant, PURE_EPS, eps, mechanism)
     values = v.values.copy()
-    if v.l1_sensitivity > 0:
+    if v.l1_sensitivity > 0 and discretize:
+        scale = Fraction(v.l1_sensitivity) / Fraction(eps)
+        values = values + [sample_discrete_laplace(rng, scale) for _ in range(len(v))]
+    elif v.l1_sensitivity > 0:
         values = values + sample_laplace(rng, v.l1_sensitivity / eps, size=len(v))
-    if discretize:
-        values = np.rint(values)
     return MechanismResult(values, charge, v.dimension_labels)
 
 
@@ -78,8 +85,10 @@ def laplace_mechanism(
     """Add Laplace(sensitivity/eps) noise per coordinate.
 
     Outputs are released as-is: no truncation, no clamping; negative counts
-    are the postprocessing layer's business.  `discretize` optionally rounds
-    the release to integers.
+    are the postprocessing layer's business.  With `discretize` the noise is
+    the exact discrete Laplace of scale sensitivity/eps (rationals, integer
+    draws only), which is private only on integer values: a vector not
+    marked `integral` is refused before the charge.
     """
     return _laplace_release(v, eps, accountant, rng, "laplace", discretize)
 

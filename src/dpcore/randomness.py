@@ -6,6 +6,9 @@ Sources are keyed only from operating-system entropy or by derivation from
 another source.  There is no integer-seed constructor, no seed flag and no
 way to persist a seed: that is the API contract, not an omission.
 
+The Laplace, exponential and Gaussian samplers transform full-precision
+float uniforms; `sample_discrete_laplace` draws only integers and is exact.
+
 All samplers draw exclusively from the RandomSource they are handed, so a
 scripted stand-in (see dpcore.testing) makes them deterministic in tests.
 """
@@ -26,10 +29,9 @@ __all__ = [
     "LogWeight",
     "log_add",
     "sample_laplace",
-    "sample_snapped_laplace",
+    "sample_discrete_laplace",
     "sample_gaussian",
     "sample_exponential",
-    "sample_two_sided_geometric",
 ]
 
 _KEY_BYTES = 32
@@ -44,7 +46,7 @@ class RandomSource:
     parallel worker its own derived source.
     """
 
-    __slots__ = ("_encryptor", "_buffer")
+    __slots__ = ("_encryptor",)
 
     def __init__(self, *, _key: bytes | None = None) -> None:
         # No user-facing seed path: the only key material accepted is the
@@ -52,7 +54,6 @@ class RandomSource:
         key = _key if _key is not None else os.urandom(_KEY_BYTES)
         cipher = Cipher(algorithms.ChaCha20(key, _ZERO_NONCE), mode=None)
         self._encryptor = cipher.encryptor()
-        self._buffer = b""
 
     @classmethod
     def from_os_entropy(cls) -> "RandomSource":
@@ -77,7 +78,7 @@ class RandomSource:
         """Uniform integer in [0, n) by rejection."""
         if n <= 0:
             raise ValueError("randbelow requires n > 0")
-        k = n.bit_length()
+        k = (n - 1).bit_length()
         while True:
             r = self.randbits(k)
             if r < n:
@@ -208,74 +209,40 @@ def sample_gaussian(rng: RandomSource, sigma: float, size: int | None = None):
     return out if size is not None else float(out[0])
 
 
-def _round_to_ladder(value: float, lam: float) -> float:
-    """Round to the nearest multiple of lam, ties toward +inf."""
-    q = math.floor(value / lam)
-    rem = value - q * lam
-    if rem > lam / 2:
-        return (q + 1) * lam
-    if rem == lam / 2:
-        return (q + 1) * lam
-    return q * lam
+def _bernoulli_exp(rng: RandomSource, num: int, den: int) -> bool:
+    """True with probability exp(-num/den), 0 <= num <= den, exactly.
 
-
-def _power_of_two_at_least(x: float) -> float:
-    """Smallest power of two >= x (x > 0)."""
-    m, e = math.frexp(x)  # x = m * 2^e with m in [0.5, 1)
-    return math.ldexp(1.0, e if m > 0.5 else e - 1)
-
-
-def sample_snapped_laplace(
-    rng: RandomSource, true_value: float, scale: float, clamp: float
-) -> float:
-    """Floating-point-hardened Laplace release of a single value.
-
-    Pipeline: clamp the input to [-B, B]; add scale * S * ln(U) with S a
-    random sign and U a full-precision uniform, using the exact-rounded
-    natural log; round the result onto the ladder of multiples of the
-    smallest power of two >= scale (ties toward +inf); clamp again.
-    Rounding to the power-of-two ladder is exact in binary floating point,
-    which removes the output "holes" of the textbook inverse-CDF sampler.
+    The first k whose Bernoulli(num/(den*k)) coin is false is odd with
+    probability exp(-num/den).  A coin counts from the top of [0, den*k), so
+    an all-zero script draws false unless the coin is certain.
     """
+    k = 1
+    while num >= den * k or rng.randbelow(den * k) >= den * k - num:
+        k += 1
+    return k % 2 == 1
+
+
+def sample_discrete_laplace(rng: RandomSource, scale) -> int:
+    """Discrete Laplace: P(k) proportional to exp(-|k|/scale) on the integers.
+
+    Canonne, Kamath and Steinke (NeurIPS 2020), Algorithm 2, on the exact
+    rational scale t/s: U + t*V, with U uniform on [0, t) kept with
+    probability exp(-U/t) and V geometric, is floor-divided by s and signed
+    (-0 rejected).  Only integers are drawn, and the expected number of
+    draws does not grow with the scale.
+    """
+    scale = Fraction(scale)
     if scale <= 0:
         raise ValueError("scale must be positive")
-    if clamp < 0:
-        raise ValueError("clamp bound must be nonnegative")
-    b = clamp
-    f = min(max(true_value, -b), b)
-    u = rng.uniform_full()
-    s = rng.signs()
-    noisy = f + scale * s * math.log(u)
-    lam = _power_of_two_at_least(scale)
-    snapped = _round_to_ladder(noisy, lam)
-    return min(max(snapped, -b), b)
-
-
-def sample_two_sided_geometric(rng: RandomSource, alpha: float, size: int | None = None):
-    """Two-sided geometric: P(k) proportional to alpha^|k|, k integer.
-
-    Sampled as the difference of two i.i.d. geometric variables, each drawn
-    by exact inversion in rational arithmetic (no floating-point CDF), so
-    the distribution is exact up to the 128-bit uniform resolution.
-    """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must be in (0, 1)")
-    a = Fraction(alpha)
-
-    def one_geometric() -> int:
-        # Invert P(G < k) = 1 - alpha^k against a 128-bit uniform rational.
-        u = Fraction(rng.randbits(128), 1 << 128)  # in [0, 1)
-        tail = Fraction(1)  # alpha^k
-        k = 0
-        target = 1 - u  # find smallest k with alpha^k < 1 - u ... tail <= target
-        while tail > target:
-            tail *= a
-            k += 1
-        return k - 1 if k > 0 else 0
-
-    def one() -> int:
-        return one_geometric() - one_geometric()
-
-    if size is None:
-        return one()
-    return np.array([one() for _ in range(size)], dtype=np.int64)
+    t, s = scale.numerator, scale.denominator
+    while True:
+        u = rng.randbelow(t)
+        if not _bernoulli_exp(rng, u, t):
+            continue
+        v = 0
+        while _bernoulli_exp(rng, 1, 1):
+            v += 1
+        y = (u + t * v) // s
+        negative = rng.randbits(1)
+        if not (negative and y == 0):
+            return -y if negative else y

@@ -206,17 +206,23 @@ def _cross_product(key_columns: Sequence[ColumnMeta]) -> set:
 class StatVector:
     """Exact aggregate vector with a data-independent L1 sensitivity bound.
 
-    This is the only object the privacy layer consumes.
+    This is the only object the privacy layer consumes.  `integral` says
+    whether every value is an integer.  Aggregations set it from metadata,
+    never from the values; left as None by a direct caller, it is read off
+    the values the caller supplies.
     """
 
     values: np.ndarray
     l1_sensitivity: float
     dimension_labels: tuple[str, ...]
+    integral: bool | None = None
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.values, dtype=np.float64)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
+        if self.integral is None:
+            object.__setattr__(self, "integral", bool(np.all(arr == np.floor(arr))))
         object.__setattr__(self, "dimension_labels", tuple(self.dimension_labels))
         if len(self.dimension_labels) != arr.shape[0]:
             raise ContractViolation("label count does not match vector dimension")

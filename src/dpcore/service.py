@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -116,7 +117,11 @@ class BudgetStatus:
 
 
 class QueryService:
-    """Session management, padded query execution and budget reporting."""
+    """Session management, padded query execution and budget reporting.
+
+    Thread-safe: one lock guards the session table, the counter and each
+    derivation from a shared source, but not the query itself.
+    """
 
     def __init__(
         self,
@@ -133,6 +138,11 @@ class QueryService:
         self._rng = rng if rng is not None else RandomSource.from_os_entropy()
         self._sessions: dict[str, QuerySession] = {}
         self._session_counter = 0
+        self._lock = threading.Lock()
+
+    def _derive(self, parent: RandomSource) -> RandomSource:
+        with self._lock:
+            return derive_source(parent)
 
     # -- ingestion ---------------------------------------------------------
 
@@ -147,59 +157,45 @@ class QueryService:
         """Create a session; spends a small startup charge on a noisy size
         estimate that is cached for the life of the session."""
         scope = self._accountant.scope(scope_id)
-        self._session_counter += 1
-        session = QuerySession(
-            session_id=f"s{self._session_counter}",
-            dataset=dataset,
-            scope=scope,
-            n_hat=0.0,
-            xi=self._config.xi,
-            rng=derive_source(self._rng),
-        )
+        with self._lock:
+            self._session_counter += 1
+            session = QuerySession(f"s{self._session_counter}", dataset, scope, n_hat=0.0,
+                                   xi=self._config.xi, rng=derive_source(self._rng))
         session.n_hat = self._estimate_size(session)
-        self._sessions[session.session_id] = session
+        with self._lock:
+            self._sessions[session.session_id] = session
         return session
 
     def dump_sessions(self) -> dict:
         """Persistable session state.  Randomness is never part of it:
         sources are rebuilt from OS entropy on restore, and n-hat is kept
         (it is never recomputed within a session's lifetime)."""
-        return {
-            "counter": self._session_counter,
-            "sessions": {
-                sid: {
-                    "dataset": s.dataset,
-                    "scope": s.scope.scope_id,
-                    "n_hat": s.n_hat,
-                    "xi": s.xi,
-                }
-                for sid, s in self._sessions.items()
-            },
-        }
+        with self._lock:
+            sessions = {sid: {"dataset": s.dataset, "scope": s.scope.scope_id,
+                              "n_hat": s.n_hat, "xi": s.xi}
+                        for sid, s in self._sessions.items()}
+            return {"counter": self._session_counter, "sessions": sessions}
 
     def restore_sessions(self, raw: dict) -> None:
-        self._session_counter = int(raw.get("counter", 0))
-        for sid, s in raw.get("sessions", {}).items():
-            self._sessions[sid] = QuerySession(
-                session_id=sid,
-                dataset=s["dataset"],
-                scope=self._accountant.scope(s["scope"]),
-                n_hat=float(s["n_hat"]),
-                xi=float(s["xi"]),
-                rng=derive_source(self._rng),
-            )
+        with self._lock:
+            self._session_counter = int(raw.get("counter", 0))
+            for sid, s in raw.get("sessions", {}).items():
+                self._sessions[sid] = QuerySession(
+                    sid, s["dataset"], self._accountant.scope(s["scope"]),
+                    n_hat=float(s["n_hat"]), xi=float(s["xi"]), rng=derive_source(self._rng))
 
     def session(self, session_id: str) -> QuerySession:
-        try:
-            return self._sessions[session_id]
-        except KeyError:
-            raise ContractViolation(f"unknown session: {session_id}") from None
+        with self._lock:
+            session = self._sessions.get(session_id)
+        if session is None:
+            raise ContractViolation(f"unknown session: {session_id}")
+        return session
 
     def _estimate_size(self, session: QuerySession) -> float:
         eps = max(self._config.startup_fraction * session.scope.remaining(), 1e-3)
         result = private_release(
             self._registry, session.dataset, parse_plan("count"),
-            "laplace", eps, session.scope, derive_source(session.rng),
+            "laplace", eps, session.scope, self._derive(session.rng),
         )
         return float(result.values[0])
 
@@ -227,7 +223,7 @@ class QueryService:
             plan = parse_plan(request.plan_text)
             result = private_release(
                 self._registry, session.dataset, plan, request.mechanism,
-                request.eps, session.scope, derive_source(session.rng),
+                request.eps, session.scope, self._derive(session.rng),
                 clock=clock, xi=session.xi,
             )
             status, code = "ok", ""

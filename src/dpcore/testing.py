@@ -19,6 +19,12 @@ class ScriptedSource:
 
     `uniforms` feeds uniform()/uniform_full(); `bits` feeds randbits()/
     randbelow()/signs().  Sequences repeat when exhausted.
+
+    The exact discrete Laplace sampler loops until its coins let it stop,
+    so a cycle handed to it directly must allow that: bits=(0,) draws an
+    exact 0 at every scale (see zero_noise_source), bits=(7,) never stops.
+    A QueryService reads its root source only through derive_source, which
+    keys a ChaCha20 stream with 32 script bytes, so any cycle works there.
     """
 
     def __init__(self, uniforms=(0.5,), bits=(0,)) -> None:
@@ -56,8 +62,9 @@ class ScriptedSource:
 def zero_noise_source() -> ScriptedSource:
     """A source under which Laplace/exponential noise is exactly zero.
 
-    uniform_full = 1.0 makes -scale*ln(u) = 0; signs alternate but multiply
-    zero magnitudes.
+    uniform_full = 1.0 makes -scale*ln(u) = 0, and signs multiply zero
+    magnitudes.  For the discrete Laplace, all-zero bits keep U = 0, stop
+    the geometric at V = 0 and draw the positive sign: an exact 0.
     """
     return ScriptedSource(uniforms=(1.0,), bits=(0,))
 

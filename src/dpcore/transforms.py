@@ -276,7 +276,8 @@ def aggregate(t: Table | GroupedTable, agg: str, column: str | None = None) -> S
 
     l1_sensitivity = stability factor x per-record influence, where the
     influence is 1 for count and max(|lower|, |upper|) for sum.  Defined on
-    empty input (count -> 0, sum -> 0).
+    empty input (count -> 0, sum -> 0).  Counts and sums of integer columns
+    are marked integral, sums of real columns are not.
     """
     if agg not in ("count", "sum"):
         raise ContractViolation(f"unknown aggregation {agg!r}")
@@ -308,19 +309,20 @@ def aggregate(t: Table | GroupedTable, agg: str, column: str | None = None) -> S
     else:
         values = [_value(t.rows)]
         labels = (agg if column is None else f"{agg}({column})",)
-    return StatVector(np.array(values), factor * influence, labels)
+    integral = agg == "count" or col.kind is ColumnKind.INTEGER
+    return StatVector(np.array(values), factor * influence, labels, integral)
 
 
 def linear_map(v: StatVector, m) -> StatVector:
     """Matrix postmap on an exact vector; sensitivity scales by the max
-    column L1 norm of the matrix."""
+    column L1 norm of the matrix.  The output is never marked integral."""
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[1] != len(v):
         raise ContractViolation("matrix dimensions do not conform")
     norm = float(np.max(np.sum(np.abs(m), axis=0))) if m.size else 0.0
     values = m @ v.values
     labels = tuple(f"lin{i}" for i in range(m.shape[0]))
-    return StatVector(values, v.l1_sensitivity * norm, labels)
+    return StatVector(values, v.l1_sensitivity * norm, labels, integral=False)
 
 
 _REJECTED = {

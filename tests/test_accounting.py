@@ -22,6 +22,7 @@ from dpcore import (
 )
 from dpcore.accounting import replay_spent
 from dpcore.errors import BUDGET_EXCEEDED_MESSAGE, UnknownScopeError
+from dpcore.service import ServiceConfig, build_accountant
 from oracles import max_column_l1
 
 
@@ -76,6 +77,50 @@ def test_replay_ledger_restores_spend_and_seq(tmp_path):
     assert restored.spent("a") == live.spent("a") and restored.spent("b") == live.spent("b")
     assert restored.ledger == live.ledger
     assert restored.charge("a", 0.5, "laplace").seq == 8
+    restored.close()
+
+
+def test_replay_ledger_cuts_a_torn_tail(tmp_path):
+    """A crash mid-append leaves a last line without its newline: the
+    restart spends only the whole records and the next charge is a whole
+    line with the next seq, not glued onto the fragment."""
+    path = tmp_path / "ledger.txt"
+    live = Accountant(ledger_path=str(path))
+    live.create_scope("main", PURE_EPS, 10.0)
+    live.charge("main", 0.25, "laplace")
+    live.charge("main", 0.5, "laplace")
+    live.close()
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("seq=3 scope=main kind=pure-eps amo")
+    config = ServiceConfig(budgets=[{"id": "main", "budget": 10.0}], ledger_path=str(path))
+    restored = build_accountant(config)
+    assert restored.spent("main") == 0.75
+    assert restored.charge("main", 1.0, "laplace").seq == 3
+    restored.close()
+    lines = path.read_text().split("\n")
+    assert len(lines) == 4 and lines[-1] == ""
+    assert PrivacyCharge.from_line(lines[2]) == restored.ledger[2]
+    again = build_accountant(config)
+    assert again.spent("main") == 1.75
+    again.close()
+
+
+def test_replay_ledger_skips_a_removed_scope(tmp_path):
+    """Records of a scope the config no longer names spend nothing, but
+    their seq still counts."""
+    path = tmp_path / "ledger.txt"
+    live = Accountant(ledger_path=str(path))
+    live.create_scope("main", PURE_EPS, 10.0)
+    live.create_scope("gone", PURE_EPS, 10.0)
+    live.charge("main", 0.25, "laplace")
+    live.charge("gone", 0.5, "laplace")
+    live.close()
+    restored = build_accountant(
+        ServiceConfig(budgets=[{"id": "main", "budget": 10.0}], ledger_path=str(path)))
+    assert restored.spent("main") == 0.25
+    with pytest.raises(UnknownScopeError):
+        restored.spent("gone")
+    assert restored.charge("main", 1.0, "laplace").seq == 3
     restored.close()
 
 

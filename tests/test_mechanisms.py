@@ -20,6 +20,7 @@ from dpcore import (
     gaussian_mechanism,
     group_by,
     laplace_mechanism,
+    linear_map,
     make_table,
     noisy_histogram,
     report_noisy_max,
@@ -76,10 +77,36 @@ def test_laplace_never_clamps_or_truncates(scope):
 
 
 def test_laplace_discretize_rounds(scope):
+    """discretize adds one exact discrete Laplace draw.  At scale 1 these six
+    bits draw +1: U = 0, kept; V = 1 (the first exp(-1) coin stops at K = 3,
+    the second at K = 2); positive sign.  Float noise would be 0 here."""
     v = _vec([10.0], sens=1.0)
-    src = ScriptedSource(uniforms=(math.exp(-1.4),), bits=(0,))
+    src = ScriptedSource(uniforms=(1.0,), bits=(0, 0, 1, 1, 0, 0))
     out = laplace_mechanism(v, 1.0, scope, src, discretize=True)
     assert out.values.tolist() == [11.0]
+
+
+def test_laplace_int_refuses_real_valued_statistics(tmp_path, rng):
+    """Integer noise is private only on integer values.  A real-column sum
+    is refused from its metadata even when its value is whole, and so is a
+    linear map's output, both before the charge."""
+    path = tmp_path / "l.txt"
+    acct = Accountant(ledger_path=str(path))
+    scope = acct.create_scope("main", PURE_EPS, 10.0)
+    schema = Schema((ColumnMeta("x", ColumnKind.REAL, lower=0.0, upper=5.0),
+                     ColumnMeta("k", ColumnKind.INTEGER, lower=0, upper=5)))
+    t = make_table(schema, [(2.0, 1), (3.0, 2)])
+    real_sum = aggregate(t, "sum", "x")
+    assert real_sum.values.tolist() == [5.0] and not real_sum.integral
+    for v in (real_sum, linear_map(aggregate(t, "count"), [[1.0]]), _vec([0.5])):
+        with pytest.raises(ContractViolation):
+            laplace_mechanism(v, 1.0, scope, rng, discretize=True)
+    assert acct.ledger == () and path.read_text() == ""
+    int_sum = aggregate(t, "sum", "k")
+    assert int_sum.integral and aggregate(t, "count").integral
+    out = laplace_mechanism(int_sum, 1.0, scope, rng, discretize=True)
+    assert out.values[0] == int(out.values[0]) and len(acct.ledger) == 1
+    acct.close()
 
 
 def test_laplace_rejects_nonpositive_eps(scope):

@@ -1,5 +1,7 @@
 import inspect
 import math
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,13 +13,12 @@ from dpcore import (
     RandomSource,
     derive_source,
     log_add,
+    sample_discrete_laplace,
     sample_exponential,
     sample_gaussian,
     sample_laplace,
-    sample_snapped_laplace,
-    sample_two_sided_geometric,
 )
-from dpcore.randomness import _power_of_two_at_least, _round_to_ladder
+from dpcore.audit import two_sided_geometric_pmf
 from dpcore.testing import ScriptedSource, zero_noise_source
 from oracles import log_add_mp
 
@@ -83,6 +84,22 @@ def test_randbelow_bounds_and_uniformity(rng):
     assert p > 1e-6
 
 
+def test_randbelow_draws_only_the_bits_it_needs():
+    """randbelow(n) draws (n-1).bit_length() bits, so a power of two is
+    never rejected and randbelow(1) draws nothing."""
+    widths = []
+
+    class Counting(RandomSource):
+        def randbits(self, k):
+            widths.append(k)
+            return super().randbits(k)
+
+    src = Counting()
+    for n in (1, 2, 8, 2**52):
+        assert all(0 <= src.randbelow(n) < n for _ in range(50))
+    assert widths == [0] * 50 + [1] * 50 + [3] * 50 + [52] * 50
+
+
 def test_randbelow_rejects_nonpositive(rng):
     with pytest.raises(ValueError):
         rng.randbelow(0)
@@ -132,6 +149,8 @@ def test_scripted_source_is_deterministic():
 def test_zero_noise_source_silences_laplace():
     assert sample_laplace(zero_noise_source(), scale=7.3) == 0.0
     assert sample_exponential(zero_noise_source(), scale=7.3) == 0.0
+    for scale in (Fraction(1, 10), 1, 7.3, 1000):
+        assert sample_discrete_laplace(zero_noise_source(), scale) == 0
 
 
 # -- continuous samplers ---------------------------------------------------------
@@ -161,7 +180,8 @@ def test_gaussian_moments(rng):
     assert p > 1e-6
 
 
-@pytest.mark.parametrize("sampler", [sample_laplace, sample_exponential, sample_gaussian])
+@pytest.mark.parametrize("sampler", [sample_laplace, sample_exponential, sample_gaussian,
+                                     sample_discrete_laplace])
 def test_samplers_reject_nonpositive_scale(sampler, rng):
     with pytest.raises(ValueError):
         sampler(rng, 0.0)
@@ -169,73 +189,40 @@ def test_samplers_reject_nonpositive_scale(sampler, rng):
         sampler(rng, -1.0)
 
 
-# -- snapped laplace ---------------------------------------------------------------
+# -- exact discrete laplace ------------------------------------------------------------
 
-def test_power_of_two_ladder_helper():
-    assert _power_of_two_at_least(1.0) == 1.0
-    assert _power_of_two_at_least(1.1) == 2.0
-    assert _power_of_two_at_least(0.3) == 0.5
-    assert _power_of_two_at_least(8.0) == 8.0
-
-
-def test_round_to_ladder_ties_toward_plus_infinity():
-    assert _round_to_ladder(0.5, 1.0) == 1.0
-    assert _round_to_ladder(-0.5, 1.0) == 0.0
-    assert _round_to_ladder(0.49, 1.0) == 0.0
-    assert _round_to_ladder(1.75, 0.5) == 2.0  # exact tie between 1.5 and 2.0
-    assert _round_to_ladder(-3.2, 2.0) == -4.0
-
-
-def test_snapped_laplace_outputs_live_on_the_ladder(rng):
-    scale, clamp = 1.3, 50.0
-    lam = _power_of_two_at_least(scale)
-    for _ in range(500):
-        y = sample_snapped_laplace(rng, 10.0, scale, clamp)
-        assert -clamp <= y <= clamp
-        assert y == _round_to_ladder(y, lam)  # multiple of lam (or clamp hit)
-
-
-def test_snapped_laplace_clamps_input_and_output():
-    y = sample_snapped_laplace(zero_noise_source(), 1e9, scale=1.0, clamp=4.0)
-    assert y == 4.0
-    with pytest.raises(ValueError):
-        sample_snapped_laplace(zero_noise_source(), 0.0, scale=1.0, clamp=-1.0)
-
-
-def test_snapped_laplace_distribution_close_to_laplace(rng):
-    scale = 2.0
-    x = np.array([sample_snapped_laplace(rng, 0.0, scale, 1e6) for _ in range(20_000)])
-    assert float(np.mean(x)) == pytest.approx(0.0, abs=0.1)
-    assert float(np.var(x)) == pytest.approx(2 * scale**2, rel=0.15)
-
-
-# -- two-sided geometric --------------------------------------------------------------
-
-def test_two_sided_geometric_pmf(rng):
-    alpha = 0.5
-    x = sample_two_sided_geometric(rng, alpha, size=30_000)
-    assert np.all(x == np.round(x))
-    norm = (1 - alpha) / (1 + alpha)
-    observed = np.bincount(np.abs(x.astype(int)), minlength=8)[:8].astype(float)
-    # Fold the distribution: P(|k| = j) = 2 * norm * alpha^j for j >= 1.
-    expected = np.array([norm] + [2 * norm * alpha**j for j in range(1, 8)]) * len(x)
-    tail = len(x) - expected.sum()
-    chi2, p = stats.chisquare(np.append(observed[:8], len(x) - observed[:8].sum()),
-                              np.append(expected, tail))
+@pytest.mark.parametrize("scale", [Fraction(1), 1 / Fraction(0.7), 2 / Fraction(0.7)],
+                         ids=["1", "1_over_0.7", "2_over_0.7"])
+def test_discrete_laplace_pmf(rng, scale):
+    """Python ints, chi-square-close to the two-sided geometric with
+    alpha = exp(-1/scale) on the signed support -K..K plus one bin for both
+    tails."""
+    n = 20_000
+    draws = [sample_discrete_laplace(rng, scale) for _ in range(n)]
+    assert all(type(d) is int for d in draws)
+    x = np.array(draws)
+    k = int(3 * scale) + 1
+    support = np.arange(-k, k + 1)
+    expected = two_sided_geometric_pmf(math.exp(-1 / float(scale)), support) * n
+    observed = np.array([np.sum(x == j) for j in support])
+    _, p = stats.chisquare(np.append(observed, n - observed.sum()),
+                           np.append(expected, n - expected.sum()))
     assert p > 1e-6
 
 
-def test_two_sided_geometric_rejects_bad_alpha(rng):
-    with pytest.raises(ValueError):
-        sample_two_sided_geometric(rng, 0.0)
-    with pytest.raises(ValueError):
-        sample_two_sided_geometric(rng, 1.0)
+def test_discrete_laplace_draw_time_is_flat_in_scale(rng):
+    """Scale 1000 is the widest the epsilon floor allows; the rejection loop
+    runs a bounded expected number of times there too."""
+    n = 500
+    t0 = time.perf_counter()
+    for _ in range(n):
+        sample_discrete_laplace(rng, 1000)
+    assert (time.perf_counter() - t0) / n < 1e-3
 
 
 # -- throughput guard -------------------------------------------------------------
 
 def test_bulk_laplace_sampling_is_fast(rng):
-    import time
     t0 = time.perf_counter()
     sample_laplace(rng, 1.0, size=1_000_000)
     assert time.perf_counter() - t0 < 2.0

@@ -1,6 +1,8 @@
 import inspect
 import json
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -267,8 +269,10 @@ def _fuzz_outcome(rows, plan_text, mechanism):
     svc = QueryService(registry, acct, ServiceConfig(xi=1.0, overhead=5.0), clock=clock,
                        rng=ScriptedSource(bits=(7,)))
     session = svc.open_session(handle, "main")
+    n = len(acct.ledger)
     resp = svc.run_query(session, QueryRequest(plan_text, mechanism, 1.0))
-    return resp.status, resp.code, resp.labels, clock.trace_bytes()
+    charged = [(c.amount, c.mechanism) for c in acct.ledger[n:]]
+    return resp.status, resp.code, resp.labels, clock.trace_bytes(), charged
 
 
 @settings(max_examples=300, deadline=None)
@@ -277,10 +281,67 @@ def _fuzz_outcome(rows, plan_text, mechanism):
                  st.floats(0.0, 200.0)))
 def test_plan_fuzz_outcome_identical_on_neighbors(plan_text, mechanism, row):
     """Plans from the grammar, malformed ones included: run_query never
-    raises, and status, code, labels and the clock trace are the same on the
-    empty dataset and on its one-row neighbor."""
+    raises, and status, code, labels, the clock trace and the charges are
+    the same on the empty dataset and on its one-row neighbor."""
     assert _fuzz_outcome([], plan_text, mechanism) == \
         _fuzz_outcome([row], plan_text, mechanism)
+
+
+def test_laplace_int_on_a_real_sum_is_refused_alike_on_neighbors():
+    """A real-column sum cannot take integer noise.  The refusal comes from
+    metadata, so a row holding 2.5 or a whole 2.0 gives the empty dataset's
+    status, code and trace, and nothing is charged."""
+    outcomes = [_fuzz_outcome(rows, "sum income", "laplace_int")
+                for rows in ([], [("north", 30, 2.5)], [("north", 30, 2.0)])]
+    assert outcomes[0][:2] == ("error", "request rejected") and outcomes[0][4] == []
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+class _NoFloatSource(RandomSource):
+    """A real source whose float draws raise."""
+
+    def uniform(self, n=None):
+        raise AssertionError("float draw in an integer release")
+
+    uniform_full = signs = uniform
+
+
+def test_laplace_int_release_draws_no_float():
+    registry = DatasetRegistry()
+    handle = registry.register(
+        make_table(_FUZZ_SCHEMA, [("north", 30, 2.5), ("south", 7, 1.0)]))
+    acct = Accountant()
+    scope = acct.create_scope("main", PURE_EPS, 10.0)
+    rng = _NoFloatSource()
+    for text in ("count", "sum age", "group_by region\ncount", "distinct region\ncount"):
+        out = private_release(registry, handle, parse_plan(text), "laplace_int", 0.5, scope, rng)
+        assert all(v == int(v) for v in out.values), text
+    with pytest.raises(AssertionError):
+        private_release(registry, handle, parse_plan("count"), "laplace", 0.5, scope, rng)
+
+
+def test_threads_share_one_service():
+    """serve answers each connection on its own thread over one service:
+    concurrent opens get distinct ids and concurrent queries on one session
+    all succeed.  A tiny switch interval makes interleavings likely."""
+    registry = DatasetRegistry()
+    handle = registry.register(make_table(_FUZZ_SCHEMA, [("north", 30, 2.5)]))
+    acct = Accountant()
+    acct.create_scope("main", PURE_EPS, 1e9)
+    svc = QueryService(registry, acct, ServiceConfig(xi=0.0, overhead=0.0))
+    request = QueryRequest("count", "laplace_int", 1.0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            sessions = list(pool.map(lambda _: svc.open_session(handle, "main"), range(1000)))
+            responses = list(pool.map(lambda _: svc.run_query(sessions[0], request),
+                                      range(1000)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len({s.session_id for s in sessions}) == 1000
+    assert len(svc.dump_sessions()["sessions"]) == 1000
+    assert {r.status for r in responses} == {"ok"}
 
 
 def test_padding_is_a_power_of_two_bucket(tmp_path):
