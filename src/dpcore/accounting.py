@@ -8,6 +8,7 @@ overspend, and replaying the ledger reproduces `spent` bit for bit.
 
 from __future__ import annotations
 
+import fcntl
 import math
 import threading
 import time
@@ -137,7 +138,7 @@ class Accountant:
     def charge(self, scope_id: str, amount: float, mechanism: str) -> PrivacyCharge:
         """Atomically spend `amount` from the scope or deny without side
         effects.  Denial raises BudgetExceededError with a uniform message."""
-        if amount < 0:
+        if not amount >= 0:
             raise ParameterError("charge amount must be nonnegative")
         with self._lock:
             scope = self._scope(scope_id)
@@ -156,19 +157,27 @@ class Accountant:
             )
             self._ledger.append(record)
             if self._ledger_file is not None:
-                self._ledger_file.write(record.to_line() + "\n")
-                self._ledger_file.flush()
+                fcntl.flock(self._ledger_file, fcntl.LOCK_EX)
+                try:
+                    self._ledger_file.write(record.to_line() + "\n")
+                    self._ledger_file.flush()
+                finally:
+                    fcntl.flock(self._ledger_file, fcntl.LOCK_UN)
         return record
 
     def replay_ledger(self, path: str) -> None:
         """Re-apply a ledger file's charges in file order: `spent` is the same
         left-to-right sum `charge` made, and new charges continue its `seq`.
-        A last line without its newline is an unfinished write and is cut off
-        the file; a record of a scope no longer configured spends nothing."""
+        Writers append under an exclusive `flock`, and replay reads under it,
+        so a last line without its newline is a write that died half-way; it
+        is cut off the file, and an intact file is left as it is.  A record of
+        a scope no longer configured spends nothing."""
         with open(path, "r+b") as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX)
             data = fh.read()
             end = data.rfind(b"\n") + 1
-            fh.truncate(end)
+            if end < len(data):
+                fh.truncate(end)
         lines = data[:end].decode("utf-8").splitlines()
         records = [PrivacyCharge.from_line(line) for line in lines if line.strip()]
         with self._lock:

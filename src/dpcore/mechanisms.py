@@ -60,7 +60,7 @@ def _laplace_release(
     v: StatVector, eps: float, accountant: ScopeHandle, rng: RandomSource,
     mechanism: str, discretize: bool = False,
 ) -> MechanismResult:
-    if eps <= 0:
+    if not eps > 0:
         raise ParameterError("eps must be positive")
     _check_floor(eps, v.l1_sensitivity)
     if discretize and not v.integral:
@@ -100,7 +100,7 @@ def gaussian_mechanism(
 
     sigma^2 = sensitivity^2 / (2 rho); the charge is rho on a zCDP scope.
     """
-    if rho <= 0:
+    if not rho > 0:
         raise ParameterError("rho must be positive")
     charge = _charge(accountant, ZCDP_RHO, rho, "gaussian")
     values = v.values.copy()
@@ -119,7 +119,7 @@ def report_noisy_max(
     Each entry gets independent Exp(2/eps) noise (per-entry sensitivity 1);
     ties break toward the smallest index.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ParameterError("eps must be positive")
     if len(answers) == 0:
         raise ContractViolation("report_noisy_max requires a nonempty vector")
@@ -167,9 +167,9 @@ def exponential_mechanism(
     argmax release suffices; this mechanism is kept for arbitrary candidate
     sets, hardened as above.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ParameterError("eps must be positive")
-    if delta_q <= 0:
+    if not delta_q > 0:
         raise ParameterError("delta_q must be positive")
     candidates = list(candidates)
     quality = np.asarray(quality, dtype=np.float64)

@@ -159,8 +159,14 @@ class QueryService:
         scope = self._accountant.scope(scope_id)
         with self._lock:
             self._session_counter += 1
-            session = QuerySession(f"s{self._session_counter}", dataset, scope, n_hat=0.0,
-                                   xi=self._config.xi, rng=derive_source(self._rng))
+            session = QuerySession(
+                session_id=f"s{self._session_counter}",
+                dataset=dataset,
+                scope=scope,
+                n_hat=0.0,
+                xi=self._config.xi,
+                rng=derive_source(self._rng),
+            )
         session.n_hat = self._estimate_size(session)
         with self._lock:
             self._sessions[session.session_id] = session
@@ -171,18 +177,31 @@ class QueryService:
         sources are rebuilt from OS entropy on restore, and n-hat is kept
         (it is never recomputed within a session's lifetime)."""
         with self._lock:
-            sessions = {sid: {"dataset": s.dataset, "scope": s.scope.scope_id,
-                              "n_hat": s.n_hat, "xi": s.xi}
-                        for sid, s in self._sessions.items()}
-            return {"counter": self._session_counter, "sessions": sessions}
+            return {
+                "counter": self._session_counter,
+                "sessions": {
+                    sid: {
+                        "dataset": s.dataset,
+                        "scope": s.scope.scope_id,
+                        "n_hat": s.n_hat,
+                        "xi": s.xi,
+                    }
+                    for sid, s in self._sessions.items()
+                },
+            }
 
     def restore_sessions(self, raw: dict) -> None:
         with self._lock:
             self._session_counter = int(raw.get("counter", 0))
             for sid, s in raw.get("sessions", {}).items():
                 self._sessions[sid] = QuerySession(
-                    sid, s["dataset"], self._accountant.scope(s["scope"]),
-                    n_hat=float(s["n_hat"]), xi=float(s["xi"]), rng=derive_source(self._rng))
+                    session_id=sid,
+                    dataset=s["dataset"],
+                    scope=self._accountant.scope(s["scope"]),
+                    n_hat=float(s["n_hat"]),
+                    xi=float(s["xi"]),
+                    rng=derive_source(self._rng),
+                )
 
     def session(self, session_id: str) -> QuerySession:
         with self._lock:

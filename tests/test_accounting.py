@@ -1,5 +1,7 @@
+import fcntl
 import math
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -105,6 +107,49 @@ def test_replay_ledger_cuts_a_torn_tail(tmp_path):
     again.close()
 
 
+def test_replay_leaves_an_intact_ledger_untouched(tmp_path):
+    """Every command replays the shared ledger, the read-only ones too: a
+    file that ends in a newline is only read, never rewritten."""
+    path = tmp_path / "ledger.txt"
+    live = Accountant(ledger_path=str(path))
+    live.create_scope("main", PURE_EPS, 10.0)
+    live.charge("main", 0.25, "laplace")
+    live.close()
+    before, mtime = path.read_bytes(), path.stat().st_mtime_ns
+    time.sleep(0.01)
+    config = ServiceConfig(budgets=[{"id": "main", "budget": 10.0}], ledger_path=str(path))
+    build_accountant(config).close()
+    assert path.read_bytes() == before and path.stat().st_mtime_ns == mtime
+
+
+def test_replay_waits_for_a_writer_and_keeps_its_line(tmp_path):
+    """A line half-written by a live writer is not a torn tail: replay takes
+    the writers' lock, so it reads the file only once the line is whole."""
+    path = tmp_path / "ledger.txt"
+    live = Accountant(ledger_path=str(path))
+    live.create_scope("main", PURE_EPS, 10.0)
+    line = live.charge("main", 0.25, "laplace").to_line()
+    live.close()
+    config = ServiceConfig(budgets=[{"id": "main", "budget": 10.0}], ledger_path=str(path))
+    replayed = []
+    with open(path, "a", encoding="utf-8") as writer:
+        fcntl.flock(writer, fcntl.LOCK_EX)
+        writer.write(line.replace("seq=1", "seq=2")[:20])
+        writer.flush()
+        reader = threading.Thread(target=lambda: replayed.append(build_accountant(config)))
+        reader.start()
+        reader.join(0.2)
+        assert reader.is_alive()
+        writer.write(line.replace("seq=1", "seq=2")[20:] + "\n")
+        writer.flush()
+        fcntl.flock(writer, fcntl.LOCK_UN)
+    reader.join(10)
+    assert replayed[0].spent("main") == 0.5
+    assert replayed[0].charge("main", 1.0, "laplace").seq == 3
+    replayed[0].close()
+    assert len(path.read_text().splitlines()) == 3
+
+
 def test_replay_ledger_skips_a_removed_scope(tmp_path):
     """Records of a scope the config no longer names spend nothing, but
     their seq still counts."""
@@ -148,6 +193,12 @@ def test_unknown_scope_and_duplicate_scope(accountant):
 def test_negative_charge_rejected(scope):
     with pytest.raises(ParameterError):
         scope.charge(-1.0, "laplace")
+
+
+def test_nan_charge_rejected(accountant, scope):
+    with pytest.raises(ParameterError):
+        scope.charge(float("nan"), "laplace")
+    assert accountant.spent("main") == 0.0 and accountant.ledger == ()
 
 
 def test_concurrent_charges_conserve_budget(tmp_path):

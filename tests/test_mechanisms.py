@@ -114,6 +114,24 @@ def test_laplace_rejects_nonpositive_eps(scope):
         laplace_mechanism(_vec([1.0]), 0.0, scope, zero_noise_source())
 
 
+@pytest.mark.parametrize("discretize", [False, True])
+def test_nan_eps_is_refused_before_any_charge(tmp_path, discretize):
+    """NaN passes every `<` test: booked, it would make `spent` NaN and
+    every later `spent + x > budget` false, voiding the scope's budget."""
+    acct = Accountant(ledger_path=str(tmp_path / "l.txt"))
+    acct.create_scope("s", PURE_EPS, 1.0)
+    nan = float("nan")
+    with pytest.raises(ParameterError):
+        laplace_mechanism(_vec([1.0]), nan, acct.scope("s"), zero_noise_source(),
+                          discretize=discretize)
+    with pytest.raises(ParameterError):
+        noisy_histogram(_vec([1.0]), nan, acct.scope("s"), zero_noise_source())
+    assert acct.spent("s") == 0.0 and acct.ledger == ()
+    with pytest.raises(BudgetExceededError):
+        laplace_mechanism(_vec([1.0]), 100.0, acct.scope("s"), zero_noise_source())
+    acct.close()
+
+
 def test_laplace_zero_sensitivity_is_noiseless(scope):
     out = laplace_mechanism(_vec([3.0], sens=0.0), 1.0, scope,
                             ScriptedSource(uniforms=(0.123,)))
