@@ -9,7 +9,9 @@ overspend, and replaying the ledger reproduces `spent` bit for bit.
 from __future__ import annotations
 
 import fcntl
+import itertools
 import math
+import re
 import threading
 import time
 from dataclasses import dataclass
@@ -50,15 +52,19 @@ class PrivacyCharge:
 
     @classmethod
     def from_line(cls, line: str) -> "PrivacyCharge":
-        fields = dict(part.split("=", 1) for part in line.split())
-        return cls(
-            seq=int(fields["seq"]),
-            scope_id=fields["scope"],
-            kind=fields["kind"],
-            amount=float(fields["amount"]),
-            mechanism=fields["mechanism"],
-            timestamp=float(fields["time"]),
-        )
+        m = _LINE.fullmatch(line)
+        if m is None:
+            raise ContractViolation("malformed ledger line")
+        seq, scope_id, kind, amount, mechanism, stamp = m.groups()
+        return cls(int(seq), scope_id, kind, float(amount), mechanism, float(stamp))
+
+
+_NUMBER = r"(inf|\d+(?:\.\d+)?(?:e[+-]\d+)?)"  # repr of a nonnegative float
+#: A ledger line exactly as `to_line` writes it; `from_line` and replay both
+#: read with it.  Any other line, a NaN or negative amount among them, is
+#: refused: a record read wrong would miscount spend.
+_LINE = re.compile(rf"^seq=(\d+) scope=(\S+) kind=(\S+) amount={_NUMBER} "
+                   rf"mechanism=(\S+) time={_NUMBER}$", re.MULTILINE)
 
 
 @dataclass
@@ -105,11 +111,13 @@ class Accountant:
 
     def __init__(self, ledger_path: str | None = None) -> None:
         self._scopes: dict[str, BudgetScope] = {}
-        self._ledger: list[PrivacyCharge] = []
+        # Live charges, and the text of replayed ones, in ledger order.
+        self._ledger: list[PrivacyCharge | str] = []
         self._denials: list[tuple[str, str]] = []
         self._lock = threading.Lock()
         self._seq = 0
-        self._ledger_file = open(ledger_path, "a", encoding="utf-8") if ledger_path else None
+        self._ledger_file = open(ledger_path, "a+b") if ledger_path else None
+        self._offset = 0  # ledger bytes applied to `spent`
 
     # -- scope management -----------------------------------------------
 
@@ -137,55 +145,82 @@ class Accountant:
 
     def charge(self, scope_id: str, amount: float, mechanism: str) -> PrivacyCharge:
         """Atomically spend `amount` from the scope or deny without side
-        effects.  Denial raises BudgetExceededError with a uniform message."""
+        effects.  Denial raises BudgetExceededError with a uniform message.
+        The check and the append hold the ledger's `flock`, after applying
+        what other processes appended, so processes cannot overspend together."""
         if not amount >= 0:
             raise ParameterError("charge amount must be nonnegative")
+        amount = float(amount) + 0.0  # the repr replay reads: no -0.0, no numpy scalar
         with self._lock:
             scope = self._scope(scope_id)
-            if scope.spent + amount > scope.budget:
-                self._denials.append((scope_id, mechanism))
-                raise BudgetExceededError()
-            scope.spent += amount
-            self._seq += 1
-            record = PrivacyCharge(
-                seq=self._seq,
-                scope_id=scope_id,
-                kind=scope.kind,
-                amount=amount,
-                mechanism=mechanism,
-                timestamp=time.time(),
-            )
-            self._ledger.append(record)
-            if self._ledger_file is not None:
-                fcntl.flock(self._ledger_file, fcntl.LOCK_EX)
-                try:
-                    self._ledger_file.write(record.to_line() + "\n")
-                    self._ledger_file.flush()
-                finally:
-                    fcntl.flock(self._ledger_file, fcntl.LOCK_UN)
+            fh = self._ledger_file
+            if fh is not None:
+                fcntl.flock(fh, fcntl.LOCK_EX)
+            try:
+                if fh is not None:
+                    self._apply_appended(fh)
+                if scope.spent + amount > scope.budget:
+                    self._denials.append((scope_id, mechanism))
+                    raise BudgetExceededError()
+                record = PrivacyCharge(
+                    seq=self._seq + 1,
+                    scope_id=scope_id,
+                    kind=scope.kind,
+                    amount=amount,
+                    mechanism=mechanism,
+                    timestamp=time.time(),
+                )
+                if fh is not None:
+                    line = (record.to_line() + "\n").encode("utf-8")
+                    fh.write(line)
+                    fh.flush()
+                    self._offset += len(line)
+                self._seq = record.seq
+                scope.spent += amount
+                self._ledger.append(record)
+            finally:
+                if fh is not None:
+                    fcntl.flock(fh, fcntl.LOCK_UN)
         return record
 
     def replay_ledger(self, path: str) -> None:
-        """Re-apply a ledger file's charges in file order: `spent` is the same
-        left-to-right sum `charge` made, and new charges continue its `seq`.
-        Writers append under an exclusive `flock`, and replay reads under it,
-        so a last line without its newline is a write that died half-way; it
-        is cut off the file, and an intact file is left as it is.  A record of
-        a scope no longer configured spends nothing."""
-        with open(path, "r+b") as fh:
+        """Apply this accountant's ledger file, at `path`, from the point it
+        has read up to.  Replay reads under the writers' exclusive `flock`,
+        so a last line without its newline is a write that died half-way;
+        it is cut off the file, and an intact file is left as it is."""
+        with self._lock, open(path, "r+b") as fh:
             fcntl.flock(fh, fcntl.LOCK_EX)
-            data = fh.read()
-            end = data.rfind(b"\n") + 1
-            if end < len(data):
-                fh.truncate(end)
-        lines = data[:end].decode("utf-8").splitlines()
-        records = [PrivacyCharge.from_line(line) for line in lines if line.strip()]
-        with self._lock:
-            for record in records:
-                if record.scope_id in self._scopes:
-                    self._scopes[record.scope_id].spent += record.amount
-                self._ledger.append(record)
-                self._seq = max(self._seq, record.seq)
+            self._apply_appended(fh)
+
+    def _apply_appended(self, fh) -> None:
+        """One pass over the ledger lines past `_offset`, in file order: the
+        same left-to-right sums `charge` made, and the highest `seq`.  A
+        record of a scope no longer configured spends nothing.  Caller holds
+        `_lock` and the file's `flock`."""
+        fh.seek(self._offset)
+        data = fh.read()
+        end = data.rfind(b"\n") + 1
+        if end < len(data):
+            fh.truncate(self._offset + end)
+        if not end:
+            return
+        text = data[:end].decode("utf-8")
+        spent = {sid: scope.spent for sid, scope in self._scopes.items()}
+        seq = self._seq
+        records = 0
+        for m in _LINE.finditer(text):
+            line_seq, sid, amount = m.group(1, 2, 4)
+            if sid in spent:
+                spent[sid] += float(amount)
+            seq = max(seq, int(line_seq))
+            records += 1
+        if records != text.count("\n"):
+            raise ContractViolation("malformed ledger line")
+        for sid, total in spent.items():
+            self._scopes[sid].spent = total
+        self._seq = seq
+        self._ledger.append(text)
+        self._offset += end
 
     def remaining(self, scope_id: str) -> float:
         with self._lock:
@@ -199,7 +234,10 @@ class Accountant:
     @property
     def ledger(self) -> tuple[PrivacyCharge, ...]:
         with self._lock:
-            return tuple(self._ledger)
+            return tuple(itertools.chain.from_iterable(
+                [r] if isinstance(r, PrivacyCharge)
+                else map(PrivacyCharge.from_line, r.splitlines())
+                for r in self._ledger))
 
     @property
     def denials(self) -> tuple:

@@ -9,6 +9,7 @@ seed-related flags or environment variables anywhere in this interface.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import shutil
@@ -54,22 +55,32 @@ class CliState:
         self.service.restore_sessions(raw)
 
     def save_sessions(self) -> None:
-        """Write to a temporary file and rename it over `sessions.json`, so a
-        failed write leaves the previous file whole."""
-        fd, tmp = tempfile.mkstemp(dir=self.state_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(self.service.dump_sessions(), fh)
-            os.replace(tmp, self._sessions_path())
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        with _replaced(self._sessions_path(), "w") as fh:
+            json.dump(self.service.dump_sessions(), fh)
 
     def persist_dataset(self, handle: str, csv_path: str, sidecar_path: str) -> None:
+        """Store an ingested handle as its sidecar and the schema-corrected
+        record array the registry parsed from `csv_path`, so no later
+        command parses the CSV again.  `table.npy` is written last."""
         d = os.path.join(self.state_dir, "datasets", handle)
         os.makedirs(d, exist_ok=True)
-        shutil.copyfile(csv_path, os.path.join(d, "data.csv"))
         shutil.copyfile(sidecar_path, os.path.join(d, "schema.txt"))
+        with _replaced(os.path.join(d, "table.npy"), "wb") as fh:
+            np.save(fh, self.registry.record_array(handle), allow_pickle=False)
+
+
+@contextlib.contextmanager
+def _replaced(path: str, mode: str):
+    """Write to a temporary file and rename it over `path`, so a failed
+    write leaves the previous file whole."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _cmd_ingest(args) -> int:

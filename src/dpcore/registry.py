@@ -14,8 +14,10 @@ import re
 import threading
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ContractViolation
-from .relational import Table, dev_log, load_csv, load_schema
+from .relational import Table, dev_log, load_schema, read_csv, table_from_array
 from .transforms import Predicate, TransformPlan
 
 
@@ -47,17 +49,26 @@ class PacedPredicate:
 
 class DatasetRegistry:
     """Maps opaque handles to tables.  With a `root` directory, a handle's
-    `<root>/<handle>/data.csv` and `schema.txt` load on its first use."""
+    `<root>/<handle>/table.npy` and `schema.txt` load on its first use."""
 
     def __init__(self, root: str | None = None) -> None:
         self._root = root
         self._tables: dict[str, Table] = {}
+        self._arrays: dict[str, np.ndarray] = {}
         self._lock = threading.Lock()
         self._counter = itertools.count(1)
 
     def ingest_files(self, csv_path: str, sidecar_path: str) -> str:
         schema = load_schema(sidecar_path)
-        return self.register(load_csv(csv_path, schema))
+        array = read_csv(csv_path, schema)
+        handle = self.register(table_from_array(schema, array))
+        self._arrays[handle] = array
+        return handle
+
+    def record_array(self, handle: str) -> np.ndarray:
+        """The schema-corrected record array an ingested handle was built
+        from: the form a table is stored in."""
+        return self._arrays[handle]
 
     def register(self, table: Table) -> str:
         with self._lock:
@@ -78,9 +89,14 @@ class DatasetRegistry:
                 d = os.path.join(self._root, handle)
                 try:
                     schema = load_schema(os.path.join(d, "schema.txt"))
-                    self._tables[handle] = load_csv(os.path.join(d, "data.csv"), schema)
+                    with open(os.path.join(d, "table.npy"), "rb") as fh:
+                        array = np.load(fh, allow_pickle=False)
                 except FileNotFoundError:
                     pass
+                except (ValueError, EOFError):  # no .npy of plain values, or a bad schema.txt
+                    raise ContractViolation(f"stored dataset {handle} is unreadable") from None
+                else:
+                    self._tables[handle] = table_from_array(schema, array)
             try:
                 return self._tables[handle]
             except KeyError:

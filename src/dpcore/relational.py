@@ -62,6 +62,8 @@ class ColumnMeta:
             if self.kind is ColumnKind.INTEGER:
                 object.__setattr__(self, "lower", int(self.lower))
                 object.__setattr__(self, "upper", int(self.upper))
+                if not (-2**63 <= self.lower and self.upper < 2**63):
+                    raise ContractViolation(f"column {self.name}: int bounds outside int64")
 
     @property
     def is_numeric(self) -> bool:
@@ -72,25 +74,25 @@ class ColumnMeta:
             return value in self.values
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             return False
-        if self.kind is ColumnKind.INTEGER and value != int(value):
+        if self.kind is ColumnKind.INTEGER and isinstance(value, float) \
+                and not value.is_integer():  # NaN and infinities too
             return False
         return self.lower <= value <= self.upper
 
     def correct(self, value: Value) -> Value:
         """Map an arbitrary value into the declared domain.
 
-        Numeric values are clamped; anything non-numeric on a numeric column
-        lands on the lower bound.  Unknown categorical values map to the
-        first declared domain value (deterministic sentinel).
+        Numeric values are clamped, infinities too; NaN and anything
+        non-numeric on a numeric column land on the lower bound.  Unknown
+        categorical values map to the first declared domain value
+        (deterministic sentinel).
         """
         if self.kind is ColumnKind.CATEGORICAL:
             return value if value in self.values else self.values[0]
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
+        if not isinstance(value, (int, float)) or isinstance(value, bool) or value != value:
             return self.lower
-        v = value
-        if self.kind is ColumnKind.INTEGER:
-            v = int(round(v))
-        return min(max(v, self.lower), self.upper)
+        v = min(max(value, self.lower), self.upper)
+        return int(round(v)) if self.kind is ColumnKind.INTEGER else v
 
     def domain(self) -> tuple:
         """Finite enumeration of the domain; error for real columns."""
@@ -294,10 +296,6 @@ def enforce_schema(t: Table, log: DevLog | None = None) -> Table:
 
 def make_table(schema: Schema, rows: Iterable[Row]) -> Table:
     """Construct a stability-1 table, enforcing the schema on every row."""
-    rows = tuple(tuple(r) for r in rows)
-    for r in rows:
-        if len(r) != len(schema):
-            raise ContractViolation("row arity does not match schema")
     return enforce_schema(Table(schema, rows, StabilityBound(1)))
 
 
@@ -341,18 +339,62 @@ def load_schema(path: str) -> Schema:
         return parse_schema(fh.read())
 
 
-def _parse_cell(col: ColumnMeta, text: str, lineno: int) -> Value:
-    if col.kind is ColumnKind.CATEGORICAL:
-        return text
-    try:
-        return int(text) if col.kind is ColumnKind.INTEGER else float(text)
-    except ValueError:
-        raise ContractViolation(f"csv line {lineno}: unparseable numeric cell") from None
+def schema_dtype(schema: Schema) -> np.dtype:
+    """Record dtype of a table, from its schema alone: `int` is int64,
+    `real` float64 and `cat` the smallest unsigned code into its domain."""
+    numeric = {ColumnKind.INTEGER: "<i8", ColumnKind.REAL: "<f8"}
+    return np.dtype([(c.name, numeric.get(c.kind) or np.min_scalar_type(len(c.values) - 1))
+                     for c in schema.columns])
 
 
-def load_csv(path: str, schema: Schema) -> Table:
-    """Ingest a UTF-8 CSV whose header row matches the schema order."""
-    rows = []
+def table_from_array(schema: Schema, array: np.ndarray) -> Table:
+    """The stability-1 table of a record array of `schema_dtype(schema)`.
+    Nothing is corrected: another shape or dtype, a code outside its domain
+    or a number outside its bounds (NaN too) refuses the whole table."""
+    if not isinstance(array, np.ndarray) or array.ndim != 1 \
+            or array.dtype != schema_dtype(schema):
+        raise ContractViolation("stored table does not match its schema")
+    columns = []
+    for col in schema.columns:
+        a = array[col.name]
+        cat = col.kind is ColumnKind.CATEGORICAL
+        lo, hi = (0, len(col.values) - 1) if cat else (col.lower, col.upper)
+        if not np.all((a >= lo) & (a <= hi)):
+            raise ContractViolation(f"stored column {col.name} is outside its domain")
+        columns.append((np.array(col.values, dtype=object)[a] if cat else a).tolist())
+    return Table(schema, tuple(zip(*columns)), StabilityBound(1))
+
+
+def _column(col: ColumnMeta, cells: tuple[str, ...]) -> list:
+    """One CSV column parsed into its stored values and corrected into its
+    declared domain; each correction goes to the developer log."""
+    cat = col.kind is ColumnKind.CATEGORICAL
+    if cat:
+        code = {v: i for i, v in enumerate(col.values)}
+        values = [code.get(v, -1) for v in cells]
+        lo, hi = 0, len(col.values) - 1
+    else:
+        parse = int if col.kind is ColumnKind.INTEGER else float
+        try:
+            values = list(map(parse, cells))
+        except ValueError:
+            for lineno, cell in enumerate(cells, start=2):
+                try:
+                    parse(cell)
+                except ValueError:
+                    raise ContractViolation(
+                        f"csv line {lineno}: unparseable numeric cell") from None
+        lo, hi = col.lower, col.upper
+    for i in [i for i, v in enumerate(values) if not lo <= v <= hi]:
+        fixed = col.correct(cells[i] if cat else values[i])
+        dev_log.append(f"schema correction: column={col.name} -> {fixed!r}")
+        values[i] = code[fixed] if cat else fixed
+    return values
+
+
+def read_csv(path: str, schema: Schema) -> np.ndarray:
+    """Ingest a UTF-8 CSV whose header row matches the schema order into a
+    schema-corrected record array of `schema_dtype(schema)`."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -361,9 +403,16 @@ def load_csv(path: str, schema: Schema) -> Table:
             raise ContractViolation("csv has no header row") from None
         if tuple(header) != schema.names:
             raise ContractViolation("csv header does not match schema")
-        for lineno, record in enumerate(reader, start=2):
-            if len(record) != len(schema):
-                raise ContractViolation(f"csv line {lineno}: wrong arity")
-            rows.append(tuple(_parse_cell(c, cell, lineno)
-                              for c, cell in zip(schema.columns, record)))
-    return make_table(schema, rows)
+        records = list(reader)
+    for lineno, record in enumerate(records, start=2):
+        if len(record) != len(schema):
+            raise ContractViolation(f"csv line {lineno}: wrong arity")
+    array = np.empty(len(records), dtype=schema_dtype(schema))
+    for col, cells in zip(schema.columns, zip(*records)):
+        array[col.name] = _column(col, cells)
+    return array
+
+
+def load_csv(path: str, schema: Schema) -> Table:
+    """The schema-corrected table of a UTF-8 CSV (see `read_csv`)."""
+    return table_from_array(schema, read_csv(path, schema))

@@ -130,3 +130,15 @@ def event_search_reference(out1, out2, eps: float) -> tuple[float, float, bool]:
     if best is None:
         return -math.inf, math.inf, False
     return best[1]
+
+
+def parse_csv_rows(path: str, schema) -> list[tuple]:
+    """The cells of a CSV typed one at a time by their column's kind
+    (`int`, `float`, or the text itself), before any schema correction."""
+    import csv
+
+    parsers = {"int": int, "real": float, "cat": str}
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        records = list(csv.reader(fh))[1:]
+    return [tuple(parsers[c.kind.value](cell) for c, cell in zip(schema.columns, r))
+            for r in records]

@@ -1,5 +1,7 @@
 import fcntl
 import math
+import multiprocessing
+import re
 import threading
 import time
 
@@ -79,6 +81,21 @@ def test_replay_ledger_restores_spend_and_seq(tmp_path):
     assert restored.spent("a") == live.spent("a") and restored.spent("b") == live.spent("b")
     assert restored.ledger == live.ledger
     assert restored.charge("a", 0.5, "laplace").seq == 8
+    restored.close()
+
+
+def test_every_granted_amount_replays(tmp_path):
+    """`to_line` writes the amount's repr, which replay must read back."""
+    path = str(tmp_path / "ledger.txt")
+    live = Accountant(ledger_path=path)
+    live.create_scope("main", PURE_EPS, 10.0)
+    for amount in (np.float64(0.5), -0.0, 1, 1e-300):
+        live.charge("main", amount, "laplace")
+    live.close()
+    restored = build_accountant(
+        ServiceConfig(budgets=[{"id": "main", "budget": 10.0}], ledger_path=path))
+    assert restored.spent("main") == live.spent("main") == 1.5 + 1e-300
+    assert restored.ledger == live.ledger
     restored.close()
 
 
@@ -167,6 +184,62 @@ def test_replay_ledger_skips_a_removed_scope(tmp_path):
         restored.spent("gone")
     assert restored.charge("main", 1.0, "laplace").seq == 3
     restored.close()
+
+
+def test_replay_of_a_long_ledger_is_bit_exact_and_refuses_a_bad_line(tmp_path):
+    path = tmp_path / "ledger.txt"
+    live = Accountant(ledger_path=str(path))
+    live.create_scope("a", PURE_EPS, math.inf)
+    live.create_scope("b", PURE_EPS, math.inf)
+    for i in range(2000):
+        live.charge("ab"[i % 3 == 0], 1e-3 + 1e-7 * i + (i % 7) / 3, "laplace")
+    live.close()
+    config = ServiceConfig(budgets=[{"id": "a", "budget": math.inf},
+                                    {"id": "b", "budget": math.inf}], ledger_path=str(path))
+    restored = build_accountant(config)
+    totals = replay_spent(list(live.ledger))
+    assert restored.spent("a") == totals["a"] and restored.spent("b") == totals["b"]
+    assert restored.ledger == live.ledger
+    restored.close()
+    # Skipping a line it cannot read would under-count the spend.
+    lines = path.read_text().splitlines(keepends=True)
+    line = lines[1000]
+    for bad in (line.replace("kind=", "knd="), line.replace("amount=", "amount=-"),
+                re.sub(r"amount=\S+", "amount=nan", line), line.replace("\n", " x=1\n"), "\n"):
+        path.write_text("".join(lines[:1000] + [bad] + lines[1001:]))
+        with pytest.raises(ContractViolation):
+            build_accountant(config)
+
+
+def _charge_until_denied(path: str, barrier) -> None:
+    acct = build_accountant(ServiceConfig(budgets=[{"id": "main", "budget": 1.0}],
+                                          ledger_path=path))
+    barrier.wait(timeout=60)
+    try:
+        for _ in range(16):
+            acct.charge("main", 0.125, "laplace")
+    except BudgetExceededError:
+        pass
+    acct.close()
+
+
+def test_two_processes_cannot_overspend_together(tmp_path):
+    """Each process replays, then both charge: the check and the append
+    see what the other appended, so the ledger stays within budget and
+    every seq is handed out once."""
+    path = str(tmp_path / "ledger.txt")
+    ctx = multiprocessing.get_context("spawn")
+    barrier = ctx.Barrier(2)
+    procs = [ctx.Process(target=_charge_until_denied, args=(path, barrier)) for _ in range(2)]
+    for p in procs:
+        p.start()
+    for p in procs:
+        p.join(120)
+        assert not p.is_alive() and p.exitcode == 0
+    charges = [PrivacyCharge.from_line(line) for line in open(path).read().splitlines()]
+    assert sum(c.amount for c in charges) <= 1.0
+    assert len(charges) == 8
+    assert len({c.seq for c in charges}) == len(charges)
 
 
 def test_budget_exceeded_is_atomic_and_uniform(tmp_path):

@@ -8,10 +8,12 @@ import sys
 import tempfile
 import threading
 
+import numpy as np
 import pytest
 
 import dpcore
 from dpcore.cli import CliState, _Server, build_parser, main
+from dpcore.relational import load_csv, load_schema, table_from_array
 
 
 @pytest.fixture
@@ -49,16 +51,20 @@ def test_ingest_prints_only_the_handle(workspace, capsys):
     # Each command builds its state afresh, as a new process would, and
     # must not hand out a handle already persisted.
     assert _ingest(workspace, capsys, "e.csv") == "ds2"
-    datasets = workspace / "state" / "datasets"
-    assert (datasets / "ds1" / "data.csv").read_text() == (workspace / "d.csv").read_text()
-    assert (datasets / "ds2" / "data.csv").read_text() == (workspace / "e.csv").read_text()
+    # The stored table is the schema-corrected parse; no CSV copy is kept.
+    schema = load_schema(str(workspace / "d.schema"))
+    for handle, csv in (("ds1", "d.csv"), ("ds2", "e.csv")):
+        stored = workspace / "state" / "datasets" / handle
+        assert sorted(os.listdir(stored)) == ["schema.txt", "table.npy"]
+        array = np.load(stored / "table.npy", allow_pickle=False)
+        assert table_from_array(schema, array) == load_csv(str(workspace / csv), schema)
 
 
 def test_commands_load_only_the_dataset_they_name(workspace, capsys):
     cfg = str(workspace / "cfg.json")
     handle = _ingest(workspace, capsys)
     _ingest(workspace, capsys)
-    os.unlink(workspace / "state" / "datasets" / "ds2" / "data.csv")
+    os.unlink(workspace / "state" / "datasets" / "ds2" / "table.npy")
     code, sid = _run(["session", "--dataset", handle, "--scope", "main",
                       "--config", cfg], capsys)
     assert code == 0
@@ -72,11 +78,32 @@ def test_commands_load_only_the_dataset_they_name(workspace, capsys):
     # A handle is a name inside the state's datasets directory, never a path.
     outside = workspace / "outside"
     outside.mkdir()
-    shutil.copyfile(workspace / "d.csv", outside / "data.csv")
+    shutil.copyfile(workspace / "state" / "datasets" / handle / "table.npy",
+                    outside / "table.npy")
     shutil.copyfile(workspace / "d.schema", outside / "schema.txt")
     code = main(["session", "--dataset", os.path.join("..", "..", "outside"),
                  "--scope", "main", "--config", cfg])
     assert code == 1
+
+
+def test_query_reads_the_stored_table_not_the_csv(workspace, capsys, monkeypatch):
+    """A cold `query` loads the binary table: no CSV is parsed inside the
+    padded window."""
+    cfg = str(workspace / "cfg.json")
+    handle = _ingest(workspace, capsys)
+    _, sid = _run(["session", "--dataset", handle, "--scope", "main", "--config", cfg], capsys)
+
+    def no_csv(*args, **kwargs):
+        raise AssertionError("a CSV was parsed")
+
+    import csv
+    import dpcore.relational
+    monkeypatch.setattr(dpcore.relational, "load_csv", no_csv)
+    monkeypatch.setattr(dpcore.relational, "read_csv", no_csv)
+    monkeypatch.setattr(csv, "reader", no_csv)
+    code, out = _run(["query", "--session", sid.strip(), "--plan", str(workspace / "plan.txt"),
+                      "--mechanism", "laplace", "--eps", "1.0", "--config", cfg], capsys)
+    assert code == 0 and json.loads(out)["status"] == "ok"
 
 
 def test_failed_session_save_keeps_the_previous_file(workspace, capsys, monkeypatch):

@@ -1,5 +1,10 @@
+import collections
+import csv
+import math
+
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dpcore import (
     ColumnKind,
@@ -17,7 +22,10 @@ from dpcore import (
     parse_schema,
     symmetric_difference,
 )
-from oracles import multiset_distance
+from dpcore.registry import DatasetRegistry
+from dpcore.relational import dev_log, read_csv, schema_dtype, table_from_array
+from dpcore.transforms import aggregate
+from oracles import multiset_distance, parse_csv_rows
 
 
 # -- column metadata ---------------------------------------------------------
@@ -44,6 +52,27 @@ def test_contains_and_correct_numeric():
     assert col.correct(99) == 10
     assert col.correct("junk") == 0  # non-numeric lands on the lower bound
     assert col.correct(3.6) == 4
+
+
+def test_correct_maps_nan_to_the_lower_bound_and_clamps_infinities():
+    real = ColumnMeta("x", ColumnKind.REAL, lower=-1.0, upper=2.0)
+    assert not real.contains(math.nan)
+    assert real.correct(math.nan) == -1.0
+    assert real.correct(math.inf) == 2.0 and real.correct(-math.inf) == -1.0
+    whole = ColumnMeta("n", ColumnKind.INTEGER, lower=0, upper=10)
+    assert whole.correct(math.nan) == 0
+    assert whole.correct(math.inf) == 10 and whole.correct(-math.inf) == 0
+    t = make_table(Schema((whole,)), [(math.inf,), (-math.inf,), (math.nan,)])
+    assert t.rows == ((10,), (0,), (0,))
+    assert all(type(r[0]) is int for r in t.rows)
+
+
+def test_int_bounds_must_fit_int64():
+    ColumnMeta("x", ColumnKind.INTEGER, lower=-2**63, upper=2**63 - 1)
+    with pytest.raises(ContractViolation):
+        ColumnMeta("x", ColumnKind.INTEGER, lower=0, upper=2**63)
+    with pytest.raises(ContractViolation):
+        ColumnMeta("x", ColumnKind.INTEGER, lower=-2**63 - 1, upper=0)
 
 
 def test_correct_categorical_sentinel_is_first_value():
@@ -200,3 +229,96 @@ def test_stability_bound_arithmetic():
     assert b.plus(StabilityBound(3)).factor == 4
     with pytest.raises(ContractViolation):
         StabilityBound(-1)
+
+
+def test_nan_cell_is_corrected_before_any_sum(tmp_path):
+    """A `nan` cell would otherwise reach `sum` and make every release NaN,
+    whatever the noise: the release would show that such a row exists."""
+    (tmp_path / "s.txt").write_text("income real 0.0 200.0\n")
+    schema = load_schema(str(tmp_path / "s.txt"))
+    (tmp_path / "nan.csv").write_text("income\n10.5\nnan\n")
+    (tmp_path / "low.csv").write_text("income\n10.5\n0.0\n")
+    with_nan = aggregate(load_csv(str(tmp_path / "nan.csv"), schema), "sum", "income")
+    at_lower = aggregate(load_csv(str(tmp_path / "low.csv"), schema), "sum", "income")
+    assert np.isfinite(with_nan.values).all()
+    assert with_nan.values.tolist() == at_lower.values.tolist() == [10.5]
+    assert with_nan == at_lower
+
+
+# -- the stored record array ---------------------------------------------------
+
+_ROUND_TRIP_SCHEMA = parse_schema("n int -5 5\nx real -1.5 2.0\ng cat a b c\n")
+
+_cells = st.tuples(
+    st.one_of(st.integers(-10, 10), st.integers(-2**70, 2**70)),
+    st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.floats(-3.0, 3.0)),
+    st.sampled_from(["a", "b", "c", "zz", "A", ""]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_cells, max_size=12))
+def test_load_csv_matches_the_row_by_row_reference(tmp_path_factory, rows):
+    """Column-wise ingest gives the table, the Python types and the
+    corrections of parsing each cell and enforcing the schema row by row;
+    the stored array loads back to the same table."""
+    d = tmp_path_factory.mktemp("csv")
+    schema = _ROUND_TRIP_SCHEMA
+    with open(d / "d.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(schema.names)
+        writer.writerows((n, repr(x), g) for n, x, g in rows)
+    dev_log.drain()
+    expected = make_table(schema, parse_csv_rows(str(d / "d.csv"), schema))
+    reference_log = collections.Counter(dev_log.drain())
+    array = read_csv(str(d / "d.csv"), schema)
+    assert collections.Counter(dev_log.drain()) == reference_log
+    table = table_from_array(schema, array)
+    assert table == expected == load_csv(str(d / "d.csv"), schema)
+    assert [tuple(map(type, r)) for r in table.rows] == \
+        [tuple(map(type, r)) for r in expected.rows]
+    np.save(d / "t.npy", array, allow_pickle=False)
+    assert table_from_array(schema, np.load(d / "t.npy", allow_pickle=False)) == expected
+
+
+def _stored(root, schema_text: str, array) -> DatasetRegistry:
+    """A registry over one stored dataset, ds1, with the given contents."""
+    (root / "ds1").mkdir()
+    (root / "ds1" / "schema.txt").write_text(schema_text)
+    np.save(root / "ds1" / "table.npy", array, allow_pickle=True)
+    return DatasetRegistry(str(root))
+
+
+SMALL = "age int 0 100\ngroup cat a b c\n"
+
+
+def _small_array(ages, codes):
+    array = np.empty(len(ages), dtype=schema_dtype(parse_schema(SMALL)))
+    array["age"], array["group"] = ages, codes
+    return array
+
+
+def test_stored_table_loads_unchanged(tmp_path):
+    registry = _stored(tmp_path, SMALL, _small_array([0, 100, 7], [2, 0, 1]))
+    assert registry._table("ds1").rows == ((0, "c"), (100, "a"), (7, "b"))
+
+
+@pytest.mark.parametrize("schema_text, array", [
+    # schema.txt edited after ingest: a renamed column, a narrowed bound
+    ("years int 0 100\ngroup cat a b c\n", _small_array([1, 2], [0, 1])),
+    ("age int 0 10\ngroup cat a b c\n", _small_array([1, 20], [0, 1])),
+    # a code outside the categorical domain
+    (SMALL, _small_array([1, 2], [0, 3])),
+    # a number outside its bounds
+    (SMALL, _small_array([1, -1], [0, 1])),
+    ("x real 0.0 1.0\n", np.array([(0.5,), (np.nan,)], dtype=[("x", "<f8")])),
+    # another dtype or shape
+    (SMALL, np.zeros(2, dtype=[("age", "<i4"), ("group", "u1")])),
+    (SMALL, _small_array([1, 2], [0, 1]).reshape(2, 1)),
+    # an object array, which only pickling could load
+    (SMALL, np.array([(1, "a")], dtype=object)),
+])
+def test_stored_table_is_refused_never_corrected(tmp_path, schema_text, array):
+    registry = _stored(tmp_path, schema_text, array)
+    with pytest.raises(ContractViolation):
+        registry._table("ds1")
