@@ -61,7 +61,6 @@ from .relational import (
     StatVector,
     Table,
     dev_log,
-    enforce_schema,
     load_csv,
     load_schema,
     make_table,

@@ -17,9 +17,7 @@ from .gof import (
     AD_CRITICAL_99,
     anderson_darling,
     chi_squared_gof,
-    exponential_cdf,
     laplace_cdf,
-    normal_cdf,
     two_sided_geometric_pmf,
 )
 from .propcheck import (

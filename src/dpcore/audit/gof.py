@@ -65,21 +65,6 @@ def laplace_cdf(scale: float):
     return cdf
 
 
-def normal_cdf(sigma: float):
-    def cdf(x):
-        return stats.norm.cdf(x, scale=sigma)
-
-    return cdf
-
-
-def exponential_cdf(scale: float):
-    def cdf(x):
-        x = np.asarray(x, dtype=np.float64)
-        return np.where(x < 0, 0.0, 1.0 - np.exp(-x / scale))
-
-    return cdf
-
-
 def two_sided_geometric_pmf(alpha: float, support) -> np.ndarray:
     """Exact masses P(k) = (1-alpha)/(1+alpha) * alpha^|k| on the given support."""
     k = np.asarray(support, dtype=np.int64)

@@ -59,14 +59,14 @@ class CliState:
             json.dump(self.service.dump_sessions(), fh)
 
     def persist_dataset(self, handle: str, csv_path: str, sidecar_path: str) -> None:
-        """Store an ingested handle as its sidecar and the schema-corrected
-        record array the registry parsed from `csv_path`, so no later
+        """Store an ingested handle as its sidecar and the registered table's
+        record array, parsed and corrected from `csv_path`, so no later
         command parses the CSV again.  `table.npy` is written last."""
         d = os.path.join(self.state_dir, "datasets", handle)
         os.makedirs(d, exist_ok=True)
         shutil.copyfile(sidecar_path, os.path.join(d, "schema.txt"))
         with _replaced(os.path.join(d, "table.npy"), "wb") as fh:
-            np.save(fh, self.registry.record_array(handle), allow_pickle=False)
+            np.save(fh, self.registry._table(handle).array, allow_pickle=False)
 
 
 @contextlib.contextmanager

@@ -1,9 +1,9 @@
 """Dataset registry: the data-access boundary the service layer talks to.
 
 The service layer holds opaque handles; only this module (and the privacy
-gateway) ever touch Table values.  Plan execution optionally paces itself
-against an injected clock so that every record costs exactly the timeout
-budget, with slow predicates defaulting to TRUE instead of running long.
+gateway) ever touch Table values.  Plans run on the record array that
+ingest builds and `table.npy` stores.  Execution optionally paces each
+`select_where` scan against an injected clock (see `execute_plan`).
 """
 
 from __future__ import annotations
@@ -12,39 +12,12 @@ import itertools
 import os
 import re
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolation
-from .relational import Table, dev_log, load_schema, read_csv, table_from_array
-from .transforms import Predicate, TransformPlan
-
-
-@dataclass(frozen=True)
-class PacedPredicate:
-    """Predicate wrapper that bounds per-row evaluation cost.
-
-    A row whose (simulated) evaluation cost exceeds the timeout is treated
-    as satisfying the predicate; either way the row costs exactly `xi` on
-    the clock, so evaluation time carries no signal.
-    """
-
-    inner: Predicate
-    xi: float
-    clock: object
-
-    @property
-    def conjuncts(self):
-        return self.inner.conjuncts
-
-    def matches(self, row, schema) -> bool:
-        cost = self.inner.simulated_cost(row) if self.inner.simulated_cost else 0.0
-        self.clock.advance(self.xi)
-        if cost > self.xi:
-            dev_log.append("predicate timeout: defaulted to TRUE")
-            return True
-        return self.inner.matches(row, schema)
+from .relational import Table, load_csv, load_schema, table_from_array
+from .transforms import TransformPlan
 
 
 class DatasetRegistry:
@@ -54,21 +27,11 @@ class DatasetRegistry:
     def __init__(self, root: str | None = None) -> None:
         self._root = root
         self._tables: dict[str, Table] = {}
-        self._arrays: dict[str, np.ndarray] = {}
         self._lock = threading.Lock()
         self._counter = itertools.count(1)
 
     def ingest_files(self, csv_path: str, sidecar_path: str) -> str:
-        schema = load_schema(sidecar_path)
-        array = read_csv(csv_path, schema)
-        handle = self.register(table_from_array(schema, array))
-        self._arrays[handle] = array
-        return handle
-
-    def record_array(self, handle: str) -> np.ndarray:
-        """The schema-corrected record array an ingested handle was built
-        from: the form a table is stored in."""
-        return self._arrays[handle]
+        return self.register(load_csv(csv_path, load_schema(sidecar_path)))
 
     def register(self, table: Table) -> str:
         with self._lock:
@@ -107,15 +70,11 @@ class DatasetRegistry:
         """Run a plan against a registered table, returning its StatVector.
 
         When a clock and timeout are given, predicate scans are paced: each
-        record costs exactly xi and overlong predicate evaluations default
-        to TRUE.
+        scan costs exactly xi per record, and overlong predicate
+        evaluations default to TRUE (see `select_where`).
         """
         table = self._table(handle)
         if clock is not None and xi is not None:
-            steps = tuple(
-                ("select_where", PacedPredicate(step[1], xi, clock))
-                if step[0] == "select_where" else step
-                for step in plan.steps
-            )
-            plan = TransformPlan(steps)
+            plan = TransformPlan(tuple((*step, clock, xi) if step[0] == "select_where"
+                                       else step for step in plan.steps))
         return plan.execute(table, rng)

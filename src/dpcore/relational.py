@@ -1,10 +1,14 @@
 """Schemas, tables, grouped tables and statistic vectors.
 
-This is the vocabulary every other layer is written against.  Two rules
+This is the vocabulary every other layer is written against.  Three rules
 dominate the design:
 
 * Metadata (domains, bounds, stability, sensitivity) is declared a priori
   and is a pure function of metadata, never of row values.
+* A table has one form, from CSV to aggregate: a numpy record array of
+  `schema_dtype(schema)`, with `int` columns as int64, `real` columns as
+  float64 and `cat` columns as codes into the declared domain.  `Table.rows`
+  is a view for tests and audits only.
 * Distance between tables is the multiset symmetric difference; distance
   between statistic vectors is the L1 norm.
 """
@@ -14,6 +18,7 @@ from __future__ import annotations
 import collections
 import csv
 import enum
+import functools
 import math
 import sys
 import threading
@@ -53,7 +58,10 @@ class ColumnMeta:
         if self.kind is ColumnKind.CATEGORICAL:
             if not self.values:
                 raise ContractViolation(f"column {self.name}: empty categorical domain")
-            object.__setattr__(self, "values", tuple(sys.intern(str(v)) for v in self.values))
+            values = tuple(sys.intern(str(v)) for v in self.values)
+            if len(set(values)) != len(values):  # one code per value
+                raise ContractViolation(f"column {self.name}: repeated categorical value")
+            object.__setattr__(self, "values", values)
         else:
             if self.lower is None or self.upper is None:
                 raise ContractViolation(f"column {self.name}: numeric bounds required")
@@ -149,59 +157,59 @@ class StabilityBound:
         return StabilityBound(self.factor + other.factor)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Table:
-    """Multiset of rows plus schema metadata and a tracked stability bound.
-
-    Rows are stored as a tuple but carry no semantic order; all comparisons
-    go through multiset semantics.
+    """Multiset of rows, held as one record array of `schema_dtype(schema)`,
+    plus schema metadata and a tracked stability bound.  The array's order
+    carries no meaning; all comparisons go through multiset semantics.
     """
 
     schema: Schema
-    rows: tuple[Row, ...]
+    array: np.ndarray
     stability: StabilityBound = StabilityBound(1)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
-        for r in self.rows:
-            if len(r) != len(self.schema):
-                raise ContractViolation("row arity does not match schema")
+        if not isinstance(self.array, np.ndarray) or self.array.ndim != 1 \
+                or self.array.dtype != schema_dtype(self.schema):
+            raise ContractViolation("table array does not match its schema")
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.array)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Table) and self.schema == other.schema \
+            and self.stability == other.stability \
+            and np.array_equal(self.array, other.array)
+
+    @functools.cached_property
+    def rows(self) -> tuple[Row, ...]:
+        """The rows as tuples of Python values, in array order: `int`,
+        `float` and the categorical `str`.  Built on first use; a plan step
+        reads it only for a test predicate's `simulated_cost`."""
+        columns = []
+        for col in self.schema.columns:
+            a = self.array[col.name]
+            cat = col.kind is ColumnKind.CATEGORICAL
+            columns.append((np.array(col.values, dtype=object)[a] if cat else a).tolist())
+        return tuple(zip(*columns))
 
     def multiset(self) -> collections.Counter:
         return collections.Counter(self.rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupedTable:
-    """One sub-multiset per element of the key domain cross-product.
-
-    The group key set is fixed by metadata: every possible key is present,
-    including keys with no matching rows.
+    """A table grouped onto the key domain cross-product, fixed by metadata:
+    `group_keys` lists every key of the declared domains in sorted order,
+    keys no row has included, each with its label, and row i falls in
+    `group_keys[cells[i]]`.
     """
 
-    schema: Schema
-    key_columns: tuple[ColumnMeta, ...]
-    groups: dict
+    table: Table
+    group_keys: tuple
+    labels: tuple[str, ...]
+    cells: np.ndarray
     stability: StabilityBound
-
-    def __post_init__(self) -> None:
-        expected = _cross_product(self.key_columns)
-        if set(self.groups) != expected:
-            raise ContractViolation("group keys must equal the declared domain cross-product")
-
-    @property
-    def group_keys(self) -> tuple:
-        return tuple(sorted(self.groups))
-
-
-def _cross_product(key_columns: Sequence[ColumnMeta]) -> set:
-    keys = {()}
-    for col in key_columns:
-        keys = {k + (v,) for k in keys for v in col.domain()}
-    return keys
 
 
 @dataclass(frozen=True)
@@ -228,7 +236,7 @@ class StatVector:
         object.__setattr__(self, "dimension_labels", tuple(self.dimension_labels))
         if len(self.dimension_labels) != arr.shape[0]:
             raise ContractViolation("label count does not match vector dimension")
-        if not (np.isfinite(self.l1_sensitivity) and self.l1_sensitivity >= 0):
+        if not (math.isfinite(self.l1_sensitivity) and self.l1_sensitivity >= 0):
             raise ContractViolation("l1_sensitivity must be finite and nonnegative")
 
     def __len__(self) -> int:
@@ -271,32 +279,16 @@ def symmetric_difference(a: Table, b: Table) -> int:
     return sum(abs(ca[r] - cb[r]) for r in set(ca) | set(cb))
 
 
-def enforce_schema(t: Table, log: DevLog | None = None) -> Table:
-    """Force every row into its declared domain, silently.
-
-    Out-of-bounds numeric values are clamped, out-of-domain categorical
-    values mapped to the declared sentinel.  Each correction goes to the
-    developer log only; the user-visible result is indistinguishable from
-    the no-violation case.
-    """
-    log = log if log is not None else dev_log
-    out = []
-    for r in t.rows:
-        fixed = []
-        for col, v in zip(t.schema.columns, r):
-            if col.contains(v):
-                fixed.append(v)
-            else:
-                corrected = col.correct(v)
-                log.append(f"schema correction: column={col.name} -> {corrected!r}")
-                fixed.append(corrected)
-        out.append(tuple(fixed))
-    return Table(t.schema, tuple(out), t.stability)
-
-
 def make_table(schema: Schema, rows: Iterable[Row]) -> Table:
-    """Construct a stability-1 table, enforcing the schema on every row."""
-    return enforce_schema(Table(schema, rows, StabilityBound(1)))
+    """The stability-1 table of `rows`, each value forced into its declared
+    domain, silently: out-of-bounds numbers are clamped and out-of-domain
+    categorical values mapped to the declared sentinel.  Each correction goes
+    to the developer log only."""
+    rows = [tuple(r) for r in rows]
+    if any(len(r) != len(schema) for r in rows):
+        raise ContractViolation("row arity does not match schema")
+    return Table(schema, build_records(schema, [
+        _column(col, [r[i] for r in rows]) for i, col in enumerate(schema.columns)]))
 
 
 # ---------------------------------------------------------------------------
@@ -309,26 +301,29 @@ def make_table(schema: Schema, rows: Iterable[Row]) -> Table:
 # Blank lines and lines starting with '#' are ignored.
 # ---------------------------------------------------------------------------
 
+_BOUNDED_KINDS = {"int": (ColumnKind.INTEGER, int), "real": (ColumnKind.REAL, float)}
+
+
 def parse_schema(text: str) -> Schema:
     columns = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
-        if len(parts) < 3:
-            raise ContractViolation(f"schema line {lineno}: too few fields")
-        name, kind = parts[0], parts[1]
-        if kind == "int":
-            columns.append(ColumnMeta(name, ColumnKind.INTEGER,
-                                      lower=int(parts[2]), upper=int(parts[3])))
-        elif kind == "real":
-            columns.append(ColumnMeta(name, ColumnKind.REAL,
-                                      lower=float(parts[2]), upper=float(parts[3])))
-        elif kind == "cat":
-            columns.append(ColumnMeta(name, ColumnKind.CATEGORICAL, values=tuple(parts[2:])))
-        else:
-            raise ContractViolation(f"schema line {lineno}: unknown kind {kind!r}")
+        try:
+            name, kind, *args = parts
+            if kind == "cat":
+                columns.append(ColumnMeta(name, ColumnKind.CATEGORICAL, values=tuple(args)))
+            elif kind in _BOUNDED_KINDS and len(args) == 2:
+                column_kind, parse = _BOUNDED_KINDS[kind]
+                columns.append(ColumnMeta(name, column_kind,
+                                          lower=parse(args[0]), upper=parse(args[1])))
+            else:
+                raise ContractViolation(f"not a {kind!r} column of two bounds or a 'cat' column")
+        except ContractViolation as exc:
+            raise ContractViolation(f"schema line {lineno}: {exc}") from None
+        except ValueError:
+            raise ContractViolation(f"schema line {lineno}: malformed column") from None
     if not columns:
         raise ContractViolation("schema file declares no columns")
     return Schema(tuple(columns))
@@ -347,48 +342,59 @@ def schema_dtype(schema: Schema) -> np.dtype:
                      for c in schema.columns])
 
 
+def build_records(schema: Schema, columns: Sequence) -> np.ndarray:
+    """The record array of `schema_dtype(schema)` holding one sequence of
+    stored values per schema column, in order."""
+    array = np.empty(len(columns[0]) if columns else 0, dtype=schema_dtype(schema))
+    for name, values in zip(schema.names, columns):
+        array[name] = values
+    return array
+
+
 def table_from_array(schema: Schema, array: np.ndarray) -> Table:
-    """The stability-1 table of a record array of `schema_dtype(schema)`.
+    """The stability-1 table of a stored record array of `schema_dtype(schema)`.
     Nothing is corrected: another shape or dtype, a code outside its domain
     or a number outside its bounds (NaN too) refuses the whole table."""
-    if not isinstance(array, np.ndarray) or array.ndim != 1 \
-            or array.dtype != schema_dtype(schema):
-        raise ContractViolation("stored table does not match its schema")
-    columns = []
+    table = Table(schema, array, StabilityBound(1))  # checks the shape and dtype
     for col in schema.columns:
         a = array[col.name]
         cat = col.kind is ColumnKind.CATEGORICAL
         lo, hi = (0, len(col.values) - 1) if cat else (col.lower, col.upper)
         if not np.all((a >= lo) & (a <= hi)):
             raise ContractViolation(f"stored column {col.name} is outside its domain")
-        columns.append((np.array(col.values, dtype=object)[a] if cat else a).tolist())
-    return Table(schema, tuple(zip(*columns)), StabilityBound(1))
+    return table
 
 
-def _column(col: ColumnMeta, cells: tuple[str, ...]) -> list:
-    """One CSV column parsed into its stored values and corrected into its
-    declared domain; each correction goes to the developer log."""
-    cat = col.kind is ColumnKind.CATEGORICAL
-    if cat:
+def _column(col: ColumnMeta, values: Sequence) -> list:
+    """One column's values corrected into its declared domain, as stored:
+    numbers as they are, categoricals as codes.  Each correction goes to
+    the developer log."""
+    if col.kind is ColumnKind.CATEGORICAL:
         code = {v: i for i, v in enumerate(col.values)}
-        values = [code.get(v, -1) for v in cells]
-        lo, hi = 0, len(col.values) - 1
+        stored = [code.get(v, -1) for v in values]
+        bad = [i for i, c in enumerate(stored) if c < 0]
     else:
-        parse = int if col.kind is ColumnKind.INTEGER else float
-        try:
-            values = list(map(parse, cells))
-        except ValueError:
-            for lineno, cell in enumerate(cells, start=2):
-                try:
-                    parse(cell)
-                except ValueError:
-                    raise ContractViolation(
-                        f"csv line {lineno}: unparseable numeric cell") from None
+        # The type test skips `contains` for the common in-bounds cell.
+        fast = (int,) if col.kind is ColumnKind.INTEGER else (int, float)
         lo, hi = col.lower, col.upper
-    for i in [i for i, v in enumerate(values) if not lo <= v <= hi]:
-        fixed = col.correct(cells[i] if cat else values[i])
+        stored = list(values)
+        bad = [i for i, v in enumerate(stored)
+               if not (type(v) in fast and lo <= v <= hi or col.contains(v))]
+    for i in bad:
+        fixed = col.correct(values[i])
         dev_log.append(f"schema correction: column={col.name} -> {fixed!r}")
-        values[i] = code[fixed] if cat else fixed
+        stored[i] = 0 if col.kind is ColumnKind.CATEGORICAL else fixed
+    return stored
+
+
+def _parsed(col: ColumnMeta, cells: tuple[str, ...]) -> list:
+    """The CSV cells of one column as Python values of its kind."""
+    values = []
+    try:  # `extend` keeps the cells parsed before a failure
+        values.extend(map({ColumnKind.INTEGER: int, ColumnKind.REAL: float}.get(col.kind, str),
+                          cells))
+    except ValueError:
+        raise ContractViolation(f"csv line {len(values) + 2}: unparseable numeric cell") from None
     return values
 
 
@@ -407,12 +413,11 @@ def read_csv(path: str, schema: Schema) -> np.ndarray:
     for lineno, record in enumerate(records, start=2):
         if len(record) != len(schema):
             raise ContractViolation(f"csv line {lineno}: wrong arity")
-    array = np.empty(len(records), dtype=schema_dtype(schema))
-    for col, cells in zip(schema.columns, zip(*records)):
-        array[col.name] = _column(col, cells)
-    return array
+    cells = list(zip(*records)) or [()] * len(schema)
+    return build_records(schema, [_column(col, _parsed(col, c))
+                                  for col, c in zip(schema.columns, cells)])
 
 
 def load_csv(path: str, schema: Schema) -> Table:
     """The schema-corrected table of a UTF-8 CSV (see `read_csv`)."""
-    return table_from_array(schema, read_csv(path, schema))
+    return Table(schema, read_csv(path, schema))

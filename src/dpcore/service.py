@@ -32,10 +32,10 @@ class SystemClock:
         return time.monotonic()
 
     def advance(self, dt: float) -> None:
-        """Does not sleep.  Paced scans call this once per row, and every
+        """Does not sleep.  Paced scans call this once per scan, and every
         `time.sleep` overshoots by tens of microseconds, so sleeping here
-        would make the release time track the rows scanned.  The response
-        schedule's single `sleep_until` pays for the whole scan instead."""
+        would make the release time track the scans a plan makes.  The
+        response schedule's single `sleep_until` pays for the work instead."""
 
     def sleep_until(self, t: float) -> None:
         time.sleep(max(t - time.monotonic(), 0.0))
@@ -155,22 +155,28 @@ class QueryService:
 
     def open_session(self, dataset: str, scope_id: str) -> QuerySession:
         """Create a session; spends a small startup charge on a noisy size
-        estimate that is cached for the life of the session."""
-        scope = self._accountant.scope(scope_id)
-        with self._lock:
-            self._session_counter += 1
-            session = QuerySession(
-                session_id=f"s{self._session_counter}",
-                dataset=dataset,
-                scope=scope,
-                n_hat=0.0,
-                xi=self._config.xi,
-                rng=derive_source(self._rng),
-            )
-        session.n_hat = self._estimate_size(session)
-        with self._lock:
-            self._sessions[session.session_id] = session
-        return session
+        estimate that is cached for the life of the session.  That first use
+        may load the dataset, so the session (or the error) is released at
+        start + overhead, with one doubling step on overrun."""
+        start = self._clock.now()
+        try:
+            scope = self._accountant.scope(scope_id)
+            with self._lock:
+                self._session_counter += 1
+                session = QuerySession(
+                    session_id=f"s{self._session_counter}",
+                    dataset=dataset,
+                    scope=scope,
+                    n_hat=0.0,
+                    xi=self._config.xi,
+                    rng=derive_source(self._rng),
+                )
+            session.n_hat = self._estimate_size(session)
+            with self._lock:
+                self._sessions[session.session_id] = session
+            return session
+        finally:
+            self._pad(start, self._config.overhead, 0.0)
 
     def dump_sessions(self) -> dict:
         """Persistable session state.  Randomness is never part of it:
@@ -233,17 +239,14 @@ class QueryService:
         no information about the data.  Budget-denied and malformed requests
         share one error shape.
         """
-        clock = self._clock
-        start = clock.now()
-        target = start + max(self._n_hat_for_padding(session), 0.0) * session.xi \
-            + self._config.overhead
+        start = self._clock.now()
         status, code, values, labels = "error", _ERROR_CODE, (), ()
         try:
             plan = parse_plan(request.plan_text)
             result = private_release(
                 self._registry, session.dataset, plan, request.mechanism,
                 request.eps, session.scope, self._derive(session.rng),
-                clock=clock, xi=session.xi,
+                clock=self._clock, xi=session.xi,
             )
             status, code = "ok", ""
             values = tuple(float(x) for x in result.values)
@@ -252,13 +255,18 @@ class QueryService:
             # Every failure, anticipated or not, takes the one error shape and
             # the padding below; an escaping exception would skip both.
             pass
-        if clock.now() > target:
-            # Fixed-prediction schedule overran: take one doubling step.
-            target = start + 2.0 * max(self._n_hat_for_padding(session), 0.0) \
-                * session.xi + self._config.overhead
-        clock.sleep_until(target)
+        self._pad(start, self._n_hat_for_padding(session) * session.xi,
+                  self._config.overhead)
         return QueryResponse(status, code, values, labels,
                              remaining_budget=session.scope.remaining())
+
+    def _pad(self, start: float, predicted: float, fixed: float) -> None:
+        """Sleep until start + predicted + fixed, or, if the work overran that,
+        take one doubling step: until start + 2 * predicted + fixed."""
+        target = start + predicted + fixed
+        if self._clock.now() > target:
+            target = start + 2.0 * predicted + fixed
+        self._clock.sleep_until(target)
 
     def _n_hat_for_padding(self, session: QuerySession) -> float:
         # Fixed-prediction schedule: round the (inflated) noisy size up to a

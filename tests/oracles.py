@@ -142,3 +142,72 @@ def parse_csv_rows(path: str, schema) -> list[tuple]:
         records = list(csv.reader(fh))[1:]
     return [tuple(parsers[c.kind.value](cell) for c, cell in zip(schema.columns, r))
             for r in records]
+
+
+def _comparison_holds(value, op: str, constant) -> bool:
+    return {"<": value < constant, "<=": value <= constant, ">": value > constant,
+            ">=": value >= constant, "==": value == constant, "!=": value != constant}[op]
+
+
+def _domain(col) -> list:
+    if col.kind.value == "cat":
+        return list(col.values)
+    return list(range(int(col.lower), int(col.upper) + 1))
+
+
+def reference_step(kind: str, args: tuple, schema_in, schema_out, rows, rng, stability: int):
+    """One plan step computed row by row on Python values, the slow obvious
+    way: comparisons are Python's, `distinct` is `sorted(set(...))`, groups
+    are a dict over the sorted key cross-product and sums are exact
+    `Fraction` sums rounded once.  Values are typed by `schema_out`'s kinds.
+
+    `rows` is a tuple of row tuples, or for an aggregation the output of the
+    group_by step before it: a dict of key -> rows.  Returns the step's rows
+    (a dict of groups after group_by), or for an aggregation
+    `(values, labels, l1_sensitivity, integral)`.
+    """
+    from fractions import Fraction
+
+    names = [c.name for c in schema_in.columns]
+    if kind == "select_where":
+        (pred,) = args
+        return tuple(r for r in rows if all(
+            _comparison_holds(r[names.index(c.column)], c.op, c.constant)
+            for c in pred.conjuncts))
+    if kind == "project":
+        return tuple(tuple(r[names.index(n)] for n in args[0]) for r in rows)
+    if kind == "distinct":
+        return tuple(sorted(set(tuple(r[names.index(n)] for n in args[0]) for r in rows)))
+    if kind == "self_union":
+        return tuple(rows) + tuple(rows)
+    if kind == "bernoulli_sample":
+        if not rows:
+            return tuple(rows)
+        keep = rng.uniform(len(rows)) < args[0]
+        return tuple(r for r, k in zip(rows, keep) if k)
+    if kind == "map_column":
+        i, f = names.index(args[0]), args[1]
+        cast = int if schema_out.columns[i].kind.value == "int" else float
+        return tuple(tuple(cast(f(v)) if j == i else v for j, v in enumerate(r)) for r in rows)
+    if kind == "group_by":
+        idx = [names.index(k) for k in args[0]]
+        keys = sorted(itertools.product(*(_domain(schema_in.columns[i]) for i in idx)))
+        groups = {key: [] for key in keys}
+        for r in rows:
+            groups[tuple(r[i] for i in idx)].append(r)
+        return groups
+    # An aggregation: count, or sum over args[0].
+    groups = rows if isinstance(rows, dict) else {None: rows}
+    if kind == "count":
+        values = [float(len(g)) for g in groups.values()]
+        influence, integral = 1, True
+    else:
+        i = names.index(args[0])
+        col = schema_in.columns[i]
+        values = [float(sum((Fraction(r[i]) for r in g), Fraction(0))) for g in groups.values()]
+        influence, integral = max(abs(col.lower), abs(col.upper)), col.kind.value == "int"
+    if isinstance(rows, dict):
+        labels = tuple("/".join(str(p) for p in k) for k in groups)
+    else:
+        labels = (kind if not args else f"{kind}({args[0]})",)
+    return values, labels, stability * influence, integral

@@ -13,7 +13,8 @@ import pytest
 
 import dpcore
 from dpcore.cli import CliState, _Server, build_parser, main
-from dpcore.relational import load_csv, load_schema, table_from_array
+from dpcore.errors import ContractViolation
+from dpcore.relational import load_csv, load_schema, parse_schema, table_from_array
 
 
 @pytest.fixture
@@ -58,6 +59,25 @@ def test_ingest_prints_only_the_handle(workspace, capsys):
         assert sorted(os.listdir(stored)) == ["schema.txt", "table.npy"]
         array = np.load(stored / "table.npy", allow_pickle=False)
         assert table_from_array(schema, array) == load_csv(str(workspace / csv), schema)
+
+
+@pytest.mark.parametrize("line", [
+    "x int 5",  # a bound missing
+    "x int a b",  # unparseable bounds
+    "x int 0 1 2",  # a surplus field
+    "x real 0 1 junk",
+    "g cat a a b",  # a repeated value: grouping needs one code per value
+])
+def test_malformed_sidecar_line_is_refused_by_number(workspace, capsys, line):
+    text = "c0 int 0 100\n" + line + "\n"
+    with pytest.raises(ContractViolation, match="schema line 2"):
+        parse_schema(text)
+    (workspace / "bad.schema").write_text(text)
+    code = main(["ingest", "--csv", str(workspace / "d.csv"), "--schema",
+                 str(workspace / "bad.schema"), "--config", str(workspace / "cfg.json")])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: schema line 2")
+    assert "Traceback" not in err
 
 
 def test_commands_load_only_the_dataset_they_name(workspace, capsys):

@@ -10,12 +10,9 @@ from dpcore import (
     ColumnKind,
     ColumnMeta,
     ContractViolation,
-    DevLog,
     Schema,
     StabilityBound,
-    Table,
     UnknownColumnError,
-    enforce_schema,
     load_csv,
     load_schema,
     make_table,
@@ -40,6 +37,11 @@ def test_numeric_column_requires_bounds():
 def test_categorical_column_requires_domain():
     with pytest.raises(ContractViolation):
         ColumnMeta("x", ColumnKind.CATEGORICAL)
+
+
+def test_categorical_domain_refuses_repeated_values():
+    with pytest.raises(ContractViolation, match="repeated"):
+        ColumnMeta("x", ColumnKind.CATEGORICAL, values=("a", "b", "a"))
 
 
 def test_contains_and_correct_numeric():
@@ -135,27 +137,26 @@ def test_symmetric_difference_schema_mismatch(two_col_schema):
 
 # -- schema enforcement ------------------------------------------------------
 
-def test_enforce_schema_corrects_silently_and_logs(two_col_schema):
-    log = DevLog()
-    dirty = Table(two_col_schema, ((-5, 0), (200, 1), (50, 0)), StabilityBound(1))
-    clean = enforce_schema(dirty, log)
+def test_make_table_corrects_silently_and_logs(two_col_schema):
+    dev_log.drain()
+    clean = make_table(two_col_schema, ((-5, 0), (200, 1), (50, 0)))
     assert clean.rows == ((0, 0), (100, 1), (50, 0))
-    entries = log.drain()
+    entries = dev_log.drain()
     assert len(entries) == 2
     assert all("schema correction" in e for e in entries)
-    assert log.drain() == []  # drained
+    assert dev_log.drain() == []  # drained
 
 
 @given(st.lists(st.tuples(st.integers(-50, 150), st.integers(-2, 3)), max_size=8))
-def test_enforce_schema_is_idempotent_and_total(rows):
+def test_make_table_is_idempotent_and_total(rows):
     two_col_schema = Schema((
         ColumnMeta("c0", ColumnKind.INTEGER, lower=0, upper=100),
         ColumnMeta("c1", ColumnKind.INTEGER, lower=0, upper=1),
     ))
-    log = DevLog()
-    raw = Table(two_col_schema, tuple(tuple(r) for r in rows), StabilityBound(1))
-    once = enforce_schema(raw, log)
-    twice = enforce_schema(once, log)
+    once = make_table(two_col_schema, rows)
+    dev_log.drain()
+    twice = make_table(two_col_schema, once.rows)
+    assert dev_log.drain() == []  # nothing left to correct
     assert once.rows == twice.rows
     assert all(col.contains(v) for row in once.rows
                for col, v in zip(two_col_schema.columns, row))

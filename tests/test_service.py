@@ -22,11 +22,12 @@ from dpcore import (
     ZCDP_RHO,
     make_table,
     parse_plan,
+    parse_schema,
 )
 import dpcore.service as service_mod
 from dpcore.gateway import MECHANISMS, private_release
 from dpcore.mechanisms import MechanismResult
-from dpcore.registry import DatasetRegistry, PacedPredicate
+from dpcore.registry import DatasetRegistry
 from dpcore.relational import dev_log
 from dpcore.service import (
     BudgetStatus,
@@ -40,7 +41,7 @@ from dpcore.service import (
     derived_mean,
 )
 from dpcore.testing import ScriptedSource, SimulatedClock
-from dpcore.transforms import Comparison, Predicate
+from dpcore.transforms import Comparison, Predicate, TransformPlan
 
 
 SIDECAR = "c0 int 0 100\nc1 int 0 1\n"
@@ -54,6 +55,7 @@ def _write_dataset(tmp_path, rows, name="d"):
 
 
 def _service(tmp_path, rows, clock=None, seed_bits=(7,), budget=1e9):
+    tmp_path.mkdir(exist_ok=True)
     csv, sidecar = _write_dataset(tmp_path, rows)
     registry = DatasetRegistry()
     acct = Accountant()
@@ -107,7 +109,8 @@ def test_gateway_is_the_only_release_path():
 # -- sessions -------------------------------------------------------------------
 
 def test_open_session_spends_startup_budget(tmp_path):
-    svc, handle, acct = _service(tmp_path, [(1, 0), (2, 1)], budget=10.0)
+    svc, handle, acct = _service(tmp_path, [(1, 0), (2, 1)], clock=SimulatedClock(),
+                                 budget=10.0)
     session = svc.open_session(handle, "main")
     assert acct.spent("main") > 0  # the n-hat estimate was paid for
     assert session.n_hat == svc.estimate_size(session)
@@ -118,7 +121,7 @@ def test_open_session_spends_startup_budget(tmp_path):
 
 
 def test_dump_restore_sessions_drops_randomness(tmp_path):
-    svc, handle, acct = _service(tmp_path, [(1, 0)])
+    svc, handle, acct = _service(tmp_path, [(1, 0)], clock=SimulatedClock())
     session = svc.open_session(handle, "main")
     raw = svc.dump_sessions()
     assert "rng" not in json.dumps(raw)  # randomness is never persisted
@@ -135,11 +138,28 @@ def test_open_session_on_zcdp_scope_is_a_scope_mismatch(tmp_path):
     csv, sidecar = _write_dataset(tmp_path, [(1, 0)])
     acct = Accountant()
     acct.create_scope("z", ZCDP_RHO, 10.0)
-    svc = QueryService(DatasetRegistry(), acct, ServiceConfig())
+    svc = QueryService(DatasetRegistry(), acct, ServiceConfig(), clock=SimulatedClock())
     handle = svc.ingest(csv, sidecar)
     with pytest.raises(ScopeMismatchError):
         svc.open_session(handle, "z")
     assert acct.spent("z") == 0.0 and acct.ledger == ()
+
+
+def test_open_session_trace_does_not_depend_on_the_dataset(tmp_path):
+    """The first use of a dataset loads and counts it inside open_session,
+    whose release is padded to start + overhead: the clock trace of a
+    1-row and of a 10**4-row dataset is the same, and errors pad alike."""
+    traces = []
+    for i, n in enumerate((1, 10_000)):
+        clock = SimulatedClock()
+        clock.time = 100.0
+        svc, handle, _ = _service(tmp_path / f"d{i}", [(7, 1)] * n, clock=clock)
+        svc.open_session(handle, "main")
+        with pytest.raises(ContractViolation):
+            svc.open_session("ds99", "main")
+        traces.append(clock.trace_bytes())
+        assert clock.trace[0] == ("sleep_until", 105.0)
+    assert traces[0] == traces[1]
 
 
 def test_unknown_session_rejected(tmp_path):
@@ -344,6 +364,43 @@ def test_threads_share_one_service():
     assert {r.status for r in responses} == {"ok"}
 
 
+_BENCH_SCHEMA = parse_schema("age int 0 99\nregion cat north south east west\n"
+                             "tier int 0 3\nincome real 0.0 200.0\nscore int 0 100\n")
+#: The eight plan shapes of the benchmark's mix, with their mechanisms.
+_BENCH_PLANS = (
+    ("count", "laplace_int"),
+    ("select_where age >= 40 and region == south\ncount", "laplace"),
+    ("select_where score > 50\ngroup_by age\ncount", "noisy_histogram"),
+    ("map_column income clamp 0.0 100.0\nsum income", "laplace"),
+    ("distinct region tier\ncount", "laplace_int"),
+    ("bernoulli_sample 0.5\ncount", "laplace"),
+    ("group_by region age\ncount", "laplace"),
+    ("select_where age < 50\nsum income", "laplace"),
+)
+
+
+def test_no_plan_step_reads_the_row_view(monkeypatch):
+    """Plans run on the record array: with `Table.rows` raising, every plan
+    shape of the benchmark mix is still answered."""
+    registry = DatasetRegistry()
+    rows = [(i % 100, ("north", "south", "east", "west")[i % 4], i % 4, i * 0.5, i % 101)
+            for i in range(300)]
+    handle = registry.register(make_table(_BENCH_SCHEMA, rows))
+    acct = Accountant()
+    acct.create_scope("main", PURE_EPS, 1e9)
+    svc = QueryService(registry, acct, ServiceConfig(xi=1e-6, overhead=0.05),
+                       clock=SimulatedClock())
+    session = svc.open_session(handle, "main")
+
+    def no_rows(table):
+        raise AssertionError("a plan step read Table.rows")
+
+    monkeypatch.setattr(Table, "rows", property(no_rows))
+    for text, mechanism in _BENCH_PLANS:
+        resp = svc.run_query(session, QueryRequest(text, mechanism, 1.0))
+        assert resp.status == "ok", text
+
+
 def test_padding_is_a_power_of_two_bucket(tmp_path):
     clock = SimulatedClock()
     svc, handle, _ = _service(tmp_path, [(1, 0)] * 10, clock=clock)
@@ -353,25 +410,34 @@ def test_padding_is_a_power_of_two_bucket(tmp_path):
     assert pad >= session.n_hat + 16 - 1  # bucket covers the estimate
 
 
-def test_slow_predicate_defaults_true_and_costs_xi(tmp_path):
+def _paced_count(cost):
+    """Count the rows with c0 >= 50 of a two-row table, (10,) and (20,),
+    through a paced scan whose predicate costs `cost` per row; returns the
+    count and every `advance` of the clock."""
     schema = Schema((ColumnMeta("c0", ColumnKind.INTEGER, lower=0, upper=100),))
-    t = make_table(schema, [(10,), (20,)])
+    registry = DatasetRegistry()
+    handle = registry.register(make_table(schema, [(10,), (20,)]))
     clock = SimulatedClock()
-    slow = Predicate((Comparison("c0", ">=", 50),), simulated_cost=lambda row: 100.0)
-    paced = PacedPredicate(slow, xi=1.0, clock=clock)
+    advances = []
+    clock.advance = lambda dt: (advances.append(dt), SimulatedClock.advance(clock, dt))
+    pred = Predicate((Comparison("c0", ">=", 50),), simulated_cost=lambda row: cost)
+    plan = TransformPlan((("select_where", pred), ("count",)))
+    v = registry.execute_plan(handle, plan, clock=clock, xi=1.0)
+    return v.values.tolist(), advances
+
+
+def test_slow_predicate_defaults_true_and_costs_xi(tmp_path):
     dev_log.drain()
-    assert paced.matches((10,), schema) is True  # timeout -> TRUE, not False
-    assert clock.now() == 1.0  # exactly xi, regardless of the overrun
-    assert any("timeout" in m for m in dev_log.drain())
+    counted, advances = _paced_count(100.0)
+    assert counted == [2.0]  # both rows time out -> TRUE, not False
+    assert advances == [2.0]  # 2 * xi in one advance, regardless of the overrun
+    assert sum("timeout" in m for m in dev_log.drain()) == 2
 
 
 def test_fast_predicate_same_cost_as_slow(tmp_path):
-    schema = Schema((ColumnMeta("c0", ColumnKind.INTEGER, lower=0, upper=100),))
-    fast = Predicate((Comparison("c0", ">=", 50),), simulated_cost=lambda row: 0.001)
-    clock = SimulatedClock()
-    paced = PacedPredicate(fast, xi=1.0, clock=clock)
-    assert paced.matches((10,), schema) is False
-    assert clock.now() == 1.0  # same per-row cost as the slow path
+    counted, advances = _paced_count(0.001)
+    assert counted == [0.0]
+    assert advances == [2.0]  # same cost as the slow path
 
 
 def test_system_clock_advance_does_not_sleep():

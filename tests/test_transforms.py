@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dpcore import (
     Affine,
@@ -30,7 +31,8 @@ from dpcore import (
     union,
 )
 from dpcore.testing import ScriptedSource
-from oracles import interval_image, multiset_distance
+from dpcore.transforms import _STEPS
+from oracles import interval_image, multiset_distance, reference_step
 
 
 def _schema(upper0=100):
@@ -143,8 +145,8 @@ def test_group_by_uses_full_domain_and_doubles_stability():
     ))
     t = make_table(schema, [(0, 3), (0, 4)])
     g = group_by(t, ["k"])
-    assert set(g.groups) == {(0,), (1,), (2,)}  # empty groups materialized
-    assert g.groups[(1,)] == () and g.groups[(2,)] == ()
+    assert g.group_keys == ((0,), (1,), (2,))  # empty groups materialized
+    assert aggregate(g, "count").values.tolist() == [2.0, 0.0, 0.0]
     assert g.stability.factor == 2
 
 
@@ -331,3 +333,147 @@ def test_plan_bernoulli_requires_rng():
     with pytest.raises(ContractViolation):
         plan.execute(t)
     assert plan.execute(t, ScriptedSource(uniforms=(0.1,))).values.tolist() == [1.0]
+
+
+# -- exact sums ------------------------------------------------------------------
+
+_WIDE = Schema((ColumnMeta("x", ColumnKind.REAL, lower=-1e16, upper=1e16),
+                ColumnMeta("n", ColumnKind.INTEGER, lower=-2**62, upper=2**62),
+                ColumnMeta("k", ColumnKind.INTEGER, lower=0, upper=1)))
+
+
+def test_real_sum_does_not_depend_on_row_order():
+    a = make_table(_WIDE, [(1e16, 0, 0), (1.0, 0, 0), (-1e16, 0, 0)])
+    b = make_table(_WIDE, [(1e16, 0, 0), (-1e16, 0, 0), (1.0, 0, 0)])
+    assert aggregate(a, "sum", "x").values.tolist() == [1.0]
+    assert aggregate(b, "sum", "x").values.tolist() == [1.0]
+
+
+def test_real_sum_of_huge_terms_is_exact_or_infinite():
+    """math.fsum raises on these sums, the finite one too."""
+    schema = Schema((ColumnMeta("x", ColumnKind.REAL, lower=-1e308, upper=1e308),))
+    for rows, total in (([1e308, 1e308, -1e308], 1e308), ([1e308, 1e308], math.inf),
+                        ([-1e308, -1e308], -math.inf)):
+        t = make_table(schema, [(x,) for x in rows])
+        assert aggregate(t, "sum", "x").values.tolist() == [total]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(
+    st.one_of(st.floats(-1e16, 1e16), st.sampled_from([1e16, -1e16, 1.0, 0.1, 2.0**-30])),
+    st.integers(-2**62, 2**62), st.integers(0, 1)), max_size=7), st.data())
+def test_sums_are_exact_and_order_free(rows, data):
+    """Every permutation of a table gives the same StatVector, grouped or
+    not, and each sum is the Fraction-exact sum rounded once."""
+    order = data.draw(st.permutations(range(len(rows))))
+    tables = [make_table(_WIDE, rows), make_table(_WIDE, [rows[i] for i in order])]
+    for column in ("x", "n"):
+        vectors = [aggregate(t, "sum", column) for t in tables]
+        grouped = [aggregate(group_by(t, ["k"]), "sum", column) for t in tables]
+        i = _WIDE.index(column)
+        exact = [float(sum((Fraction(r[i]) for r in tables[0].rows if key is None
+                            or r[2] == key), Fraction(0))) for key in (None, 0, 1)]
+        assert vectors[0].values.tolist() == exact[:1]
+        assert grouped[0].values.tolist() == exact[1:]
+        for a, b in (vectors, grouped):
+            assert (a.values.tolist(), a.dimension_labels, a.l1_sensitivity, a.integral) == \
+                (b.values.tolist(), b.dimension_labels, b.l1_sensitivity, b.integral)
+
+
+# -- the columnar executor against the row-by-row reference ----------------------
+
+_DIFF_SCHEMA = Schema((
+    ColumnMeta("g", ColumnKind.CATEGORICAL, values=("b", "a", "c", "B", "ab")),
+    ColumnMeta("k", ColumnKind.INTEGER, lower=0, upper=3),
+    ColumnMeta("n", ColumnKind.INTEGER, lower=-2**62, upper=2**62),
+    ColumnMeta("x", ColumnKind.REAL, lower=-1e16, upper=1e16),
+))
+_BIG = 2**53
+_DIFF_ROWS = st.lists(st.tuples(
+    st.sampled_from(("b", "a", "c", "B", "ab", "zz")),
+    st.integers(-1, 4),
+    st.one_of(st.sampled_from([_BIG, _BIG + 1, -_BIG - 1, 0]), st.integers(-2**62, 2**62)),
+    st.one_of(st.sampled_from([float(_BIG), 1e16, 0.5, -0.0]), st.floats(-1e16, 1e16)),
+), max_size=10)
+# numpy compares int64 with a float, and a float with a large int, in
+# float64: 2**53 + 1 == 2**53 (a float) and 2**53 (a float) < 2**53 + 1 both
+# go wrong there, so those constants come up often.
+_DIFF_CONSTANTS = {
+    "g": ("a", "b", "B", "ab", "aa", "c", "zz"),
+    "k": ("-1", "0", "2", "4", "1.5", "2.0"),
+    "n": ("9007199254740992.0", str(_BIG + 1), "9007199254740992.0", str(-_BIG - 1), "2.5",
+          str(2**70)),
+    "x": (str(_BIG + 1), str(_BIG + 1), "9007199254740992.0", "0.5", "1e16", str(2**1100)),
+}
+_DIFF_COMPARISON = st.sampled_from(sorted(_DIFF_CONSTANTS)).flatmap(
+    lambda c: st.builds("{} {} {}".format, st.just(c),
+                        st.sampled_from(("<", "<=", ">", ">=", "==", "!=")),
+                        st.sampled_from(_DIFF_CONSTANTS[c])))
+_DIFF_COLUMNS = st.lists(st.sampled_from(("g", "k", "n", "x")), min_size=1, max_size=3,
+                         unique=True).map(" ".join)
+_DIFF_STEP = st.one_of(
+    st.lists(_DIFF_COMPARISON, min_size=1, max_size=3).map(
+        lambda cs: "select_where " + " and ".join(cs)),
+    _DIFF_COLUMNS.map("project {}".format),
+    _DIFF_COLUMNS.map("distinct {}".format),
+    st.just("self_union"),
+    st.sampled_from(("0.0", "0.5", "1.0")).map("bernoulli_sample {}".format),
+    st.builds("map_column {} {}".format, st.sampled_from(("g", "k", "n", "x")),
+              st.sampled_from(("clamp 0 50", "clamp 1.5 2.5", "clamp -3 2", "affine 2 1",
+                               "affine -0.5 3", "square"))),
+)
+# Only small-domain columns are grouped: a key's whole domain is enumerated.
+_DIFF_GROUP = st.sampled_from(([], ["group_by g"], ["group_by k"], ["group_by g k"],
+                               ["group_by k g"]))
+_DIFF_AGG = st.sampled_from(("count", "sum k", "sum n", "sum x", "sum g"))
+
+
+def _scripted():
+    return ScriptedSource(uniforms=(0.1, 0.6, 0.3, 0.9, 0.5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DIFF_ROWS, st.lists(_DIFF_STEP, max_size=4), _DIFF_GROUP, _DIFF_AGG)
+@example([("a", 0, _BIG + 1, 0.5)], ["select_where n == 9007199254740992.0"], [], "count")
+@example([("a", 0, 0, float(_BIG))], [f"select_where x < {_BIG + 1}"], [], "count")
+@example([("a", 0, 0, 0.5), ("B", 1, 0, 0.5)], ["select_where g > aa"], [], "count")
+def test_columnar_executor_matches_the_row_reference(rows, steps, group, agg):
+    """Random plans from the plan-step words on tables with categorical
+    order comparisons and ints beyond 2**53: after every step the rows
+    (order and Python types included) are the reference's, and the
+    StatVector's values, labels, sensitivity and integrality too.  A step
+    the columnar executor refuses is refused from metadata, so it refuses
+    the empty table alike."""
+    try:
+        plan = parse_plan("\n".join(steps + group + [agg]))
+    except ContractViolation:
+        assume(False)
+    table, empty = make_table(_DIFF_SCHEMA, rows), make_table(_DIFF_SCHEMA, [])
+    ref, stability = table.rows, 1
+    rng, ref_rng = _scripted(), _scripted()
+    for kind, *args in plan.steps:
+        execute = _STEPS[kind][1]
+        try:
+            out = execute(table, rng, *args)
+        except ContractViolation as exc:
+            with pytest.raises(type(exc)):
+                execute(empty, _scripted(), *args)
+            return
+        stability *= 2 if kind in ("self_union", "group_by") else 1
+        schema = getattr(table, "table", table).schema  # a grouped table's rows
+        expected = reference_step(kind, tuple(args), schema, getattr(out, "schema", None),
+                                  ref, ref_rng, stability)
+        if kind in ("count", "sum"):
+            assert (out.values.tolist(), out.dimension_labels, out.l1_sensitivity,
+                    out.integral) == expected
+        elif kind == "group_by":
+            assert out.group_keys == tuple(expected)
+            assert [out.group_keys[c] for c in out.cells.tolist()] == \
+                [tuple(r[schema.index(k)] for k in args[0]) for r in out.table.rows]
+        else:
+            assert out.rows == expected
+            assert [tuple(map(type, r)) for r in out.rows] == \
+                [tuple(map(type, r)) for r in expected]
+            assert out.stability.factor == stability
+        table, ref = out, expected
+        empty = execute(empty, _scripted(), *args)
