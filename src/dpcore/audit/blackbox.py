@@ -21,11 +21,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import stats
 
 from ..errors import ContractViolation
 from ..randomness import RandomSource, derive_source
 from ..relational import ColumnKind, Schema, Table, make_table, symmetric_difference
+from .gof import half_binomial_tail
 
 
 @dataclass
@@ -193,7 +193,7 @@ def _binomial_pvalue(
     if c1_adj == 0 and c2 == 0:
         return 1.0
     s = np_rng.binomial(c1_adj, math.exp(-eps), size=resamples)
-    return float(np.mean(stats.binom.sf(s - 1, s + c2, 0.5)))
+    return float(np.mean(half_binomial_tail(s, c2)))
 
 
 def dp_hypothesis_test(

@@ -2,13 +2,17 @@
 
 Anderson-Darling for continuous one-dimensional distributions (it weights
 the tails, which is where privacy problems show up) and chi-squared for
-discrete distributions with few outcomes.
+discrete distributions with few outcomes.  The two tail probabilities the
+audit needs, chi-squared and the fair-coin binomial of the black-box test,
+are exact closed forms over `math.lgamma`.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
-from scipy import stats
 
 #: 99% percentile of the asymptotic Anderson-Darling null distribution.
 AD_CRITICAL_99 = 3.8781250216053948842
@@ -51,8 +55,58 @@ def chi_squared_gof(observed, expected_probs) -> tuple[float, float]:
     mask = expected > 0
     statistic = float(np.sum((observed[mask] - expected[mask]) ** 2 / expected[mask]))
     dof = int(mask.sum()) - 1
-    p = float(stats.chi2.sf(statistic, dof)) if dof > 0 else 1.0
+    p = chi2_tail(statistic, dof) if dof > 0 else 1.0
     return statistic, p
+
+
+def chi2_tail(x: float, dof: int) -> float:
+    """P[chi^2 with `dof` degrees of freedom >= x], for an integer dof >= 1.
+
+    With z = x/2 and h = 0 (even dof) or 1/2 (odd dof) this is
+    [odd: erfc(sqrt z)] + sum_{j < dof//2} z^(j+h) e^-z / Gamma(j+h+1);
+    each term is formed in log space and the terms are added exactly.
+    """
+    z = x / 2.0
+    if z <= 0.0:
+        return 1.0
+    if math.isinf(z):
+        return 0.0
+    h = (dof % 2) / 2.0
+    head = math.erfc(math.sqrt(z)) if dof % 2 else 0.0
+    log_z = math.log(z)
+    return math.fsum([head] + [math.exp((j + h) * log_z - z - math.lgamma(j + h + 1.0))
+                               for j in range(dof // 2)])
+
+
+@functools.lru_cache(maxsize=None)
+def _log_factorials(size: int) -> np.ndarray:
+    """ln k! for k < size, from math.lgamma.  Callers ask for a power of two,
+    so the tables kept hold at most twice the longest one needed."""
+    return np.array([math.lgamma(k + 1.0) for k in range(size)])
+
+
+def half_binomial_tail(s, c2: int) -> np.ndarray:
+    """P[Bin(s + c2, 1/2) >= s] for each entry of the integer array `s` >= 0.
+
+    At least s heads in s + c2 fair flips means at least s heads before the
+    (c2+1)-th tail, so this is P[Y >= s] for the negative binomial
+    Y ~ NegBin(c2 + 1, 1/2), whose one pmf serves every s.  The pmf is
+    formed on s's range widened by K = 20 sqrt(c2+1) + 100 on both sides;
+    an s above Y's mean c2+1 sums the pmf upwards, any other s takes one
+    less the sum below it.  Y's log-concave tails put less than 1e-36 of
+    the result outside the window either way.
+    """
+    s = np.asarray(s, dtype=np.int64)
+    k = int(20 * math.sqrt(c2 + 1)) + 100
+    lo = max(int(s.min()) - k, 0)
+    hi = int(s.max()) + k + 1
+    lf = _log_factorials(1 << (hi + c2).bit_length())
+    y = np.arange(lo, hi)
+    pmf = np.exp(lf[lo + c2:hi + c2] - lf[lo:hi] - lf[c2] - (y + c2 + 1) * math.log(2.0))
+    above = np.cumsum(pmf[::-1])[::-1]
+    below = np.cumsum(pmf) - pmf
+    i = s - lo
+    return np.where(s > c2 + 1, above[i], 1.0 - below[i])
 
 
 # Reference CDFs used by the sampler test batteries.

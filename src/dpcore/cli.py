@@ -152,7 +152,7 @@ def _external_target(command: str):
 
 
 def _cmd_audit(args) -> int:
-    # The audit package pulls in scipy; only this command pays for it.
+    # Only this command needs the audit package, so only it imports it.
     from .audit import BUILTIN_TARGETS, black_box_battery, default_neighbor_suite
 
     if args.target in BUILTIN_TARGETS:

@@ -124,6 +124,40 @@ def test_replay_ledger_cuts_a_torn_tail(tmp_path):
     again.close()
 
 
+def test_charge_applies_another_accountants_append_first(tmp_path):
+    """Two accountants on one ledger: each charge first applies what the
+    other appended, so its budget check sees the other's spend."""
+    path = str(tmp_path / "ledger.txt")
+    a, b = Accountant(ledger_path=path), Accountant(ledger_path=path)
+    for acct in (a, b):
+        acct.create_scope("main", PURE_EPS, 1.0)
+    a.charge("main", 0.25, "laplace")
+    a.charge("main", 0.25, "laplace")
+    b.charge("main", 0.375, "laplace")
+    assert b.spent("main") == 0.875
+    with pytest.raises(BudgetExceededError):
+        a.charge("main", 0.25, "laplace")
+    assert a.spent("main") == 0.875
+    assert a.charge("main", 0.125, "laplace").seq == 4
+    a.close()
+    b.close()
+
+
+def test_charge_cuts_a_torn_tail_past_its_offset(tmp_path):
+    """A fragment left after this accountant's last line is cut by its next
+    charge, which then writes a whole line of its own."""
+    path = tmp_path / "ledger.txt"
+    live = Accountant(ledger_path=str(path))
+    live.create_scope("main", PURE_EPS, 10.0)
+    live.charge("main", 0.25, "laplace")
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("seq=2 scope=main kind=pure-eps amo")
+    assert live.charge("main", 0.5, "laplace").seq == 2
+    live.close()
+    assert [PrivacyCharge.from_line(line).amount
+            for line in path.read_text().splitlines()] == [0.25, 0.5]
+
+
 def test_replay_leaves_an_intact_ledger_untouched(tmp_path):
     """Every command replays the shared ledger, the read-only ones too: a
     file that ends in a newline is only read, never rewritten."""

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import dpcore
 from dpcore import (
     Accountant,
     ColumnKind,
@@ -47,6 +52,7 @@ from dpcore.audit.bugs import (
     linear_scale_exponential_mechanism,
     tie_biased_noisy_max,
 )
+from dpcore.audit.gof import chi2_tail, half_binomial_tail
 from dpcore.audit.targets import laplace_count_target
 from dpcore.mechanisms import exponential_mechanism_log_probabilities, report_noisy_max
 from dpcore.testing import ScriptedSource, zero_noise_source
@@ -95,6 +101,51 @@ def test_chi_squared_gof(rng):
     assert p > 1e-6
     _, p_bad = chi_squared_gof(observed, np.array([0.7, 0.1, 0.1, 0.1]))
     assert p_bad < 1e-10
+
+
+def test_half_binomial_tail_is_exact_for_small_n():
+    """P[Bin(N, 1/2) >= s] for every N <= 60 and every s, against the exact
+    fraction sum_{k >= s} C(N, k) / 2^N."""
+    for c2 in range(61):
+        s = np.arange(61 - c2)
+        got = half_binomial_tail(s, c2)
+        for si, g in zip(s.tolist(), got):
+            n = si + c2
+            exact = Fraction(sum(math.comb(n, k) for k in range(si, n + 1)), 2 ** n)
+            assert g == pytest.approx(float(exact), rel=1e-12, abs=0), (si, c2)
+
+
+@pytest.mark.parametrize("c2", [0, 1, 5, 50, 400, 2000, 4000])
+def test_half_binomial_tail_matches_scipy(c2):
+    for c1 in (0, 1, 5, 50, 400, 2000, 4000):
+        s = np.arange(c1 + 1)
+        want = stats.binom.sf(s - 1, s + c2, 0.5)
+        got = half_binomial_tail(s, c2)
+        assert got.shape == s.shape and got[0] == pytest.approx(1.0, rel=1e-12)
+        keep = want > 1e-290
+        np.testing.assert_allclose(got[keep], want[keep], rtol=1e-9, atol=0)
+        assert np.all(got[~keep] < 1e-280)
+
+
+def test_chi2_tail_matches_scipy():
+    xs = np.concatenate([[0.0, 1e-6, 0.5, 1.0], np.linspace(2.0, 1000.0, 100)])
+    for dof in range(1, 401):
+        want = stats.chi2.sf(xs, dof)
+        got = np.array([chi2_tail(float(x), dof) for x in xs])
+        assert got[0] == 1.0
+        keep = want > 1e-290
+        np.testing.assert_allclose(got[keep], want[keep], rtol=1e-9, atol=0, err_msg=f"dof {dof}")
+        assert np.all(got[~keep] < 1e-280)
+
+
+def test_audit_import_leaves_out_scipy():
+    src = os.path.dirname(os.path.dirname(dpcore.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, dpcore.audit; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "[]"
 
 
 # -- neighbor suites ---------------------------------------------------------
