@@ -11,7 +11,6 @@ from __future__ import annotations
 import fcntl
 import itertools
 import math
-import os
 import re
 import threading
 import time
@@ -197,10 +196,7 @@ class Accountant:
         """One pass over the ledger lines past `_offset`, in file order: the
         same left-to-right sums `charge` made, and the highest `seq`.  A
         record of a scope no longer configured spends nothing.  Caller holds
-        `_lock` and the file's `flock`.  A file that ends at `_offset` has
-        nothing to apply and is not read."""
-        if os.fstat(fh.fileno()).st_size == self._offset:
-            return
+        `_lock` and the file's `flock`."""
         fh.seek(self._offset)
         data = fh.read()
         end = data.rfind(b"\n") + 1

@@ -8,7 +8,6 @@ sampling is the sanctioned replacement for Limit.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -220,22 +219,15 @@ def group_by(t: Table, keys: Sequence[str]) -> GroupedTable:
     cell is the mixed-radix number of its key's ranks in the sorted domains.
     """
     key_cols = tuple(t.schema.column(k) for k in keys)
-    domains, group_keys, labels = _key_product(key_cols)
+    # A real key has no finite domain: `domain` refuses it.  The product of
+    # sorted domains is in sorted order.
+    domains = [sorted(c.domain()) for c in key_cols]
     cells = np.zeros(len(t), dtype=np.int64)
     for col, domain in zip(key_cols, domains):
         cells = cells * len(domain) + _ranks(t, col) - (domain[0] if col.is_numeric else 0)
-    return GroupedTable(t, group_keys, labels, cells, t.stability.times(2))
-
-
-@functools.lru_cache(maxsize=32)
-def _key_product(key_cols: tuple[ColumnMeta, ...]) -> tuple[tuple, tuple, tuple[str, ...]]:
-    """The key columns' sorted domains, their cross-product (which is then
-    in sorted order) and one label per key; kept for the last 32 key column
-    tuples, so a repeated query does not rebuild them.  A real key has no
-    finite domain: `domain` refuses it."""
-    domains = tuple(tuple(sorted(c.domain())) for c in key_cols)
-    keys = tuple(itertools.product(*domains))
-    return domains, keys, tuple("/".join(map(str, k)) for k in keys)
+    labels = map("/".join, itertools.product(*(list(map(str, d)) for d in domains)))
+    return GroupedTable(t, tuple(itertools.product(*domains)), tuple(labels), cells,
+                        t.stability.times(2))
 
 
 def bernoulli_sample(t: Table, p: float, rng) -> Table:

@@ -52,7 +52,7 @@ from dpcore.audit.bugs import (
     linear_scale_exponential_mechanism,
     tie_biased_noisy_max,
 )
-from dpcore.audit.gof import chi2_tail, half_binomial_tail
+from dpcore.audit.gof import _log_factorial, chi2_tail, half_binomial_tail
 from dpcore.audit.targets import laplace_count_target
 from dpcore.mechanisms import exponential_mechanism_log_probabilities, report_noisy_max
 from dpcore.testing import ScriptedSource, zero_noise_source
@@ -125,6 +125,26 @@ def test_half_binomial_tail_matches_scipy(c2):
         keep = want > 1e-290
         np.testing.assert_allclose(got[keep], want[keep], rtol=1e-9, atol=0)
         assert np.all(got[~keep] < 1e-280)
+
+
+def test_log_factorial_matches_lgamma():
+    """The small-n lgamma table and the Stirling series agree with
+    math.lgamma on both sides of their switch and far above it."""
+    n = np.concatenate([np.arange(2, 5000), 10 ** np.arange(4, 13)])
+    want = np.array([math.lgamma(k + 1.0) for k in n.tolist()])
+    np.testing.assert_allclose(_log_factorial(n), want, rtol=2e-15, atol=0)
+    assert np.all(_log_factorial(np.array([0, 1])) == 0.0)
+
+
+@pytest.mark.parametrize("c2", [10 ** 5, 10 ** 6])
+def test_half_binomial_tail_matches_scipy_at_large_counts(c2):
+    """Counts around the CLI default --n-test and above it, where every ln n!
+    comes from the Stirling series."""
+    r = math.isqrt(c2)
+    s = np.arange(c2 - 10 * r, c2 + 40 * r, r // 20)
+    want = stats.binom.sf(s - 1, s + c2, 0.5)
+    keep = want > 1e-290
+    np.testing.assert_allclose(half_binomial_tail(s, c2)[keep], want[keep], rtol=1e-8, atol=0)
 
 
 def test_chi2_tail_matches_scipy():

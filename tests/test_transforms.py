@@ -1,4 +1,3 @@
-import itertools
 import math
 from fractions import Fraction
 
@@ -149,25 +148,6 @@ def test_group_by_uses_full_domain_and_doubles_stability():
     assert g.group_keys == ((0,), (1,), (2,))  # empty groups materialized
     assert aggregate(g, "count").values.tolist() == [2.0, 0.0, 0.0]
     assert g.stability.factor == 2
-
-
-def test_group_by_key_product_is_kept_per_domain():
-    """A repeated group_by returns the sorted key cross-product and its
-    labels, as tuples; a schema with other domains gets its own."""
-    cols = (ColumnMeta("r", ColumnKind.CATEGORICAL, values=("west", "east", "north")),
-            ColumnMeta("k", ColumnKind.INTEGER, lower=-1, upper=2))
-    t = make_table(Schema(cols), [("east", 0)])
-    first, second = group_by(t, ["r", "k"]), group_by(t, ["r", "k"])
-    want = sorted(itertools.product(sorted(cols[0].values), range(-1, 3)))
-    assert second.group_keys == tuple(want) and isinstance(second.group_keys, tuple)
-    assert second.labels == tuple(f"{r}/{k}" for r, k in want)
-    assert second.group_keys is first.group_keys and second.labels is first.labels
-    assert aggregate(second, "count").values[want.index(("east", 0))] == 1.0
-    wider = Schema((cols[0], ColumnMeta("k", ColumnKind.INTEGER, lower=-1, upper=3)))
-    other = group_by(make_table(wider, [("east", 3)]), ["r", "k"])
-    assert other.group_keys == tuple(sorted(itertools.product(sorted(cols[0].values),
-                                                              range(-1, 4))))
-    assert len(other.labels) == 15 and other.labels[-1] == "west/3"
 
 
 def test_group_by_rejects_real_keys():
