@@ -53,8 +53,12 @@ class MechanismUnderTest:
             out = np.asarray(self.run_many(table, eps, rng, n), dtype=np.float64)
             if out.shape != (n,):
                 raise ContractViolation("run_many returned the wrong number of outcomes")
-            return out
-        return np.array([float(self.run(table, eps, rng)) for _ in range(n)])
+        else:
+            out = np.array([float(self.run(table, eps, rng)) for _ in range(n)])
+        # A NaN falls in no interval and would turn every quantile into NaN.
+        if np.isnan(out).any():
+            raise ContractViolation("the mechanism returned a NaN outcome")
+        return out
 
 
 @dataclass(frozen=True)
@@ -128,6 +132,30 @@ def default_neighbor_suite(schema: Schema) -> list[NeighborPair]:
     raise ContractViolation("no default suite for this schema shape")
 
 
+_LEVELS = np.linspace(0.0, 1.0, 101)
+
+
+def _percentiles(pooled: np.ndarray) -> np.ndarray:
+    """The 1% quantiles of sorted `pooled`, bit-equal to `np.quantile`'s default
+    rule at `_LEVELS`: virtual index (n - 1) * q, then numpy's two-sided lerp."""
+    at = (len(pooled) - 1) * _LEVELS
+    i = np.minimum(at.astype(np.intp), len(pooled) - 2)
+    t = at - i
+    a, b = pooled[i], pooled[i + 1]
+    return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
+
+
+def _event_counts(out: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """Row i: how many of sorted `out` fall in (-inf, q_i], in [q_i, inf),
+    and in [q_i, q_j] for every j (0 where j < i), as exact floats."""
+    right = np.searchsorted(out, qs, side="right")
+    left = np.searchsorted(out, qs, side="left")
+    counts = np.empty((len(qs), len(qs) + 2))
+    counts[:, 0], counts[:, 1] = right, len(out) - left
+    np.subtract(right, left[:, None], out=counts[:, 2:])
+    return np.maximum(counts, 0.0, out=counts)
+
+
 def event_search(
     m: MechanismUnderTest,
     pair: NeighborPair,
@@ -137,7 +165,9 @@ def event_search(
 ) -> OutcomeEvent:
     """Pick the interval with the worst empirical probability ratio.
 
-    Only intervals holding at least 0.001 * n_search * e^eps points on the
+    The candidates are the rays below and above each distinct 1% quantile
+    q_i of the pooled samples and every interval [q_i, q_j], j >= i.  Only
+    intervals holding at least 0.001 * n_search * e^eps points on the
     denser side are eligible, which keeps the search away from pure noise in
     the far tails.  Among equal scores the first candidate in search order
     wins.  Degenerate outcome sets collapse to the point event.
@@ -147,34 +177,27 @@ def event_search(
     child = derive_source(rng)
     out1 = np.sort(m.sample(pair.d1, eps, child, n_search))
     out2 = np.sort(m.sample(pair.d2, eps, child, n_search))
-    pooled = np.concatenate([out1, out2])
-    if np.all(pooled == pooled[0]):
+    pooled = np.sort(np.concatenate([out1, out2]))
+    if pooled[0] == pooled[-1]:
         return OutcomeEvent(float(pooled[0]), float(pooled[0]))
     min_count = 0.001 * n_search * math.exp(eps)
     e_eps = math.exp(eps)
-    # Candidates in search order: for each unique 1% quantile q_i, the ray
-    # (-inf, q_i], the ray [q_i, inf), then [q_i, q_j] for ascending j >= i.
-    # Row i of this grid holds them once the cells with j < i are dropped.
-    qs = np.unique(np.quantile(pooled, np.linspace(0.0, 1.0, 101)))
-    k = len(qs)
-    lo = np.repeat(qs[:, None], k + 2, axis=1)
-    lo[:, 0] = -math.inf
-    hi = np.column_stack([qs, np.full(k, math.inf), np.tile(qs, (k, 1))])
-    keep = np.triu(np.ones((k, k + 2), dtype=bool), 2)
-    keep[:, :2] = True
-    lo, hi = lo[keep], hi[keep]
-    c1 = np.searchsorted(out1, hi, side="right") - np.searchsorted(out1, lo, side="left")
-    c2 = np.searchsorted(out2, hi, side="right") - np.searchsorted(out2, lo, side="left")
+    # Row i of each side's k x (k + 2) count matrix holds, in search order, the
+    # ray (-inf, q_i], the ray [q_i, inf) and [q_i, q_j] for ascending j.  Cells
+    # with j < i count 0: below the floor (always > 0), argmax never picks them.
+    qs = np.unique(_percentiles(pooled))
+    c1, c2 = _event_counts(out1, qs), _event_counts(out2, qs)
     # +1 smoothing on the sparse side keeps the score finite.
     score_fwd = c1 / (e_eps * (c2 + 1.0))
     score_rev = c2 / (e_eps * (c1 + 1.0))
-    score = np.where(np.maximum(c1, c2) >= min_count,
-                     np.maximum(score_fwd, score_rev), -math.inf)
-    best = int(np.argmax(score))
-    if score[best] == -math.inf:
+    score = np.maximum(score_fwd, score_rev)
+    score[np.maximum(c1, c2) < min_count] = -math.inf
+    i, col = divmod(int(np.argmax(score)), len(qs) + 2)
+    if score[i, col] == -math.inf:
         return OutcomeEvent(-math.inf, math.inf)
-    return OutcomeEvent(float(lo[best]), float(hi[best]),
-                        bool(score_rev[best] >= score_fwd[best]))
+    lo = -math.inf if col == 0 else float(qs[i])
+    hi = float(qs[i]) if col == 0 else math.inf if col == 1 else float(qs[col - 2])
+    return OutcomeEvent(lo, hi, bool(score_rev[i, col] >= score_fwd[i, col]))
 
 
 def _binomial_pvalue(
@@ -212,6 +235,8 @@ def dp_hypothesis_test(
     these; hand this function the same parent source as event_search and the
     derived children will not overlap.
     """
+    if n_test < 10 ** 3:
+        raise ContractViolation("n_test must be at least 1000")
     child = derive_source(rng)
     out1 = m.sample(pair.d1, eps, child, n_test)
     out2 = m.sample(pair.d2, eps, child, n_test)

@@ -1,10 +1,11 @@
 """Built-in mechanisms packaged for the black-box harness.
 
 Each target wires a data-access aggregation to the Laplace sampler of the
-privacy layer, charged to a throwaway unlimited accountant, and defines only
-`run_many` (the exact aggregate is computed once per table; only the noise
-is redrawn per run, which is exactly the separation the layering exists to
-allow).  `MechanismUnderTest` derives `run` from it.
+privacy layer and defines only `run_many`.  Every `run_many` call computes
+the exact aggregate again and charges eps * n to a new, unlimited
+`Accountant`; within one call only the noise is redrawn for each of the n
+outcomes, which is exactly the separation the layering exists to allow.
+`MechanismUnderTest` derives `run` from it.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import shutil
 import socketserver
@@ -151,6 +152,16 @@ def _external_target(command: str):
     return MechanismUnderTest(f"external:{command}", run_many=run_many)
 
 
+def _audit_eps(text: str) -> float:
+    try:
+        eps = float(text)
+    except ValueError:
+        eps = math.nan
+    if not (math.isfinite(eps) and eps > 0):
+        raise ContractViolation(f"--eps-grid: {text!r} is not a finite epsilon > 0")
+    return eps
+
+
 def _cmd_audit(args) -> int:
     # Only this command needs the audit package, so only it imports it.
     from .audit import BUILTIN_TARGETS, black_box_battery, default_neighbor_suite
@@ -163,7 +174,7 @@ def _cmd_audit(args) -> int:
         print(f"unknown builtin target {args.target!r}", file=sys.stderr)
         return 1
     suite = default_neighbor_suite(parse_schema("c0 int 0 100\nc1 int 0 1"))
-    eps_values = [float(x) for x in args.eps_grid.split(",")]
+    eps_values = [_audit_eps(x) for x in args.eps_grid.split(",")]
     report = black_box_battery(
         target, suite, eps_values, RandomSource.from_os_entropy(),
         n_search=args.n_search, n_test=args.n_test, repetitions=args.reps,

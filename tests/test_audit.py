@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -45,6 +46,7 @@ from dpcore.audit import (
     sensitivity_check,
     stability_check,
 )
+from dpcore.audit.blackbox import _percentiles
 from dpcore.audit.bugs import (
     accountant_bypass_laplace_count,
     data_dependent_histogram,
@@ -232,6 +234,29 @@ def test_event_search_requires_enough_samples(two_col_schema, rng):
         event_search(laplace_count_target(), suite[0], 1.0, 999, rng)
 
 
+def test_hypothesis_test_requires_enough_samples(two_col_schema, rng):
+    """A test on a few samples would pass even the broken mechanism."""
+    suite = default_neighbor_suite(two_col_schema)
+    m = half_noise_laplace_count()
+    ev = event_search(m, suite[1], 1.0, 1000, rng)
+    for n_test in (0, 1, 50, 999):
+        with pytest.raises(ContractViolation, match="n_test"):
+            dp_hypothesis_test(m, suite[1], ev, 1.0, 0.0, n_test, rng)
+
+
+def test_nan_outcomes_are_refused(two_col_schema, rng):
+    def run_many(table, eps, rng, n):
+        out = np.zeros(n)
+        out[-1] = math.nan
+        return out
+
+    suite = default_neighbor_suite(two_col_schema)
+    with pytest.raises(ContractViolation, match="NaN"):
+        event_search(MechanismUnderTest("nan", run_many=run_many), suite[1], 1.0, 2000, rng)
+    with pytest.raises(ContractViolation, match="NaN"):
+        MechanismUnderTest("nan", lambda t, e, r: math.nan).sample(suite[1].d1, 1.0, rng, 3)
+
+
 def test_null_pvalues_center_high(two_col_schema, rng):
     suite = default_neighbor_suite(two_col_schema)
     m = laplace_count_target()
@@ -289,16 +314,39 @@ def test_event_search_matches_reference_loop(two_col_schema, rng):
         assert (ev.lo, ev.hi, ev.swapped) == event_search_reference(out1, out2, eps), name
 
 
-def test_event_search_degenerate_cases_match_reference_loop(two_col_schema, rng):
-    pair = default_neighbor_suite(two_col_schema)[1]
+def _degenerate_cases():
     gen = np.random.default_rng(7)
     constant = np.full(1000, 3.5)
     # At eps = 8 the floor 0.001 * n * e^8 exceeds n: no interval is eligible.
     spread1, spread2 = gen.laplace(0.0, 1.0, 1000), gen.laplace(1.0, 1.0, 1000)
-    for eps, out1, out2, want in ((1.0, constant, constant.copy(), (3.5, 3.5, False)),
-                                  (8.0, spread1, spread2, (-math.inf, math.inf, False))):
+    return [(1.0, constant, constant.copy(), (3.5, 3.5, False)),
+            (8.0, spread1, spread2, (-math.inf, math.inf, False))]
+
+
+def test_event_search_degenerate_cases_match_reference_loop(two_col_schema, rng):
+    pair = default_neighbor_suite(two_col_schema)[1]
+    for eps, out1, out2, want in _degenerate_cases():
         ev = event_search(_replaying(pair, out1, out2), pair, eps, 1000, rng)
         assert (ev.lo, ev.hi, ev.swapped) == want == event_search_reference(out1, out2, eps)
+
+
+def test_event_search_raises_no_warning(two_col_schema, rng):
+    """The count matrix holds cells with j < i; they must be counted 0, not
+    negative, so that no score divides by zero."""
+    pair = default_neighbor_suite(two_col_schema)[1]
+    cases = [(eps, a, b) for _, eps, a, b in _fixed_sample_pairs()]
+    cases += [(eps, a, b) for eps, a, b, _ in _degenerate_cases()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for eps, out1, out2 in cases:
+            event_search(_replaying(pair, out1, out2), pair, eps, len(out1), rng)
+
+
+def test_percentiles_match_np_quantile():
+    for name, _, out1, out2 in _fixed_sample_pairs():
+        pooled = np.sort(np.concatenate([out1, out2]))
+        want = np.quantile(pooled, np.linspace(0.0, 1.0, 101))
+        assert np.array_equal(_percentiles(pooled), want), name
 
 
 def test_constant_mechanism_is_trivially_private(two_col_schema, rng):

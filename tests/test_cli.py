@@ -301,6 +301,24 @@ def test_audit_external_command_protocol(workspace, capsys):
     assert "overall passed=" in out
 
 
+@pytest.mark.parametrize("flags", [
+    ["--n-test", "50"],
+    ["--eps-grid", "0"], ["--eps-grid", "nan"], ["--eps-grid", "inf"], ["--eps-grid", "-1"],
+])
+def test_audit_refuses_vacuous_settings(flags):
+    """Too few test samples, or an epsilon that is not finite and positive,
+    end in one `error:` line and exit 1, never a traceback or a pass."""
+    src = os.path.dirname(os.path.dirname(dpcore.__file__))
+    argv = ["audit", "--target", "bug:half_noise_laplace_count", "--eps-grid", "1.0",
+            "--n-search", "1000", "--n-test", "2000", "--reps", "1", *flags]
+    proc = subprocess.run([sys.executable, "-m", "dpcore.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 def test_unknown_builtin_target_errors(capsys):
     code = main(["audit", "--target", "nonexistent"])
     assert code == 1
