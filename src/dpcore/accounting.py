@@ -8,10 +8,11 @@ overspend, and replaying the ledger reproduces `spent` bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 import fcntl
-import itertools
 import math
 import re
+import tempfile
 import threading
 import time
 from dataclasses import dataclass
@@ -103,20 +104,22 @@ class ScopeHandle:
 class Accountant:
     """Tracks cumulative privacy loss per scope with atomic check-and-spend.
 
-    If `ledger_path` is set, every granted charge is appended and flushed to
-    the file before the charge call returns, so no mechanism result can be
-    released ahead of its ledger record.  Denied requests are logged in
-    memory (without spending) so audits can detect probing.
+    The ledger file is the only record of what was spent: `ledger_path`, which
+    outlives the process and may be shared with other processes, or else an
+    unnamed temporary file that goes on `close`.  Every granted charge is
+    appended and flushed before `charge` returns, so no mechanism result can
+    be released ahead of its ledger record; a closed accountant grants nothing.
+    Denied requests are logged in memory (without spending) so audits can
+    detect probing.
     """
 
     def __init__(self, ledger_path: str | None = None) -> None:
         self._scopes: dict[str, BudgetScope] = {}
-        # Live charges, and the text of replayed ones, in ledger order.
-        self._ledger: list[PrivacyCharge | str] = []
         self._denials: list[tuple[str, str]] = []
         self._lock = threading.Lock()
         self._seq = 0
-        self._ledger_file = open(ledger_path, "a+b") if ledger_path else None
+        self._ledger_file = (open(ledger_path, "a+b") if ledger_path
+                             else tempfile.TemporaryFile("a+b"))
         self._offset = 0  # ledger bytes applied to `spent`
 
     # -- scope management -----------------------------------------------
@@ -151,46 +154,41 @@ class Accountant:
         if not amount >= 0:
             raise ParameterError("charge amount must be nonnegative")
         amount = float(amount) + 0.0  # the repr replay reads: no -0.0, no numpy scalar
-        with self._lock:
+        with self._synced() as fh:
             scope = self._scope(scope_id)
-            fh = self._ledger_file
-            if fh is not None:
-                fcntl.flock(fh, fcntl.LOCK_EX)
-            try:
-                if fh is not None:
-                    self._apply_appended(fh)
-                if scope.spent + amount > scope.budget:
-                    self._denials.append((scope_id, mechanism))
-                    raise BudgetExceededError()
-                record = PrivacyCharge(
-                    seq=self._seq + 1,
-                    scope_id=scope_id,
-                    kind=scope.kind,
-                    amount=amount,
-                    mechanism=mechanism,
-                    timestamp=time.time(),
-                )
-                if fh is not None:
-                    line = (record.to_line() + "\n").encode("utf-8")
-                    fh.write(line)
-                    fh.flush()
-                    self._offset += len(line)
-                self._seq = record.seq
-                scope.spent += amount
-                self._ledger.append(record)
-            finally:
-                if fh is not None:
-                    fcntl.flock(fh, fcntl.LOCK_UN)
+            if scope.spent + amount > scope.budget:
+                self._denials.append((scope_id, mechanism))
+                raise BudgetExceededError()
+            record = PrivacyCharge(self._seq + 1, scope_id, scope.kind, amount, mechanism,
+                                   time.time())
+            line = (record.to_line() + "\n").encode("utf-8")
+            fh.write(line)
+            fh.flush()
+            self._offset += len(line)
+            self._seq = record.seq
+            scope.spent += amount
         return record
 
-    def replay_ledger(self, path: str) -> None:
-        """Apply this accountant's ledger file, at `path`, from the point it
-        has read up to.  Replay reads under the writers' exclusive `flock`,
-        so a last line without its newline is a write that died half-way;
-        it is cut off the file, and an intact file is left as it is."""
-        with self._lock, open(path, "r+b") as fh:
+    def replay_ledger(self) -> None:
+        """Apply the ledger file from the point this accountant has read up
+        to.  Replay reads under the writers' exclusive `flock`, so a last
+        line without its newline is a write that died half-way; it is cut
+        off the file, and an intact file is left as it is."""
+        with self._synced():
+            pass
+
+    @contextlib.contextmanager
+    def _synced(self):
+        """Hold `_lock` and the ledger's exclusive `flock`, with what other writers
+        appended applied.  A closed accountant raises before it reads or grants."""
+        with self._lock:
+            fh = self._ledger_file
             fcntl.flock(fh, fcntl.LOCK_EX)
-            self._apply_appended(fh)
+            try:
+                self._apply_appended(fh)
+                yield fh
+            finally:
+                fcntl.flock(fh, fcntl.LOCK_UN)
 
     def _apply_appended(self, fh) -> None:
         """One pass over the ledger lines past `_offset`, in file order: the
@@ -201,7 +199,8 @@ class Accountant:
         data = fh.read()
         end = data.rfind(b"\n") + 1
         if end < len(data):
-            fh.truncate(self._offset + end)
+            fh.seek(self._offset + end)  # a temporary ledger has no O_APPEND
+            fh.truncate()
         if not end:
             return
         text = data[:end].decode("utf-8")
@@ -219,7 +218,6 @@ class Accountant:
         for sid, total in spent.items():
             self._scopes[sid].spent = total
         self._seq = seq
-        self._ledger.append(text)
         self._offset += end
 
     def remaining(self, scope_id: str) -> float:
@@ -233,11 +231,11 @@ class Accountant:
 
     @property
     def ledger(self) -> tuple[PrivacyCharge, ...]:
+        """The records this accountant has applied, read back from its ledger file."""
         with self._lock:
-            return tuple(itertools.chain.from_iterable(
-                [r] if isinstance(r, PrivacyCharge)
-                else map(PrivacyCharge.from_line, r.splitlines())
-                for r in self._ledger))
+            self._ledger_file.seek(0)
+            text = self._ledger_file.read(self._offset).decode("utf-8")
+        return tuple(map(PrivacyCharge.from_line, text.splitlines()))
 
     @property
     def denials(self) -> tuple:
@@ -245,9 +243,7 @@ class Accountant:
             return tuple(self._denials)
 
     def close(self) -> None:
-        if self._ledger_file is not None:
-            self._ledger_file.close()
-            self._ledger_file = None
+        self._ledger_file.close()
 
 
 def replay_spent(ledger: list[PrivacyCharge]) -> dict[str, float]:

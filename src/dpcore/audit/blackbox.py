@@ -55,9 +55,10 @@ class MechanismUnderTest:
                 raise ContractViolation("run_many returned the wrong number of outcomes")
         else:
             out = np.array([float(self.run(table, eps, rng)) for _ in range(n)])
-        # A NaN falls in no interval and would turn every quantile into NaN.
-        if np.isnan(out).any():
-            raise ContractViolation("the mechanism returned a NaN outcome")
+        # A NaN falls in no interval and would turn every quantile into NaN;
+        # an infinity turns the quantiles next to it into NaN.
+        if not np.isfinite(out).all():
+            raise ContractViolation("the mechanism returned a NaN or infinite outcome")
         return out
 
 
@@ -145,15 +146,14 @@ def _percentiles(pooled: np.ndarray) -> np.ndarray:
     return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
 
 
-def _event_counts(out: np.ndarray, qs: np.ndarray) -> np.ndarray:
-    """Row i: how many of sorted `out` fall in (-inf, q_i], in [q_i, inf),
-    and in [q_i, q_j] for every j (0 where j < i), as exact floats."""
+def _event_counts(out: np.ndarray, qs: np.ndarray, counts: np.ndarray) -> None:
+    """Fill row i of `counts`: how many of sorted `out` fall in (-inf, q_i], in
+    [q_i, inf), and in [q_i, q_j] for every j (0 where j < i), as exact floats."""
     right = np.searchsorted(out, qs, side="right")
     left = np.searchsorted(out, qs, side="left")
-    counts = np.empty((len(qs), len(qs) + 2))
     counts[:, 0], counts[:, 1] = right, len(out) - left
     np.subtract(right, left[:, None], out=counts[:, 2:])
-    return np.maximum(counts, 0.0, out=counts)
+    np.maximum(counts, 0.0, out=counts)
 
 
 def event_search(
@@ -185,13 +185,20 @@ def event_search(
     # Row i of each side's k x (k + 2) count matrix holds, in search order, the
     # ray (-inf, q_i], the ray [q_i, inf) and [q_i, q_j] for ascending j.  Cells
     # with j < i count 0: below the floor (always > 0), argmax never picks them.
-    qs = np.unique(_percentiles(pooled))
-    c1, c2 = _event_counts(out1, qs), _event_counts(out2, qs)
+    qs = np.sort(_percentiles(pooled))  # np.unique's algorithm, without numpy.ma
+    qs = qs[np.concatenate(([True], qs[1:] != qs[:-1]))]
+    # One block, filled in place: glibc keeps a freed block this size for the next
+    # search, where separate temporaries were trimmed and faulted back in each time.
+    c1, c2, score_fwd, score_rev, score = np.empty((5, len(qs), len(qs) + 2))
+    _event_counts(out1, qs, c1)
+    _event_counts(out2, qs, c2)
     # +1 smoothing on the sparse side keeps the score finite.
-    score_fwd = c1 / (e_eps * (c2 + 1.0))
-    score_rev = c2 / (e_eps * (c1 + 1.0))
-    score = np.maximum(score_fwd, score_rev)
-    score[np.maximum(c1, c2) < min_count] = -math.inf
+    np.divide(c1, np.multiply(e_eps, np.add(c2, 1.0, out=score_fwd), out=score_fwd),
+              out=score_fwd)
+    np.divide(c2, np.multiply(e_eps, np.add(c1, 1.0, out=score_rev), out=score_rev),
+              out=score_rev)
+    np.maximum(score_fwd, score_rev, out=score)
+    score[np.maximum(c1, c2, out=c1) < min_count] = -math.inf
     i, col = divmod(int(np.argmax(score)), len(qs) + 2)
     if score[i, col] == -math.inf:
         return OutcomeEvent(-math.inf, math.inf)

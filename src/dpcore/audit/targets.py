@@ -2,9 +2,10 @@
 
 Each target wires a data-access aggregation to the Laplace sampler of the
 privacy layer and defines only `run_many`.  Every `run_many` call computes
-the exact aggregate again and charges eps * n to a new, unlimited
-`Accountant`; within one call only the noise is redrawn for each of the n
-outcomes, which is exactly the separation the layering exists to allow.
+the exact aggregate again and charges eps * n to the target's own unlimited
+scope, created once with the target; within one call only the noise is
+redrawn for each of the n outcomes, which is exactly the separation the
+layering exists to allow.
 `MechanismUnderTest` derives `run` from it.
 """
 
@@ -20,19 +21,13 @@ from ..relational import Table
 from ..transforms import aggregate
 from .blackbox import MechanismUnderTest
 
-_scope_counter = [0]
-
-
-def _unlimited_scope():
-    _scope_counter[0] += 1
-    acct = Accountant()
-    return acct.create_scope(f"audit-{_scope_counter[0]}", budget=math.inf)
-
 
 def _laplace_target(name: str, *agg) -> MechanismUnderTest:
+    scope = Accountant().create_scope("audit", budget=math.inf)
+
     def run_many(table: Table, eps: float, rng: RandomSource, n: int) -> np.ndarray:
         v = aggregate(table, *agg)
-        _unlimited_scope().charge(eps * n, "laplace")  # one charge per run
+        scope.charge(eps * n, "laplace")  # one charge per run
         return v.values[0] + sample_laplace(rng, v.l1_sensitivity / eps, size=n)
 
     return MechanismUnderTest(name, run_many=run_many)

@@ -35,6 +35,8 @@ class CliState:
         self.config = ServiceConfig.from_file(config_path)
         if not self.config.state_dir:
             raise ContractViolation("config must set state_dir for CLI use")
+        if not self.config.ledger_path:
+            raise ContractViolation("config must set ledger for CLI use")
         self.state_dir = self.config.state_dir
         os.makedirs(os.path.join(self.state_dir, "datasets"), exist_ok=True)
         self.accountant = build_accountant(self.config)

@@ -306,11 +306,10 @@ def clamp_nonnegative(values) -> np.ndarray:
 
 
 def build_accountant(config: ServiceConfig) -> Accountant:
-    """Accountant with the configured scopes, restored from the ledger file
-    if one already exists."""
+    """Accountant with the configured scopes and every charge already in
+    its ledger file applied."""
     acct = Accountant(ledger_path=config.ledger_path)
     for spec in config.budgets:
         acct.create_scope(spec["id"], spec.get("kind", PURE_EPS), float(spec["budget"]))
-    if config.ledger_path:
-        acct.replay_ledger(config.ledger_path)
+    acct.replay_ledger()
     return acct

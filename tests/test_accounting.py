@@ -4,6 +4,7 @@ import multiprocessing
 import re
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ def test_charge_records_and_decrements(accountant, scope):
     assert isinstance(c, PrivacyCharge)
     assert accountant.spent("main") == 0.5
     assert scope.remaining() == pytest.approx(1e9 - 0.5)
-    assert accountant.ledger[-1] is c
+    assert accountant.ledger[-1] == c  # read back from the ledger file
 
 
 def test_charge_line_roundtrip():
@@ -72,14 +73,15 @@ def test_replay_ledger_restores_spend_and_seq(tmp_path):
     live.create_scope("b", PURE_EPS, 10.0)
     for i, amount in enumerate([0.1, 0.2, 0.3, 0.07, 1e-9, 0.3, 1 / 3]):
         live.charge("ab"[i % 2], amount, "laplace")
+    written = live.ledger
     live.close()
     restored = Accountant(ledger_path=path)
     restored.create_scope("a", PURE_EPS, 10.0)
     restored.create_scope("b", PURE_EPS, 10.0)
-    restored.replay_ledger(path)
+    restored.replay_ledger()
     # The same left-to-right float sum, not an approximation of it.
     assert restored.spent("a") == live.spent("a") and restored.spent("b") == live.spent("b")
-    assert restored.ledger == live.ledger
+    assert restored.ledger == written
     assert restored.charge("a", 0.5, "laplace").seq == 8
     restored.close()
 
@@ -91,11 +93,12 @@ def test_every_granted_amount_replays(tmp_path):
     live.create_scope("main", PURE_EPS, 10.0)
     for amount in (np.float64(0.5), -0.0, 1, 1e-300):
         live.charge("main", amount, "laplace")
+    written = live.ledger
     live.close()
     restored = build_accountant(
         ServiceConfig(budgets=[{"id": "main", "budget": 10.0}], ledger_path=path))
     assert restored.spent("main") == live.spent("main") == 1.5 + 1e-300
-    assert restored.ledger == live.ledger
+    assert restored.ledger == written
     restored.close()
 
 
@@ -114,11 +117,12 @@ def test_replay_ledger_cuts_a_torn_tail(tmp_path):
     config = ServiceConfig(budgets=[{"id": "main", "budget": 10.0}], ledger_path=str(path))
     restored = build_accountant(config)
     assert restored.spent("main") == 0.75
-    assert restored.charge("main", 1.0, "laplace").seq == 3
+    record = restored.charge("main", 1.0, "laplace")
+    assert record.seq == 3
     restored.close()
     lines = path.read_text().split("\n")
     assert len(lines) == 4 and lines[-1] == ""
-    assert PrivacyCharge.from_line(lines[2]) == restored.ledger[2]
+    assert PrivacyCharge.from_line(lines[2]) == record
     again = build_accountant(config)
     assert again.spent("main") == 1.75
     again.close()
@@ -156,6 +160,43 @@ def test_charge_cuts_a_torn_tail_past_its_offset(tmp_path):
     live.close()
     assert [PrivacyCharge.from_line(line).amount
             for line in path.read_text().splitlines()] == [0.25, 0.5]
+
+
+def test_a_closed_accountant_grants_nothing(tmp_path):
+    """After close() a charge raises before it spends or writes anything."""
+    path = tmp_path / "ledger.txt"
+    acct = Accountant(ledger_path=str(path))
+    acct.create_scope("main", PURE_EPS, 10.0)
+    acct.charge("main", 0.25, "laplace")
+    acct.close()
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        acct.charge("main", 0.5, "laplace")
+    assert acct.spent("main") == 0.25 and path.read_bytes() == before
+    unnamed = Accountant()
+    unnamed.create_scope("main", PURE_EPS, 10.0)
+    unnamed.close()
+    with pytest.raises(ValueError):
+        unnamed.charge("main", 0.5, "laplace")
+    assert unnamed.spent("main") == 0.0
+
+
+def test_charges_keep_no_in_memory_log(tmp_path):
+    """The ledger file is the only record: 2e4 charges leave traced memory
+    where it was, in place of a growing list of records."""
+    acct = Accountant(ledger_path=str(tmp_path / "l.txt"))
+    acct.create_scope("main", PURE_EPS, math.inf)
+    acct.charge("main", 1e-3, "laplace")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(20_000):
+            acct.charge("main", 1e-3 + 1e-7 * i, "laplace")
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    acct.close()
+    assert grown < 64 * 1024
 
 
 def test_replay_leaves_an_intact_ledger_untouched(tmp_path):
@@ -227,13 +268,14 @@ def test_replay_of_a_long_ledger_is_bit_exact_and_refuses_a_bad_line(tmp_path):
     live.create_scope("b", PURE_EPS, math.inf)
     for i in range(2000):
         live.charge("ab"[i % 3 == 0], 1e-3 + 1e-7 * i + (i % 7) / 3, "laplace")
+    written = live.ledger
     live.close()
     config = ServiceConfig(budgets=[{"id": "a", "budget": math.inf},
                                     {"id": "b", "budget": math.inf}], ledger_path=str(path))
     restored = build_accountant(config)
-    totals = replay_spent(list(live.ledger))
+    totals = replay_spent(list(written))
     assert restored.spent("a") == totals["a"] and restored.spent("b") == totals["b"]
-    assert restored.ledger == live.ledger
+    assert restored.ledger == written
     restored.close()
     # Skipping a line it cannot read would under-count the spend.
     lines = path.read_text().splitlines(keepends=True)

@@ -170,6 +170,25 @@ def test_audit_import_leaves_out_scipy():
     assert out.strip() == "[]"
 
 
+def test_event_search_leaves_out_numpy_ma():
+    """`np.unique` imports numpy.ma, about 14 ms of every cold `dpcore audit`;
+    the search keeps to the sort and a keep-first mask."""
+    src = os.path.dirname(os.path.dirname(dpcore.__file__))
+    script = (
+        "import sys\n"
+        "from dpcore import ColumnKind, ColumnMeta, RandomSource, Schema\n"
+        "from dpcore.audit import default_neighbor_suite, event_search\n"
+        "from dpcore.audit.targets import laplace_count_target\n"
+        "schema = Schema((ColumnMeta('c0', ColumnKind.INTEGER, lower=0, upper=100),\n"
+        "                 ColumnMeta('c1', ColumnKind.INTEGER, lower=0, upper=1)))\n"
+        "pair = default_neighbor_suite(schema)[1]\n"
+        "event_search(laplace_count_target(), pair, 1.0, 2000, RandomSource.from_os_entropy())\n"
+        "print('numpy.ma' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
 # -- neighbor suites ---------------------------------------------------------
 
 def test_default_suite_two_column(two_col_schema):
@@ -255,6 +274,15 @@ def test_nan_outcomes_are_refused(two_col_schema, rng):
         event_search(MechanismUnderTest("nan", run_many=run_many), suite[1], 1.0, 2000, rng)
     with pytest.raises(ContractViolation, match="NaN"):
         MechanismUnderTest("nan", lambda t, e, r: math.nan).sample(suite[1].d1, 1.0, rng, 3)
+    for bad in (math.inf, -math.inf):
+        with pytest.raises(ContractViolation, match="NaN or infinite"):
+            MechanismUnderTest("inf", lambda t, e, r: bad).sample(suite[1].d1, 1.0, rng, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractViolation, match="NaN or infinite"):
+                event_search(MechanismUnderTest(
+                    "inf", run_many=lambda t, e, r, n: np.r_[np.zeros(n - 1), bad]),
+                    suite[1], 1.0, 2000, rng)
 
 
 def test_null_pvalues_center_high(two_col_schema, rng):

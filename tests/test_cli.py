@@ -238,6 +238,24 @@ def test_budget_persists_across_invocations(workspace, capsys):
     assert spent <= 20.0
 
 
+def test_a_config_without_a_ledger_is_refused(workspace, capsys):
+    """Without a ledger file each process would start from a fresh budget,
+    so every command refuses such a config before it grants anything."""
+    handle = _ingest(workspace, capsys)
+    _, sid = _run(["session", "--dataset", handle, "--scope", "main",
+                   "--config", str(workspace / "cfg.json")], capsys)
+    raw = json.loads((workspace / "cfg.json").read_text())
+    del raw["ledger"]
+    (workspace / "bare.json").write_text(json.dumps(raw))
+    for argv in (["session", "--dataset", handle, "--scope", "main"],
+                 ["query", "--session", sid.strip(), "--plan", str(workspace / "plan.txt"),
+                  "--mechanism", "laplace", "--eps", "0.9"]):
+        code = main(argv + ["--config", str(workspace / "bare.json")])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: config must set ledger for CLI use\n"
+
+
 def test_rejected_query_exits_nonzero(workspace, capsys):
     cfg = str(workspace / "cfg.json")
     _, handle = _run(["ingest", "--csv", str(workspace / "d.csv"),
