@@ -17,38 +17,32 @@ from .accounting import (
     Accountant,
     PURE_EPS,
     PrivacyCharge,
-    ZCDP_RHO,
     linear_query_epsilon,
     power_bound,
     sequence_epsilon,
     verify_accounting,
-    zcdp_to_pure_dp,
 )
 from .errors import (
     BudgetExceededError,
     ContractViolation,
     ParameterError,
     RejectedOperationError,
-    ScopeMismatchError,
     UnknownColumnError,
 )
 from .mechanisms import (
     MechanismResult,
     exponential_mechanism,
-    gaussian_mechanism,
     laplace_mechanism,
     noisy_histogram,
     report_noisy_max,
     soft_threshold_filter,
 )
 from .randomness import (
-    LogWeight,
     RandomSource,
     derive_source,
     log_add,
     sample_discrete_laplace,
     sample_exponential,
-    sample_gaussian,
     sample_laplace,
 )
 from .relational import (

@@ -8,6 +8,7 @@ overspend, and replaying the ledger reproduces `spent` bit for bit.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import fcntl
 import math
@@ -19,16 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BudgetExceededError,
-    ContractViolation,
-    ParameterError,
-    ScopeMismatchError,
-    UnknownScopeError,
-)
+from .errors import BudgetExceededError, ContractViolation, ParameterError, UnknownScopeError
 
+#: The one scope kind: every mechanism spends epsilon, composed by addition.
 PURE_EPS = "pure-eps"
-ZCDP_RHO = "zcdp-rho"
 
 #: Significance level used in the interpretive power-bound report.
 DEFAULT_ALPHA = 0.05
@@ -40,7 +35,7 @@ class PrivacyCharge:
 
     seq: int
     scope_id: str
-    kind: str  # PURE_EPS or ZCDP_RHO
+    kind: str  # PURE_EPS
     amount: float
     mechanism: str
     timestamp: float
@@ -77,9 +72,9 @@ class BudgetScope:
     sharing: str = "global"  # "global" or "per-group:<group id>"
 
     def __post_init__(self) -> None:
-        if self.kind not in (PURE_EPS, ZCDP_RHO):
+        if self.kind != PURE_EPS:
             raise ContractViolation(f"unknown scope kind {self.kind!r}")
-        if self.budget < 0:
+        if not self.budget >= 0:  # a NaN budget would grant every charge
             raise ContractViolation("budget must be nonnegative")
 
 
@@ -89,10 +84,6 @@ class ScopeHandle:
     def __init__(self, accountant: "Accountant", scope_id: str) -> None:
         self._accountant = accountant
         self.scope_id = scope_id
-
-    @property
-    def kind(self) -> str:
-        return self._accountant._scope(self.scope_id).kind
 
     def charge(self, amount: float, mechanism: str) -> PrivacyCharge:
         return self._accountant.charge(self.scope_id, amount, mechanism)
@@ -109,13 +100,13 @@ class Accountant:
     unnamed temporary file that goes on `close`.  Every granted charge is
     appended and flushed before `charge` returns, so no mechanism result can
     be released ahead of its ledger record; a closed accountant grants nothing.
-    Denied requests are logged in memory (without spending) so audits can
-    detect probing.
+    Denied requests are counted in memory per (scope, mechanism), without
+    spending, so audits can detect probing.
     """
 
     def __init__(self, ledger_path: str | None = None) -> None:
         self._scopes: dict[str, BudgetScope] = {}
-        self._denials: list[tuple[str, str]] = []
+        self._denials: collections.Counter[tuple[str, str]] = collections.Counter()
         self._lock = threading.Lock()
         self._seq = 0
         self._ledger_file = (open(ledger_path, "a+b") if ledger_path
@@ -157,7 +148,7 @@ class Accountant:
         with self._synced() as fh:
             scope = self._scope(scope_id)
             if scope.spent + amount > scope.budget:
-                self._denials.append((scope_id, mechanism))
+                self._denials[scope_id, mechanism] += 1
                 raise BudgetExceededError()
             record = PrivacyCharge(self._seq + 1, scope_id, scope.kind, amount, mechanism,
                                    time.time())
@@ -238,9 +229,10 @@ class Accountant:
         return tuple(map(PrivacyCharge.from_line, text.splitlines()))
 
     @property
-    def denials(self) -> tuple:
+    def denials(self) -> dict[tuple[str, str], int]:
+        """Denied charges so far, counted per (scope id, mechanism)."""
         with self._lock:
-            return tuple(self._denials)
+            return dict(self._denials)
 
     def close(self) -> None:
         self._ledger_file.close()
@@ -266,12 +258,7 @@ def sequence_epsilon(charges) -> float:
     """
     total = 0.0
     for c in charges:
-        if isinstance(c, PrivacyCharge):
-            if c.kind != PURE_EPS:
-                raise ScopeMismatchError("sequence_epsilon is defined for pure-DP charges only")
-            total += c.amount
-        else:
-            total += float(c)
+        total += c.amount if isinstance(c, PrivacyCharge) else float(c)
     return total
 
 
@@ -306,12 +293,3 @@ def power_bound(epsilon_spent: float, alpha: float = DEFAULT_ALPHA) -> float:
     except OverflowError:
         return math.inf
 
-
-def zcdp_to_pure_dp(rho: float, delta: float) -> float:
-    """(eps, delta) reading of a rho-zCDP guarantee: eps = rho + 2*sqrt(rho ln(1/delta)).
-
-    Formula from the concentrated-DP literature; used for reporting only.
-    """
-    if not (0 < delta < 1):
-        raise ParameterError("delta must be in (0, 1)")
-    return rho + 2.0 * math.sqrt(rho * math.log(1.0 / delta))

@@ -21,7 +21,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import BudgetExceededError, ContractViolation
+from .errors import BudgetExceededError, ContractViolation, ParameterError
 from .randomness import RandomSource
 from .registry import DatasetRegistry
 from .relational import parse_schema
@@ -296,7 +296,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except ContractViolation as exc:
+    except (ContractViolation, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

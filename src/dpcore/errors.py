@@ -18,10 +18,6 @@ class UnknownScopeError(ContractViolation):
     """A budget scope id is not registered with the accountant."""
 
 
-class ScopeMismatchError(ContractViolation):
-    """A mechanism was pointed at a budget scope of the wrong kind."""
-
-
 class ParameterError(ValueError):
     """A numeric parameter is out of its allowed range."""
 

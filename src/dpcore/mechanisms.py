@@ -17,11 +17,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .accounting import PURE_EPS, ZCDP_RHO, PrivacyCharge, ScopeHandle
-from .errors import ContractViolation, ParameterError, ScopeMismatchError
+from .accounting import PrivacyCharge, ScopeHandle
+from .errors import ContractViolation, ParameterError
 from .randomness import (
-    RandomSource, log_add, sample_discrete_laplace, sample_exponential, sample_gaussian,
-    sample_laplace,
+    RandomSource, log_add, sample_discrete_laplace, sample_exponential, sample_laplace,
 )
 from .relational import StatVector
 
@@ -40,32 +39,30 @@ class MechanismResult:
     labels: tuple[str, ...] = ()
 
 
-def _check_floor(eps: float, sensitivity: float) -> None:
+def _spend(scope: ScopeHandle, eps: float, sensitivity: float, mechanism: str) -> PrivacyCharge:
+    """The one charge path of every mechanism, taken before its first draw.
+
+    A finite eps > 0 only: an infinite one would be booked and then fail in
+    the sampler, leaving `spent` infinite for good.  A positive sensitivity
+    also holds eps/sensitivity to the floor; 0 skips it.
+    """
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ParameterError("eps must be finite and positive")
     if sensitivity > 0 and eps / sensitivity < EPSILON_SENSITIVITY_FLOOR:
         raise ParameterError(
             "eps/sensitivity below the 1e-3 floor; refusing to sample at this "
             "noise scale"
         )
-
-
-def _charge(accountant: ScopeHandle, kind: str, amount: float, mechanism: str) -> PrivacyCharge:
-    """The one charge path of every mechanism: the scope must hold the kind
-    of budget the mechanism spends, so an epsilon is never booked as a rho."""
-    if accountant.kind != kind:
-        raise ScopeMismatchError(f"{mechanism} requires a {kind} scope")
-    return accountant.charge(amount, mechanism)
+    return scope.charge(eps, mechanism)
 
 
 def _laplace_release(
     v: StatVector, eps: float, accountant: ScopeHandle, rng: RandomSource,
     mechanism: str, discretize: bool = False,
 ) -> MechanismResult:
-    if not eps > 0:
-        raise ParameterError("eps must be positive")
-    _check_floor(eps, v.l1_sensitivity)
     if discretize and not v.integral:
         raise ContractViolation("integer noise is private on integer-valued statistics only")
-    charge = _charge(accountant, PURE_EPS, eps, mechanism)
+    charge = _spend(accountant, eps, v.l1_sensitivity, mechanism)
     values = v.values.copy()
     if v.l1_sensitivity > 0 and discretize:
         scale = Fraction(v.l1_sensitivity) / Fraction(eps)
@@ -93,23 +90,6 @@ def laplace_mechanism(
     return _laplace_release(v, eps, accountant, rng, "laplace", discretize)
 
 
-def gaussian_mechanism(
-    v: StatVector, rho: float, accountant: ScopeHandle, rng: RandomSource
-) -> MechanismResult:
-    """Add N(0, sigma^2) noise per coordinate under rho-zCDP accounting.
-
-    sigma^2 = sensitivity^2 / (2 rho); the charge is rho on a zCDP scope.
-    """
-    if not rho > 0:
-        raise ParameterError("rho must be positive")
-    charge = _charge(accountant, ZCDP_RHO, rho, "gaussian")
-    values = v.values.copy()
-    if v.l1_sensitivity > 0:
-        sigma = v.l1_sensitivity / math.sqrt(2.0 * rho)
-        values = values + sample_gaussian(rng, sigma, size=len(v))
-    return MechanismResult(values, charge, v.dimension_labels)
-
-
 def report_noisy_max(
     answers: StatVector, eps: float, accountant: ScopeHandle, rng: RandomSource
 ) -> int:
@@ -119,12 +99,9 @@ def report_noisy_max(
     Each entry gets independent Exp(2/eps) noise (per-entry sensitivity 1);
     ties break toward the smallest index.
     """
-    if not eps > 0:
-        raise ParameterError("eps must be positive")
     if len(answers) == 0:
         raise ContractViolation("report_noisy_max requires a nonempty vector")
-    _check_floor(eps, 1.0)
-    _charge(accountant, PURE_EPS, eps, "report_noisy_max")
+    _spend(accountant, eps, 1.0, "report_noisy_max")
     noisy = answers.values + sample_exponential(rng, 2.0 / eps, size=len(answers))
     return int(np.argmax(noisy))  # argmax takes the first of equal maxima
 
@@ -167,8 +144,6 @@ def exponential_mechanism(
     argmax release suffices; this mechanism is kept for arbitrary candidate
     sets, hardened as above.
     """
-    if not eps > 0:
-        raise ParameterError("eps must be positive")
     if not delta_q > 0:
         raise ParameterError("delta_q must be positive")
     candidates = list(candidates)
@@ -177,7 +152,7 @@ def exponential_mechanism(
         raise ContractViolation("exponential_mechanism requires candidates")
     if len(candidates) != quality.shape[0]:
         raise ContractViolation("one quality score per candidate required")
-    _charge(accountant, PURE_EPS, eps, "exponential_mechanism")
+    _spend(accountant, eps, 0.0, "exponential_mechanism")  # log-domain weights: no floor
     b, log_z = _log_weights(quality, delta_q, eps)
     # Inverse-CDF in log domain: find the first index whose cumulative log
     # weight reaches log(u) + log Z.
@@ -217,9 +192,8 @@ def soft_threshold_filter(
     """
     if lap_scale <= 0:
         raise ParameterError("lap_scale must be positive")
-    eps_equiv = counts.l1_sensitivity / lap_scale
-    _check_floor(eps_equiv, counts.l1_sensitivity)
-    charge = _charge(accountant, PURE_EPS, eps_equiv, "soft_threshold_filter")
+    charge = _spend(accountant, counts.l1_sensitivity / lap_scale, counts.l1_sensitivity,
+                    "soft_threshold_filter")
     noise = sample_laplace(rng, lap_scale, size=len(counts))
     included = tuple(
         label

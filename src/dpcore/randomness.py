@@ -6,8 +6,8 @@ Sources are keyed only from operating-system entropy or by derivation from
 another source.  There is no integer-seed constructor, no seed flag and no
 way to persist a seed: that is the API contract, not an omission.
 
-The Laplace, exponential and Gaussian samplers transform full-precision
-float uniforms; `sample_discrete_laplace` draws only integers and is exact.
+The Laplace and exponential samplers transform full-precision float
+uniforms; `sample_discrete_laplace` draws only integers and is exact.
 
 All samplers draw exclusively from the RandomSource they are handed, so a
 scripted stand-in (see dpcore.testing) makes them deterministic in tests.
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -26,11 +25,9 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 __all__ = [
     "RandomSource",
     "derive_source",
-    "LogWeight",
     "log_add",
     "sample_laplace",
     "sample_discrete_laplace",
-    "sample_gaussian",
     "sample_exponential",
 ]
 
@@ -156,20 +153,6 @@ def log_add(x: float, y: float) -> float:
     return z + math.log1p(math.exp(v - z))
 
 
-@dataclass(frozen=True)
-class LogWeight:
-    """A nonnegative weight stored as its natural log, end to end."""
-
-    value: float
-
-    def __add__(self, other: "LogWeight") -> "LogWeight":
-        return LogWeight(log_add(self.value, other.value))
-
-    @classmethod
-    def zero(cls) -> "LogWeight":
-        return cls(-math.inf)
-
-
 # ---------------------------------------------------------------------------
 # Samplers.  Every sampler takes its RandomSource explicitly and exposes its
 # scale through the returned values' construction only; the epsilon-floor
@@ -195,17 +178,6 @@ def sample_laplace(rng: RandomSource, scale: float, size: int | None = None):
         raise ValueError("scale must be positive")
     n = size if size is not None else 1
     out = rng.signs(n) * (-scale * np.log(rng.uniform_full(n)))
-    return out if size is not None else float(out[0])
-
-
-def sample_gaussian(rng: RandomSource, sigma: float, size: int | None = None):
-    """N(0, sigma^2) via Box-Muller on full-precision uniforms."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    n = size if size is not None else 1
-    u1 = rng.uniform_full(n)
-    u2 = rng.uniform(n)
-    out = sigma * np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
     return out if size is not None else float(out[0])
 
 

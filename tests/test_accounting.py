@@ -1,4 +1,5 @@
 import fcntl
+import json
 import math
 import multiprocessing
 import re
@@ -17,13 +18,10 @@ from dpcore import (
     PURE_EPS,
     ParameterError,
     PrivacyCharge,
-    ScopeMismatchError,
-    ZCDP_RHO,
     linear_query_epsilon,
     power_bound,
     sequence_epsilon,
     verify_accounting,
-    zcdp_to_pure_dp,
 )
 from dpcore.accounting import replay_spent
 from dpcore.errors import BUDGET_EXCEEDED_MESSAGE, UnknownScopeError
@@ -197,6 +195,49 @@ def test_charges_keep_no_in_memory_log(tmp_path):
         tracemalloc.stop()
     acct.close()
     assert grown < 64 * 1024
+
+
+def test_denials_are_counted_in_bounded_memory(tmp_path):
+    """Probing an exhausted scope is counted per (scope, mechanism): 2e4
+    denied charges leave traced memory where it was."""
+    acct = Accountant(ledger_path=str(tmp_path / "l.txt"))
+    acct.create_scope("main", PURE_EPS, 0.0)
+    for mechanism in ("laplace", "noisy_histogram"):
+        with pytest.raises(BudgetExceededError):
+            acct.charge("main", 1e-3, mechanism)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(20_000):
+            try:
+                acct.charge("main", 1e-3 + 1e-7 * i, "laplace")
+            except BudgetExceededError:
+                pass
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert acct.denials == {("main", "laplace"): 20_001, ("main", "noisy_histogram"): 1}
+    assert acct.ledger == ()
+    acct.close()
+    assert grown < 64 * 1024
+
+
+@pytest.mark.parametrize("kind, budget", [(PURE_EPS, math.nan), (PURE_EPS, -1.0),
+                                          ("zcdp-rho", 1.0), ("", 1.0)],
+                         ids=["nan-budget", "negative-budget", "zcdp-kind", "empty-kind"])
+def test_a_scope_needs_the_pure_kind_and_a_budget_of_at_least_zero(tmp_path, kind, budget):
+    """A NaN budget would grant every charge, as `spent + x > nan` is false;
+    every scope spends epsilon, so no other kind is accepted."""
+    acct = Accountant()
+    with pytest.raises(ContractViolation):
+        acct.create_scope("s", kind, budget)
+    with pytest.raises(UnknownScopeError):
+        acct.scope("s")
+    acct.close()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"budgets": [{"id": "s", "kind": kind, "budget": budget}]}))
+    with pytest.raises(ContractViolation):
+        build_accountant(ServiceConfig.from_file(str(path)))
 
 
 def test_replay_leaves_an_intact_ledger_untouched(tmp_path):
@@ -384,15 +425,6 @@ def test_sequence_epsilon_adds(accountant, scope):
     assert sequence_epsilon([0.5, 0.5]) == 1.0
 
 
-def test_sequence_epsilon_rejects_zcdp(tmp_path):
-    acct = Accountant(ledger_path=str(tmp_path / "l.txt"))
-    acct.create_scope("z", ZCDP_RHO, 10.0)
-    c = acct.scope("z").charge(0.5, "gaussian")
-    with pytest.raises(ScopeMismatchError):
-        sequence_epsilon([c])
-    acct.close()
-
-
 # -- linear query epsilon -----------------------------------------------------------
 
 @given(st.integers(1, 8), st.integers(1, 8), st.data())
@@ -435,16 +467,6 @@ def test_power_bound_reference_points():
     assert power_bound(0.5) == pytest.approx(0.08243606, abs=1e-6)
     assert power_bound(0.0) == 0.05
     assert power_bound(1.0, alpha=0.01) == pytest.approx(math.e * 0.01)
-
-
-def test_zcdp_to_pure_dp_formula():
-    rho, delta = 0.5, 1e-6
-    expected = rho + 2 * math.sqrt(rho * math.log(1 / delta))
-    assert zcdp_to_pure_dp(rho, delta) == pytest.approx(expected, rel=1e-15)
-    with pytest.raises(ParameterError):
-        zcdp_to_pure_dp(0.5, 0.0)
-    with pytest.raises(ParameterError):
-        zcdp_to_pure_dp(0.5, 1.0)
 
 
 def test_group_privacy_scales_linearly(scope):

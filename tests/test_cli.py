@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shutil
 import socket
@@ -254,6 +255,23 @@ def test_a_config_without_a_ledger_is_refused(workspace, capsys):
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err == "error: config must set ledger for CLI use\n"
+
+
+@pytest.mark.parametrize("budget", [math.nan, math.inf])
+def test_a_nan_or_unlimited_budget_gets_no_session(workspace, capsys, budget):
+    """A NaN budget would grant every charge and is refused with the config;
+    an unlimited one would make the startup estimate spend infinite epsilon.
+    Either way: exit 1, one error line, nothing charged."""
+    handle = _ingest(workspace, capsys)
+    raw = json.loads((workspace / "cfg.json").read_text())
+    raw["budgets"][0]["budget"] = budget
+    (workspace / "cfg.json").write_text(json.dumps(raw))
+    code = main(["session", "--dataset", handle, "--scope", "main",
+                 "--config", str(workspace / "cfg.json")])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert (workspace / "ledger.txt").read_text() == ""
 
 
 def test_rejected_query_exits_nonzero(workspace, capsys):

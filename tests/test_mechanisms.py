@@ -12,12 +12,9 @@ from dpcore import (
     PURE_EPS,
     ParameterError,
     Schema,
-    ScopeMismatchError,
     StatVector,
-    ZCDP_RHO,
     aggregate,
     exponential_mechanism,
-    gaussian_mechanism,
     group_by,
     laplace_mechanism,
     linear_map,
@@ -157,45 +154,26 @@ def test_laplace_variance_matches_target(rng, scope):
     assert float(np.var(out.values)) == pytest.approx(2 * (sens / eps) ** 2, rel=0.05)
 
 
-# -- gaussian ----------------------------------------------------------------------
-
-def test_gaussian_requires_zcdp_scope(scope, rng):
-    with pytest.raises(ScopeMismatchError):
-        gaussian_mechanism(_vec([1.0]), 0.5, scope, rng)
-
-
-def test_gaussian_charges_rho_and_matches_sigma(tmp_path, rng):
+@pytest.mark.parametrize("eps", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+def test_epsilon_mechanisms_refuse_a_bad_eps_before_the_charge(tmp_path, rng, eps):
+    """Only a finite eps > 0 is charged.  On an unlimited scope an infinite
+    eps would be booked and then fail in the sampler, leaving `spent`
+    infinite and `remaining` NaN for good."""
     acct = Accountant(ledger_path=str(tmp_path / "l.txt"))
-    acct.create_scope("z", ZCDP_RHO, 100.0)
-    scope = acct.scope("z")
-    rho, sens = 0.125, 2.0
-    v = _vec(np.zeros(200_000), sens=sens)
-    out = gaussian_mechanism(v, rho, scope, rng)
-    sigma2 = sens**2 / (2 * rho)
-    assert float(np.var(out.values)) == pytest.approx(sigma2, rel=0.05)
-    assert acct.spent("z") == rho
-    acct.close()
-
-
-def test_epsilon_mechanisms_require_pure_scope(tmp_path, rng):
-    """Every epsilon-spending mechanism refuses a zCDP scope before it
-    charges, so no epsilon is ever booked as a rho."""
-    acct = Accountant(ledger_path=str(tmp_path / "l.txt"))
-    acct.create_scope("z", ZCDP_RHO, 100.0)
-    scope = acct.scope("z")
+    scope = acct.create_scope("s", PURE_EPS)
     v = _vec([1.0, 2.0])
     calls = (
-        lambda: laplace_mechanism(v, 3.0, scope, rng),
-        lambda: laplace_mechanism(v, 3.0, scope, rng, discretize=True),
-        lambda: noisy_histogram(v, 3.0, scope, rng),
-        lambda: report_noisy_max(v, 3.0, scope, rng),
-        lambda: exponential_mechanism(["a", "b"], [0.0, 1.0], 1.0, 3.0, scope, rng),
-        lambda: soft_threshold_filter(v, 100.0, 0.5, scope, rng),
+        lambda: laplace_mechanism(v, eps, scope, rng),
+        lambda: laplace_mechanism(v, eps, scope, rng, discretize=True),
+        lambda: noisy_histogram(v, eps, scope, rng),
+        lambda: report_noisy_max(v, eps, scope, rng),
+        lambda: exponential_mechanism(["a", "b"], [0.0, 1.0], 1.0, eps, scope, rng),
+        lambda: soft_threshold_filter(v, 100.0, 1.0 / eps if eps else math.inf, scope, rng),
     )
     for call in calls:
-        with pytest.raises(ScopeMismatchError):
+        with pytest.raises(ParameterError):
             call()
-    assert acct.spent("z") == 0.0 and acct.ledger == ()
+    assert acct.spent("s") == 0.0 and acct.ledger == () and (tmp_path / "l.txt").read_text() == ""
     acct.close()
 
 

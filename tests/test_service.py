@@ -14,12 +14,11 @@ from dpcore import (
     ColumnMeta,
     ContractViolation,
     PURE_EPS,
+    ParameterError,
     RandomSource,
     Schema,
-    ScopeMismatchError,
     StatVector,
     Table,
-    ZCDP_RHO,
     make_table,
     parse_plan,
     parse_schema,
@@ -132,17 +131,17 @@ def test_dump_restore_sessions_drops_randomness(tmp_path):
     assert restored.rng is not session.rng
 
 
-def test_open_session_on_zcdp_scope_is_a_scope_mismatch(tmp_path):
-    """The gateway's mechanisms all spend epsilon, so a zCDP scope cannot pay
-    for the startup size estimate, and nothing is booked against it."""
+def test_open_session_on_an_unlimited_scope_is_refused(tmp_path):
+    """The startup estimate spends a share of what remains, and an unlimited
+    scope has an infinite share: it is refused, and nothing is booked."""
     csv, sidecar = _write_dataset(tmp_path, [(1, 0)])
     acct = Accountant()
-    acct.create_scope("z", ZCDP_RHO, 10.0)
+    acct.create_scope("u", PURE_EPS)
     svc = QueryService(DatasetRegistry(), acct, ServiceConfig(), clock=SimulatedClock())
     handle = svc.ingest(csv, sidecar)
-    with pytest.raises(ScopeMismatchError):
-        svc.open_session(handle, "z")
-    assert acct.spent("z") == 0.0 and acct.ledger == ()
+    with pytest.raises(ParameterError):
+        svc.open_session(handle, "u")
+    assert acct.spent("u") == 0.0 and acct.ledger == ()
 
 
 def test_open_session_trace_does_not_depend_on_the_dataset(tmp_path):
