@@ -19,7 +19,6 @@ from .accounting import (
     PrivacyCharge,
     linear_query_epsilon,
     power_bound,
-    sequence_epsilon,
     verify_accounting,
 )
 from .errors import (
@@ -35,7 +34,6 @@ from .mechanisms import (
     laplace_mechanism,
     noisy_histogram,
     report_noisy_max,
-    soft_threshold_filter,
 )
 from .randomness import (
     RandomSource,
@@ -72,7 +70,6 @@ from .transforms import (
     bernoulli_sample,
     distinct,
     group_by,
-    linear_map,
     map_column,
     parse_plan,
     project,

@@ -250,18 +250,6 @@ def replay_spent(ledger: list[PrivacyCharge]) -> dict[str, float]:
     return totals
 
 
-def sequence_epsilon(charges) -> float:
-    """Total epsilon of a pure-DP charge sequence: plain addition.
-
-    Valid for parameter-adaptive sequences too (later epsilons may depend on
-    earlier outputs); additivity carries over without loss.
-    """
-    total = 0.0
-    for c in charges:
-        total += c.amount if isinstance(c, PrivacyCharge) else float(c)
-    return total
-
-
 def linear_query_epsilon(Q, alphas) -> float:
     """Exact epsilon of answering linear queries Q with Laplace scales alphas.
 

@@ -175,29 +175,3 @@ def noisy_histogram(
     """
     return _laplace_release(grouped_counts, eps, accountant, rng, "noisy_histogram")
 
-
-def soft_threshold_filter(
-    counts: StatVector,
-    threshold: float,
-    lap_scale: float,
-    accountant: ScopeHandle,
-    rng: RandomSource,
-) -> MechanismResult:
-    """Release the group keys whose count beats threshold + fresh Laplace noise.
-
-    Defaults elsewhere in the stack mirror the threshold-100 / scale-5
-    release this construction comes from.  The charge is conservative:
-    sensitivity / lap_scale, i.e. the epsilon of the equivalent per-key
-    Laplace release.
-    """
-    if lap_scale <= 0:
-        raise ParameterError("lap_scale must be positive")
-    charge = _spend(accountant, counts.l1_sensitivity / lap_scale, counts.l1_sensitivity,
-                    "soft_threshold_filter")
-    noise = sample_laplace(rng, lap_scale, size=len(counts))
-    included = tuple(
-        label
-        for label, value, z in zip(counts.dimension_labels, counts.values, noise)
-        if value > threshold + z
-    )
-    return MechanismResult(np.array([float(len(included))]), charge, included)

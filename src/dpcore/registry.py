@@ -69,9 +69,8 @@ class DatasetRegistry:
                      clock=None, xi: float | None = None):
         """Run a plan against a registered table, returning its StatVector.
 
-        When a clock and timeout are given, predicate scans are paced: each
-        scan costs exactly xi per record, and overlong predicate
-        evaluations default to TRUE (see `select_where`).
+        When a clock and xi are given, predicate scans are paced: each scan
+        advances the clock by exactly xi per record (see `select_where`).
         """
         table = self._table(handle)
         if clock is not None and xi is not None:

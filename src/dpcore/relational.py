@@ -184,8 +184,8 @@ class Table:
     @functools.cached_property
     def rows(self) -> tuple[Row, ...]:
         """The rows as tuples of Python values, in array order: `int`,
-        `float` and the categorical `str`.  Built on first use; a plan step
-        reads it only for a test predicate's `simulated_cost`."""
+        `float` and the categorical `str`.  Built on first use; no plan step
+        reads it."""
         columns = []
         for col in self.schema.columns:
             a = self.array[col.name]
@@ -263,9 +263,6 @@ class DevLog:
             out = list(self._entries)
             self._entries.clear()
         return out
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 dev_log = DevLog()

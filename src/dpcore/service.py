@@ -1,9 +1,9 @@
 """Postprocessing layer and user-facing plumbing.
 
 Nothing in this module touches raw data: functions here accept dataset
-handles and MechanismResults only (the test suite asserts that no public
-function in this module takes or returns a Table).  Derived statistics,
-clamping and budget reporting are pure postprocessing and cost no budget.
+handles and plan text only (the test suite asserts that no public function
+in this module takes or returns a Table).  Budget reporting is pure
+postprocessing and costs no budget.
 """
 
 from __future__ import annotations
@@ -14,12 +14,9 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .accounting import Accountant, DEFAULT_ALPHA, PURE_EPS, ScopeHandle, power_bound
 from .errors import ContractViolation
 from .gateway import private_release
-from .mechanisms import MechanismResult
 from .randomness import RandomSource, derive_source
 from .registry import DatasetRegistry
 from .transforms import parse_plan
@@ -51,6 +48,15 @@ class ServiceConfig:
     startup_fraction: float = 0.01  # share of scope budget spent on n-hat
     ledger_path: str | None = None
     state_dir: str | None = None
+
+    def __post_init__(self) -> None:
+        # A negative or NaN term would move the response deadline before the
+        # work ends, or make the padding sleep fail after the charge: either
+        # way the response goes out unpadded.
+        for name in ("xi", "overhead"):
+            value = getattr(self, name)
+            if not (value >= 0 and math.isfinite(value)):
+                raise ContractViolation(f"{name} must be finite and nonnegative")
 
     @classmethod
     def from_file(cls, path: str) -> "ServiceConfig":
@@ -224,10 +230,6 @@ class QueryService:
         )
         return float(result.values[0])
 
-    def estimate_size(self, session: QuerySession) -> float:
-        """The session's cached noisy size; never recomputed."""
-        return session.n_hat
-
     # -- queries -----------------------------------------------------------
 
     def run_query(self, session: QuerySession, request: QueryRequest) -> QueryResponse:
@@ -288,28 +290,15 @@ class QueryService:
         )
 
 
-def derived_mean(noisy_sum: MechanismResult, noisy_count: MechanismResult) -> float:
-    """sum / max(count, 1), computed purely in postprocessing.
-
-    The denominator floor keeps the ratio defined when the noisy count is
-    nonpositive; no additional privacy charge is incurred here.
-    """
-    s = float(noisy_sum.values[0])
-    c = float(noisy_count.values[0])
-    return s / max(c, 1.0)
-
-
-def clamp_nonnegative(values) -> np.ndarray:
-    """Coordinatewise max(., 0).  OFF by default in every pipeline: zero
-    truncation biases downstream estimates, so callers must opt in."""
-    return np.maximum(np.asarray(values, dtype=np.float64), 0.0)
-
-
 def build_accountant(config: ServiceConfig) -> Accountant:
     """Accountant with the configured scopes and every charge already in
     its ledger file applied."""
     acct = Accountant(ledger_path=config.ledger_path)
-    for spec in config.budgets:
-        acct.create_scope(spec["id"], spec.get("kind", PURE_EPS), float(spec["budget"]))
-    acct.replay_ledger()
+    try:
+        for spec in config.budgets:
+            acct.create_scope(spec["id"], spec.get("kind", PURE_EPS), float(spec["budget"]))
+        acct.replay_ledger()
+    except BaseException:  # a refused config leaves no ledger file open
+        acct.close()
+        raise
     return acct

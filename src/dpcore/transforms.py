@@ -13,7 +13,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .relational import (
     StatVector,
     Table,
     build_records,
-    dev_log,
 )
 
 _OPS = {
@@ -102,14 +101,9 @@ class Comparison:
 
 @dataclass(frozen=True)
 class Predicate:
-    """Conjunction of comparisons.
-
-    `simulated_cost` is an optional per-row cost (in the injected clock's
-    units), a test hook for paced scans: see `select_where`.
-    """
+    """Conjunction of comparisons."""
 
     conjuncts: tuple[Comparison, ...]
-    simulated_cost: Callable[[tuple], float] | None = None
 
 
 def _refine_column(col: ColumnMeta, pred: Predicate) -> ColumnMeta:
@@ -130,8 +124,7 @@ def _refine_column(col: ColumnMeta, pred: Predicate) -> ColumnMeta:
 def select_where(t: Table, pred: Predicate, clock=None, xi: float = 0.0) -> Table:
     """Row filter; 1-stable; output bounds refined by the predicate.
 
-    With a clock the scan is paced: it costs len(t) * xi in one `advance`,
-    and a row whose `simulated_cost` exceeds xi times out to TRUE, logged.
+    With a clock the scan is paced: it costs len(t) * xi in one `advance`.
     """
     for comp in pred.conjuncts:
         comp.check_kind(t.schema.column(comp.column))  # or UnknownColumnError
@@ -143,10 +136,6 @@ def select_where(t: Table, pred: Predicate, clock=None, xi: float = 0.0) -> Tabl
         keep &= comp.mask(t)
     if clock is not None:
         clock.advance(len(t) * xi)
-        for i, row in enumerate(t.rows if pred.simulated_cost else ()):
-            if pred.simulated_cost(row) > xi:
-                dev_log.append("predicate timeout: defaulted to TRUE")
-                keep[i] = True
     # compress copies packed records many times faster than a boolean index
     return Table(Schema(new_cols), np.compress(keep, t.array), t.stability)
 
@@ -362,18 +351,6 @@ def aggregate(t: Table | GroupedTable, agg: str, column: str | None = None) -> S
         values = [float(exact(ordered[s:e])) for s, e in zip([0] + ends[:-1], ends)]
     integral = agg == "count" or col.kind is ColumnKind.INTEGER
     return StatVector(np.array(values, dtype=np.float64), factor * influence, t.labels, integral)
-
-
-def linear_map(v: StatVector, m) -> StatVector:
-    """Matrix postmap on an exact vector; sensitivity scales by the max
-    column L1 norm of the matrix.  The output is never marked integral."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[1] != len(v):
-        raise ContractViolation("matrix dimensions do not conform")
-    norm = float(np.max(np.sum(np.abs(m), axis=0))) if m.size else 0.0
-    values = m @ v.values
-    labels = tuple(f"lin{i}" for i in range(m.shape[0]))
-    return StatVector(values, v.l1_sensitivity * norm, labels, integral=False)
 
 
 _REJECTED = {

@@ -2,7 +2,10 @@ import fcntl
 import json
 import math
 import multiprocessing
+import os
 import re
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -11,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import dpcore
 from dpcore import (
     Accountant,
     BudgetExceededError,
@@ -20,7 +24,6 @@ from dpcore import (
     PrivacyCharge,
     linear_query_epsilon,
     power_bound,
-    sequence_epsilon,
     verify_accounting,
 )
 from dpcore.accounting import replay_spent
@@ -240,6 +243,31 @@ def test_a_scope_needs_the_pure_kind_and_a_budget_of_at_least_zero(tmp_path, kin
         build_accountant(ServiceConfig.from_file(str(path)))
 
 
+def test_a_refused_config_leaves_no_ledger_file_open(tmp_path):
+    """`build_accountant` opens the ledger before it reads the scopes and the
+    replay; a NaN budget and a malformed ledger line are refused with the
+    file closed.  Run in a fresh interpreter that turns an unclosed file into
+    an error."""
+    (tmp_path / "bad.txt").write_text("junk\n")
+    script = (
+        "import gc, math\n"
+        "from dpcore.errors import ContractViolation\n"
+        "from dpcore.service import ServiceConfig, build_accountant\n"
+        f"for budget, path in ((math.nan, {str(tmp_path / 'new.txt')!r}),\n"
+        f"                     (1.0, {str(tmp_path / 'bad.txt')!r})):\n"
+        "    try:\n"
+        "        build_accountant(ServiceConfig(budgets=[{'id': 's', 'budget': budget}],\n"
+        "                                       ledger_path=path))\n"
+        "    except ContractViolation:\n"
+        "        print('refused')\n"
+        "gc.collect()\n")
+    src = os.path.dirname(os.path.dirname(dpcore.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", script],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == "refused\nrefused\n", proc.stderr
+    assert "ResourceWarning" not in proc.stderr
+
 def test_replay_leaves_an_intact_ledger_untouched(tmp_path):
     """Every command replays the shared ledger, the read-only ones too: a
     file that ends in a newline is only read, never rewritten."""
@@ -417,14 +445,6 @@ def test_concurrent_charges_conserve_budget(tmp_path):
     acct.close()
 
 
-# -- composition ------------------------------------------------------------------
-
-def test_sequence_epsilon_adds(accountant, scope):
-    charges = [scope.charge(e, "laplace") for e in (0.1, 0.2, 0.3)]
-    assert sequence_epsilon(charges) == pytest.approx(0.6)
-    assert sequence_epsilon([0.5, 0.5]) == 1.0
-
-
 # -- linear query epsilon -----------------------------------------------------------
 
 @given(st.integers(1, 8), st.integers(1, 8), st.data())
@@ -469,7 +489,8 @@ def test_power_bound_reference_points():
     assert power_bound(1.0, alpha=0.01) == pytest.approx(math.e * 0.01)
 
 
-def test_group_privacy_scales_linearly(scope):
+def test_group_privacy_scales_linearly(accountant, scope):
     """k group members cost k * eps under pure DP: additivity again."""
-    charges = [scope.charge(0.5, "laplace")]
-    assert sequence_epsilon(charges * 4) == pytest.approx(2.0)
+    for _ in range(4):
+        scope.charge(0.5, "laplace")
+    assert accountant.spent("main") == 2.0

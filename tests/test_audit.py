@@ -20,7 +20,6 @@ from dpcore import (
     StatVector,
     aggregate,
     group_by,
-    linear_map,
     make_table,
     sample_laplace,
     select_where,
@@ -506,13 +505,6 @@ def test_lipschitz_check_linear_map(rng):
     c = float(np.max(np.sum(np.abs(m), axis=0)))
     assert lipschitz_check(f, c, dim=2, rng=rng).passed
     assert not lipschitz_check(f, c - 0.1, dim=2, rng=rng).passed
-
-
-def test_linear_map_claim_verified_empirically(rng):
-    m = np.array([[2.0, 0.0, 1.0], [-1.0, 1.0, 0.0]])
-    v = StatVector(np.zeros(3), 1.0, ("a", "b", "c"))
-    claimed = linear_map(v, m).l1_sensitivity
-    assert lipschitz_check(lambda x: m @ x, claimed, dim=3, rng=rng).passed
 
 
 # -- exponential mechanism ratio checks ----------------------------------------------

@@ -274,6 +274,21 @@ def test_a_nan_or_unlimited_budget_gets_no_session(workspace, capsys, budget):
     assert (workspace / "ledger.txt").read_text() == ""
 
 
+@pytest.mark.parametrize("key, value", [("xi", -1.0), ("overhead", math.nan)])
+def test_a_schedule_that_does_not_pad_gets_no_session(workspace, capsys, key, value):
+    """A padding schedule that cannot pad is refused with the config: exit 1,
+    one error line, nothing charged."""
+    handle = _ingest(workspace, capsys)
+    raw = json.loads((workspace / "cfg.json").read_text())
+    raw[key] = value
+    (workspace / "cfg.json").write_text(json.dumps(raw))
+    code = main(["session", "--dataset", handle, "--scope", "main",
+                 "--config", str(workspace / "cfg.json")])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {key} must be finite and nonnegative\n"
+    assert (workspace / "ledger.txt").read_text() == ""
+
 def test_rejected_query_exits_nonzero(workspace, capsys):
     cfg = str(workspace / "cfg.json")
     _, handle = _run(["ingest", "--csv", str(workspace / "d.csv"),

@@ -17,11 +17,9 @@ from dpcore import (
     exponential_mechanism,
     group_by,
     laplace_mechanism,
-    linear_map,
     make_table,
     noisy_histogram,
     report_noisy_max,
-    soft_threshold_filter,
 )
 from dpcore.mechanisms import (
     EPSILON_SENSITIVITY_FLOOR,
@@ -86,7 +84,7 @@ def test_laplace_discretize_rounds(scope):
 def test_laplace_int_refuses_real_valued_statistics(tmp_path, rng):
     """Integer noise is private only on integer values.  A real-column sum
     is refused from its metadata even when its value is whole, and so is a
-    linear map's output, both before the charge."""
+    vector with a fractional value, both before the charge."""
     path = tmp_path / "l.txt"
     acct = Accountant(ledger_path=str(path))
     scope = acct.create_scope("main", PURE_EPS, 10.0)
@@ -95,7 +93,7 @@ def test_laplace_int_refuses_real_valued_statistics(tmp_path, rng):
     t = make_table(schema, [(2.0, 1), (3.0, 2)])
     real_sum = aggregate(t, "sum", "x")
     assert real_sum.values.tolist() == [5.0] and not real_sum.integral
-    for v in (real_sum, linear_map(aggregate(t, "count"), [[1.0]]), _vec([0.5])):
+    for v in (real_sum, _vec([0.5])):
         with pytest.raises(ContractViolation):
             laplace_mechanism(v, 1.0, scope, rng, discretize=True)
     assert acct.ledger == () and path.read_text() == ""
@@ -168,7 +166,6 @@ def test_epsilon_mechanisms_refuse_a_bad_eps_before_the_charge(tmp_path, rng, ep
         lambda: noisy_histogram(v, eps, scope, rng),
         lambda: report_noisy_max(v, eps, scope, rng),
         lambda: exponential_mechanism(["a", "b"], [0.0, 1.0], 1.0, eps, scope, rng),
-        lambda: soft_threshold_filter(v, 100.0, 1.0 / eps if eps else math.inf, scope, rng),
     )
     for call in calls:
         with pytest.raises(ParameterError):
@@ -269,26 +266,3 @@ def test_noisy_histogram_noise_scale(rng, scope):
     draws = np.array([noisy_histogram(counts, 2.0, scope, rng).values
                       for _ in range(30_000)])
     assert float(np.var(draws[:, 0])) == pytest.approx(2 * (2.0 / 2.0) ** 2, rel=0.07)
-
-
-# -- soft threshold filter -------------------------------------------------------------
-
-def test_soft_threshold_includes_only_heavy_cells(scope):
-    counts = StatVector(np.array([150.0, 90.0, 101.0]), 1.0, ("x", "y", "z"))
-    out = soft_threshold_filter(counts, threshold=100.0, lap_scale=5.0,
-                                accountant=scope, rng=zero_noise_source())
-    assert out.labels == ("x", "z")
-    assert out.values.tolist() == [2.0]
-
-
-def test_soft_threshold_charge_is_sensitivity_over_scale(accountant, scope):
-    counts = StatVector(np.array([1.0]), 2.0, ("x",))
-    out = soft_threshold_filter(counts, 100.0, 5.0, scope, zero_noise_source())
-    assert out.charge.amount == pytest.approx(2.0 / 5.0)
-    assert accountant.spent("main") == pytest.approx(0.4)
-
-
-def test_soft_threshold_rejects_bad_scale(scope):
-    counts = StatVector(np.array([1.0]), 1.0, ("x",))
-    with pytest.raises(ParameterError):
-        soft_threshold_filter(counts, 100.0, 0.0, scope, zero_noise_source())

@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -25,9 +26,7 @@ from dpcore import (
 )
 import dpcore.service as service_mod
 from dpcore.gateway import MECHANISMS, private_release
-from dpcore.mechanisms import MechanismResult
 from dpcore.registry import DatasetRegistry
-from dpcore.relational import dev_log
 from dpcore.service import (
     BudgetStatus,
     QueryRequest,
@@ -36,8 +35,6 @@ from dpcore.service import (
     ServiceConfig,
     SystemClock,
     build_accountant,
-    clamp_nonnegative,
-    derived_mean,
 )
 from dpcore.testing import ScriptedSource, SimulatedClock
 from dpcore.transforms import Comparison, Predicate, TransformPlan
@@ -110,13 +107,8 @@ def test_gateway_is_the_only_release_path():
 def test_open_session_spends_startup_budget(tmp_path):
     svc, handle, acct = _service(tmp_path, [(1, 0), (2, 1)], clock=SimulatedClock(),
                                  budget=10.0)
-    session = svc.open_session(handle, "main")
+    svc.open_session(handle, "main")
     assert acct.spent("main") > 0  # the n-hat estimate was paid for
-    assert session.n_hat == svc.estimate_size(session)
-    # Cached: asking again does not spend more.
-    before = acct.spent("main")
-    svc.estimate_size(session)
-    assert acct.spent("main") == before
 
 
 def test_dump_restore_sessions_drops_randomness(tmp_path):
@@ -409,34 +401,26 @@ def test_padding_is_a_power_of_two_bucket(tmp_path):
     assert pad >= session.n_hat + 16 - 1  # bucket covers the estimate
 
 
-def _paced_count(cost):
+def _paced_count():
     """Count the rows with c0 >= 50 of a two-row table, (10,) and (20,),
-    through a paced scan whose predicate costs `cost` per row; returns the
-    count and every `advance` of the clock."""
+    through a paced scan; returns the count and every `advance` of the
+    clock."""
     schema = Schema((ColumnMeta("c0", ColumnKind.INTEGER, lower=0, upper=100),))
     registry = DatasetRegistry()
     handle = registry.register(make_table(schema, [(10,), (20,)]))
     clock = SimulatedClock()
     advances = []
     clock.advance = lambda dt: (advances.append(dt), SimulatedClock.advance(clock, dt))
-    pred = Predicate((Comparison("c0", ">=", 50),), simulated_cost=lambda row: cost)
+    pred = Predicate((Comparison("c0", ">=", 50),))
     plan = TransformPlan((("select_where", pred), ("count",)))
     v = registry.execute_plan(handle, plan, clock=clock, xi=1.0)
     return v.values.tolist(), advances
 
 
-def test_slow_predicate_defaults_true_and_costs_xi(tmp_path):
-    dev_log.drain()
-    counted, advances = _paced_count(100.0)
-    assert counted == [2.0]  # both rows time out -> TRUE, not False
-    assert advances == [2.0]  # 2 * xi in one advance, regardless of the overrun
-    assert sum("timeout" in m for m in dev_log.drain()) == 2
-
-
-def test_fast_predicate_same_cost_as_slow(tmp_path):
-    counted, advances = _paced_count(0.001)
+def test_paced_scan_costs_xi_per_row_in_one_advance(tmp_path):
+    counted, advances = _paced_count()
     assert counted == [0.0]
-    assert advances == [2.0]  # same cost as the slow path
+    assert advances == [2.0]  # 2 * xi in one advance
 
 
 def test_system_clock_advance_does_not_sleep():
@@ -462,23 +446,6 @@ def test_schedule_overrun_takes_one_doubling_step(tmp_path):
 
 
 # -- postprocessing -------------------------------------------------------------------
-
-def _result(x):
-    from dpcore.accounting import PrivacyCharge
-    charge = PrivacyCharge(1, "s", PURE_EPS, 0.1, "laplace", 0.0)
-    return MechanismResult(np.array([float(x)]), charge, ("v",))
-
-
-def test_derived_mean_floors_denominator():
-    assert derived_mean(_result(50.0), _result(10.0)) == 5.0
-    assert derived_mean(_result(50.0), _result(-3.0)) == 50.0  # floor at 1
-    assert derived_mean(_result(50.0), _result(0.5)) == 50.0
-
-
-def test_clamp_nonnegative_is_opt_in_postprocessing():
-    out = clamp_nonnegative([-1.0, 0.0, 2.5])
-    assert out.tolist() == [0.0, 0.0, 2.5]
-
 
 def test_budget_status_reports_power_bound(tmp_path):
     svc, handle, acct = _service(tmp_path, [(1, 0)], budget=10.0,
@@ -513,6 +480,21 @@ def test_service_config_from_file(tmp_path):
     assert acct2.remaining("main") == 2.5
     acct2.close()
 
+
+@pytest.mark.parametrize("key", ["xi", "overhead"])
+@pytest.mark.parametrize("value", [-1.0, math.nan, math.inf, -math.inf])
+def test_a_schedule_that_does_not_pad_is_refused(tmp_path, key, value):
+    """A negative xi puts the response deadline before the work ends, and a
+    NaN overhead makes the padding sleep raise after the charge: either way
+    a response would go out unpadded.  Zero is a valid schedule."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({key: value}))
+    with pytest.raises(ContractViolation):
+        ServiceConfig.from_file(str(path))
+    with pytest.raises(ContractViolation):
+        ServiceConfig(**{key: value})
+    path.write_text(json.dumps({key: 0.0}))
+    assert getattr(ServiceConfig.from_file(str(path)), key) == 0.0
 
 def test_config_has_no_seed_knob(tmp_path):
     assert "seed" not in {f.name for f in

@@ -20,7 +20,6 @@ from dpcore import (
     bernoulli_sample,
     distinct,
     group_by,
-    linear_map,
     make_table,
     map_column,
     parse_plan,
@@ -243,26 +242,6 @@ def test_sum_requires_bounded_numeric_column():
         aggregate(t, "sum", "k")
     with pytest.raises(ContractViolation):
         aggregate(t, "sum")
-
-
-# -- linear maps --------------------------------------------------------------
-
-@given(st.integers(1, 4), st.integers(1, 4), st.data())
-def test_linear_map_sensitivity_is_max_column_norm(nr, nc, data):
-    m = np.array([[data.draw(st.integers(-3, 3)) for _ in range(nc)]
-                  for _ in range(nr)], dtype=float)
-    from dpcore import StatVector
-    v = StatVector(np.zeros(nc), 2.0, tuple(f"g{i}" for i in range(nc)))
-    out = linear_map(v, m)
-    expected = 2.0 * max(float(np.abs(m[:, j]).sum()) for j in range(nc))
-    assert out.l1_sensitivity == pytest.approx(expected)
-
-
-def test_linear_map_shape_check():
-    from dpcore import StatVector
-    v = StatVector(np.zeros(2), 1.0, ("a", "b"))
-    with pytest.raises(ContractViolation):
-        linear_map(v, np.zeros((2, 3)))
 
 
 # -- rejected operators -------------------------------------------------------
