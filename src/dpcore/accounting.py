@@ -11,7 +11,9 @@ from __future__ import annotations
 import collections
 import contextlib
 import fcntl
+import json
 import math
+import os
 import re
 import tempfile
 import threading
@@ -19,6 +21,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from cryptography.hazmat.primitives import hashes
 
 from .errors import BudgetExceededError, ContractViolation, ParameterError, UnknownScopeError
 
@@ -68,7 +71,6 @@ class BudgetScope:
     id: str
     kind: str
     budget: float
-    spent: float = 0.0
     sharing: str = "global"  # "global" or "per-group:<group id>"
 
     def __post_init__(self) -> None:
@@ -97,11 +99,12 @@ class Accountant:
 
     The ledger file is the only record of what was spent: `ledger_path`, which
     outlives the process and may be shared with other processes, or else an
-    unnamed temporary file that goes on `close`.  Every granted charge is
-    appended and flushed before `charge` returns, so no mechanism result can
-    be released ahead of its ledger record; a closed accountant grants nothing.
-    Denied requests are counted in memory per (scope, mechanism), without
-    spending, so audits can detect probing.
+    unnamed temporary file that goes on `close`.  `<ledger_path>.ckpt` caches a
+    replay and is used only where its SHA-256 matches the ledger's bytes.
+    Every granted charge is appended and flushed before `charge` returns, so
+    no mechanism result can be released ahead of its ledger record; a closed
+    accountant grants nothing.  Denied requests are counted in memory per
+    (scope, mechanism), without spending, so audits can detect probing.
     """
 
     def __init__(self, ledger_path: str | None = None) -> None:
@@ -111,7 +114,10 @@ class Accountant:
         self._seq = 0
         self._ledger_file = (open(ledger_path, "a+b") if ledger_path
                              else tempfile.TemporaryFile("a+b"))
-        self._offset = 0  # ledger bytes applied to `spent`
+        self._ckpt = ledger_path and ledger_path + ".ckpt"
+        self._offset = 0  # ledger bytes applied to `_totals` and `_hash`
+        self._totals: dict[str, float] = {}  # left-to-right spend per scope id
+        self._hash = hashes.Hash(hashes.SHA256())
 
     # -- scope management -----------------------------------------------
 
@@ -145,47 +151,59 @@ class Accountant:
         if not amount >= 0:
             raise ParameterError("charge amount must be nonnegative")
         amount = float(amount) + 0.0  # the repr replay reads: no -0.0, no numpy scalar
-        with self._synced() as fh:
+        with self._synced():
             scope = self._scope(scope_id)
-            if scope.spent + amount > scope.budget:
+            spent = self._totals.get(scope_id, 0.0)
+            if spent + amount > scope.budget:
                 self._denials[scope_id, mechanism] += 1
                 raise BudgetExceededError()
             record = PrivacyCharge(self._seq + 1, scope_id, scope.kind, amount, mechanism,
                                    time.time())
             line = (record.to_line() + "\n").encode("utf-8")
-            fh.write(line)
-            fh.flush()
+            self._ledger_file.write(line)
+            self._ledger_file.flush()
             self._offset += len(line)
+            self._hash.update(line)
             self._seq = record.seq
-            scope.spent += amount
+            self._totals[scope_id] = spent + amount
         return record
 
     def replay_ledger(self) -> None:
         """Apply the ledger file from the point this accountant has read up
         to.  Replay reads under the writers' exclusive `flock`, so a last
         line without its newline is a write that died half-way; it is cut
-        off the file, and an intact file is left as it is."""
-        with self._synced():
-            pass
+        off the file, and an intact file is left as it is.  A replay that read
+        new records of a named ledger rewrites its checkpoint through a fixed
+        temporary name, so a killed writer leaves the last one whole; the
+        checkpoint is a cache, and a failed write is ignored."""
+        with self._synced() as records, contextlib.suppress(OSError):
+            if records and self._ckpt:
+                state = {"offset": self._offset, "seq": self._seq,
+                         "spent": {sid: repr(total) for sid, total in self._totals.items()},
+                         "sha256": self._hash.copy().finalize().hex()}
+                with open(self._ckpt + ".tmp", "w", encoding="utf-8") as out:
+                    json.dump(state, out)
+                os.replace(self._ckpt + ".tmp", self._ckpt)
 
     @contextlib.contextmanager
     def _synced(self):
-        """Hold `_lock` and the ledger's exclusive `flock`, with what other writers
-        appended applied.  A closed accountant raises before it reads or grants."""
+        """Hold `_lock` and the ledger's exclusive `flock`, and yield how many
+        records were read from the file.  A closed accountant raises first."""
         with self._lock:
             fh = self._ledger_file
             fcntl.flock(fh, fcntl.LOCK_EX)
             try:
-                self._apply_appended(fh)
-                yield fh
+                yield self._apply_appended(fh)
             finally:
                 fcntl.flock(fh, fcntl.LOCK_UN)
 
-    def _apply_appended(self, fh) -> None:
-        """One pass over the ledger lines past `_offset`, in file order: the
-        same left-to-right sums `charge` made, and the highest `seq`.  A
-        record of a scope no longer configured spends nothing.  Caller holds
-        `_lock` and the file's `flock`."""
+    def _apply_appended(self, fh) -> int:
+        """One pass over the ledger lines past `_offset` (or past a verified
+        checkpoint), in file order: the same left-to-right sums `charge` made,
+        for every scope id, and the highest `seq`.  Caller holds `_lock` and
+        the file's `flock`."""
+        if not self._offset and self._ckpt:
+            self._load_checkpoint(fh)
         fh.seek(self._offset)
         data = fh.read()
         end = data.rfind(b"\n") + 1
@@ -193,32 +211,52 @@ class Accountant:
             fh.seek(self._offset + end)  # a temporary ledger has no O_APPEND
             fh.truncate()
         if not end:
-            return
+            return 0
         text = data[:end].decode("utf-8")
-        spent = {sid: scope.spent for sid, scope in self._scopes.items()}
+        totals = dict(self._totals)
         seq = self._seq
         records = 0
         for m in _LINE.finditer(text):
             line_seq, sid, amount = m.group(1, 2, 4)
-            if sid in spent:
-                spent[sid] += float(amount)
+            totals[sid] = totals.get(sid, 0.0) + float(amount)
             seq = max(seq, int(line_seq))
             records += 1
         if records != text.count("\n"):
             raise ContractViolation("malformed ledger line")
-        for sid, total in spent.items():
-            self._scopes[sid].spent = total
-        self._seq = seq
+        self._totals, self._seq = totals, seq
         self._offset += end
+        self._hash.update(data[:end])
+        return records
+
+    def _load_checkpoint(self, fh) -> None:
+        """Start from `<ledger>.ckpt` if it is well-formed, its `offset` ends a
+        line of the ledger and the SHA-256 of the bytes before it matches."""
+        try:
+            with open(self._ckpt, "rb") as src:
+                ckpt = json.load(src)
+            offset, seq = ckpt["offset"], ckpt["seq"]
+            totals = {sid: float(total) for sid, total in ckpt["spent"].items()}
+            fh.seek(offset - 1)  # a checkpoint is written only past a whole record
+            if not (type(offset) is type(seq) is int and fh.read(1) == b"\n"
+                    and all(total >= 0 for total in totals.values())):
+                return
+            digest = hashes.Hash(hashes.SHA256())
+            fh.seek(0)
+            for start in range(0, offset, 1 << 16):
+                digest.update(fh.read(min(1 << 16, offset - start)))
+            if digest.copy().finalize() == bytes.fromhex(ckpt["sha256"]):
+                self._offset, self._seq, self._totals, self._hash = offset, seq, totals, digest
+        except (OSError, ValueError, LookupError, TypeError, AttributeError):
+            pass  # an unreadable checkpoint is a miss: replay from byte 0
 
     def remaining(self, scope_id: str) -> float:
         with self._lock:
-            scope = self._scope(scope_id)
-            return scope.budget - scope.spent
+            return self._scope(scope_id).budget - self._totals.get(scope_id, 0.0)
 
     def spent(self, scope_id: str) -> float:
         with self._lock:
-            return self._scope(scope_id).spent
+            self._scope(scope_id)
+            return self._totals.get(scope_id, 0.0)
 
     @property
     def ledger(self) -> tuple[PrivacyCharge, ...]:

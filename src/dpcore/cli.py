@@ -296,7 +296,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (ContractViolation, ParameterError) as exc:
+    except (ContractViolation, ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -61,18 +61,18 @@ class ServiceConfig:
     @classmethod
     def from_file(cls, path: str) -> "ServiceConfig":
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+                budgets = [{"id": str(spec["id"]), "kind": spec.get("kind", PURE_EPS),
+                            "budget": float(spec["budget"])} for spec in raw.get("budgets", [])]
+                numbers = {key: float(raw.get(key, default)) for key, default in
+                           (("xi", 1.0), ("overhead", 5.0), ("startup_fraction", 0.01))}
+            except (AttributeError, KeyError, TypeError, ValueError):
+                raise ContractViolation("config holds an unreadable number or budget") from None
         if any("seed" in key.lower() for key in raw):
-            raise ContractViolation(
-                "config files must not carry randomness seeds")
-        return cls(
-            budgets=raw.get("budgets", []),
-            xi=float(raw.get("xi", 1.0)),
-            overhead=float(raw.get("overhead", 5.0)),
-            startup_fraction=float(raw.get("startup_fraction", 0.01)),
-            ledger_path=raw.get("ledger"),
-            state_dir=raw.get("state_dir"),
-        )
+            raise ContractViolation("config files must not carry randomness seeds")
+        return cls(budgets=budgets, **numbers, ledger_path=raw.get("ledger"),
+                   state_dir=raw.get("state_dir"))
 
 
 @dataclass

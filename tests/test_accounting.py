@@ -1,18 +1,22 @@
 import fcntl
+import hashlib
 import json
 import math
 import multiprocessing
 import os
+import pathlib
 import re
+import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dpcore
 from dpcore import (
@@ -354,6 +358,298 @@ def test_replay_of_a_long_ledger_is_bit_exact_and_refuses_a_bad_line(tmp_path):
         path.write_text("".join(lines[:1000] + [bad] + lines[1001:]))
         with pytest.raises(ContractViolation):
             build_accountant(config)
+
+
+# -- the replay checkpoint ---------------------------------------------------------
+
+def _config(path, scopes=("a", "b")) -> ServiceConfig:
+    return ServiceConfig(budgets=[{"id": sid, "budget": math.inf} for sid in scopes],
+                         ledger_path=str(path))
+
+
+def _charge_mix(path, n: int, start: int = 0) -> None:
+    """`n` charges of uneven amounts over scopes a, b and c, appended by an
+    accountant that replays nothing, so they write no checkpoint."""
+    acct = Accountant(ledger_path=str(path))
+    for sid in "abc":
+        acct.create_scope(sid, PURE_EPS, math.inf)
+    for i in range(start, start + n):
+        acct.charge("abc"[i % 3], 1e-3 + 1e-7 * i + (i % 7) / 3, "laplace")
+    acct.close()
+
+
+def _cold(path, scopes=("a", "b")):
+    """(spent per scope, seq) of a cold `build_accountant`, or its refusal."""
+    try:
+        acct = build_accountant(_config(path, scopes))
+    except ContractViolation as exc:
+        return f"refused: {exc}"
+    try:
+        return {sid: acct.spent(sid) for sid in scopes}, acct._seq
+    finally:
+        acct.close()
+
+
+def _full(path, scopes=("a", "b")):
+    """(spent per scope, seq) of the ledger's whole lines, summed by `replay_spent`."""
+    lines = path.read_bytes().decode("utf-8").split("\n")[:-1]
+    totals = replay_spent([PrivacyCharge.from_line(line) for line in lines])
+    return {sid: totals.get(sid, 0.0) for sid in scopes}, len(lines)
+
+
+def _assert_checkpoint_is_true(path) -> None:
+    """The checkpoint on disk, if any, holds the offset of a line end, the
+    SHA-256 of the bytes before it, and their sums and highest seq."""
+    ckpt = pathlib.Path(f"{path}.ckpt")
+    if ckpt.exists():
+        state = json.loads(ckpt.read_text())
+        prefix = path.read_bytes()[:state["offset"]]
+        assert prefix.endswith(b"\n") and hashlib.sha256(prefix).hexdigest() == state["sha256"]
+        lines = prefix.decode("utf-8").splitlines()
+        totals = replay_spent([PrivacyCharge.from_line(line) for line in lines])
+        assert state["spent"] == {sid: repr(total) for sid, total in totals.items()}
+        assert state["seq"] == max(PrivacyCharge.from_line(line).seq for line in lines)
+
+
+def _replays_alike(path, scopes=("a", "b")):
+    """A cold start on the ledger and its checkpoint gives the spent and seq,
+    or the refusal, of a cold start on a copy of the ledger without one."""
+    copy = path.with_name("copy.txt")
+    pathlib.Path(f"{copy}.ckpt").unlink(missing_ok=True)
+    copy.write_bytes(path.read_bytes())
+    expected = _cold(copy, scopes)
+    assert _cold(path, scopes) == expected
+    return expected
+
+
+def test_a_verified_checkpoint_is_used_and_replays_bit_exact(tmp_path):
+    """`replay_ledger` writes `<ledger>.ckpt` with the sums of every scope id;
+    a cold start takes them and parses only the records past the offset,
+    with a full replay's spent and seq, bit for bit."""
+    path, ckpt = tmp_path / "ledger.txt", tmp_path / "ledger.txt.ckpt"
+    _charge_mix(path, 1500)
+    assert not ckpt.exists()  # `charge` writes no checkpoint
+    assert _cold(path) == _full(path)
+    state = json.loads(ckpt.read_text())
+    assert state["offset"] == path.stat().st_size and state["seq"] == 1500
+    assert sorted(state["spent"]) == ["a", "b", "c"]  # c is not configured
+    assert state["spent"]["c"] == repr(_full(path, "c")[0]["c"])
+    before, mtime = ckpt.read_bytes(), ckpt.stat().st_mtime_ns
+    assert _cold(path) == _full(path)  # no new records: the checkpoint stays
+    assert ckpt.read_bytes() == before and ckpt.stat().st_mtime_ns == mtime
+    _charge_mix(path, 700, start=1500)
+    assert _replays_alike(path) == _full(path)
+    assert json.loads(ckpt.read_text())["seq"] == 2200
+    # The stored sums are what a cold start begins from: changed ones show through.
+    ckpt.write_text(json.dumps({**json.loads(ckpt.read_text()), "spent": {"a": "0.5"}}))
+    assert _cold(path) == ({"a": 0.5, "b": 0.0}, 2200)
+    ckpt.unlink()
+    assert _cold(path) == _full(path)
+
+
+def _prefix_byte(path, ckpt):
+    """One byte of an amount in the covered prefix edited in place."""
+    data = bytearray(path.read_bytes())
+    data[data.index(b"amount=0.3") + 9] = ord("4")
+    path.write_bytes(bytes(data))
+
+
+def _prefix_malformed(path, ckpt):
+    """A covered line made unreadable, with the ledger's length kept."""
+    path.write_bytes(path.read_bytes().replace(b"kind=", b"kinD=", 1))
+
+
+def _truncated_at_a_line(path, ckpt):
+    path.write_bytes(b"".join(path.read_bytes().splitlines(keepends=True)[:250]))
+
+
+def _truncated_mid_line(path, ckpt):
+    path.write_bytes(path.read_bytes()[:json.loads(ckpt.read_text())["offset"] - 5])
+
+
+def _torn_tail(path, ckpt):
+    with open(path, "ab") as fh:
+        fh.write(b"seq=401 scope=a kind=pure-eps amo")
+
+
+def _other_ledgers_checkpoint(path, ckpt):
+    other = path.with_name("other.txt")
+    _charge_mix(other, 300, start=1)
+    _cold(other)
+    ckpt.write_bytes(pathlib.Path(f"{other}.ckpt").read_bytes())
+
+
+def _junk(text):
+    def edit(path, ckpt):
+        ckpt.write_bytes(text)
+    return edit
+
+
+def _field(**fields):
+    def edit(path, ckpt):
+        ckpt.write_text(json.dumps({**json.loads(ckpt.read_text()), **fields}))
+    return edit
+
+
+@pytest.mark.parametrize("tamper, scopes, refused", [
+    (_prefix_byte, "ab", False),
+    (_prefix_malformed, "ab", True),
+    (_truncated_at_a_line, "ab", False),
+    (_truncated_mid_line, "ab", False),
+    (_torn_tail, "ab", False),
+    (_other_ledgers_checkpoint, "ab", False),
+    (lambda path, ckpt: None, "abc", False),  # a scope configured after the checkpoint
+    (_junk(b""), "ab", False), (_junk(b"{"), "ab", False), (_junk(b"[]"), "ab", False),
+    (_junk(b"null"), "ab", False), (_junk(b"\xff\xfe"), "ab", False),
+    (_junk(b'{"offset": 1}'), "ab", False),
+    (_field(offset="100"), "ab", False), (_field(offset=100.0), "ab", False),
+    (_field(offset=-1), "ab", False), (_field(offset=0), "ab", False),
+    (_field(offset=10 ** 9), "ab", False), (_field(offset=101), "ab", False),
+    (_field(offset=True), "ab", False), (_field(seq=1.5), "ab", False),
+    (_field(seq="300"), "ab", False), (_field(spent=["a"]), "ab", False),
+    (_field(spent={"a": "nan"}), "ab", False), (_field(spent={"a": "-1.0"}), "ab", False),
+    (_field(spent={"a": "abc"}), "ab", False), (_field(sha256="zz"), "ab", False),
+    (_field(sha256="00" * 32), "ab", False), (_field(sha256=None), "ab", False),
+])
+def test_a_checkpoint_that_does_not_verify_replays_from_byte_0(tmp_path, tamper, scopes,
+                                                                 refused):
+    """Whatever was done to the ledger or its checkpoint after the checkpoint
+    was written, a cold start gives what it gives without the checkpoint: the
+    same spent and seq, or the same refusal of a malformed line."""
+    path, ckpt = tmp_path / "ledger.txt", tmp_path / "ledger.txt.ckpt"
+    _charge_mix(path, 300)
+    stale = _cold(path)
+    _charge_mix(path, 100, start=300)
+    untouched = _full(path)
+    tamper(path, ckpt)
+    got = _replays_alike(path, tuple(scopes))
+    assert got == ("refused: malformed ledger line" if refused else _full(path, tuple(scopes)))
+    if tamper is _prefix_byte:  # the stale sums would have hidden the edit
+        assert got[0]["b"] != untouched[0]["b"] and stale[1] == 300
+
+
+def test_a_checkpoint_that_cannot_be_written_is_skipped(tmp_path):
+    """The checkpoint is a cache: when its temporary file cannot be made the
+    replay still succeeds, and the next cold start replays in full."""
+    path = tmp_path / "ledger.txt"
+    _charge_mix(path, 50)
+    (tmp_path / "ledger.txt.ckpt.tmp").mkdir()
+    assert _cold(path) == _full(path)
+    assert not (tmp_path / "ledger.txt.ckpt").exists()
+    _charge_mix(path, 5, start=50)
+    assert _cold(path) == _full(path)
+
+
+def test_a_writer_killed_before_the_rename_leaves_the_last_checkpoint(tmp_path):
+    """A process killed between writing the temporary checkpoint and
+    `os.replace` leaves the previous checkpoint whole; the next replay
+    reuses the temporary name and replaces both."""
+    path, ckpt = tmp_path / "ledger.txt", tmp_path / "ledger.txt.ckpt"
+    _charge_mix(path, 200)
+    _cold(path)
+    before = ckpt.read_bytes()
+    _charge_mix(path, 100, start=200)
+    script = (
+        "import os, signal\n"
+        "from dpcore.service import ServiceConfig, build_accountant\n"
+        "os.replace = lambda *args: os.kill(os.getpid(), signal.SIGKILL)\n"
+        f"build_accountant(ServiceConfig(budgets=[{{'id': 'a', 'budget': 1e9}}],\n"
+        f"                               ledger_path={str(path)!r}))\n")
+    src = os.path.dirname(os.path.dirname(dpcore.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, timeout=120)
+    assert proc.returncode == -signal.SIGKILL, proc.stderr
+    assert ckpt.read_bytes() == before
+    assert json.loads((tmp_path / "ledger.txt.ckpt.tmp").read_text())["seq"] == 300
+    assert _replays_alike(path) == _full(path)
+    assert not (tmp_path / "ledger.txt.ckpt.tmp").exists()
+    assert json.loads(ckpt.read_text())["seq"] == 300
+
+
+def _append_in_a_loop(path: str, n: int, started) -> None:
+    acct = Accountant(ledger_path=path)
+    acct.create_scope("a", PURE_EPS, math.inf)
+    acct.create_scope("b", PURE_EPS, math.inf)
+    started.set()
+    for i in range(n):
+        acct.charge("ab"[i % 2], (i % 5) / 3 + 1e-9 * i, "laplace")
+    acct.close()
+
+
+def test_cold_starts_from_a_checkpoint_while_another_process_appends(tmp_path):
+    """Each cold start, checkpoint or not, applies a whole-record prefix of
+    the ledger with that prefix's left-to-right sums and highest seq, and
+    the last one agrees with a full replay."""
+    path = tmp_path / "ledger.txt"
+    _charge_mix(path, 500)
+    ctx = multiprocessing.get_context("spawn")
+    started = ctx.Event()
+    proc = ctx.Process(target=_append_in_a_loop, args=(str(path), 3000, started))
+    proc.start()
+    assert started.wait(60)
+    starts = 0
+    while proc.is_alive() or starts < 3:
+        acct = build_accountant(_config(path))
+        applied = list(acct.ledger)
+        totals = replay_spent(applied)
+        assert acct.spent("a") == totals["a"] and acct.spent("b") == totals["b"]
+        assert acct._seq == len(applied) == applied[-1].seq
+        acct.close()
+        _assert_checkpoint_is_true(path)
+        starts += 1
+    proc.join(60)
+    assert proc.exitcode == 0 and starts >= 3
+    assert _replays_alike(path) == _full(path)
+    assert json.loads((tmp_path / "ledger.txt.ckpt").read_text())["seq"] == 3500
+
+
+_OPS = st.lists(st.tuples(
+    st.sampled_from(["charge", "append", "replay", "writer replay", "cold", "delete"]),
+    st.sampled_from("abc"), st.integers(0, 30)), max_size=30)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_OPS)
+@example([("charge", "a", 3), ("append", "b", 2), ("replay", "a", 0), ("cold", "a", 0),
+          ("append", "c", 5), ("delete", "a", 0), ("writer replay", "a", 0), ("cold", "a", 0)])
+def test_checkpoint_interleavings_match_a_full_replay(ops):
+    """Charges, replays, cold starts and checkpoint deletions on one
+    accountant, interleaved with a second writer's appends and replays: the
+    accountant always holds the sums of the records it applied, and a cold
+    start always holds those of the whole ledger."""
+    with tempfile.TemporaryDirectory() as d:
+        path = pathlib.Path(d) / "ledger.txt"
+        acct = build_accountant(_config(path))
+        writer = Accountant(ledger_path=str(path))
+        for sid in "abc":
+            writer.create_scope(sid, PURE_EPS, math.inf)
+        try:
+            for op, sid, k in ops:
+                amount = k / 7 + 1e-9 * k
+                if op == "charge":
+                    acct.charge("ab"[k % 2], amount, "laplace")
+                elif op == "append":
+                    writer.charge(sid, amount, "laplace")
+                elif op == "replay":
+                    acct.replay_ledger()
+                elif op == "writer replay":
+                    writer.replay_ledger()
+                elif op == "cold":
+                    acct.close()
+                    acct = build_accountant(_config(path))
+                else:
+                    pathlib.Path(f"{path}.ckpt").unlink(missing_ok=True)
+                applied = list(acct.ledger)
+                totals = replay_spent(applied)
+                assert [acct.spent(s) for s in "ab"] == [totals.get(s, 0.0) for s in "ab"]
+                assert acct._seq == max((c.seq for c in applied), default=0)
+                _assert_checkpoint_is_true(path)
+            acct.replay_ledger()
+            assert ({s: acct.spent(s) for s in "ab"}, acct._seq) == _full(path)
+            assert _replays_alike(path) == _full(path)
+        finally:
+            acct.close()
+            writer.close()
 
 
 def _charge_until_denied(path: str, barrier) -> None:

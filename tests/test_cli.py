@@ -139,9 +139,10 @@ def test_failed_session_save_keeps_the_previous_file(workspace, capsys, monkeypa
         raise OSError("disk full")
 
     monkeypatch.setattr(json, "dump", torn_dump)
-    with pytest.raises(OSError):
-        main(["session", "--dataset", handle, "--scope", "main", "--config", cfg])
+    code = main(["session", "--dataset", handle, "--scope", "main", "--config", cfg])
     monkeypatch.undo()
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == "error: disk full\n"
     assert path.read_text() == before
     assert sorted(os.listdir(workspace / "state")) == ["datasets", "sessions.json"]
     code, out = _run(["budget", "--session", sid.strip(), "--config", cfg], capsys)
@@ -288,6 +289,37 @@ def test_a_schedule_that_does_not_pad_gets_no_session(workspace, capsys, key, va
     assert code == 1 and captured.out == ""
     assert captured.err == f"error: {key} must be finite and nonnegative\n"
     assert (workspace / "ledger.txt").read_text() == ""
+
+def test_missing_files_and_unreadable_config_values_get_one_error_line(workspace, capsys):
+    """A file that cannot be opened, a number `float` cannot read and a budget
+    spec without its budget each end the command with exit 1 and one
+    `error:` line, not a traceback."""
+    cfg = str(workspace / "cfg.json")
+    missing = str(workspace / "missing")
+    handle = _ingest(workspace, capsys)
+    _, sid = _run(["session", "--dataset", handle, "--scope", "main", "--config", cfg], capsys)
+    raw = json.loads((workspace / "cfg.json").read_text())
+    for name, edit in (("xi.json", {"xi": "abc"}), ("spec.json", {"budgets": [{"id": "main"}]}),
+                       ("list.json", {"budgets": "main"})):
+        (workspace / name).write_text(json.dumps({**raw, **edit}))
+    (workspace / "junk.json").write_text("{")
+    cases = [
+        (["query", "--session", sid.strip(), "--plan", missing, "--mechanism", "laplace",
+          "--eps", "1.0", "--config", cfg], f"No such file or directory: {missing!r}"),
+        (["budget", "--session", sid.strip(), "--config", missing], "No such file"),
+        (["ingest", "--csv", missing, "--schema", str(workspace / "d.schema"),
+          "--config", cfg], "No such file"),
+    ] + [(["budget", "--session", sid.strip(), "--config", str(workspace / name)],
+          "config holds an unreadable number or budget")
+         for name in ("xi.json", "spec.json", "list.json", "junk.json")]
+    for argv, message in cases:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "", argv
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
+        assert message in captured.err, (argv, captured.err)
+    assert len((workspace / "ledger.txt").read_text().splitlines()) == 1  # the session's
+
 
 def test_rejected_query_exits_nonzero(workspace, capsys):
     cfg = str(workspace / "cfg.json")
