@@ -66,6 +66,13 @@ _LINE = re.compile(rf"^seq=(\d+) scope=(\S+) kind=(\S+) amount={_NUMBER} "
                    rf"mechanism=(\S+) time={_NUMBER}$", re.MULTILINE)
 
 
+def check_scope_id(scope_id) -> None:
+    """Refuse a scope id that a ledger line cannot carry: `_LINE` reads it
+    back as one run of non-whitespace."""
+    if not (isinstance(scope_id, str) and re.fullmatch(r"\S+", scope_id)):
+        raise ContractViolation("a scope id must be nonempty and hold no whitespace")
+
+
 @dataclass
 class BudgetScope:
     id: str
@@ -74,6 +81,7 @@ class BudgetScope:
     sharing: str = "global"  # "global" or "per-group:<group id>"
 
     def __post_init__(self) -> None:
+        check_scope_id(self.id)
         if self.kind != PURE_EPS:
             raise ContractViolation(f"unknown scope kind {self.kind!r}")
         if not self.budget >= 0:  # a NaN budget would grant every charge
@@ -100,7 +108,10 @@ class Accountant:
     The ledger file is the only record of what was spent: `ledger_path`, which
     outlives the process and may be shared with other processes, or else an
     unnamed temporary file that goes on `close`.  `<ledger_path>.ckpt` caches a
-    replay and is used only where its SHA-256 matches the ledger's bytes.
+    replay and is used only where its SHA-256 matches the ledger's bytes; only
+    a named ledger keeps that running hash.  The ledger is open in the process
+    that built the accountant, and only that process may use it: a forked
+    child shares the open file's offset, and `flock` does not exclude it.
     Every granted charge is appended and flushed before `charge` returns, so
     no mechanism result can be released ahead of its ledger record; a closed
     accountant grants nothing.  Denied requests are counted in memory per
@@ -114,10 +125,11 @@ class Accountant:
         self._seq = 0
         self._ledger_file = (open(ledger_path, "a+b") if ledger_path
                              else tempfile.TemporaryFile("a+b"))
+        self._pid = os.getpid()  # the one process that may use `_ledger_file`
         self._ckpt = ledger_path and ledger_path + ".ckpt"
         self._offset = 0  # ledger bytes applied to `_totals` and `_hash`
         self._totals: dict[str, float] = {}  # left-to-right spend per scope id
-        self._hash = hashes.Hash(hashes.SHA256())
+        self._hash = hashes.Hash(hashes.SHA256()) if ledger_path else None
 
     # -- scope management -----------------------------------------------
 
@@ -163,7 +175,8 @@ class Accountant:
             self._ledger_file.write(line)
             self._ledger_file.flush()
             self._offset += len(line)
-            self._hash.update(line)
+            if self._hash:
+                self._hash.update(line)
             self._seq = record.seq
             self._totals[scope_id] = spent + amount
         return record
@@ -188,7 +201,9 @@ class Accountant:
     @contextlib.contextmanager
     def _synced(self):
         """Hold `_lock` and the ledger's exclusive `flock`, and yield how many
-        records were read from the file.  A closed accountant raises first."""
+        records were read from the file.  A closed accountant, or one used in
+        another process than the one that opened its ledger, raises first."""
+        self._check_process()
         with self._lock:
             fh = self._ledger_file
             fcntl.flock(fh, fcntl.LOCK_EX)
@@ -225,7 +240,8 @@ class Accountant:
             raise ContractViolation("malformed ledger line")
         self._totals, self._seq = totals, seq
         self._offset += end
-        self._hash.update(data[:end])
+        if self._hash:
+            self._hash.update(data[:end])
         return records
 
     def _load_checkpoint(self, fh) -> None:
@@ -249,6 +265,10 @@ class Accountant:
         except (OSError, ValueError, LookupError, TypeError, AttributeError):
             pass  # an unreadable checkpoint is a miss: replay from byte 0
 
+    def _check_process(self) -> None:
+        if os.getpid() != self._pid:
+            raise ContractViolation("a ledger is used only by the process that opened it")
+
     def remaining(self, scope_id: str) -> float:
         with self._lock:
             return self._scope(scope_id).budget - self._totals.get(scope_id, 0.0)
@@ -261,6 +281,7 @@ class Accountant:
     @property
     def ledger(self) -> tuple[PrivacyCharge, ...]:
         """The records this accountant has applied, read back from its ledger file."""
+        self._check_process()
         with self._lock:
             self._ledger_file.seek(0)
             text = self._ledger_file.read(self._offset).decode("utf-8")

@@ -12,6 +12,10 @@ Protocol (two phases, always on disjoint randomness):
 
 The two phases each derive their own child RandomSource from the source
 they are handed, so search samples and test samples can never overlap.
+Both are thin wrappers that sample and then call the slice-level
+`select_event` and `event_pvalue`.  The repeated test of `report.audit_pair`
+calls those directly on disjoint slices of larger samples, so that a group
+of repetitions costs one sampler call per side and phase.
 """
 
 from __future__ import annotations
@@ -156,6 +160,13 @@ def _event_counts(out: np.ndarray, qs: np.ndarray, counts: np.ndarray) -> None:
     np.maximum(counts, 0.0, out=counts)
 
 
+def require_samples(n: int, name: str) -> None:
+    """Refuse fewer than 1000 samples: a test on a few would pass even a
+    broken mechanism."""
+    if n < 10 ** 3:
+        raise ContractViolation(f"{name} must be at least 1000")
+
+
 def event_search(
     m: MechanismUnderTest,
     pair: NeighborPair,
@@ -163,7 +174,17 @@ def event_search(
     n_search: int,
     rng: RandomSource,
 ) -> OutcomeEvent:
-    """Pick the interval with the worst empirical probability ratio.
+    """`select_event` on n_search fresh outcomes of each side."""
+    require_samples(n_search, "n_search")
+    child = derive_source(rng)
+    out1 = np.sort(m.sample(pair.d1, eps, child, n_search))
+    out2 = np.sort(m.sample(pair.d2, eps, child, n_search))
+    return select_event(out1, out2, eps)
+
+
+def select_event(out1: np.ndarray, out2: np.ndarray, eps: float) -> OutcomeEvent:
+    """Pick the interval with the worst empirical probability ratio between
+    the sorted outcomes `out1` and `out2` of the two sides (equal lengths).
 
     The candidates are the rays below and above each distinct 1% quantile
     q_i of the pooled samples and every interval [q_i, q_j], j >= i.  Only
@@ -172,16 +193,11 @@ def event_search(
     the far tails.  Among equal scores the first candidate in search order
     wins.  Degenerate outcome sets collapse to the point event.
     """
-    if n_search < 10 ** 3:
-        raise ContractViolation("n_search must be at least 1000")
-    child = derive_source(rng)
-    out1 = np.sort(m.sample(pair.d1, eps, child, n_search))
-    out2 = np.sort(m.sample(pair.d2, eps, child, n_search))
     pooled = np.sort(np.concatenate([out1, out2]))
     if pooled[0] == pooled[-1]:
         return OutcomeEvent(float(pooled[0]), float(pooled[0]))
-    min_count = 0.001 * n_search * math.exp(eps)
     e_eps = math.exp(eps)
+    min_count = 0.001 * len(out1) * e_eps
     # Row i of each side's k x (k + 2) count matrix holds, in search order, the
     # ray (-inf, q_i], the ray [q_i, inf) and [q_i, q_j] for ascending j.  Cells
     # with j < i count 0: below the floor (always > 0), argmax never picks them.
@@ -235,25 +251,36 @@ def dp_hypothesis_test(
     n_test: int,
     rng: RandomSource,
 ) -> float:
-    """Fresh-sample hypothesis test of the DP inequality on one event.
+    """`event_pvalue` on n_test fresh outcomes of each side.
 
-    Both orientations (d1 excess and d2 excess) are tested and the smaller
-    p-value is reported.  The event must come from samples disjoint from
-    these; hand this function the same parent source as event_search and the
-    derived children will not overlap.
+    The event must come from samples disjoint from these; hand this function
+    the same parent source as event_search and the derived children will
+    not overlap.
     """
-    if n_test < 10 ** 3:
-        raise ContractViolation("n_test must be at least 1000")
+    require_samples(n_test, "n_test")
     child = derive_source(rng)
     out1 = m.sample(pair.d1, eps, child, n_test)
     out2 = m.sample(pair.d2, eps, child, n_test)
+    return event_pvalue(out1, out2, event, eps, delta,
+                        np.random.default_rng(child.randbits(128)))
+
+
+def event_pvalue(
+    out1: np.ndarray, out2: np.ndarray, event: OutcomeEvent, eps: float, delta: float,
+    np_rng: np.random.Generator,
+) -> float:
+    """Hypothesis test of the DP inequality on one event, over the outcomes
+    `out1` and `out2` (equal lengths) of the two sides.
+
+    Both orientations (d1 excess and d2 excess) are tested and the smaller
+    p-value is reported.
+    """
     c1 = event.count(out1)
     c2 = event.count(out2)
     if c1 == 0 and c2 == 0:
         return 1.0
-    np_rng = np.random.default_rng(child.randbits(128))
-    p_fwd = _binomial_pvalue(c1, c2, n_test, eps, delta, np_rng)
-    p_rev = _binomial_pvalue(c2, c1, n_test, eps, delta, np_rng)
+    p_fwd = _binomial_pvalue(c1, c2, len(out1), eps, delta, np_rng)
+    p_rev = _binomial_pvalue(c2, c1, len(out1), eps, delta, np_rng)
     return min(p_fwd, p_rev)
 
 

@@ -5,15 +5,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..randomness import RandomSource, derive_source
+from ..relational import Table
 from .blackbox import (
     MEAN_POLICY,
     MechanismUnderTest,
     NeighborPair,
     OutcomeEvent,
     aggregate_pvalues,
-    dp_hypothesis_test,
-    event_search,
+    event_pvalue,
+    require_samples,
+    select_event,
 )
 
 #: Exit codes for the audit CLI.
@@ -25,6 +29,9 @@ EXIT_VIOLATION = 2
 DEFAULT_N_SEARCH = 50_000
 DEFAULT_N_TEST = 100_000
 DEFAULT_REPETITIONS = 50
+#: Outcomes one sampler call draws for a group of repetitions, at most
+#: (unless one repetition needs more): it bounds the memory of a group.
+GROUP_OUTCOMES = 1 << 18
 
 @dataclass(frozen=True)
 class Counterexample:
@@ -98,17 +105,31 @@ def audit_pair(
     p-value on disjoint fresh samples; the repetitions are aggregated under
     the selected policy.  `tested_eps` is the epsilon whose violation is
     being probed (defaults to the epsilon the mechanism is run with).
+
+    The repetitions run in groups of GROUP_OUTCOMES // max(n_search, n_test)
+    (at least one).  A group draws each side's search outcomes, and then its
+    test outcomes, in one sampler call with its own derived source, and each
+    repetition searches and tests on its own disjoint slices of them.
     """
     tested = tested_eps if tested_eps is not None else eps
+    require_samples(n_search, "n_search")
+    require_samples(n_test, "n_test")
+    group = max(1, GROUP_OUTCOMES // max(n_search, n_test))
     pvalues: list[float] = []
     worst: Counterexample | None = None
-    for _ in range(repetitions):
-        event = event_search(m, pair, eps, n_search, rng)
-        p = dp_hypothesis_test(m, pair, event, tested, delta, n_test, rng)
-        pvalues.append(p)
-        est_ratio = math.exp(tested) if p >= 1.0 else math.exp(tested) / max(p, 1e-300)
-        if worst is None or p < worst.p_value:
-            worst = Counterexample(pair.name, event, est_ratio, p)
+    for start in range(0, repetitions, group):
+        g = min(group, repetitions - start)
+        search1, search2 = (np.sort(_draw(m, d, eps, rng, g, n_search), axis=1)
+                            for d in (pair.d1, pair.d2))
+        events = [select_event(a, b, eps) for a, b in zip(search1, search2)]
+        test1, test2 = (_draw(m, d, tested, rng, g, n_test) for d in (pair.d1, pair.d2))
+        np_rng = np.random.default_rng(rng.randbits(128))
+        for event, out1, out2 in zip(events, test1, test2):
+            p = event_pvalue(out1, out2, event, tested, delta, np_rng)
+            pvalues.append(p)
+            est_ratio = math.exp(tested) if p >= 1.0 else math.exp(tested) / max(p, 1e-300)
+            if worst is None or p < worst.p_value:
+                worst = Counterexample(pair.name, event, est_ratio, p)
     verdict = aggregate_pvalues(pvalues, policy)
     return AuditEntry(
         name=f"{m.name}/{pair.name}/eps={eps}/tested={tested}",
@@ -117,6 +138,12 @@ def audit_pair(
         passed=verdict.passed,
         counterexample=None if verdict.passed else worst,
     )
+
+
+def _draw(m: MechanismUnderTest, table: Table, eps: float, rng: RandomSource,
+          g: int, n: int) -> np.ndarray:
+    """g x n outcomes on `table` from one sampler call: row r is repetition r's."""
+    return m.sample(table, eps, derive_source(rng), g * n).reshape(g, n)
 
 
 def black_box_battery(

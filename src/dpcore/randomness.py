@@ -8,6 +8,9 @@ way to persist a seed: that is the API contract, not an omission.
 
 The Laplace and exponential samplers transform full-precision float
 uniforms; `sample_discrete_laplace` draws only integers and is exact.
+A full-precision uniform takes one 64-bit keystream word (and a fresh word
+for one value in 4096), and a sign takes one keystream bit, so a Laplace
+draw reads about 8.13 keystream bytes.
 
 All samplers draw exclusively from the RandomSource they are handed, so a
 scripted stand-in (see dpcore.testing) makes them deterministic in tests.
@@ -58,13 +61,14 @@ class RandomSource:
 
     # -- raw stream ---------------------------------------------------------
 
-    def bytes(self, n: int) -> bytes:
-        out = self._encryptor.update(bytes(n))
+    def bytes(self, n: int) -> bytearray:
+        out = bytearray(n)
+        self._encryptor.update_into(out, out)  # keystream XOR zeros, in place
         return out
 
     def u64(self, n: int) -> np.ndarray:
         """n independent uniform 64-bit words."""
-        return np.frombuffer(self.bytes(8 * n), dtype=np.uint64).copy()
+        return np.frombuffer(self.bytes(8 * n), dtype=np.uint64)
 
     def randbits(self, k: int) -> int:
         nbytes = (k + 7) // 8
@@ -96,34 +100,44 @@ class RandomSource:
     def uniform_full(self, n: int | None = None):
         """Uniform over representable floats in (0, 1), not just a 2^-53 grid.
 
-        The significand fills all 52 explicit mantissa bits and the exponent
-        is geometric(1/2), so every dyadic range [2^-k-1, 2^-k) is reachable
-        with the correct mass.  This is the uniform behind the inverse-CDF
-        samplers.
+        Each value is (2^52 + m) * 2^(-53-k): the significand m is bits
+        63..12 of one word and k ~ Geometric(1/2) is the number of trailing
+        zeros of bits 11..0.  Only where those 12 bits are all zero
+        (p = 2^-12) does k go on, over the trailing zeros of fresh words, an
+        all-zero word adding 64.  So every dyadic range [2^-k-1, 2^-k) is
+        reachable with the correct mass.  This is the uniform behind the
+        inverse-CDF samplers.
         """
         size = n if n is not None else 1
-        mant = (self.u64(size) >> np.uint64(12)) | np.uint64(1 << 52)
-        shift = np.zeros(size, dtype=np.int64)
-        pending = np.arange(size)
-        while pending.size:
-            words = self.u64(pending.size)
-            zero = words == 0
-            # ChaCha output word == 0 has probability 2^-64; just add 64
-            # leading zeros and continue for those lanes.
-            nonzero = pending[~zero]
-            w = words[~zero]
-            low = (w & (~w + np.uint64(1))).astype(np.float64)  # lowest set bit
-            shift[nonzero] += np.frexp(low)[1] - 1  # its index = trailing zeros
-            shift[pending[zero]] += 64
-            pending = pending[zero]
-        out = np.ldexp(mant.astype(np.float64), -53 - shift)
+        words = self.u64(size)
+        low = words.view(np.int64) & 0xFFF  # an intp index gathers fastest
+        out = ((words >> np.uint64(12)) | np.uint64(1 << 52)).astype(np.float64)
+        out *= _LOW12_SCALE[low]
+        lanes = np.flatnonzero(low == 0)
+        while lanes.size:
+            words = self.u64(lanes.size)
+            lowest = (words & (~words + np.uint64(1))).astype(np.float64)  # 2^zeros
+            out[lanes] /= np.where(lowest == 0, 2.0 ** 64, lowest)  # exact
+            lanes = lanes[lowest == 0]
         return out if n is not None else float(out[0])
 
     def signs(self, n: int | None = None):
-        """Independent +/-1 values."""
+        """Independent +/-1 values, one keystream bit each: bit i of the
+        stream, most significant bit of each byte first, is value i, and a
+        set bit is +1."""
         size = n if n is not None else 1
-        s = ((self.u64(size) & np.uint64(1)).astype(np.float64) * 2.0) - 1.0
+        bits = np.unpackbits(np.frombuffer(self.bytes((size + 7) // 8), np.uint8),
+                             count=size)
+        s = bits * 2.0
+        s -= 1.0
         return s if n is not None else float(s[0])
+
+
+_LOW12 = np.arange(1 << 12) | 1 << 12
+#: 2^(-53-k) for each 12-bit value, k its trailing zeros (12 for 0).
+_LOW12_SCALE = 2.0 ** -53 / (_LOW12 & -_LOW12)
+#: Laplace draws per block, so that each block's temporaries stay in cache.
+_BLOCK = 1 << 13
 
 
 def derive_source(parent: RandomSource) -> RandomSource:
@@ -177,7 +191,13 @@ def sample_laplace(rng: RandomSource, scale: float, size: int | None = None):
     if scale <= 0:
         raise ValueError("scale must be positive")
     n = size if size is not None else 1
-    out = rng.signs(n) * (-scale * np.log(rng.uniform_full(n)))
+    out = np.empty(n)
+    for start in range(0, n, _BLOCK):
+        block = out[start:start + _BLOCK]
+        signs = rng.signs(len(block))
+        np.log(rng.uniform_full(len(block)), out=block)
+        block *= signs  # exact, so the result is sign * (-scale * ln u)
+        block *= -scale
     return out if size is not None else float(out[0])
 
 

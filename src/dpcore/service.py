@@ -14,7 +14,8 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from .accounting import Accountant, DEFAULT_ALPHA, PURE_EPS, ScopeHandle, power_bound
+from .accounting import (Accountant, DEFAULT_ALPHA, PURE_EPS, ScopeHandle, check_scope_id,
+                         power_bound)
 from .errors import ContractViolation
 from .gateway import private_release
 from .randomness import RandomSource, derive_source
@@ -71,6 +72,8 @@ class ServiceConfig:
                 raise ContractViolation("config holds an unreadable number or budget") from None
         if any("seed" in key.lower() for key in raw):
             raise ContractViolation("config files must not carry randomness seeds")
+        for spec in budgets:
+            check_scope_id(spec["id"])
         return cls(budgets=budgets, **numbers, ledger_path=raw.get("ledger"),
                    state_dir=raw.get("state_dir"))
 

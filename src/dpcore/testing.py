@@ -55,9 +55,6 @@ class ScriptedSource:
     def bytes(self, n: int) -> bytes:
         return bytes(next(self._bits) & 0xFF for _ in range(n))
 
-    def u64(self, n: int) -> np.ndarray:
-        return np.array([next(self._bits) for _ in range(n)], dtype=np.uint64)
-
 
 def zero_noise_source() -> ScriptedSource:
     """A source under which Laplace/exponential noise is exactly zero.

@@ -247,6 +247,29 @@ def test_a_scope_needs_the_pure_kind_and_a_budget_of_at_least_zero(tmp_path, kin
         build_accountant(ServiceConfig.from_file(str(path)))
 
 
+@pytest.mark.parametrize("scope_id", ["a b", "", "tab\tid", "line\nbreak"])
+def test_a_scope_id_the_ledger_cannot_read_back_is_refused(tmp_path, scope_id):
+    """A ledger line carries the scope id as one run of non-whitespace, so
+    an empty id or one with whitespace is refused before any charge, both by
+    `create_scope` and by a config file."""
+    ledger = tmp_path / "ledger.txt"
+    acct = Accountant(ledger_path=str(ledger))
+    with pytest.raises(ContractViolation, match="scope id"):
+        acct.create_scope(scope_id, PURE_EPS, 1.0)
+    with pytest.raises(UnknownScopeError):
+        acct.scope(scope_id)
+    acct.close()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"budgets": [{"id": scope_id, "budget": 1.0}],
+                                "ledger": str(ledger)}))
+    with pytest.raises(ContractViolation, match="scope id"):
+        ServiceConfig.from_file(str(path))
+    with pytest.raises(ContractViolation, match="scope id"):
+        build_accountant(ServiceConfig(budgets=[{"id": scope_id, "budget": 1.0}],
+                                       ledger_path=str(ledger)))
+    assert ledger.read_bytes() == b""
+
+
 def test_a_refused_config_leaves_no_ledger_file_open(tmp_path):
     """`build_accountant` opens the ledger before it reads the scopes and the
     replay; a NaN budget and a malformed ledger line are refused with the
@@ -681,6 +704,49 @@ def test_two_processes_cannot_overspend_together(tmp_path):
     assert sum(c.amount for c in charges) <= 1.0
     assert len(charges) == 8
     assert len({c.seq for c in charges}) == len(charges)
+
+
+@pytest.mark.parametrize("named", [True, False], ids=["named", "unnamed"])
+def test_a_forked_child_cannot_charge(tmp_path, named):
+    """A forked child shares the ledger's open file and its offset, and the
+    parent's `flock` does not exclude it: its charge is refused before it
+    touches the file, and the parent goes on charging."""
+    path = tmp_path / "ledger.txt"
+    acct = Accountant(ledger_path=str(path) if named else None)
+    acct.create_scope("main", PURE_EPS, 10.0)
+    acct.charge("main", 0.5, "laplace")
+    before = [c.to_line() for c in acct.ledger]
+    raw = path.read_bytes() if named else None
+    pid = os.fork()
+    if pid == 0:  # the child reports through its exit code only
+        code = 3
+        try:
+            acct.charge("main", 0.5, "laplace")
+            code = 1
+        except ContractViolation:
+            code = 0
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    if named:
+        assert path.read_bytes() == raw
+    assert [c.to_line() for c in acct.ledger] == before
+    acct.charge("main", 0.5, "laplace")
+    assert acct.spent("main") == 1.0 and len(acct.ledger) == 2
+    acct.close()
+
+
+def test_only_a_named_ledger_keeps_a_running_hash(tmp_path):
+    """The SHA-256 of the ledger is read only to write a checkpoint, and only
+    a named ledger has one."""
+    for ledger_path in (None, str(tmp_path / "ledger.txt")):
+        acct = Accountant(ledger_path=ledger_path)
+        acct.create_scope("main", PURE_EPS, 10.0)
+        acct.charge("main", 0.5, "laplace")
+        acct.replay_ledger()
+        assert (acct._hash is None) == (ledger_path is None)
+        acct.close()
 
 
 def test_budget_exceeded_is_atomic_and_uniform(tmp_path):

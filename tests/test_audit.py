@@ -45,6 +45,7 @@ from dpcore.audit import (
     sensitivity_check,
     stability_check,
 )
+from dpcore.audit import report as audit_report
 from dpcore.audit.blackbox import _percentiles
 from dpcore.audit.bugs import (
     accountant_bypass_laplace_count,
@@ -432,6 +433,82 @@ def test_battery_flags_half_noise_bug(two_col_schema, rng):
     report = black_box_battery(half_noise_laplace_count(), suite, [1.0], rng,
                                n_search=5000, n_test=20_000, repetitions=5)
     assert not report.passed and report.exit_code == 2
+
+
+def _counting_mechanism(calls):
+    """run_many hands out 0, 1, 2, ... across calls, so every outcome is distinct."""
+    def run_many(table, eps, rng, n):
+        start = sum(n for _, n in calls)
+        calls.append((table, n))
+        return np.arange(start, start + n, dtype=np.float64)
+
+    return MechanismUnderTest("counting", run_many=run_many)
+
+
+def _record_slices(monkeypatch):
+    """Record the outcome slices each repetition searches and tests on."""
+    seen = {"search": [], "test": []}
+
+    def recording(phase, fn):
+        def wrapped(out1, out2, *args):
+            seen[phase].append((out1.copy(), out2.copy()))
+            return fn(out1, out2, *args)
+        return wrapped
+
+    monkeypatch.setattr(audit_report, "select_event",
+                        recording("search", audit_report.select_event))
+    monkeypatch.setattr(audit_report, "event_pvalue",
+                        recording("test", audit_report.event_pvalue))
+    return seen
+
+
+@pytest.mark.parametrize("n_search, n_test, reps, sizes", [
+    (2000, 4000, 40, [80_000, 80_000, 160_000, 160_000]),
+    (1000, 100_000, 3, [2000, 2000, 200_000, 200_000, 1000, 1000, 100_000, 100_000]),
+], ids=["one-group", "groups-of-two"])
+def test_audit_pair_draws_a_group_in_one_call_per_side_and_phase(
+        two_col_schema, rng, monkeypatch, n_search, n_test, reps, sizes):
+    """A group of 2^18 // max(n_search, n_test) repetitions draws each
+    side's search outcomes, then its test outcomes, in one run_many call;
+    every repetition searches and tests on its own disjoint slices, and
+    together they use every outcome drawn once."""
+    calls = []
+    seen = _record_slices(monkeypatch)
+    pair = default_neighbor_suite(two_col_schema)[1]
+    entry = audit_pair(_counting_mechanism(calls), pair, 1.0, rng,
+                       n_search=n_search, n_test=n_test, repetitions=reps)
+    assert len(entry.p_values) == reps
+    assert [n for _, n in calls] == sizes
+    assert [t is pair.d1 for t, _ in calls] == [True, False] * (len(sizes) // 2)
+    assert len(seen["search"]) == len(seen["test"]) == reps
+    drawn = np.arange(sum(sizes), dtype=np.float64)
+    used = []
+    for phase, n in (("search", n_search), ("test", n_test)):
+        for out1, out2 in seen[phase]:
+            assert len(out1) == len(out2) == n
+            used += [out1, out2]
+    assert np.array_equal(np.sort(np.concatenate(used)), drawn)
+
+
+def test_battery_makes_four_sampler_calls_per_pair(two_col_schema, rng):
+    calls = []
+    report = black_box_battery(_counting_mechanism(calls), default_neighbor_suite(two_col_schema),
+                               [1.0], rng, n_search=2000, n_test=4000, repetitions=40)
+    assert len(report.entries) == 3 and len(calls) == 12
+
+
+def test_audit_pair_refuses_few_samples_and_nonfinite_outcomes(two_col_schema, rng):
+    pair = default_neighbor_suite(two_col_schema)[1]
+    calls = []
+    for n_search, n_test in ((999, 4000), (2000, 999), (0, 0)):
+        with pytest.raises(ContractViolation, match="must be at least 1000"):
+            audit_pair(_counting_mechanism(calls), pair, 1.0, rng,
+                       n_search=n_search, n_test=n_test, repetitions=3)
+    assert calls == []
+    for bad in (math.nan, math.inf, -math.inf):
+        m = MechanismUnderTest("bad", run_many=lambda t, e, r, n: np.r_[np.zeros(n - 1), bad])
+        with pytest.raises(ContractViolation, match="NaN or infinite"):
+            audit_pair(m, pair, 1.0, rng, n_search=2000, n_test=4000, repetitions=3)
 
 
 # -- white-box property checks ----------------------------------------------------

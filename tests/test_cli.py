@@ -384,6 +384,27 @@ def test_audit_external_command_protocol(workspace, capsys):
     assert "overall passed=" in out
 
 
+def test_audit_external_command_starts_once_per_side_and_phase(workspace, capsys):
+    """At 2000 search and 4000 test outcomes, the 40 repetitions of a pair
+    form one group: two sides times two phases, over three pairs."""
+    log = workspace / "starts.log"
+    script = workspace / "mech.py"
+    script.write_text(
+        "import random, sys\n"
+        f"open({str(log)!r}, 'a').write(' '.join(sys.argv[2:]) + '\\n')\n"
+        "eps, n = float(sys.argv[2]), int(sys.argv[3])\n"
+        "r = random.Random()\n"  # Laplace(1/eps): a difference of two exponentials
+        "print('\\n'.join(str(r.expovariate(eps) - r.expovariate(eps)) for _ in range(n)))\n"
+    )
+    code, out = _run(["audit", "--target", f"{sys.executable} {script}", "--external",
+                      "--eps-grid", "1.0", "--n-search", "2000",
+                      "--n-test", "4000", "--reps", "40"], capsys)
+    assert code in (0, 2) and "overall passed=" in out
+    starts = log.read_text().splitlines()
+    assert len(starts) <= 12
+    assert sorted(starts) == sorted(["1.0 80000", "1.0 160000"] * 6)
+
+
 @pytest.mark.parametrize("flags", [
     ["--n-test", "50"],
     ["--eps-grid", "0"], ["--eps-grid", "nan"], ["--eps-grid", "inf"], ["--eps-grid", "-1"],

@@ -75,6 +75,85 @@ def test_uniform_full_exponent_is_geometric(rng):
     assert chi2 < 30  # 6 dof, far beyond any reasonable quantile
 
 
+class _KeystreamScript(RandomSource):
+    """A RandomSource whose keystream is the scripted bytes, in order."""
+
+    def __init__(self, data: bytes) -> None:
+        super().__init__()
+        self.data = bytearray(data)
+
+    def bytes(self, n):
+        assert len(self.data) >= n, "script exhausted"
+        out, self.data = self.data[:n], self.data[n:]
+        return out
+
+
+def _words(*words) -> bytes:
+    return np.array(words, dtype=np.uint64).tobytes()
+
+
+def test_uniform_full_takes_one_word_and_goes_on_past_twelve_zero_bits():
+    """A value is (2^52 + m) * 2^(-53-k): m is bits 63..12 of its word and k
+    the trailing zeros of bits 11..0.  Where those are all zero, k goes on
+    over fresh words, one per pending value in value order, and an all-zero
+    word adds 64."""
+    m = 0x123456789ABCD
+    mant = float((1 << 52) + m)
+    src = _KeystreamScript(
+        _words((m << 12) | 0b1000, (m << 12), (m << 12) | 0x800, m << 12)  # k = 3, .., 11, ..
+        + _words(0, 1 << 5)       # lane 1: +64 and goes on; lane 3: 12 + 5
+        + _words(0b10))           # lane 1: 12 + 64 + 1
+    u = src.uniform_full(4)
+    assert u.tolist() == [math.ldexp(mant, -53 - 3), math.ldexp(mant, -53 - 77),
+                          math.ldexp(mant, -53 - 11), math.ldexp(mant, -53 - 17)]
+    assert src.data == bytearray()
+    one = _KeystreamScript(_words((m << 12) | 1))
+    assert one.uniform_full() == math.ldexp(mant, -53)
+
+
+def test_signs_take_one_bit_each_most_significant_first():
+    src = _KeystreamScript(bytes([0b10110001, 0b01000000]))
+    assert src.signs(10).tolist() == [1, -1, 1, 1, -1, -1, -1, 1, -1, 1]
+    assert src.data == bytearray()
+    assert _KeystreamScript(bytes([0x80])).signs() == 1.0
+
+
+def test_sample_laplace_is_sign_times_exponential_of_one_word():
+    m = 0xFEDCBA9876543
+    src = _KeystreamScript(bytes([0b01000000]) + _words((m << 12) | 0b100, (m << 12) | 1))
+    u = [math.ldexp((1 << 52) + m, -53 - k) for k in (2, 0)]
+    assert sample_laplace(src, 2.5, size=2).tolist() == [-2.5 * math.log(u[0]) * -1,
+                                                         -2.5 * math.log(u[1])]
+
+
+@pytest.mark.parametrize("n", [1 << 13, 100_003, 1 << 20])
+def test_sample_laplace_reads_about_eight_keystream_bytes_per_draw(n):
+    read = []
+
+    class Counting(RandomSource):
+        def bytes(self, k):
+            read.append(k)
+            return super().bytes(k)
+
+    x = sample_laplace(Counting(), 1.0, size=n)
+    assert x.shape == (n,) and np.isfinite(x).all()
+    assert 8.125 <= sum(read) / n <= 8.25
+
+
+def test_uniform_full_exponent_is_geometric_to_k_20(rng):
+    """k, where u is in [2^-k-1, 2^-k), against Geometric(1/2) for k = 0..20
+    and one bin for k > 20, over 2^24 draws: k >= 12 exercises the fresh
+    words."""
+    counts = np.zeros(22)
+    for _ in range(16):
+        k = -np.frexp(rng.uniform_full(1 << 20))[1]
+        counts += np.bincount(np.minimum(k, 21), minlength=22)
+    n = counts.sum()
+    expected = n * np.append(0.5 ** np.arange(1, 22), 0.5 ** 21)
+    _, p = stats.chisquare(counts, expected)
+    assert p > 1e-6
+
+
 def test_randbelow_bounds_and_uniformity(rng):
     draws = [rng.randbelow(6) for _ in range(6000)]
     assert min(draws) == 0 and max(draws) == 5
@@ -154,6 +233,14 @@ def test_laplace_moments_and_shape(rng):
     assert float(np.var(x)) == pytest.approx(8.0, rel=0.05)
     # Kolmogorov-Smirnov against the target CDF.
     _, p = stats.kstest(x[:50_000], stats.laplace(scale=2.0).cdf)
+    assert p > 1e-6
+
+
+@pytest.mark.parametrize("scale", [0.01, 1.7, 1000.0])
+def test_laplace_matches_scipy_laplace(rng, scale):
+    """Kolmogorov-Smirnov over draws that span several blocks and a partial one."""
+    x = sample_laplace(rng, scale, size=100_003)
+    _, p = stats.kstest(x, stats.laplace(scale=scale).cdf)
     assert p > 1e-6
 
 
