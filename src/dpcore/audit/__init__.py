@@ -2,8 +2,6 @@
 and empirical stability/sensitivity verification."""
 
 from .blackbox import (
-    BONFERRONI_POLICY,
-    MEAN_POLICY,
     MechanismUnderTest,
     NeighborPair,
     OutcomeEvent,

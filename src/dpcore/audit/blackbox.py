@@ -15,7 +15,9 @@ they are handed, so search samples and test samples can never overlap.
 Both are thin wrappers that sample and then call the slice-level
 `select_event` and `event_pvalue`.  The repeated test of `report.audit_pair`
 calls those directly on disjoint slices of larger samples, so that a group
-of repetitions costs one sampler call per side and phase.
+of repetitions costs one sampler call per side and phase; it tests pure
+epsilon (delta = 0), the one budget kind dpcore charges.  `aggregate_pvalues`
+turns the repetitions' p-values into a verdict.
 """
 
 from __future__ import annotations
@@ -36,9 +38,9 @@ from .gof import half_binomial_tail
 class MechanismUnderTest:
     """A black-box mechanism: (Table, eps, RandomSource) -> real outcome.
 
-    `run_many`, when provided, returns n outcomes at once; the harness uses
-    it purely as a throughput optimization and never inspects internals.
-    A mechanism given only `run_many` gets `run` as its one-outcome case.
+    `run_many(table, eps, rng, n)` returns n outcomes at once.  Give either
+    one: the other is derived from it.  The harness samples only through
+    `run_many` and never inspects internals.
     """
 
     name: str
@@ -46,19 +48,18 @@ class MechanismUnderTest:
     run_many: Callable | None = None
 
     def __post_init__(self) -> None:
-        if self.run is None:
-            if self.run_many is None:
-                raise ContractViolation("a mechanism needs run or run_many")
-            run_many = self.run_many
+        run, run_many = self.run, self.run_many
+        if run is None and run_many is None:
+            raise ContractViolation("a mechanism needs run or run_many")
+        if run is None:
             self.run = lambda table, eps, rng: float(run_many(table, eps, rng, 1)[0])
+        if run_many is None:
+            self.run_many = lambda table, eps, rng, n: [run(table, eps, rng) for _ in range(n)]
 
     def sample(self, table: Table, eps: float, rng: RandomSource, n: int) -> np.ndarray:
-        if self.run_many is not None:
-            out = np.asarray(self.run_many(table, eps, rng, n), dtype=np.float64)
-            if out.shape != (n,):
-                raise ContractViolation("run_many returned the wrong number of outcomes")
-        else:
-            out = np.array([float(self.run(table, eps, rng)) for _ in range(n)])
+        out = np.asarray(self.run_many(table, eps, rng, n), dtype=np.float64)
+        if out.shape != (n,):
+            raise ContractViolation("run_many returned the wrong number of outcomes")
         # A NaN falls in no interval and would turn every quantile into NaN;
         # an infinity turns the quantiles next to it into NaN.
         if not np.isfinite(out).all():
@@ -290,38 +291,24 @@ class PValueVerdict:
     mean_pass: bool
     bonferroni_min_p: float
     bonferroni_pass: bool
-    policy: str
-    passed: bool
 
-    def disagreement(self) -> bool:
-        return self.mean_pass != self.bonferroni_pass
-
-
-MEAN_POLICY = "mean-threshold-0.3"
-BONFERRONI_POLICY = "per-test-min with Bonferroni"
 
 #: Mean of the per-repetition p-values of a correct mechanism should clear 0.3.
 MEAN_P_THRESHOLD = 0.3
 BONFERRONI_ALPHA = 0.05
 
 
-def aggregate_pvalues(pvalues, policy: str = MEAN_POLICY) -> PValueVerdict:
+def aggregate_pvalues(pvalues) -> PValueVerdict:
     """Combine repeated p-values into a verdict.
 
-    Both policies are always computed and reported side by side; `policy`
-    only selects which one drives the pass/fail bit.
+    `mean_pass` (the mean above MEAN_P_THRESHOLD) is the verdict the
+    battery acts on.  The Bonferroni rule (the smallest p-value at least
+    BONFERRONI_ALPHA / len(pvalues)) is reported beside it.
     """
     pvalues = list(pvalues)
     if not pvalues:
         raise ContractViolation("at least one p-value required")
     mean_p = float(np.mean(pvalues))
-    mean_pass = mean_p > MEAN_P_THRESHOLD
     min_p = float(np.min(pvalues))
-    bonf_pass = min_p >= BONFERRONI_ALPHA / len(pvalues)
-    if policy == MEAN_POLICY:
-        passed = mean_pass
-    elif policy == BONFERRONI_POLICY:
-        passed = bonf_pass
-    else:
-        raise ContractViolation(f"unknown policy {policy!r}")
-    return PValueVerdict(mean_p, mean_pass, min_p, bonf_pass, policy, passed)
+    return PValueVerdict(mean_p, mean_p > MEAN_P_THRESHOLD,
+                         min_p, min_p >= BONFERRONI_ALPHA / len(pvalues))

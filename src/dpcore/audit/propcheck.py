@@ -160,8 +160,8 @@ def lipschitz_check(
             e[i] = sign * perturbation
             probe(np.zeros(dim), e)
     for _ in range(trials):
-        x = (rng.uniform(dim) - 0.5) * 20.0
-        e = (rng.uniform(dim) - 0.5) * 2.0 * perturbation
+        x = (rng.uniform_full(dim) - 0.5) * 20.0
+        e = (rng.uniform_full(dim) - 0.5) * 2.0 * perturbation
         probe(x, e)
     return CheckResult(passed, worst[0], worst[1], worst[2])
 
@@ -213,9 +213,9 @@ def expmech_ratio_check(
         worstify((math.inf, 0.0, ("hole-check",)))
 
     for _ in range(trials):
-        x = -6.0 + 7.0 * rng.uniform()
+        x = -6.0 + 7.0 * rng.uniform_full()
         eps = 10.0 ** x
-        delta_q = 0.1 + 4.9 * rng.uniform()
+        delta_q = 0.1 + 4.9 * rng.uniform_full()
         q = np.array([float(rng.randbelow(2001) - 1000) for _ in range(n_candidates)])
         shifted = q.copy()
         idx = rng.randbelow(n_candidates)

@@ -1,8 +1,15 @@
-"""Structured audit outcomes and the full black-box battery runner."""
+"""The black-box battery and its report.
+
+`black_box_battery` runs `audit_pair` on every neighbor pair at every
+claimed epsilon.  Both phases of a pair run the mechanism at that epsilon
+and test pure epsilon (delta = 0).  An entry passes on the mean-p-value
+threshold of `aggregate_pvalues`; a failing entry names the pair, the event
+and the p-value of its worst repetition, and makes the exit code
+EXIT_VIOLATION.
+"""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -10,7 +17,6 @@ import numpy as np
 from ..randomness import RandomSource, derive_source
 from ..relational import Table
 from .blackbox import (
-    MEAN_POLICY,
     MechanismUnderTest,
     NeighborPair,
     OutcomeEvent,
@@ -37,7 +43,6 @@ GROUP_OUTCOMES = 1 << 18
 class Counterexample:
     pair_name: str
     event: OutcomeEvent
-    estimated_ratio: float
     p_value: float
 
 
@@ -58,8 +63,7 @@ class AuditEntry:
             ce = self.counterexample
             lines.append(
                 f"test={self.name} counterexample pair={ce.pair_name} "
-                f"event={ce.event.describe()} ratio={ce.estimated_ratio!r} "
-                f"p={ce.p_value!r}"
+                f"event={ce.event.describe()} p={ce.p_value!r}"
             )
         return lines
 
@@ -95,23 +99,20 @@ def audit_pair(
     n_search: int = DEFAULT_N_SEARCH,
     n_test: int = DEFAULT_N_TEST,
     repetitions: int = DEFAULT_REPETITIONS,
-    delta: float = 0.0,
-    tested_eps: float | None = None,
-    policy: str = MEAN_POLICY,
 ) -> AuditEntry:
-    """Repeated two-phase test of one mechanism on one neighbor pair.
+    """Repeated two-phase test of one mechanism on one neighbor pair at `eps`.
 
     Each repetition selects its own event on search samples and computes one
-    p-value on disjoint fresh samples; the repetitions are aggregated under
-    the selected policy.  `tested_eps` is the epsilon whose violation is
-    being probed (defaults to the epsilon the mechanism is run with).
+    p-value, for pure epsilon (delta = 0), on disjoint fresh samples; both
+    phases run the mechanism at `eps`.  The entry passes when the mean
+    p-value clears its threshold (`aggregate_pvalues`), and a failing entry
+    carries the repetition with the smallest p-value as its counterexample.
 
     The repetitions run in groups of GROUP_OUTCOMES // max(n_search, n_test)
     (at least one).  A group draws each side's search outcomes, and then its
     test outcomes, in one sampler call with its own derived source, and each
     repetition searches and tests on its own disjoint slices of them.
     """
-    tested = tested_eps if tested_eps is not None else eps
     require_samples(n_search, "n_search")
     require_samples(n_test, "n_test")
     group = max(1, GROUP_OUTCOMES // max(n_search, n_test))
@@ -122,21 +123,20 @@ def audit_pair(
         search1, search2 = (np.sort(_draw(m, d, eps, rng, g, n_search), axis=1)
                             for d in (pair.d1, pair.d2))
         events = [select_event(a, b, eps) for a, b in zip(search1, search2)]
-        test1, test2 = (_draw(m, d, tested, rng, g, n_test) for d in (pair.d1, pair.d2))
+        test1, test2 = (_draw(m, d, eps, rng, g, n_test) for d in (pair.d1, pair.d2))
         np_rng = np.random.default_rng(rng.randbits(128))
         for event, out1, out2 in zip(events, test1, test2):
-            p = event_pvalue(out1, out2, event, tested, delta, np_rng)
+            p = event_pvalue(out1, out2, event, eps, 0.0, np_rng)
             pvalues.append(p)
-            est_ratio = math.exp(tested) if p >= 1.0 else math.exp(tested) / max(p, 1e-300)
             if worst is None or p < worst.p_value:
-                worst = Counterexample(pair.name, event, est_ratio, p)
-    verdict = aggregate_pvalues(pvalues, policy)
+                worst = Counterexample(pair.name, event, p)
+    verdict = aggregate_pvalues(pvalues)
     return AuditEntry(
-        name=f"{m.name}/{pair.name}/eps={eps}/tested={tested}",
+        name=f"{m.name}/{pair.name}/eps={eps}",
         statistic=verdict.mean_p,
         p_values=tuple(pvalues),
-        passed=verdict.passed,
-        counterexample=None if verdict.passed else worst,
+        passed=verdict.mean_pass,
+        counterexample=None if verdict.mean_pass else worst,
     )
 
 
@@ -154,31 +154,13 @@ def black_box_battery(
     n_search: int = DEFAULT_N_SEARCH,
     n_test: int = DEFAULT_N_TEST,
     repetitions: int = DEFAULT_REPETITIONS,
-    delta: float = 0.0,
-    eps_factors=(1.0,),
-    policy: str = MEAN_POLICY,
 ) -> AuditReport:
-    """Run the two-phase test over a neighbor suite and an epsilon grid.
-
-    For each claimed epsilon, the mechanism runs at that epsilon and the
-    hypothesis is probed at factor * claimed for each factor (only factors
-    >= 1 can fail a correct mechanism's own claim; sub-1 factors measure
-    headroom and are reported, not enforced).
-    """
+    """`audit_pair` on every pair of the neighbor suite at every epsilon of
+    the grid, each on its own derived source: one entry per (epsilon, pair),
+    epsilon-major."""
     report = AuditReport()
     for eps in eps_values:
-        for factor in eps_factors:
-            enforce = factor >= 1.0
-            for pair in suite:
-                entry = audit_pair(
-                    m, pair, eps, derive_source(rng),
-                    n_search=n_search, n_test=n_test, repetitions=repetitions,
-                    delta=delta, tested_eps=eps * factor, policy=policy,
-                )
-                if not enforce:
-                    entry = AuditEntry(
-                        entry.name + "/headroom", entry.statistic,
-                        entry.p_values, True, entry.counterexample,
-                    )
-                report.add(entry)
+        for pair in suite:
+            report.add(audit_pair(m, pair, eps, derive_source(rng), n_search=n_search,
+                                  n_test=n_test, repetitions=repetitions))
     return report

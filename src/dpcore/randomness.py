@@ -87,16 +87,6 @@ class RandomSource:
 
     # -- uniforms -----------------------------------------------------------
 
-    def uniform(self, n: int | None = None):
-        """Uniform float64 in (0, 1) at 2^-64 granularity near the top.
-
-        Used for bulk work where the full dyadic-precision variant below is
-        unnecessary.
-        """
-        m = self.u64(n if n is not None else 1)
-        out = (m.astype(np.float64) + 0.5) * 2.0 ** -64
-        return out if n is not None else float(out[0])
-
     def uniform_full(self, n: int | None = None):
         """Uniform over representable floats in (0, 1), not just a 2^-53 grid.
 
@@ -105,8 +95,10 @@ class RandomSource:
         zeros of bits 11..0.  Only where those 12 bits are all zero
         (p = 2^-12) does k go on, over the trailing zeros of fresh words, an
         all-zero word adding 64.  So every dyadic range [2^-k-1, 2^-k) is
-        reachable with the correct mass.  This is the uniform behind the
-        inverse-CDF samplers.
+        reachable with the correct mass.  Each value stands for the interval
+        up to the next one, so P[U < p] = p exactly for every float
+        p >= 2^-1022; the all-ones word gives 1 - 2^-53.  This is the uniform
+        behind the inverse-CDF samplers and `bernoulli_sample`.
         """
         size = n if n is not None else 1
         words = self.u64(size)

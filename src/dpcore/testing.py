@@ -17,7 +17,7 @@ import numpy as np
 class ScriptedSource:
     """Randomness stand-in that replays scripted values.
 
-    `uniforms` feeds uniform()/uniform_full(); `bits` feeds randbits()/
+    `uniforms` feeds uniform_full(); `bits` feeds randbits()/
     randbelow()/signs().  Sequences repeat when exhausted.
 
     The exact discrete Laplace sampler loops until its coins let it stop,
@@ -31,15 +31,9 @@ class ScriptedSource:
         self._uniforms = itertools.cycle(uniforms)
         self._bits = itertools.cycle(bits)
 
-    def _u(self, n):
+    def uniform_full(self, n=None):
         out = np.array([next(self._uniforms) for _ in range(n if n is not None else 1)])
         return out if n is not None else float(out[0])
-
-    def uniform(self, n=None):
-        return self._u(n)
-
-    def uniform_full(self, n=None):
-        return self._u(n)
 
     def randbits(self, k: int) -> int:
         return next(self._bits) % (1 << k)

@@ -220,14 +220,15 @@ def group_by(t: Table, keys: Sequence[str]) -> GroupedTable:
 
 
 def bernoulli_sample(t: Table, p: float, rng) -> Table:
-    """Keep each row independently with probability p.
+    """Keep each row independently with probability p (exactly p for a
+    float p >= 2^-1022: see `RandomSource.uniform_full`).
 
     The tracked stability factor is unchanged (randomized-stability
     semantics, see README); this is the sanctioned replacement for Limit.
     """
     if not (0.0 <= p <= 1.0):
         raise ContractViolation("sampling probability must be in [0, 1]")
-    return Table(t.schema, np.compress(rng.uniform(len(t)) < p, t.array), t.stability)
+    return Table(t.schema, np.compress(rng.uniform_full(len(t)) < p, t.array), t.stability)
 
 
 @dataclass(frozen=True)

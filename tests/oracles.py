@@ -183,7 +183,7 @@ def reference_step(kind: str, args: tuple, schema_in, schema_out, rows, rng, sta
     if kind == "bernoulli_sample":
         if not rows:
             return tuple(rows)
-        keep = rng.uniform(len(rows)) < args[0]
+        keep = rng.uniform_full(len(rows)) < args[0]
         return tuple(r for r, k in zip(rows, keep) if k)
     if kind == "map_column":
         i, f = names.index(args[0]), args[1]

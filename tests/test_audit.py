@@ -247,6 +247,17 @@ def test_run_is_the_one_outcome_case_of_run_many(make, small_tables):
         MechanismUnderTest("neither")
 
 
+def test_run_only_mechanism_returning_a_vector_is_refused(two_col_schema, rng):
+    """A `run` that returns a 2-vector fails the same shape check as a
+    `run_many` that returns the wrong number of outcomes."""
+    table = default_neighbor_suite(two_col_schema)[0].d1
+    for m in (MechanismUnderTest("vector", lambda t, e, r: np.zeros(2)),
+              MechanismUnderTest("short", run_many=lambda t, e, r, n: np.zeros(n - 1))):
+        for n in (1, 3):
+            with pytest.raises(ContractViolation, match="wrong number of outcomes"):
+                m.sample(table, 1.0, rng, n)
+
+
 def test_event_search_requires_enough_samples(two_col_schema, rng):
     suite = default_neighbor_suite(two_col_schema)
     with pytest.raises(ContractViolation):
@@ -386,16 +397,14 @@ def test_constant_mechanism_is_trivially_private(two_col_schema, rng):
 
 def test_aggregate_pvalues_policies():
     v = aggregate_pvalues([0.5, 0.6, 0.7])
-    assert v.passed and v.mean_pass and v.bonferroni_pass
-    # Mean fails, Bonferroni passes: policies can disagree and both are kept.
+    assert v.mean_pass and v.bonferroni_pass
+    # The two rules can disagree either way, and both are reported.
     v = aggregate_pvalues([0.2] * 10)
-    assert not v.mean_pass and v.bonferroni_pass and v.disagreement()
-    v = aggregate_pvalues([0.9, 0.9, 1e-6], policy="per-test-min with Bonferroni")
-    assert not v.passed and v.mean_pass
+    assert not v.mean_pass and v.bonferroni_pass
+    v = aggregate_pvalues([0.9, 0.9, 1e-6])
+    assert v.mean_pass and not v.bonferroni_pass and v.bonferroni_min_p == 1e-6
     with pytest.raises(ContractViolation):
         aggregate_pvalues([])
-    with pytest.raises(ContractViolation):
-        aggregate_pvalues([0.5], policy="nonsense")
 
 
 def test_audit_pair_flags_bug_and_reports_counterexample(two_col_schema, rng):
@@ -404,9 +413,10 @@ def test_audit_pair_flags_bug_and_reports_counterexample(two_col_schema, rng):
                        n_search=5000, n_test=20_000, repetitions=5)
     assert not entry.passed
     assert entry.counterexample is not None
-    assert entry.counterexample.p_value < 1e-3
-    text = "\n".join(entry.to_lines())
-    assert "counterexample" in text
+    ce = entry.counterexample
+    assert ce.p_value < 1e-3
+    assert entry.to_lines()[-1] == (f"test={entry.name} counterexample pair={suite[1].name} "
+                                    f"event={ce.event.describe()} p={ce.p_value!r}")
 
 
 def test_battery_passes_correct_mechanism(two_col_schema, rng):
@@ -417,15 +427,23 @@ def test_battery_passes_correct_mechanism(two_col_schema, rng):
     assert "overall passed=True" in report.to_text()
 
 
-def test_battery_headroom_factors_never_fail(two_col_schema, rng):
-    suite = default_neighbor_suite(two_col_schema)
-    # Probing below the claimed epsilon measures headroom; entries are
-    # reported but cannot fail the run.
-    report = black_box_battery(laplace_count_target(), suite[:1], [1.0], rng,
-                               n_search=5000, n_test=10_000, repetitions=3,
-                               eps_factors=(0.5,))
-    assert report.passed
-    assert all("headroom" in e.name for e in report.entries)
+def test_battery_runs_both_phases_at_the_claimed_eps(two_col_schema, rng):
+    """Every search call and every test call runs the mechanism at its
+    entry's epsilon: 4 calls per pair per epsilon, and one entry each."""
+    target = laplace_count_target()
+    seen = []
+
+    def run_many(table, eps, rng, n):
+        seen.append(eps)
+        return target.run_many(table, eps, rng, n)
+
+    suite = default_neighbor_suite(two_col_schema)[:2]
+    report = black_box_battery(MechanismUnderTest("recording", run_many=run_many), suite,
+                               [0.5, 1.0], rng, n_search=2000, n_test=4000, repetitions=3)
+    assert seen == [0.5] * 8 + [1.0] * 8
+    names = [e.name for e in report.entries]
+    assert names == [f"recording/{p.name}/eps={eps}" for eps in (0.5, 1.0) for p in suite]
+    assert not any("/headroom" in n or "/tested=" in n for n in names)
 
 
 def test_battery_flags_half_noise_bug(two_col_schema, rng):

@@ -48,11 +48,6 @@ def test_derive_source_forks_the_stream():
     assert c1.bytes(32) != parent.bytes(32)
 
 
-def test_uniform_is_in_open_interval(rng):
-    u = rng.uniform(100_000)
-    assert np.all(u > 0) and np.all(u < 1)
-
-
 def test_uniform_full_reaches_small_dyadic_ranges(rng):
     u = rng.uniform_full(200_000)
     assert np.all(u > 0) and np.all(u < 1)
@@ -215,7 +210,7 @@ def test_log_add_identity_and_extremes():
 def test_scripted_source_is_deterministic():
     a = ScriptedSource(uniforms=(0.25, 0.75))
     b = ScriptedSource(uniforms=(0.25, 0.75))
-    assert a.uniform(4).tolist() == b.uniform(4).tolist() == [0.25, 0.75, 0.25, 0.75]
+    assert a.uniform_full(4).tolist() == b.uniform_full(4).tolist() == [0.25, 0.75, 0.25, 0.75]
 
 
 def test_zero_noise_source_silences_laplace():

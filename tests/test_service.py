@@ -311,10 +311,10 @@ def test_laplace_int_on_a_real_sum_is_refused_alike_on_neighbors():
 class _NoFloatSource(RandomSource):
     """A real source whose float draws raise."""
 
-    def uniform(self, n=None):
+    def uniform_full(self, n=None):
         raise AssertionError("float draw in an integer release")
 
-    uniform_full = signs = uniform
+    signs = uniform_full
 
 
 def test_laplace_int_release_draws_no_float():

@@ -13,6 +13,7 @@ from dpcore import (
     Comparison,
     ContractViolation,
     Predicate,
+    RandomSource,
     RejectedOperationError,
     Schema,
     Square,
@@ -162,6 +163,23 @@ def test_bernoulli_sample_keeps_stability():
     assert len(out.rows) == 5  # alternating keep/drop from the script
     with pytest.raises(ContractViolation):
         bernoulli_sample(t, 1.5, ScriptedSource())
+
+
+class _AllOnesSource(RandomSource):
+    """A real source whose keystream bytes are all 0xFF."""
+
+    def bytes(self, n):
+        return bytearray(b"\xff" * n)
+
+
+def test_bernoulli_sample_at_one_keeps_every_row_on_the_all_ones_word():
+    """The all-ones 64-bit word is the largest uniform draw; it is still below
+    1, so p = 1 keeps every row and p = 0 none."""
+    rng = _AllOnesSource()
+    assert rng.uniform_full(3).tolist() == [1 - 2.0 ** -53] * 3
+    t = make_table(_schema(), [(i, 0) for i in range(5)])
+    assert len(bernoulli_sample(t, 1.0, rng).rows) == 5
+    assert len(bernoulli_sample(t, 0.0, rng).rows) == 0
 
 
 # -- column maps -------------------------------------------------------------
