@@ -80,16 +80,11 @@ class NeighborPair:
 
 @dataclass(frozen=True)
 class OutcomeEvent:
-    """Closed interval event [lo, hi]; either end may be infinite.
-
-    `swapped` records which orientation looked denser during the search
-    (True means d2 had the excess); the hypothesis test checks both
-    orientations regardless.
-    """
+    """Closed interval event [lo, hi]; either end may be infinite.  The
+    hypothesis test checks both orientations of the pair on it."""
 
     lo: float
     hi: float
-    swapped: bool = False
 
     def count(self, outcomes: np.ndarray) -> int:
         return int(np.count_nonzero((outcomes >= self.lo) & (outcomes <= self.hi)))
@@ -206,22 +201,21 @@ def select_event(out1: np.ndarray, out2: np.ndarray, eps: float) -> OutcomeEvent
     qs = qs[np.concatenate(([True], qs[1:] != qs[:-1]))]
     # One block, filled in place: glibc keeps a freed block this size for the next
     # search, where separate temporaries were trimmed and faulted back in each time.
-    c1, c2, score_fwd, score_rev, score = np.empty((5, len(qs), len(qs) + 2))
+    c1, c2, score_fwd, score = np.empty((4, len(qs), len(qs) + 2))
     _event_counts(out1, qs, c1)
     _event_counts(out2, qs, c2)
     # +1 smoothing on the sparse side keeps the score finite.
     np.divide(c1, np.multiply(e_eps, np.add(c2, 1.0, out=score_fwd), out=score_fwd),
               out=score_fwd)
-    np.divide(c2, np.multiply(e_eps, np.add(c1, 1.0, out=score_rev), out=score_rev),
-              out=score_rev)
-    np.maximum(score_fwd, score_rev, out=score)
+    np.divide(c2, np.multiply(e_eps, np.add(c1, 1.0, out=score), out=score), out=score)
+    np.maximum(score_fwd, score, out=score)
     score[np.maximum(c1, c2, out=c1) < min_count] = -math.inf
     i, col = divmod(int(np.argmax(score)), len(qs) + 2)
     if score[i, col] == -math.inf:
         return OutcomeEvent(-math.inf, math.inf)
     lo = -math.inf if col == 0 else float(qs[i])
     hi = float(qs[i]) if col == 0 else math.inf if col == 1 else float(qs[col - 2])
-    return OutcomeEvent(lo, hi, bool(score_rev[i, col] >= score_fwd[i, col]))
+    return OutcomeEvent(lo, hi)
 
 
 def _binomial_pvalue(

@@ -70,7 +70,7 @@ def output_distance(x, y) -> float:
     if isinstance(x, GroupedTable) and isinstance(y, GroupedTable):
         # A grouped table is a multiset of (key, record-set) entries; a
         # changed group counts once on each side.
-        if x.group_keys != y.group_keys:
+        if x.labels != y.labels:
             raise ContractViolation("grouped outputs disagree on the key domain")
         mx, my = (Counter(zip(g.cells.tolist(), g.table.rows)) for g in (x, y))
         changed = {cell for cell, _ in (mx - my) + (my - mx)}
@@ -205,7 +205,7 @@ def expmech_ratio_check(
         worstify((ratio, eps_bound, ctx))
 
     # The draft's zero/nonzero hole probe: eps=1, sensitivity 0.5, qualities
-    # (40, 1) against the swapped (1, 40).
+    # (40, 1) against the reversed (1, 40).
     lp_a = log_probabilities(np.array([40.0, 1.0]), 0.5, 1.0)
     lp_b = log_probabilities(np.array([1.0, 40.0]), 0.5, 1.0)
     if not np.array_equal(np.isfinite(lp_a), np.isfinite(lp_b[::-1])):

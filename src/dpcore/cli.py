@@ -15,6 +15,7 @@ import math
 import os
 import shutil
 import socketserver
+import stat
 import subprocess
 import sys
 import tempfile
@@ -233,9 +234,13 @@ class _Server(socketserver.ThreadingUnixStreamServer):
 
 
 def _cmd_serve(args) -> int:
-    state = CliState(args.config)
-    if os.path.exists(args.socket):
+    # Only a socket left by an earlier server is replaced; any other file
+    # at the path is refused and left alone.
+    if os.path.lexists(args.socket):
+        if not stat.S_ISSOCK(os.lstat(args.socket).st_mode):
+            raise ContractViolation(f"--socket {args.socket} exists and is not a socket")
         os.unlink(args.socket)
+    state = CliState(args.config)
     with _Server(args.socket, state) as server:
         server.serve_forever()
     return 0

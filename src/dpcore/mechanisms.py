@@ -97,10 +97,13 @@ def report_noisy_max(
     that is released.
 
     Each entry gets independent Exp(2/eps) noise (per-entry sensitivity 1);
-    ties break toward the smallest index.
+    ties break toward the smallest index.  A NaN or infinite answer would
+    pick the index itself, so it is refused before the charge.
     """
     if len(answers) == 0:
         raise ContractViolation("report_noisy_max requires a nonempty vector")
+    if not np.isfinite(answers.values).all():
+        raise ParameterError("report_noisy_max requires finite answers")
     _spend(accountant, eps, 1.0, "report_noisy_max")
     noisy = answers.values + sample_exponential(rng, 2.0 / eps, size=len(answers))
     return int(np.argmax(noisy))  # argmax takes the first of equal maxima
@@ -152,6 +155,8 @@ def exponential_mechanism(
         raise ContractViolation("exponential_mechanism requires candidates")
     if len(candidates) != quality.shape[0]:
         raise ContractViolation("one quality score per candidate required")
+    if not np.isfinite(quality).all():  # a NaN weight would pick the last candidate
+        raise ParameterError("exponential_mechanism requires finite qualities")
     _spend(accountant, eps, 0.0, "exponential_mechanism")  # log-domain weights: no floor
     b, log_z = _log_weights(quality, delta_q, eps)
     # Inverse-CDF in log domain: find the first index whose cumulative log

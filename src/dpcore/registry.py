@@ -70,10 +70,7 @@ class DatasetRegistry:
         """Run a plan against a registered table, returning its StatVector.
 
         When a clock and xi are given, predicate scans are paced: each scan
-        advances the clock by exactly xi per record (see `select_where`).
+        advances the clock by exactly xi per record (see
+        `TransformPlan.execute`).
         """
-        table = self._table(handle)
-        if clock is not None and xi is not None:
-            plan = TransformPlan(tuple((*step, clock, xi) if step[0] == "select_where"
-                                       else step for step in plan.steps))
-        return plan.execute(table, rng)
+        return plan.execute(self._table(handle), rng, clock, xi)

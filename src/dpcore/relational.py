@@ -138,35 +138,17 @@ class Schema:
         return len(self.columns)
 
 
-@dataclass(frozen=True)
-class StabilityBound:
-    """Bound on output symmetric-difference size per unit input change."""
-
-    factor: float  # nonnegative integer, or math.inf
-
-    def __post_init__(self) -> None:
-        if self.factor != math.inf:
-            if self.factor < 0 or self.factor != int(self.factor):
-                raise ContractViolation("stability factor must be a nonnegative integer or inf")
-            object.__setattr__(self, "factor", int(self.factor))
-
-    def times(self, k: float) -> "StabilityBound":
-        return StabilityBound(self.factor * k)
-
-    def plus(self, other: "StabilityBound") -> "StabilityBound":
-        return StabilityBound(self.factor + other.factor)
-
-
 @dataclass(frozen=True, eq=False)
 class Table:
     """Multiset of rows, held as one record array of `schema_dtype(schema)`,
-    plus schema metadata and a tracked stability bound.  The array's order
-    carries no meaning; all comparisons go through multiset semantics.
+    plus schema metadata and a tracked stability factor: a bound on the
+    output symmetric difference per unit change of the input.  The array's
+    order carries no meaning; all comparisons go through multiset semantics.
     """
 
     schema: Schema
     array: np.ndarray
-    stability: StabilityBound = StabilityBound(1)
+    stability: int = 1
 
     def __post_init__(self) -> None:
         if not isinstance(self.array, np.ndarray) or self.array.ndim != 1 \
@@ -200,16 +182,14 @@ class Table:
 @dataclass(frozen=True, eq=False)
 class GroupedTable:
     """A table grouped onto the key domain cross-product, fixed by metadata:
-    `group_keys` lists every key of the declared domains in sorted order,
-    keys no row has included, each with its label, and row i falls in
-    `group_keys[cells[i]]`.
+    `labels` names every key of the declared domains in sorted order, keys
+    no row has included, and row i falls in the cell `labels[cells[i]]`.
     """
 
     table: Table
-    group_keys: tuple
     labels: tuple[str, ...]
     cells: np.ndarray
-    stability: StabilityBound
+    stability: int
 
 
 @dataclass(frozen=True)
@@ -352,7 +332,7 @@ def table_from_array(schema: Schema, array: np.ndarray) -> Table:
     """The stability-1 table of a stored record array of `schema_dtype(schema)`.
     Nothing is corrected: another shape or dtype, a code outside its domain
     or a number outside its bounds (NaN too) refuses the whole table."""
-    table = Table(schema, array, StabilityBound(1))  # checks the shape and dtype
+    table = Table(schema, array)  # checks the shape and dtype
     for col in schema.columns:
         a = array[col.name]
         cat = col.kind is ColumnKind.CATEGORICAL

@@ -58,6 +58,10 @@ class ServiceConfig:
             value = getattr(self, name)
             if not (value >= 0 and math.isfinite(value)):
                 raise ContractViolation(f"{name} must be finite and nonnegative")
+        # Outside [0, 1] (NaN too) the startup charge is not finite, exceeds
+        # the scope or is negative, so no session could open.
+        if not 0 <= self.startup_fraction <= 1:
+            raise ContractViolation("startup_fraction must be in [0, 1]")
 
     @classmethod
     def from_file(cls, path: str) -> "ServiceConfig":
@@ -84,7 +88,6 @@ class QuerySession:
     dataset: str  # opaque handle
     scope: ScopeHandle
     n_hat: float  # noisy size estimate, fixed at session start
-    xi: float
     rng: RandomSource
 
 
@@ -177,7 +180,6 @@ class QueryService:
                     dataset=dataset,
                     scope=scope,
                     n_hat=0.0,
-                    xi=self._config.xi,
                     rng=derive_source(self._rng),
                 )
             session.n_hat = self._estimate_size(session)
@@ -190,7 +192,8 @@ class QueryService:
     def dump_sessions(self) -> dict:
         """Persistable session state.  Randomness is never part of it:
         sources are rebuilt from OS entropy on restore, and n-hat is kept
-        (it is never recomputed within a session's lifetime)."""
+        (it is never recomputed within a session's lifetime).  xi is not
+        kept: every session paces with the config's."""
         with self._lock:
             return {
                 "counter": self._session_counter,
@@ -199,7 +202,6 @@ class QueryService:
                         "dataset": s.dataset,
                         "scope": s.scope.scope_id,
                         "n_hat": s.n_hat,
-                        "xi": s.xi,
                     }
                     for sid, s in self._sessions.items()
                 },
@@ -214,7 +216,6 @@ class QueryService:
                     dataset=s["dataset"],
                     scope=self._accountant.scope(s["scope"]),
                     n_hat=float(s["n_hat"]),
-                    xi=float(s["xi"]),
                     rng=derive_source(self._rng),
                 )
 
@@ -251,7 +252,7 @@ class QueryService:
             result = private_release(
                 self._registry, session.dataset, plan, request.mechanism,
                 request.eps, session.scope, self._derive(session.rng),
-                clock=self._clock, xi=session.xi,
+                clock=self._clock, xi=self._config.xi,
             )
             status, code = "ok", ""
             values = tuple(float(x) for x in result.values)
@@ -260,7 +261,7 @@ class QueryService:
             # Every failure, anticipated or not, takes the one error shape and
             # the padding below; an escaping exception would skip both.
             pass
-        self._pad(start, self._n_hat_for_padding(session) * session.xi,
+        self._pad(start, self._n_hat_for_padding(session) * self._config.xi,
                   self._config.overhead)
         return QueryResponse(status, code, values, labels,
                              remaining_budget=session.scope.remaining())

@@ -99,21 +99,14 @@ class Comparison:
                 ">=": (c, col.upper), "==": (c, c)}[self.op]
 
 
-@dataclass(frozen=True)
-class Predicate:
-    """Conjunction of comparisons."""
-
-    conjuncts: tuple[Comparison, ...]
-
-
-def _refine_column(col: ColumnMeta, pred: Predicate) -> ColumnMeta:
+def _refine_column(col: ColumnMeta, pred: tuple[Comparison, ...]) -> ColumnMeta:
     lower, upper = col.lower, col.upper
-    for comp in pred.conjuncts:
+    for comp in pred:
         implied = comp.implied_bounds(col) if comp.column == col.name else None
         if implied is not None:
             lower, upper = max(lower, implied[0]), min(upper, implied[1])
     if lower > upper:
-        # Predicate is unsatisfiable on the declared domain; collapse to a
+        # The comparisons are unsatisfiable on the declared domain; collapse to a
         # single-point domain so the metadata stays well-formed.
         lower = upper = col.lower
     if (lower, upper) == (col.lower, col.upper):
@@ -121,21 +114,17 @@ def _refine_column(col: ColumnMeta, pred: Predicate) -> ColumnMeta:
     return replace(col, lower=lower, upper=upper)
 
 
-def select_where(t: Table, pred: Predicate, clock=None, xi: float = 0.0) -> Table:
-    """Row filter; 1-stable; output bounds refined by the predicate.
-
-    With a clock the scan is paced: it costs len(t) * xi in one `advance`.
-    """
-    for comp in pred.conjuncts:
+def select_where(t: Table, pred: tuple[Comparison, ...]) -> Table:
+    """Row filter: a row stays when every comparison in `pred` holds.
+    1-stable; output bounds refined by the comparisons."""
+    for comp in pred:
         comp.check_kind(t.schema.column(comp.column))  # or UnknownColumnError
     new_cols = tuple(
         _refine_column(c, pred) if c.is_numeric else c for c in t.schema.columns
     )
     keep = np.ones(len(t), dtype=bool)
-    for comp in pred.conjuncts:
+    for comp in pred:
         keep &= comp.mask(t)
-    if clock is not None:
-        clock.advance(len(t) * xi)
     # compress copies packed records many times faster than a boolean index
     return Table(Schema(new_cols), np.compress(keep, t.array), t.stability)
 
@@ -197,7 +186,7 @@ def union(a: Table, b: Table) -> Table:
     schema = Schema(tuple(_hull_column(ca, cb)
                           for ca, cb in zip(a.schema.columns, b.schema.columns)))
     array = np.concatenate([_recoded(a, schema), _recoded(b, schema)])
-    return Table(schema, array, a.stability.plus(b.stability))
+    return Table(schema, array, a.stability + b.stability)
 
 
 def group_by(t: Table, keys: Sequence[str]) -> GroupedTable:
@@ -215,8 +204,7 @@ def group_by(t: Table, keys: Sequence[str]) -> GroupedTable:
     for col, domain in zip(key_cols, domains):
         cells = cells * len(domain) + _ranks(t, col) - (domain[0] if col.is_numeric else 0)
     labels = map("/".join, itertools.product(*(list(map(str, d)) for d in domains)))
-    return GroupedTable(t, tuple(itertools.product(*domains)), tuple(labels), cells,
-                        t.stability.times(2))
+    return GroupedTable(t, tuple(labels), cells, 2 * t.stability)
 
 
 def bernoulli_sample(t: Table, p: float, rng) -> Table:
@@ -330,7 +318,7 @@ def aggregate(t: Table | GroupedTable, agg: str, column: str | None = None) -> S
         raise ContractViolation(f"unknown aggregation {agg!r}")
     if not isinstance(t, GroupedTable):  # one cell, labelled by the aggregation
         label = agg if column is None else f"{agg}({column})"
-        t = GroupedTable(t, ((),), (label,), np.zeros(len(t), dtype=np.int64), t.stability)
+        t = GroupedTable(t, (label,), np.zeros(len(t), dtype=np.int64), t.stability)
     col = None
     if agg == "sum":
         if column is None:
@@ -340,9 +328,6 @@ def aggregate(t: Table | GroupedTable, agg: str, column: str | None = None) -> S
             raise ContractViolation("sum over a non-numeric column")
         if not (math.isfinite(col.lower) and math.isfinite(col.upper)):
             raise ContractViolation("sum over an unbounded column")
-    factor = t.stability.factor
-    if factor == math.inf:
-        raise ContractViolation("cannot aggregate a table with unbounded stability")
     influence = 1.0 if agg == "count" else max(abs(col.lower), abs(col.upper))
     values = np.bincount(t.cells, minlength=len(t.labels))
     if agg == "sum":  # each cell's values in one list, summed exactly, rounded once
@@ -351,7 +336,8 @@ def aggregate(t: Table | GroupedTable, agg: str, column: str | None = None) -> S
         ordered = t.table.array[column][np.argsort(t.cells, kind="stable")].tolist()
         values = [float(exact(ordered[s:e])) for s, e in zip([0] + ends[:-1], ends)]
     integral = agg == "count" or col.kind is ColumnKind.INTEGER
-    return StatVector(np.array(values, dtype=np.float64), factor * influence, t.labels, integral)
+    return StatVector(np.array(values, dtype=np.float64), t.stability * influence, t.labels,
+                      integral)
 
 
 _REJECTED = {
@@ -437,7 +423,7 @@ def _probability(words):
 def _predicate(words):
     _expect(len(words) % 4 == 3 and all(w == "and" for w in words[3::4]))
     comps = zip(words[0::4], words[1::4], words[2::4])
-    return (Predicate(tuple(Comparison(c, op, _parse_literal(k)) for c, op, k in comps)),)
+    return (tuple(Comparison(c, op, _parse_literal(k)) for c, op, k in comps),)
 
 
 _MAPS = {"clamp": (Clamp, 2), "affine": (Affine, 2), "square": (Square, 0)}
@@ -459,7 +445,7 @@ def _bernoulli(t, rng, p):
 #: Plan step -> (parser of the words after its name, executor).  The parser
 #: returns the step's arguments; the executor is called as (table, rng, *args).
 _STEPS = {
-    "select_where": (_predicate, lambda t, rng, pred, *pace: select_where(t, pred, *pace)),
+    "select_where": (_predicate, lambda t, rng, pred: select_where(t, pred)),
     "project": (_columns, lambda t, rng, cols: project(t, cols)),
     "distinct": (_columns, lambda t, rng, cols: distinct(t, cols)),
     "self_union": (_no_words, lambda t, rng: union(t, t)),
@@ -486,9 +472,15 @@ class TransformPlan:
             if kind == "group_by" and i != len(kinds) - 2:
                 raise ContractViolation("a grouped table can only be aggregated")
 
-    def execute(self, t: Table, rng=None) -> StatVector:
+    def execute(self, t: Table, rng=None, clock=None, xi: float | None = None) -> StatVector:
+        """Run the steps on `t`.  With a clock and xi, each `select_where`
+        scan is paced: once it returns, the clock advances by xi times the
+        rows it read, in one `advance`."""
         for kind, *args in self.steps:
-            t = _STEPS[kind][1](t, rng, *args)
+            out = _STEPS[kind][1](t, rng, *args)
+            if kind == "select_where" and clock is not None and xi is not None:
+                clock.advance(len(t) * xi)
+            t = out
         return t
 
 

@@ -5,15 +5,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # make `oracles` importable
 
-from dpcore import (
-    Accountant,
-    ColumnKind,
-    ColumnMeta,
-    PURE_EPS,
-    RandomSource,
-    Schema,
-    make_table,
-)
+from dpcore.accounting import Accountant, PURE_EPS
+from dpcore.randomness import RandomSource
+from dpcore.relational import ColumnKind, ColumnMeta, Schema, make_table
 
 
 @pytest.fixture

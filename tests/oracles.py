@@ -98,15 +98,15 @@ def anderson_darling_reference(sample, cdf) -> float:
     return float(-n - s / n)
 
 
-def event_search_reference(out1, out2, eps: float) -> tuple[float, float, bool]:
-    """`(lo, hi, swapped)` of the event `blackbox.event_search` must pick from
+def event_search_reference(out1, out2, eps: float) -> tuple[float, float]:
+    """`(lo, hi)` of the event `blackbox.event_search` must pick from
     these two sample sets, found by listing every candidate interval and
     scoring it with scalar searches, one candidate at a time."""
     out1, out2 = np.sort(out1), np.sort(out2)
     n_search = len(out1)
     pooled = np.concatenate([out1, out2])
     if np.all(pooled == pooled[0]):
-        return float(pooled[0]), float(pooled[0]), False
+        return float(pooled[0]), float(pooled[0])
     qs = np.unique(np.quantile(pooled, np.linspace(0.0, 1.0, 101)))
     candidates = []
     for i in range(len(qs)):
@@ -124,11 +124,11 @@ def event_search_reference(out1, out2, eps: float) -> tuple[float, float, bool]:
             continue
         score_fwd = c1 / (e_eps * (c2 + 1.0))
         score_rev = c2 / (e_eps * (c1 + 1.0))
-        score, swapped = max((score_fwd, False), (score_rev, True))
+        score = max(score_fwd, score_rev)
         if best is None or score > best[0]:
-            best = (score, (lo, hi, swapped))
+            best = (score, (lo, hi))
     if best is None:
-        return -math.inf, math.inf, False
+        return -math.inf, math.inf
     return best[1]
 
 
@@ -173,7 +173,7 @@ def reference_step(kind: str, args: tuple, schema_in, schema_out, rows, rng, sta
         (pred,) = args
         return tuple(r for r in rows if all(
             _comparison_holds(r[names.index(c.column)], c.op, c.constant)
-            for c in pred.conjuncts))
+            for c in pred))
     if kind == "project":
         return tuple(tuple(r[names.index(n)] for n in args[0]) for r in rows)
     if kind == "distinct":

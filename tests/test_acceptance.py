@@ -13,40 +13,20 @@ import numpy as np
 import pytest
 
 import mpmath
-from dpcore import (
-    Accountant,
-    ColumnKind,
-    ColumnMeta,
-    PURE_EPS,
-    RandomSource,
-    Schema,
-    StatVector,
-    aggregate,
-    group_by,
-    linear_query_epsilon,
-    make_table,
-    noisy_histogram,
-    power_bound,
-    sample_laplace,
-    union,
-)
-from dpcore.accounting import replay_spent
-from dpcore.audit import (
-    AD_CRITICAL_99,
-    anderson_darling,
-    black_box_battery,
-    default_neighbor_suite,
-    expmech_ratio_check,
-    laplace_cdf,
-    stability_check,
-)
+from dpcore.accounting import Accountant, PURE_EPS, linear_query_epsilon, power_bound, replay_spent
+from dpcore.audit.blackbox import default_neighbor_suite
 from dpcore.audit.bugs import half_noise_laplace_count
+from dpcore.audit.gof import AD_CRITICAL_99, anderson_darling, laplace_cdf
+from dpcore.audit.propcheck import expmech_ratio_check, stability_check
+from dpcore.audit.report import black_box_battery
 from dpcore.audit.targets import laplace_count_target
-from dpcore.mechanisms import exponential_mechanism_log_probabilities
-from dpcore.randomness import log_add
+from dpcore.mechanisms import exponential_mechanism_log_probabilities, noisy_histogram
+from dpcore.randomness import RandomSource, log_add, sample_laplace
 from dpcore.registry import DatasetRegistry
+from dpcore.relational import ColumnKind, ColumnMeta, Schema, StatVector, make_table
 from dpcore.service import QueryRequest, QueryService, ServiceConfig
 from dpcore.testing import ScriptedSource, SimulatedClock
+from dpcore.transforms import aggregate, group_by, union
 from oracles import max_column_l1
 
 
@@ -119,7 +99,7 @@ def test_acceptance_stability_witness(announce):
         return t
 
     t = make_table(schema, [(1, 0)])
-    claimed = chain(t).stability.factor
+    claimed = chain(t).stability
     res = stability_check(chain, 32.0, schema, [(0, 0), (1, 1), (2, 0)],
                           max_rows=2, max_k=1)
     tight = stability_check(chain, 31.0, schema, [(0, 0), (1, 1), (2, 0)],
@@ -140,7 +120,7 @@ def test_acceptance_doubled_sum_sensitivity(announce):
     v = aggregate(union(t, t), "sum", "wage")
     # Empirical cross-check at a scaled-down domain (same pipeline shape).
     small = Schema((ColumnMeta("wage", ColumnKind.INTEGER, lower=0, upper=3),))
-    from dpcore.audit import sensitivity_check
+    from dpcore.audit.propcheck import sensitivity_check
     emp = sensitivity_check(lambda tt: aggregate(union(tt, tt), "sum", "wage"),
                             6.0, small, [(0,), (1,), (3,)], max_rows=3, max_k=2)
     ok = v.l1_sensitivity == 600_000.0 and emp.passed

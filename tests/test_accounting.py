@@ -19,19 +19,22 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import dpcore
-from dpcore import (
+from dpcore.accounting import (
     Accountant,
-    BudgetExceededError,
-    ContractViolation,
     PURE_EPS,
-    ParameterError,
     PrivacyCharge,
     linear_query_epsilon,
     power_bound,
+    replay_spent,
     verify_accounting,
 )
-from dpcore.accounting import replay_spent
-from dpcore.errors import BUDGET_EXCEEDED_MESSAGE, UnknownScopeError
+from dpcore.errors import (
+    BUDGET_EXCEEDED_MESSAGE,
+    BudgetExceededError,
+    ContractViolation,
+    ParameterError,
+    UnknownScopeError,
+)
 from dpcore.service import ServiceConfig, build_accountant
 from oracles import max_column_l1
 

@@ -10,55 +10,49 @@ import pytest
 from scipy import stats
 
 import dpcore
-from dpcore import (
-    Accountant,
-    ColumnKind,
-    ColumnMeta,
-    ContractViolation,
-    PURE_EPS,
-    Schema,
-    StatVector,
-    aggregate,
-    group_by,
-    make_table,
-    sample_laplace,
-    select_where,
-    union,
-)
-from dpcore.audit import (
-    AD_CRITICAL_99,
-    CATALOG,
+from dpcore.accounting import Accountant, PURE_EPS
+from dpcore.audit import report as audit_report
+from dpcore.audit.blackbox import (
     MechanismUnderTest,
     NeighborPair,
     OutcomeEvent,
+    _percentiles,
     aggregate_pvalues,
-    anderson_darling,
-    audit_pair,
-    black_box_battery,
-    chi_squared_gof,
     default_neighbor_suite,
     dp_hypothesis_test,
     event_search,
-    expmech_ratio_check,
-    laplace_cdf,
-    lipschitz_check,
-    sensitivity_check,
-    stability_check,
 )
-from dpcore.audit import report as audit_report
-from dpcore.audit.blackbox import _percentiles
 from dpcore.audit.bugs import (
+    CATALOG,
     accountant_bypass_laplace_count,
     data_dependent_histogram,
     half_noise_laplace_count,
     linear_scale_exponential_mechanism,
     tie_biased_noisy_max,
 )
-from dpcore.audit.gof import _log_factorial, chi2_tail, half_binomial_tail
+from dpcore.audit.gof import (
+    AD_CRITICAL_99,
+    _log_factorial,
+    anderson_darling,
+    chi2_tail,
+    chi_squared_gof,
+    half_binomial_tail,
+    laplace_cdf,
+)
+from dpcore.audit.propcheck import (
+    expmech_ratio_check,
+    lipschitz_check,
+    sensitivity_check,
+    stability_check,
+)
+from dpcore.audit.report import audit_pair, black_box_battery
 from dpcore.audit.targets import laplace_count_target
+from dpcore.errors import ContractViolation
 from dpcore.mechanisms import exponential_mechanism_log_probabilities, report_noisy_max
+from dpcore.randomness import sample_laplace
+from dpcore.relational import ColumnKind, ColumnMeta, Schema, StatVector, make_table
 from dpcore.testing import ScriptedSource, zero_noise_source
-from dpcore.transforms import Comparison, Predicate
+from dpcore.transforms import Comparison, aggregate, group_by, select_where, union
 from oracles import anderson_darling_reference, event_search_reference, laplace_cdf_mp
 
 
@@ -176,9 +170,10 @@ def test_event_search_leaves_out_numpy_ma():
     src = os.path.dirname(os.path.dirname(dpcore.__file__))
     script = (
         "import sys\n"
-        "from dpcore import ColumnKind, ColumnMeta, RandomSource, Schema\n"
-        "from dpcore.audit import default_neighbor_suite, event_search\n"
+        "from dpcore.audit.blackbox import default_neighbor_suite, event_search\n"
         "from dpcore.audit.targets import laplace_count_target\n"
+        "from dpcore.randomness import RandomSource\n"
+        "from dpcore.relational import ColumnKind, ColumnMeta, Schema\n"
         "schema = Schema((ColumnMeta('c0', ColumnKind.INTEGER, lower=0, upper=100),\n"
         "                 ColumnMeta('c1', ColumnKind.INTEGER, lower=0, upper=1)))\n"
         "pair = default_neighbor_suite(schema)[1]\n"
@@ -350,7 +345,7 @@ def test_event_search_matches_reference_loop(two_col_schema, rng):
     assert len(cases) >= 60
     for name, eps, out1, out2 in cases:
         ev = event_search(_replaying(pair, out1, out2), pair, eps, len(out1), rng)
-        assert (ev.lo, ev.hi, ev.swapped) == event_search_reference(out1, out2, eps), name
+        assert (ev.lo, ev.hi) == event_search_reference(out1, out2, eps), name
 
 
 def _degenerate_cases():
@@ -358,15 +353,15 @@ def _degenerate_cases():
     constant = np.full(1000, 3.5)
     # At eps = 8 the floor 0.001 * n * e^8 exceeds n: no interval is eligible.
     spread1, spread2 = gen.laplace(0.0, 1.0, 1000), gen.laplace(1.0, 1.0, 1000)
-    return [(1.0, constant, constant.copy(), (3.5, 3.5, False)),
-            (8.0, spread1, spread2, (-math.inf, math.inf, False))]
+    return [(1.0, constant, constant.copy(), (3.5, 3.5)),
+            (8.0, spread1, spread2, (-math.inf, math.inf))]
 
 
 def test_event_search_degenerate_cases_match_reference_loop(two_col_schema, rng):
     pair = default_neighbor_suite(two_col_schema)[1]
     for eps, out1, out2, want in _degenerate_cases():
         ev = event_search(_replaying(pair, out1, out2), pair, eps, 1000, rng)
-        assert (ev.lo, ev.hi, ev.swapped) == want == event_search_reference(out1, out2, eps)
+        assert (ev.lo, ev.hi) == want == event_search_reference(out1, out2, eps)
 
 
 def test_event_search_raises_no_warning(two_col_schema, rng):
@@ -542,7 +537,7 @@ _POOL = [(0, 0), (1, 1), (2, 0), (3, 1)]
 
 
 def test_stability_check_select_where_is_one_stable():
-    pred = Predicate((Comparison("c0", ">=", 2),))
+    pred = (Comparison("c0", ">=", 2),)
     res = stability_check(lambda t: select_where(t, pred), 1.0,
                           _small_schema(), _POOL, max_rows=3, max_k=2)
     assert res.passed

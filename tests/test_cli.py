@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -201,6 +202,62 @@ def test_serve_protocol(workspace, capsys):
     # The session the daemon opened is on disk for later commands.
     code, out = _run(["budget", "--session", sid, "--config", cfg], capsys)
     assert code == 0
+
+
+def _serve(workspace, path):
+    """The argv and environment of a `dpcore serve` process on `path`."""
+    src = os.path.dirname(os.path.dirname(dpcore.__file__))
+    argv = [sys.executable, "-m", "dpcore.cli", "serve", "--config",
+            str(workspace / "cfg.json"), "--socket", path]
+    return argv, {**os.environ, "PYTHONPATH": src}
+
+
+def test_serve_refuses_a_socket_path_that_is_a_regular_file(workspace):
+    """`serve` removed whatever file `--socket` named and put its socket
+    there; a file that is not a socket is now refused and left alone."""
+    sock_dir = tempfile.mkdtemp(prefix="dpcore-")
+    path = os.path.join(sock_dir, "precious.txt")
+    with open(path, "w") as fh:
+        fh.write("keep me\n")
+    argv, env = _serve(workspace, path)
+    try:
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=10)
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert stat.S_ISREG(os.lstat(path).st_mode)
+        with open(path) as fh:
+            assert fh.read() == "keep me\n"
+    finally:
+        shutil.rmtree(sock_dir)
+
+
+def test_serve_replaces_a_leftover_socket(workspace):
+    """A socket left behind by a server that died is still replaced."""
+    sock_dir = tempfile.mkdtemp(prefix="dpcore-")
+    path = os.path.join(sock_dir, "s")
+    with socket.socket(socket.AF_UNIX) as stale:
+        stale.bind(path)  # the file stays after close, with no listener
+    argv, env = _serve(workspace, path)
+    daemon = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 10
+        while True:
+            assert daemon.poll() is None, "serve exited"
+            try:
+                with socket.socket(socket.AF_UNIX) as conn:
+                    conn.connect(path)
+                    conn.sendall(b'{"cmd": "nothing"}\n')
+                    reply = conn.makefile("rb").readline()
+                break
+            except (ConnectionRefusedError, FileNotFoundError):
+                assert time.monotonic() < deadline, "serve did not listen"
+                time.sleep(0.05)
+        assert json.loads(reply) == {"status": "error", "code": "request rejected"}
+    finally:
+        daemon.terminate()
+        daemon.wait(timeout=10)
+        shutil.rmtree(sock_dir)
 
 
 def test_full_query_workflow(workspace, capsys):

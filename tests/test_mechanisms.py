@@ -3,29 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from dpcore import (
-    Accountant,
-    BudgetExceededError,
-    ColumnKind,
-    ColumnMeta,
-    ContractViolation,
-    PURE_EPS,
-    ParameterError,
-    Schema,
-    StatVector,
-    aggregate,
+from dpcore.accounting import Accountant, PURE_EPS
+from dpcore.errors import BudgetExceededError, ContractViolation, ParameterError
+from dpcore.mechanisms import (
+    EPSILON_SENSITIVITY_FLOOR,
     exponential_mechanism,
-    group_by,
+    exponential_mechanism_log_probabilities,
     laplace_mechanism,
-    make_table,
     noisy_histogram,
     report_noisy_max,
 )
-from dpcore.mechanisms import (
-    EPSILON_SENSITIVITY_FLOOR,
-    exponential_mechanism_log_probabilities,
-)
+from dpcore.relational import ColumnKind, ColumnMeta, Schema, StatVector, make_table
 from dpcore.testing import ScriptedSource, zero_noise_source
+from dpcore.transforms import aggregate, group_by
 from oracles import logsumexp_mp
 
 
@@ -170,6 +160,21 @@ def test_epsilon_mechanisms_refuse_a_bad_eps_before_the_charge(tmp_path, rng, ep
     for call in calls:
         with pytest.raises(ParameterError):
             call()
+    assert acct.spent("s") == 0.0 and acct.ledger == () and (tmp_path / "l.txt").read_text() == ""
+    acct.close()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_selection_mechanisms_refuse_a_nonfinite_score_before_the_charge(tmp_path, rng, bad):
+    """A NaN answer won every report_noisy_max, and a NaN quality made the
+    exponential mechanism return its last candidate: the released index
+    would be set by the data, not by the noise."""
+    acct = Accountant(ledger_path=str(tmp_path / "l.txt"))
+    scope = acct.create_scope("s", PURE_EPS)
+    with pytest.raises(ParameterError):
+        report_noisy_max(_vec([1.0, bad, 0.0]), 1.0, scope, rng)
+    with pytest.raises(ParameterError):
+        exponential_mechanism(["a", "b", "c"], [1.0, bad, 0.0], 1.0, 1.0, scope, rng)
     assert acct.spent("s") == 0.0 and acct.ledger == () and (tmp_path / "l.txt").read_text() == ""
     acct.close()
 

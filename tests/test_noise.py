@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from dpcore import (
+from dpcore.audit.gof import two_sided_geometric_pmf
+from dpcore.randomness import (
     RandomSource,
     derive_source,
     log_add,
@@ -16,7 +17,6 @@ from dpcore import (
     sample_exponential,
     sample_laplace,
 )
-from dpcore.audit import two_sided_geometric_pmf
 from dpcore.testing import ScriptedSource, zero_noise_source
 from oracles import log_add_mp
 

@@ -6,21 +6,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpcore import (
+from dpcore.errors import ContractViolation, UnknownColumnError
+from dpcore.registry import DatasetRegistry
+from dpcore.relational import (
     ColumnKind,
     ColumnMeta,
-    ContractViolation,
     Schema,
-    StabilityBound,
-    UnknownColumnError,
+    Table,
+    dev_log,
     load_csv,
     load_schema,
     make_table,
     parse_schema,
+    read_csv,
+    schema_dtype,
     symmetric_difference,
+    table_from_array,
 )
-from dpcore.registry import DatasetRegistry
-from dpcore.relational import dev_log, read_csv, schema_dtype, table_from_array
 from dpcore.transforms import aggregate
 from oracles import multiset_distance, parse_csv_rows
 
@@ -222,14 +224,16 @@ def test_load_csv_bad_cell_and_arity(tmp_path):
         load_csv(str(tmp_path / "d2.csv"), schema)
 
 
-# -- stability bounds --------------------------------------------------------
+# -- stability factors -------------------------------------------------------
 
-def test_stability_bound_arithmetic():
-    b = StabilityBound(1)
-    assert b.times(2).factor == 2
-    assert b.plus(StabilityBound(3)).factor == 4
-    with pytest.raises(ContractViolation):
-        StabilityBound(-1)
+@pytest.mark.parametrize("factor", [-1, math.inf])
+def test_a_negative_or_infinite_stability_is_refused_when_aggregated(factor):
+    """No plan step makes such a factor; a direct caller who builds one gets
+    no release, since the sensitivity it implies is negative or infinite."""
+    t = make_table(Schema((ColumnMeta("c", ColumnKind.INTEGER, lower=0, upper=9),)), [(1,)])
+    for agg, column in (("count", None), ("sum", "c")):
+        with pytest.raises(ContractViolation, match="l1_sensitivity"):
+            aggregate(Table(t.schema, t.array, factor), agg, column)
 
 
 def test_nan_cell_is_corrected_before_any_sum(tmp_path):

@@ -9,24 +9,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpcore import (
-    Accountant,
+import dpcore.service as service_mod
+from dpcore.accounting import Accountant, PURE_EPS
+from dpcore.errors import ContractViolation, ParameterError
+from dpcore.gateway import MECHANISMS, private_release
+from dpcore.randomness import RandomSource
+from dpcore.registry import DatasetRegistry
+from dpcore.relational import (
     ColumnKind,
     ColumnMeta,
-    ContractViolation,
-    PURE_EPS,
-    ParameterError,
-    RandomSource,
     Schema,
     StatVector,
     Table,
     make_table,
-    parse_plan,
     parse_schema,
 )
-import dpcore.service as service_mod
-from dpcore.gateway import MECHANISMS, private_release
-from dpcore.registry import DatasetRegistry
 from dpcore.service import (
     BudgetStatus,
     QueryRequest,
@@ -37,7 +34,7 @@ from dpcore.service import (
     build_accountant,
 )
 from dpcore.testing import ScriptedSource, SimulatedClock
-from dpcore.transforms import Comparison, Predicate, TransformPlan
+from dpcore.transforms import Comparison, TransformPlan, parse_plan
 
 
 SIDECAR = "c0 int 0 100\nc1 int 0 1\n"
@@ -121,6 +118,19 @@ def test_dump_restore_sessions_drops_randomness(tmp_path):
     restored = svc2.session(session.session_id)
     assert restored.n_hat == session.n_hat
     assert restored.rng is not session.rng
+
+
+def test_sessions_keep_n_hat_but_not_xi(tmp_path):
+    """Every session paces with the config's xi, so the dump leaves it out,
+    and a file from before that still holds one restores all the same."""
+    svc, handle, acct = _service(tmp_path, [(1, 0)], clock=SimulatedClock())
+    sid = svc.open_session(handle, "main").session_id
+    raw = svc.dump_sessions()
+    assert set(raw["sessions"][sid]) == {"dataset", "scope", "n_hat"}
+    raw["sessions"][sid]["xi"] = 123.0
+    svc2 = QueryService(DatasetRegistry(), acct, ServiceConfig())
+    svc2.restore_sessions(json.loads(json.dumps(raw)))
+    assert svc2.session(sid).n_hat == raw["sessions"][sid]["n_hat"]
 
 
 def test_open_session_on_an_unlimited_scope_is_refused(tmp_path):
@@ -401,17 +411,24 @@ def test_padding_is_a_power_of_two_bucket(tmp_path):
     assert pad >= session.n_hat + 16 - 1  # bucket covers the estimate
 
 
+def _paced_registry(rows):
+    """A registry holding the one-column table of `rows` (c0 in [0, 100]),
+    its handle, and a clock that records every `advance` in a list."""
+    schema = Schema((ColumnMeta("c0", ColumnKind.INTEGER, lower=0, upper=100),))
+    registry = DatasetRegistry()
+    handle = registry.register(make_table(schema, rows))
+    clock = SimulatedClock()
+    advances = []
+    clock.advance = lambda dt: (advances.append(dt), SimulatedClock.advance(clock, dt))
+    return registry, handle, clock, advances
+
+
 def _paced_count():
     """Count the rows with c0 >= 50 of a two-row table, (10,) and (20,),
     through a paced scan; returns the count and every `advance` of the
     clock."""
-    schema = Schema((ColumnMeta("c0", ColumnKind.INTEGER, lower=0, upper=100),))
-    registry = DatasetRegistry()
-    handle = registry.register(make_table(schema, [(10,), (20,)]))
-    clock = SimulatedClock()
-    advances = []
-    clock.advance = lambda dt: (advances.append(dt), SimulatedClock.advance(clock, dt))
-    pred = Predicate((Comparison("c0", ">=", 50),))
+    registry, handle, clock, advances = _paced_registry([(10,), (20,)])
+    pred = (Comparison("c0", ">=", 50),)
     plan = TransformPlan((("select_where", pred), ("count",)))
     v = registry.execute_plan(handle, plan, clock=clock, xi=1.0)
     return v.values.tolist(), advances
@@ -421,6 +438,25 @@ def test_paced_scan_costs_xi_per_row_in_one_advance(tmp_path):
     counted, advances = _paced_count()
     assert counted == [0.0]
     assert advances == [2.0]  # 2 * xi in one advance
+
+
+def test_each_paced_scan_costs_xi_per_row_it_reads():
+    """Two scans after a self-union: the first reads the 2n doubled rows,
+    the second only the m that passed the first."""
+    rows = [(10,), (20,), (60,), (70,), (80,)]
+    registry, handle, clock, advances = _paced_registry(rows)
+    plan = parse_plan("self_union\nselect_where c0 >= 50\nselect_where c0 < 75\ncount")
+    xi = 0.25
+    v = registry.execute_plan(handle, plan, clock=clock, xi=xi)
+    n, m = len(rows), 2 * 3  # the 3 rows >= 50, each twice
+    assert v.values.tolist() == [4.0]
+    assert advances == [2 * n * xi, m * xi]
+    assert clock.now() == pytest.approx((2 * n + m) * xi)
+    # A scan refused from metadata reads no row and advances nothing.
+    with pytest.raises(ContractViolation):
+        registry.execute_plan(handle, parse_plan("select_where nope >= 1\ncount"),
+                              clock=clock, xi=xi)
+    assert len(advances) == 2
 
 
 def test_system_clock_advance_does_not_sleep():
@@ -442,7 +478,7 @@ def test_schedule_overrun_takes_one_doubling_step(tmp_path):
                   QueryRequest("select_where c0 >= 0\ncount", "laplace", 1.0))
     target = clock.trace[-1][1]
     pad = svc._n_hat_for_padding(session)
-    assert target == pytest.approx(start + 2.0 * pad * session.xi + 5.0)
+    assert target == pytest.approx(start + 2.0 * pad * svc._config.xi + 5.0)
 
 
 # -- postprocessing -------------------------------------------------------------------
@@ -495,6 +531,25 @@ def test_a_schedule_that_does_not_pad_is_refused(tmp_path, key, value):
         ServiceConfig(**{key: value})
     path.write_text(json.dumps({key: 0.0}))
     assert getattr(ServiceConfig.from_file(str(path)), key) == 0.0
+
+
+@pytest.mark.parametrize("value, accepted", [
+    (math.nan, False), (math.inf, False), (-math.inf, False), (-1.0, False), (2.0, False),
+    (0.0, True), (0.01, True), (1.0, True),
+])
+def test_startup_fraction_must_lie_in_the_unit_interval(tmp_path, value, accepted):
+    """NaN or an infinity made every session fail on its eps, 2 on the
+    budget, and -1 silently spent the 1e-3 floor."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"startup_fraction": value}))
+    if accepted:
+        assert ServiceConfig.from_file(str(path)).startup_fraction == value
+        assert ServiceConfig(startup_fraction=value).startup_fraction == value
+        return
+    with pytest.raises(ContractViolation, match="startup_fraction"):
+        ServiceConfig.from_file(str(path))
+    with pytest.raises(ContractViolation, match="startup_fraction"):
+        ServiceConfig(startup_fraction=value)
 
 def test_config_has_no_seed_knob(tmp_path):
     assert "seed" not in {f.name for f in
