@@ -1,5 +1,4 @@
-"""Privacy accountant: budget scopes, an append-only ledger, and the
-independent linear-query epsilon oracle used to validate the accounting.
+"""Privacy accountant: budget scopes and an append-only ledger.
 
 The accountant is a serialization point: check-and-spend is a single
 indivisible step under one lock, so concurrent charge storms can never
@@ -20,7 +19,6 @@ import threading
 import time
 from dataclasses import dataclass
 
-import numpy as np
 from cryptography.hazmat.primitives import hashes
 
 from .errors import BudgetExceededError, ContractViolation, ParameterError, UnknownScopeError
@@ -307,28 +305,6 @@ def replay_spent(ledger: list[PrivacyCharge]) -> dict[str, float]:
     for rec in ledger:
         totals[rec.scope_id] = totals.get(rec.scope_id, 0.0) + rec.amount
     return totals
-
-
-def linear_query_epsilon(Q, alphas) -> float:
-    """Exact epsilon of answering linear queries Q with Laplace scales alphas.
-
-    With D = diag(1/alpha_i), the release is eps-DP for eps equal to the
-    largest column L1 norm of D Q, and for no smaller value.  This is the
-    independent oracle the accountant is validated against.
-    """
-    Q = np.asarray(Q, dtype=np.float64)
-    alphas = np.asarray(alphas, dtype=np.float64)
-    if Q.ndim != 2 or alphas.ndim != 1 or Q.shape[0] != alphas.shape[0]:
-        raise ContractViolation("rows(Q) must equal len(alphas)")
-    if np.any(alphas <= 0):
-        raise ParameterError("all Laplace scales must be positive")
-    scaled = np.abs(Q) / alphas[:, None]
-    return float(np.max(np.sum(scaled, axis=0))) if Q.size else 0.0
-
-
-def verify_accounting(claimed_epsilon: float, Q, alphas) -> bool:
-    """Pass iff the accountant's claimed epsilon dominates the exact value."""
-    return claimed_epsilon >= linear_query_epsilon(Q, alphas)
 
 
 def power_bound(epsilon_spent: float, alpha: float = DEFAULT_ALPHA) -> float:

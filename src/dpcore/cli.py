@@ -4,6 +4,8 @@ Subcommands: ingest, session, query, budget, audit, serve.  State (datasets,
 sessions, the charge ledger) persists under the config's state_dir so
 budgets survive across invocations.  There are, deliberately, no
 seed-related flags or environment variables anywhere in this interface.
+Each subcommand imports the layers it runs, so importing this module loads
+no numpy.
 """
 
 from __future__ import annotations
@@ -13,26 +15,26 @@ import contextlib
 import json
 import math
 import os
-import shutil
 import socketserver
 import stat
-import subprocess
 import sys
-import tempfile
-
-import numpy as np
 
 from .errors import BudgetExceededError, ContractViolation, ParameterError
-from .randomness import RandomSource
-from .registry import DatasetRegistry
-from .relational import parse_schema
-from .service import QueryRequest, QueryService, ServiceConfig, build_accountant
+
+#: The environment dpcore was started with: `--external` commands run in it.
+_CALLER_ENV = dict(os.environ)
+# dpcore makes no BLAS call, so an OpenBLAS thread pool is only start-up
+# cost.  Set before numpy is first imported; a caller's own value wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 
 class CliState:
     """Service wiring plus on-disk persistence for CLI invocations."""
 
     def __init__(self, config_path: str) -> None:
+        from .registry import DatasetRegistry
+        from .service import QueryService, ServiceConfig, build_accountant
+
         self.config = ServiceConfig.from_file(config_path)
         if not self.config.state_dir:
             raise ContractViolation("config must set state_dir for CLI use")
@@ -66,6 +68,10 @@ class CliState:
         """Store an ingested handle as its sidecar and the registered table's
         record array, parsed and corrected from `csv_path`, so no later
         command parses the CSV again.  `table.npy` is written last."""
+        import shutil
+
+        import numpy as np
+
         d = os.path.join(self.state_dir, "datasets", handle)
         os.makedirs(d, exist_ok=True)
         shutil.copyfile(sidecar_path, os.path.join(d, "schema.txt"))
@@ -77,6 +83,8 @@ class CliState:
 def _replaced(path: str, mode: str):
     """Write to a temporary file and rename it over `path`, so a failed
     write leaves the previous file whole."""
+    import tempfile
+
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
         with os.fdopen(fd, mode) as fh:
@@ -105,6 +113,8 @@ def _cmd_session(args) -> int:
 
 
 def _cmd_query(args) -> int:
+    from .service import QueryRequest
+
     state = CliState(args.config)
     session = state.service.session(args.session)
     with open(args.plan, "r", encoding="utf-8") as fh:
@@ -134,6 +144,10 @@ def _external_target(command: str):
     outcomes, one per line, on stdout.
     """
     import csv as csv_mod
+    import subprocess
+    import tempfile
+
+    import numpy as np
 
     from .audit import MechanismUnderTest
 
@@ -146,7 +160,7 @@ def _external_target(command: str):
         try:
             out = subprocess.run(
                 [*command.split(), path, str(eps), str(n)],
-                capture_output=True, text=True, check=True,
+                capture_output=True, text=True, check=True, env=_CALLER_ENV,
             ).stdout
         finally:
             os.unlink(path)
@@ -166,8 +180,9 @@ def _audit_eps(text: str) -> float:
 
 
 def _cmd_audit(args) -> int:
-    # Only this command needs the audit package, so only it imports it.
     from .audit import BUILTIN_TARGETS, black_box_battery, default_neighbor_suite
+    from .randomness import RandomSource
+    from .relational import parse_schema
 
     if args.target in BUILTIN_TARGETS:
         target = BUILTIN_TARGETS[args.target]()
@@ -219,6 +234,8 @@ class _Server(socketserver.ThreadingUnixStreamServer):
             self.state.save_sessions()
             return {"status": "ok", "session": session.session_id}
         if cmd == "query":
+            from .service import QueryRequest
+
             session = service.session(req["session"])
             response = service.run_query(
                 session, QueryRequest(req["plan"], req["mechanism"], float(req["eps"]))

@@ -208,14 +208,25 @@ class QueryService:
             }
 
     def restore_sessions(self, raw: dict) -> None:
+        """Refuse a file `dump_sessions` cannot have written.  A non-finite
+        n-hat would let `run_query` charge, then fail to compute its padding;
+        a negative one is a noisy count of a small dataset, padded as zero."""
+        try:
+            counter = int(raw.get("counter", 0))
+            stored = {sid: (s["dataset"], s["scope"], float(s["n_hat"]))
+                      for sid, s in raw.get("sessions", {}).items()}
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError):
+            raise ContractViolation("sessions.json is unreadable") from None
+        if not all(math.isfinite(n_hat) for _, _, n_hat in stored.values()):
+            raise ContractViolation("sessions.json holds an n_hat that is not finite")
         with self._lock:
-            self._session_counter = int(raw.get("counter", 0))
-            for sid, s in raw.get("sessions", {}).items():
+            self._session_counter = counter
+            for sid, (dataset, scope_id, n_hat) in stored.items():
                 self._sessions[sid] = QuerySession(
                     session_id=sid,
-                    dataset=s["dataset"],
-                    scope=self._accountant.scope(s["scope"]),
-                    n_hat=float(s["n_hat"]),
+                    dataset=dataset,
+                    scope=self._accountant.scope(scope_id),
+                    n_hat=n_hat,
                     rng=derive_source(self._rng),
                 )
 

@@ -14,6 +14,8 @@ import math
 import mpmath
 import numpy as np
 
+from dpcore.errors import ContractViolation, ParameterError
+
 mpmath.mp.dps = 50  # 50 significant digits everywhere in this module
 
 
@@ -59,6 +61,28 @@ def max_column_l1(Q, alphas) -> float:
             col += abs(Q[i, j]) / alphas[i]
         best = max(best, col)
     return best
+
+
+def linear_query_epsilon(Q, alphas) -> float:
+    """Exact epsilon of answering linear queries Q with Laplace scales alphas.
+
+    With D = diag(1/alpha_i), the release is eps-DP for eps equal to the
+    largest column L1 norm of D Q, and for no smaller value.  This is the
+    independent oracle the accountant is validated against.
+    """
+    Q = np.asarray(Q, dtype=np.float64)
+    alphas = np.asarray(alphas, dtype=np.float64)
+    if Q.ndim != 2 or alphas.ndim != 1 or Q.shape[0] != alphas.shape[0]:
+        raise ContractViolation("rows(Q) must equal len(alphas)")
+    if np.any(alphas <= 0):
+        raise ParameterError("all Laplace scales must be positive")
+    scaled = np.abs(Q) / alphas[:, None]
+    return float(np.max(np.sum(scaled, axis=0))) if Q.size else 0.0
+
+
+def verify_accounting(claimed_epsilon: float, Q, alphas) -> bool:
+    """Pass iff the accountant's claimed epsilon dominates the exact value."""
+    return claimed_epsilon >= linear_query_epsilon(Q, alphas)
 
 
 def binom_sf_mp(k: int, n: int, p: float) -> float:

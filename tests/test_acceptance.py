@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import mpmath
-from dpcore.accounting import Accountant, PURE_EPS, linear_query_epsilon, power_bound, replay_spent
+from dpcore.accounting import Accountant, PURE_EPS, power_bound, replay_spent
 from dpcore.audit.blackbox import default_neighbor_suite
 from dpcore.audit.bugs import half_noise_laplace_count
 from dpcore.audit.gof import AD_CRITICAL_99, anderson_darling, laplace_cdf
@@ -27,7 +27,7 @@ from dpcore.relational import ColumnKind, ColumnMeta, Schema, StatVector, make_t
 from dpcore.service import QueryRequest, QueryService, ServiceConfig
 from dpcore.testing import ScriptedSource, SimulatedClock
 from dpcore.transforms import aggregate, group_by, union
-from oracles import max_column_l1
+from oracles import linear_query_epsilon, max_column_l1
 
 
 @pytest.fixture

@@ -23,10 +23,8 @@ from dpcore.accounting import (
     Accountant,
     PURE_EPS,
     PrivacyCharge,
-    linear_query_epsilon,
     power_bound,
     replay_spent,
-    verify_accounting,
 )
 from dpcore.errors import (
     BUDGET_EXCEEDED_MESSAGE,
@@ -36,7 +34,7 @@ from dpcore.errors import (
     UnknownScopeError,
 )
 from dpcore.service import ServiceConfig, build_accountant
-from oracles import max_column_l1
+from oracles import linear_query_epsilon, max_column_l1, verify_accounting
 
 
 # -- charges and the ledger ----------------------------------------------------

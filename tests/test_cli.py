@@ -160,6 +160,75 @@ def test_cli_import_leaves_out_the_audit_package():
     assert out.strip() == "[]"
 
 
+def _cold(*argv, **env) -> subprocess.CompletedProcess:
+    """`python *argv` in a fresh interpreter, with src/ on the path and
+    OPENBLAS_NUM_THREADS unset unless `env` sets it."""
+    src = os.path.dirname(os.path.dirname(dpcore.__file__))
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return subprocess.run([sys.executable, *argv], env={**base, "PYTHONPATH": src, **env},
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cold_import_leaves_out_numpy_and_the_query_path():
+    proc = _cold("-c", "import sys\n"
+                 "names = {'numpy', 'dpcore.service', 'dpcore.registry', 'subprocess'}\n"
+                 "import dpcore\n"
+                 "print(sorted(names & set(sys.modules)))\n"
+                 "import dpcore.cli\n"
+                 "print(sorted(names & set(sys.modules)))\n")
+    assert proc.returncode == 0 and proc.stdout.splitlines() == ["[]", "[]"]
+
+
+def test_audit_loads_no_query_path():
+    proc = _cold("-c", "import sys, dpcore.cli\n"
+                 "dpcore.cli.main(['audit', '--target', 'laplace_count', '--eps-grid', '1.0',"
+                 " '--n-search', '1000', '--n-test', '1000', '--reps', '1'])\n"
+                 "print(sorted({'dpcore.service', 'dpcore.registry', 'dpcore.gateway',"
+                 " 'dpcore.mechanisms'} & set(sys.modules)))\n")
+    assert proc.returncode == 0 and "overall passed=" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc")
+def test_cli_numpy_starts_no_blas_threads(tmp_path):
+    """dpcore makes no BLAS call, so numpy, imported by the CLI's own data
+    path, starts no OpenBLAS worker threads."""
+    proc = _cold("-c", "import sys, dpcore.cli\n"
+                 "dpcore.cli.main(['budget', '--session', 's1', '--config', sys.argv[1]])\n"
+                 "assert 'numpy' in sys.modules\n"
+                 "print(next(l for l in open('/proc/self/status') if l.startswith('Threads:')))\n",
+                 str(tmp_path / "missing.json"))
+    assert proc.returncode == 0 and proc.stdout.split() == ["Threads:", "1"]
+
+
+@pytest.mark.parametrize("given, seen", [({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2")])
+def test_cli_sets_one_blas_thread_unless_the_caller_chose(given, seen):
+    proc = _cold("-c", "import os, dpcore.cli; print(os.environ['OPENBLAS_NUM_THREADS'])",
+                 **given)
+    assert proc.returncode == 0 and proc.stdout.strip() == seen
+
+
+@pytest.mark.parametrize("given", [None, "3"])
+def test_audit_external_command_gets_the_callers_environment(workspace, given):
+    """The external program runs in the environment dpcore was started
+    with, not with the CLI's own OpenBLAS setting."""
+    seen, script = workspace / "seen.txt", workspace / "mech.py"
+    script.write_text(
+        "import os, random, sys\n"
+        f"open({str(seen)!r}, 'a').write(repr(os.environ.get('OPENBLAS_NUM_THREADS')) + '\\n')\n"
+        "eps, n = float(sys.argv[2]), int(sys.argv[3])\n"
+        "r = random.Random()\n"
+        "print('\\n'.join(str(r.expovariate(eps) - r.expovariate(eps)) for _ in range(n)))\n"
+    )
+    env = {} if given is None else {"OPENBLAS_NUM_THREADS": given}
+    proc = _cold("-m", "dpcore.cli", "audit", "--target", f"{sys.executable} {script}",
+                 "--external", "--eps-grid", "1.0", "--n-search", "1000", "--n-test", "1000",
+                 "--reps", "1", **env)
+    assert proc.returncode in (0, 2) and "overall passed=" in proc.stdout
+    lines = seen.read_text().splitlines()
+    assert lines and set(lines) == {repr(given)}
+
+
 def test_serve_protocol(workspace, capsys):
     cfg = str(workspace / "cfg.json")
     handle = _ingest(workspace, capsys)
@@ -295,6 +364,41 @@ def test_budget_persists_across_invocations(workspace, capsys):
     code, out = _run(["budget", "--session", sid, "--config", cfg], capsys)
     spent = float(out.split("spent=")[1].split()[0])
     assert spent <= 20.0
+
+
+def _query_with_n_hat(workspace, capsys, n_hat):
+    """Open a session, store `n_hat` in sessions.json, query once; the exit
+    code, the captured output and the ledger text before the query."""
+    cfg = str(workspace / "cfg.json")
+    handle = _ingest(workspace, capsys)
+    _, sid = _run(["session", "--dataset", handle, "--scope", "main", "--config", cfg], capsys)
+    path = workspace / "state" / "sessions.json"
+    raw = json.loads(path.read_text())
+    raw["sessions"][sid.strip()]["n_hat"] = n_hat
+    path.write_text(json.dumps(raw))
+    ledger = (workspace / "ledger.txt").read_text()
+    code = main(["query", "--session", sid.strip(), "--plan", str(workspace / "plan.txt"),
+                 "--mechanism", "laplace", "--eps", "1.0", "--config", cfg])
+    return code, capsys.readouterr(), ledger
+
+
+@pytest.mark.parametrize("n_hat", [math.nan, math.inf, -math.inf, "x", None])
+def test_a_restored_session_without_a_finite_n_hat_gets_no_query(workspace, capsys, n_hat):
+    """Such a session would be charged, then fail to compute its padding;
+    one that is not a number would end in a traceback."""
+    code, captured, ledger = _query_with_n_hat(workspace, capsys, n_hat)
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert (workspace / "ledger.txt").read_text() == ledger
+
+
+def test_a_negative_n_hat_is_a_small_noisy_count_and_restores(workspace, capsys):
+    """A noisy size estimate of a 3-row dataset is often below zero; the
+    padding reads it as zero, so its session keeps working."""
+    code, captured, ledger = _query_with_n_hat(workspace, capsys, -1.0)
+    assert code == 0 and json.loads(captured.out)["status"] == "ok"
+    after = (workspace / "ledger.txt").read_text().splitlines()
+    assert len(after) == len(ledger.splitlines()) + 1
 
 
 def test_a_config_without_a_ledger_is_refused(workspace, capsys):
