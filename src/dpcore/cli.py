@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import fcntl
 import json
 import math
 import os
@@ -61,8 +62,24 @@ class CliState:
         self.service.restore_sessions(raw)
 
     def save_sessions(self) -> None:
-        with _replaced(self._sessions_path(), "w") as fh:
-            json.dump(self.service.dump_sessions(), fh)
+        """Merge into `sessions.json` under an exclusive `flock` on `state_dir`,
+        so no process drops another's session.  Never called inside a charge."""
+        fd = os.open(self.state_dir, os.O_RDONLY)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            self._load_sessions()
+            with _replaced(self._sessions_path(), "w") as fh:
+                json.dump(self.service.dump_sessions(), fh)
+        finally:
+            os.close(fd)
+
+    def session(self, session_id: str):
+        """The session, rereading `sessions.json` for one another process opened."""
+        try:
+            return self.service.session(session_id)
+        except ContractViolation:
+            self._load_sessions()
+            return self.service.session(session_id)
 
     def persist_dataset(self, handle: str, csv_path: str, sidecar_path: str) -> None:
         """Store an ingested handle as its sidecar and the registered table's
@@ -72,8 +89,7 @@ class CliState:
 
         import numpy as np
 
-        d = os.path.join(self.state_dir, "datasets", handle)
-        os.makedirs(d, exist_ok=True)
+        d = os.path.join(self.state_dir, "datasets", handle)  # claimed by `register`
         shutil.copyfile(sidecar_path, os.path.join(d, "schema.txt"))
         with _replaced(os.path.join(d, "table.npy"), "wb") as fh:
             np.save(fh, self.registry._table(handle).array, allow_pickle=False)
@@ -105,35 +121,26 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_session(args) -> int:
-    state = CliState(args.config)
-    session = state.service.open_session(args.dataset, args.scope)
-    state.save_sessions()
-    print(session.session_id)
+    out = _answer(CliState(args.config),
+                  {"cmd": "session", "dataset": args.dataset, "scope": args.scope})
+    print(out["session"])
     return 0
 
 
 def _cmd_query(args) -> int:
-    from .service import QueryRequest
-
     state = CliState(args.config)
-    session = state.service.session(args.session)
     with open(args.plan, "r", encoding="utf-8") as fh:
         plan_text = fh.read()
-    response = state.service.run_query(
-        session, QueryRequest(plan_text, args.mechanism, args.eps)
-    )
-    sys.stdout.buffer.write(response.to_bytes() + b"\n")
-    return 0 if response.status == "ok" else 1
+    out = _answer(state, {"cmd": "query", "session": args.session, "plan": plan_text,
+                          "mechanism": args.mechanism, "eps": args.eps})
+    sys.stdout.buffer.write(json.dumps(out, sort_keys=True).encode("utf-8") + b"\n")
+    return 0 if out["status"] == "ok" else 1
 
 
 def _cmd_budget(args) -> int:
-    state = CliState(args.config)
-    session = state.service.session(args.session)
-    status = state.service.budget_status(session)
-    print(
-        f"spent={status.spent!r} remaining={status.remaining!r} "
-        f"alpha={status.alpha!r} power_bound={status.power_bound!r}"
-    )
+    out = _answer(CliState(args.config), {"cmd": "budget", "session": args.session})
+    print(" ".join(f"{key}={out[key]!r}" for key in ("spent", "remaining", "alpha",
+                                                      "power_bound")))
     return 0
 
 
@@ -205,18 +212,49 @@ def _cmd_audit(args) -> int:
     return report.exit_code
 
 
+_REJECTED = {"status": "error", "code": "request rejected"}
+
+#: Longest request line, newline included, that `serve` reads.  A longer one
+#: is answered with the one error and its connection closed.
+MAX_REQUEST_LINE = 1 << 20
+
+
+def _answer(state: CliState, req: dict) -> dict:
+    """Answer a session, query or budget request, for the CLI and `serve` alike.
+    Errors raise, except a refused query, answered in its padded error shape."""
+    cmd = req.get("cmd")
+    if cmd == "session":
+        session = state.service.open_session(req["dataset"], req["scope"])
+        state.save_sessions()
+        return {"status": "ok", "session": session.session_id}
+    if cmd == "query":
+        from .service import QueryRequest
+
+        request = QueryRequest(req["plan"], req["mechanism"], float(req["eps"]))
+        return vars(state.service.run_query(state.session(req["session"]), request))
+    if cmd == "budget":
+        status = state.service.budget_status(state.session(req["session"]))
+        return {"status": "ok", **vars(status)}
+    return _REJECTED
+
+
 class _ServeHandler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
-        for raw in self.rfile:
-            line = raw.decode("utf-8").strip()
-            if not line:
-                continue
-            try:
-                req = json.loads(line)
-                out = self.server.dispatch(req)  # type: ignore[attr-defined]
-            except Exception:
-                out = {"status": "error", "code": "request rejected"}
-            self.wfile.write(json.dumps(out, sort_keys=True).encode("utf-8") + b"\n")
+        # A client that hung up ends its connection quietly.
+        with contextlib.suppress(BrokenPipeError, ConnectionResetError):
+            while raw := self.rfile.readline(MAX_REQUEST_LINE + 1):
+                if len(raw) > MAX_REQUEST_LINE:
+                    self._reply(_REJECTED)
+                    return
+                if raw.strip():
+                    try:
+                        out = _answer(self.server.state, json.loads(raw))
+                    except Exception:
+                        out = _REJECTED
+                    self._reply(out)
+
+    def _reply(self, out: dict) -> None:
+        self.wfile.write(json.dumps(out, sort_keys=True).encode("utf-8") + b"\n")
 
 
 class _Server(socketserver.ThreadingUnixStreamServer):
@@ -225,29 +263,6 @@ class _Server(socketserver.ThreadingUnixStreamServer):
     def __init__(self, path: str, state: CliState):
         super().__init__(path, _ServeHandler)
         self.state = state
-
-    def dispatch(self, req: dict) -> dict:
-        cmd = req.get("cmd")
-        service = self.state.service
-        if cmd == "session":
-            session = service.open_session(req["dataset"], req["scope"])
-            self.state.save_sessions()
-            return {"status": "ok", "session": session.session_id}
-        if cmd == "query":
-            from .service import QueryRequest
-
-            session = service.session(req["session"])
-            response = service.run_query(
-                session, QueryRequest(req["plan"], req["mechanism"], float(req["eps"]))
-            )
-            return json.loads(response.to_bytes())
-        if cmd == "budget":
-            status = service.budget_status(service.session(req["session"]))
-            return {
-                "status": "ok", "spent": status.spent,
-                "remaining": status.remaining, "power_bound": status.power_bound,
-            }
-        return {"status": "error", "code": "request rejected"}
 
 
 def _cmd_serve(args) -> int:

@@ -34,14 +34,18 @@ class DatasetRegistry:
         return self.register(load_csv(csv_path, load_schema(sidecar_path)))
 
     def register(self, table: Table) -> str:
+        """With a root, a handle is claimed by creating `<root>/<handle>`, so
+        no two processes, however concurrent, get the same one."""
         with self._lock:
-            # A handle persisted by an earlier process is taken.
-            handle = f"ds{next(self._counter)}"
-            while handle in self._tables or (
-                    self._root is not None and os.path.exists(os.path.join(self._root, handle))):
-                handle = f"ds{next(self._counter)}"
-            self._tables[handle] = table
-            return handle
+            for n in self._counter:
+                handle = f"ds{n}"
+                try:
+                    if self._root is not None:
+                        os.mkdir(os.path.join(self._root, handle))
+                except FileExistsError:
+                    continue
+                self._tables[handle] = table
+                return handle
 
     def _table(self, handle: str) -> Table:
         with self._lock:

@@ -82,13 +82,12 @@ class ServiceConfig:
                    state_dir=raw.get("state_dir"))
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuerySession:
-    session_id: str
+    session_id: str  # "s<seq>" of the start-up charge
     dataset: str  # opaque handle
     scope: ScopeHandle
     n_hat: float  # noisy size estimate, fixed at session start
-    rng: RandomSource
 
 
 @dataclass(frozen=True)
@@ -110,14 +109,7 @@ class QueryResponse:
     remaining_budget: float
 
     def to_bytes(self) -> bytes:
-        payload = {
-            "status": self.status,
-            "code": self.code,
-            "values": list(self.values),
-            "labels": list(self.labels),
-            "remaining_budget": self.remaining_budget,
-        }
-        return json.dumps(payload, sort_keys=True).encode("utf-8")
+        return json.dumps(vars(self), sort_keys=True).encode("utf-8")
 
 
 @dataclass(frozen=True)
@@ -131,8 +123,8 @@ class BudgetStatus:
 class QueryService:
     """Session management, padded query execution and budget reporting.
 
-    Thread-safe: one lock guards the session table, the counter and each
-    derivation from a shared source, but not the query itself.
+    Thread-safe: one lock guards the session table and each derivation from
+    the root source, but not the query itself.
     """
 
     def __init__(
@@ -149,12 +141,11 @@ class QueryService:
         self._clock = clock if clock is not None else SystemClock()
         self._rng = rng if rng is not None else RandomSource.from_os_entropy()
         self._sessions: dict[str, QuerySession] = {}
-        self._session_counter = 0
         self._lock = threading.Lock()
 
-    def _derive(self, parent: RandomSource) -> RandomSource:
+    def _derive(self) -> RandomSource:
         with self._lock:
-            return derive_source(parent)
+            return derive_source(self._rng)
 
     # -- ingestion ---------------------------------------------------------
 
@@ -167,22 +158,19 @@ class QueryService:
 
     def open_session(self, dataset: str, scope_id: str) -> QuerySession:
         """Create a session; spends a small startup charge on a noisy size
-        estimate that is cached for the life of the session.  That first use
-        may load the dataset, so the session (or the error) is released at
-        start + overhead, with one doubling step on overrun."""
+        estimate that is cached for the life of the session.  The session is
+        named after that charge's ledger sequence number, which the ledger's
+        lock makes unique across processes.  The first use of a dataset may
+        load it, so the session (or the error) is released at start +
+        overhead, with one doubling step on overrun."""
         start = self._clock.now()
         try:
             scope = self._accountant.scope(scope_id)
-            with self._lock:
-                self._session_counter += 1
-                session = QuerySession(
-                    session_id=f"s{self._session_counter}",
-                    dataset=dataset,
-                    scope=scope,
-                    n_hat=0.0,
-                    rng=derive_source(self._rng),
-                )
-            session.n_hat = self._estimate_size(session)
+            eps = max(self._config.startup_fraction * scope.remaining(), 1e-3)
+            result = private_release(self._registry, dataset, parse_plan("count"),
+                                     "laplace", eps, scope, self._derive())
+            session = QuerySession(f"s{result.charge.seq}", dataset, scope,
+                                   float(result.values[0]))
             with self._lock:
                 self._sessions[session.session_id] = session
             return session
@@ -190,13 +178,12 @@ class QueryService:
             self._pad(start, self._config.overhead, 0.0)
 
     def dump_sessions(self) -> dict:
-        """Persistable session state.  Randomness is never part of it:
-        sources are rebuilt from OS entropy on restore, and n-hat is kept
+        """Persistable session state.  Randomness is never part of it: each
+        query derives its source from the service's own, and n-hat is kept
         (it is never recomputed within a session's lifetime).  xi is not
         kept: every session paces with the config's."""
         with self._lock:
             return {
-                "counter": self._session_counter,
                 "sessions": {
                     sid: {
                         "dataset": s.dataset,
@@ -208,11 +195,12 @@ class QueryService:
             }
 
     def restore_sessions(self, raw: dict) -> None:
-        """Refuse a file `dump_sessions` cannot have written.  A non-finite
-        n-hat would let `run_query` charge, then fail to compute its padding;
-        a negative one is a noisy count of a small dataset, padded as zero."""
+        """Add the sessions of a `dump_sessions` file that this service does
+        not hold; refuse a file `dump_sessions` cannot have written.  A
+        non-finite n-hat would let `run_query` charge, then fail to compute
+        its padding; a negative one is a noisy count of a small dataset,
+        padded as zero.  A `counter` left by an older version is ignored."""
         try:
-            counter = int(raw.get("counter", 0))
             stored = {sid: (s["dataset"], s["scope"], float(s["n_hat"]))
                       for sid, s in raw.get("sessions", {}).items()}
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError):
@@ -220,15 +208,9 @@ class QueryService:
         if not all(math.isfinite(n_hat) for _, _, n_hat in stored.values()):
             raise ContractViolation("sessions.json holds an n_hat that is not finite")
         with self._lock:
-            self._session_counter = counter
             for sid, (dataset, scope_id, n_hat) in stored.items():
-                self._sessions[sid] = QuerySession(
-                    session_id=sid,
-                    dataset=dataset,
-                    scope=self._accountant.scope(scope_id),
-                    n_hat=n_hat,
-                    rng=derive_source(self._rng),
-                )
+                scope = self._accountant.scope(scope_id)
+                self._sessions.setdefault(sid, QuerySession(sid, dataset, scope, n_hat))
 
     def session(self, session_id: str) -> QuerySession:
         with self._lock:
@@ -236,14 +218,6 @@ class QueryService:
         if session is None:
             raise ContractViolation(f"unknown session: {session_id}")
         return session
-
-    def _estimate_size(self, session: QuerySession) -> float:
-        eps = max(self._config.startup_fraction * session.scope.remaining(), 1e-3)
-        result = private_release(
-            self._registry, session.dataset, parse_plan("count"),
-            "laplace", eps, session.scope, self._derive(session.rng),
-        )
-        return float(result.values[0])
 
     # -- queries -----------------------------------------------------------
 
@@ -262,7 +236,7 @@ class QueryService:
             plan = parse_plan(request.plan_text)
             result = private_release(
                 self._registry, session.dataset, plan, request.mechanism,
-                request.eps, session.scope, self._derive(session.rng),
+                request.eps, session.scope, self._derive(),
                 clock=self._clock, xi=self._config.xi,
             )
             status, code = "ok", ""

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import dpcore
-from dpcore.cli import CliState, _Server, build_parser, main
+from dpcore.accounting import PrivacyCharge
+from dpcore.cli import MAX_REQUEST_LINE, CliState, _Server, build_parser, main
 from dpcore.errors import ContractViolation
 from dpcore.relational import load_csv, load_schema, parse_schema, table_from_array
 
@@ -229,45 +230,62 @@ def test_audit_external_command_gets_the_callers_environment(workspace, given):
     assert lines and set(lines) == {repr(given)}
 
 
+def _start_server(state: CliState):
+    """An in-process `serve` on a short socket path; the server, its
+    thread and the path."""
+    sock_dir = tempfile.mkdtemp(prefix="dpcore-")  # a unix socket path must stay short
+    server = _Server(os.path.join(sock_dir, "s"), state)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    return server, thread, os.path.join(sock_dir, "s")
+
+
+def _stop_server(server, thread, path) -> None:
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    server.state.accountant.close()
+    shutil.rmtree(os.path.dirname(path))
+
+
+def _ask(path: str, *lines: bytes) -> list:
+    """Send `lines` on one connection to `path`; the replies, parsed."""
+    with socket.socket(socket.AF_UNIX) as conn:
+        conn.settimeout(60)
+        conn.connect(path)
+        with conn.makefile("rb") as reader:
+            replies = []
+            for line in lines:
+                conn.sendall(line + b"\n")
+                replies.append(json.loads(reader.readline()))
+    return replies
+
+
 def test_serve_protocol(workspace, capsys):
     cfg = str(workspace / "cfg.json")
     handle = _ingest(workspace, capsys)
-    # A unix socket path must stay short, so it does not live under tmp_path.
-    sock_dir = tempfile.mkdtemp(prefix="dpcore-")
-    server = _Server(os.path.join(sock_dir, "s"), CliState(cfg))
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    server, thread, path = _start_server(CliState(cfg))
     try:
-        with socket.socket(socket.AF_UNIX) as conn:
-            conn.connect(os.path.join(sock_dir, "s"))
-            reader = conn.makefile("rb")
-
-            def ask(line: bytes) -> dict:
-                conn.sendall(line + b"\n")
-                return json.loads(reader.readline())
-
-            opened = ask(json.dumps({"cmd": "session", "dataset": handle,
-                                     "scope": "main"}).encode())
-            assert opened["status"] == "ok"
-            sid = opened["session"]
-            reply = ask(json.dumps({"cmd": "query", "session": sid, "plan": "count",
-                                    "mechanism": "laplace", "eps": 1.0}).encode())
-            assert reply["status"] == "ok" and len(reply["values"]) == 1
-            budget = ask(json.dumps({"cmd": "budget", "session": sid}).encode())
-            assert budget["status"] == "ok"
-            assert budget["remaining"] == reply["remaining_budget"]
-            assert budget["spent"] + budget["remaining"] == pytest.approx(20.0)
-            rejected = {"status": "error", "code": "request rejected"}
-            assert ask(b'{"cmd": "drop_ledger"}') == rejected
-            assert ask(b'{"cmd": "query", "session"') == rejected
-            reader.close()
+        opened, = _ask(path, json.dumps({"cmd": "session", "dataset": handle,
+                                         "scope": "main"}).encode())
+        assert opened["status"] == "ok"
+        sid = opened["session"]
+        rejected = {"status": "error", "code": "request rejected"}
+        reply, budget, *refused = _ask(
+            path,
+            json.dumps({"cmd": "query", "session": sid, "plan": "count",
+                        "mechanism": "laplace", "eps": 1.0}).encode(),
+            json.dumps({"cmd": "budget", "session": sid}).encode(),
+            b'{"cmd": "drop_ledger"}', b'{"cmd": "query", "session"')
+        assert reply["status"] == "ok" and len(reply["values"]) == 1
+        assert budget["status"] == "ok"
+        assert set(budget) == {"status", "spent", "remaining", "alpha", "power_bound"}
+        assert budget["remaining"] == reply["remaining_budget"]
+        assert budget["spent"] + budget["remaining"] == pytest.approx(20.0)
+        assert refused == [rejected, rejected]
     finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=10)
-        assert not thread.is_alive()
-        server.state.accountant.close()
-        shutil.rmtree(sock_dir)
+        _stop_server(server, thread, path)
     # The session the daemon opened is on disk for later commands.
     code, out = _run(["budget", "--session", sid, "--config", cfg], capsys)
     assert code == 0
@@ -587,3 +605,96 @@ def test_audit_refuses_vacuous_settings(flags):
 def test_unknown_builtin_target_errors(capsys):
     code = main(["audit", "--target", "nonexistent"])
     assert code == 1
+
+
+def _cli(*argv) -> subprocess.Popen:
+    """A `dpcore` process with src/ on the path; stdout and stderr piped."""
+    src = os.path.dirname(os.path.dirname(dpcore.__file__))
+    return subprocess.Popen([sys.executable, "-m", "dpcore.cli", *argv],
+                            env={**os.environ, "PYTHONPATH": src},
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
+def test_concurrent_sessions_get_distinct_ids_on_their_own_scopes(workspace, capsys):
+    """Each id is `s<seq>` of the caller's start-up charge, so no two
+    processes hand out one id, and `sessions.json` keeps every session
+    with the scope its caller asked for."""
+    raw = json.loads((workspace / "cfg.json").read_text())
+    raw["budgets"] = [{"id": "A", "budget": 20.0}, {"id": "B", "budget": 20.0}]
+    raw["overhead"] = 0.05
+    (workspace / "cfg.json").write_text(json.dumps(raw))
+    handle = _ingest(workspace, capsys)
+    scopes = ["A", "B"] * 8
+    procs = [_cli("session", "--dataset", handle, "--scope", scope,
+                  "--config", str(workspace / "cfg.json")) for scope in scopes]
+    ids = []
+    for proc in procs:
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        ids.append(out.strip())
+    assert len(set(ids)) == 16
+    saved = json.loads((workspace / "state" / "sessions.json").read_text())
+    assert set(saved) == {"sessions"}
+    assert {sid: s["scope"] for sid, s in saved["sessions"].items()} == dict(zip(ids, scopes))
+    charges = [PrivacyCharge.from_line(line)
+               for line in (workspace / "ledger.txt").read_text().splitlines()]
+    assert {f"s{c.seq}": c.scope_id for c in charges} == dict(zip(ids, scopes))
+
+
+def test_serve_finds_a_session_a_cli_process_opened(workspace, capsys):
+    """A session opened by a CLI process after `serve` started is answered by
+    the server, and a session the server opens later keeps it in the file."""
+    cfg = str(workspace / "cfg.json")
+    handle = _ingest(workspace, capsys)
+    server, thread, path = _start_server(CliState(cfg))
+    try:
+        proc = _cli("session", "--dataset", handle, "--scope", "main", "--config", cfg)
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        sid = out.strip()
+        query = {"cmd": "query", "session": sid, "plan": "count", "mechanism": "laplace",
+                 "eps": 1.0}
+        reply, budget = _ask(path, json.dumps(query).encode(),
+                             json.dumps({"cmd": "budget", "session": sid}).encode())
+        assert reply["status"] == "ok" and len(reply["values"]) == 1
+        assert budget["status"] == "ok" and budget["remaining"] == reply["remaining_budget"]
+        opened, = _ask(path, json.dumps({"cmd": "session", "dataset": handle,
+                                         "scope": "main"}).encode())
+        assert opened["status"] == "ok"
+    finally:
+        _stop_server(server, thread, path)
+    saved = json.loads((workspace / "state" / "sessions.json").read_text())["sessions"]
+    assert set(saved) == {sid, opened["session"]}
+
+
+def test_serve_refuses_an_over_long_request_line(workspace, capsys):
+    """A line longer than the cap gets the one error and its connection is
+    closed; the server still answers new connections."""
+    server, thread, path = _start_server(CliState(str(workspace / "cfg.json")))
+    rejected = {"status": "error", "code": "request rejected"}
+    try:
+        with socket.socket(socket.AF_UNIX) as conn:
+            conn.settimeout(60)
+            conn.connect(path)
+            conn.sendall(b"x" * MAX_REQUEST_LINE + b"\n")
+            with conn.makefile("rb") as reader:
+                assert json.loads(reader.readline()) == rejected
+                assert reader.readline() == b""  # closed
+        assert _ask(path, b'{"cmd": "nothing"}') == [rejected]
+    finally:
+        _stop_server(server, thread, path)
+
+
+def test_serve_ends_a_hung_up_connection_quietly(workspace, capsys):
+    """A client that hangs up without reading its replies leaves no
+    traceback on the server's stderr."""
+    server, thread, path = _start_server(CliState(str(workspace / "cfg.json")))
+    try:
+        with socket.socket(socket.AF_UNIX) as conn:
+            conn.connect(path)
+            conn.sendall(b'{"cmd": "nothing"}\n' * 1000)
+        # Connections are accepted in order, so the first one was handled.
+        assert _ask(path, b'{"cmd": "nothing"}')[0]["status"] == "error"
+    finally:
+        _stop_server(server, thread, path)
+    assert capsys.readouterr().err == ""

@@ -327,3 +327,11 @@ def test_stored_table_is_refused_never_corrected(tmp_path, schema_text, array):
     registry = _stored(tmp_path, schema_text, array)
     with pytest.raises(ContractViolation):
         registry._table("ds1")
+
+
+def test_registries_on_one_root_claim_distinct_handles(tmp_path):
+    """Two processes registering at once each claim their handle's directory
+    before either stores a table, so neither takes the other's handle."""
+    table = make_table(parse_schema(SMALL), [(1, "a")])
+    first, second = DatasetRegistry(str(tmp_path)), DatasetRegistry(str(tmp_path))
+    assert first.register(table) != second.register(table)

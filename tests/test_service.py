@@ -113,11 +113,21 @@ def test_dump_restore_sessions_drops_randomness(tmp_path):
     session = svc.open_session(handle, "main")
     raw = svc.dump_sessions()
     assert "rng" not in json.dumps(raw)  # randomness is never persisted
+    assert "counter" not in json.dumps(raw)  # ids come from the ledger
     svc2 = QueryService(DatasetRegistry(), acct, ServiceConfig())
     svc2.restore_sessions(raw)
     restored = svc2.session(session.session_id)
     assert restored.n_hat == session.n_hat
-    assert restored.rng is not session.rng
+    assert session.session_id == f"s{acct.ledger[-1].seq}"
+
+
+def test_a_sessions_file_with_an_old_counter_restores(tmp_path):
+    svc, handle, acct = _service(tmp_path, [(1, 0)], clock=SimulatedClock())
+    sid = svc.open_session(handle, "main").session_id
+    raw = {"counter": 7, **svc.dump_sessions()}
+    svc2 = QueryService(DatasetRegistry(), acct, ServiceConfig())
+    svc2.restore_sessions(json.loads(json.dumps(raw)))
+    assert svc2.session(sid).n_hat == raw["sessions"][sid]["n_hat"]
 
 
 def test_sessions_keep_n_hat_but_not_xi(tmp_path):
