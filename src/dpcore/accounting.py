@@ -19,8 +19,6 @@ import threading
 import time
 from dataclasses import dataclass
 
-from cryptography.hazmat.primitives import hashes
-
 from .errors import BudgetExceededError, ContractViolation, ParameterError, UnknownScopeError
 
 #: The one scope kind: every mechanism spends epsilon, composed by addition.
@@ -62,6 +60,15 @@ _NUMBER = r"(inf|\d+(?:\.\d+)?(?:e[+-]\d+)?)"  # repr of a nonnegative float
 #: refused: a record read wrong would miscount spend.
 _LINE = re.compile(rf"^seq=(\d+) scope=(\S+) kind=(\S+) amount={_NUMBER} "
                    rf"mechanism=(\S+) time={_NUMBER}$", re.MULTILINE)
+
+
+def _sha256():
+    """A SHA-256 context.  hashlib maps its own OpenSSL (about 3.5 MB of
+    resident memory), so it is imported only where a named ledger keeps a
+    hash, not by every process that imports this module."""
+    import hashlib
+
+    return hashlib.sha256()
 
 
 def check_scope_id(scope_id) -> None:
@@ -127,7 +134,7 @@ class Accountant:
         self._ckpt = ledger_path and ledger_path + ".ckpt"
         self._offset = 0  # ledger bytes applied to `_totals` and `_hash`
         self._totals: dict[str, float] = {}  # left-to-right spend per scope id
-        self._hash = hashes.Hash(hashes.SHA256()) if ledger_path else None
+        self._hash = _sha256() if ledger_path else None
 
     # -- scope management -----------------------------------------------
 
@@ -191,7 +198,7 @@ class Accountant:
             if records and self._ckpt:
                 state = {"offset": self._offset, "seq": self._seq,
                          "spent": {sid: repr(total) for sid, total in self._totals.items()},
-                         "sha256": self._hash.copy().finalize().hex()}
+                         "sha256": self._hash.hexdigest()}
                 with open(self._ckpt + ".tmp", "w", encoding="utf-8") as out:
                     json.dump(state, out)
                 os.replace(self._ckpt + ".tmp", self._ckpt)
@@ -254,11 +261,11 @@ class Accountant:
             if not (type(offset) is type(seq) is int and fh.read(1) == b"\n"
                     and all(total >= 0 for total in totals.values())):
                 return
-            digest = hashes.Hash(hashes.SHA256())
+            digest = _sha256()
             fh.seek(0)
             for start in range(0, offset, 1 << 16):
                 digest.update(fh.read(min(1 << 16, offset - start)))
-            if digest.copy().finalize() == bytes.fromhex(ckpt["sha256"]):
+            if digest.digest() == bytes.fromhex(ckpt["sha256"]):
                 self._offset, self._seq, self._totals, self._hash = offset, seq, totals, digest
         except (OSError, ValueError, LookupError, TypeError, AttributeError):
             pass  # an unreadable checkpoint is a miss: replay from byte 0

@@ -30,7 +30,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 
 class CliState:
-    """Service wiring plus on-disk persistence for CLI invocations."""
+    """Service wiring plus on-disk persistence for CLI invocations.  As a
+    context manager it closes its ledger file on exit."""
 
     def __init__(self, config_path: str) -> None:
         from .registry import DatasetRegistry
@@ -46,7 +47,17 @@ class CliState:
         self.accountant = build_accountant(self.config)
         self.registry = DatasetRegistry(os.path.join(self.state_dir, "datasets"))
         self.service = QueryService(self.registry, self.accountant, self.config)
-        self._load_sessions()
+        try:
+            self._load_sessions()
+        except BaseException:  # a refused sessions.json leaves no ledger file open
+            self.accountant.close()
+            raise
+
+    def __enter__(self) -> "CliState":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.accountant.close()
 
     # -- persistence -------------------------------------------------------
 
@@ -112,33 +123,34 @@ def _replaced(path: str, mode: str):
 
 
 def _cmd_ingest(args) -> int:
-    state = CliState(args.config)
-    handle = state.registry.ingest_files(args.csv, args.schema)
-    state.persist_dataset(handle, args.csv, args.schema)
+    with CliState(args.config) as state:
+        handle = state.registry.ingest_files(args.csv, args.schema)
+        state.persist_dataset(handle, args.csv, args.schema)
     # Nothing data-derived is printed: no row count, no ranges.
     print(handle)
     return 0
 
 
 def _cmd_session(args) -> int:
-    out = _answer(CliState(args.config),
-                  {"cmd": "session", "dataset": args.dataset, "scope": args.scope})
+    with CliState(args.config) as state:
+        out = _answer(state, {"cmd": "session", "dataset": args.dataset, "scope": args.scope})
     print(out["session"])
     return 0
 
 
 def _cmd_query(args) -> int:
-    state = CliState(args.config)
-    with open(args.plan, "r", encoding="utf-8") as fh:
-        plan_text = fh.read()
-    out = _answer(state, {"cmd": "query", "session": args.session, "plan": plan_text,
-                          "mechanism": args.mechanism, "eps": args.eps})
+    with CliState(args.config) as state:
+        with open(args.plan, "r", encoding="utf-8") as fh:
+            plan_text = fh.read()
+        out = _answer(state, {"cmd": "query", "session": args.session, "plan": plan_text,
+                              "mechanism": args.mechanism, "eps": args.eps})
     sys.stdout.buffer.write(json.dumps(out, sort_keys=True).encode("utf-8") + b"\n")
     return 0 if out["status"] == "ok" else 1
 
 
 def _cmd_budget(args) -> int:
-    out = _answer(CliState(args.config), {"cmd": "budget", "session": args.session})
+    with CliState(args.config) as state:
+        out = _answer(state, {"cmd": "budget", "session": args.session})
     print(" ".join(f"{key}={out[key]!r}" for key in ("spent", "remaining", "alpha",
                                                       "power_bound")))
     return 0
@@ -272,8 +284,7 @@ def _cmd_serve(args) -> int:
         if not stat.S_ISSOCK(os.lstat(args.socket).st_mode):
             raise ContractViolation(f"--socket {args.socket} exists and is not a socket")
         os.unlink(args.socket)
-    state = CliState(args.config)
-    with _Server(args.socket, state) as server:
+    with CliState(args.config) as state, _Server(args.socket, state) as server:
         server.serve_forever()
     return 0
 

@@ -4,6 +4,8 @@ The service layer holds opaque handles; only this module (and the privacy
 gateway) ever touch Table values.  Plans run on the record array that
 ingest builds and `table.npy` stores.  Execution optionally paces each
 `select_where` scan against an injected clock (see `execute_plan`).
+Importing this module loads no numpy: the code that loads or ingests a
+table imports the data path.
 """
 
 from __future__ import annotations
@@ -12,12 +14,13 @@ import itertools
 import os
 import re
 import threading
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ContractViolation
-from .relational import Table, load_csv, load_schema, table_from_array
-from .transforms import TransformPlan
+
+if TYPE_CHECKING:
+    from .relational import Table
+    from .transforms import TransformPlan
 
 
 class DatasetRegistry:
@@ -31,6 +34,8 @@ class DatasetRegistry:
         self._counter = itertools.count(1)
 
     def ingest_files(self, csv_path: str, sidecar_path: str) -> str:
+        from .relational import load_csv, load_schema
+
         return self.register(load_csv(csv_path, load_schema(sidecar_path)))
 
     def register(self, table: Table) -> str:
@@ -48,6 +53,10 @@ class DatasetRegistry:
                 return handle
 
     def _table(self, handle: str) -> Table:
+        import numpy as np
+
+        from .relational import load_schema, table_from_array
+
         with self._lock:
             # Only names `register` hands out are looked up on disk, so a
             # handle cannot reach outside the root.

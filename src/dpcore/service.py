@@ -3,7 +3,8 @@
 Nothing in this module touches raw data: functions here accept dataset
 handles and plan text only (the test suite asserts that no public function
 in this module takes or returns a Table).  Budget reporting is pure
-postprocessing and costs no budget.
+postprocessing and costs no budget.  Importing this module loads no numpy:
+a release imports the data path before its padded window opens.
 """
 
 from __future__ import annotations
@@ -13,14 +14,15 @@ import math
 import threading
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .accounting import (Accountant, DEFAULT_ALPHA, PURE_EPS, ScopeHandle, check_scope_id,
                          power_bound)
 from .errors import ContractViolation
-from .gateway import private_release
-from .randomness import RandomSource, derive_source
-from .registry import DatasetRegistry
-from .transforms import parse_plan
+
+if TYPE_CHECKING:
+    from .randomness import RandomSource
+    from .registry import DatasetRegistry
 
 
 class SystemClock:
@@ -124,7 +126,8 @@ class QueryService:
     """Session management, padded query execution and budget reporting.
 
     Thread-safe: one lock guards the session table and each derivation from
-    the root source, but not the query itself.
+    the root source, but not the query itself.  The root source is drawn
+    from OS entropy on the first release unless one is given.
     """
 
     def __init__(
@@ -139,11 +142,26 @@ class QueryService:
         self._accountant = accountant
         self._config = config
         self._clock = clock if clock is not None else SystemClock()
-        self._rng = rng if rng is not None else RandomSource.from_os_entropy()
+        self._rng = rng
         self._sessions: dict[str, QuerySession] = {}
         self._lock = threading.Lock()
 
+    def _release_path(self):
+        """`private_release` and `parse_plan`, with the data path imported and
+        the root source drawn.  Called before a padded window opens: work
+        done inside one would be released at its end, or past its deadline."""
+        from .gateway import private_release
+        from .randomness import RandomSource
+        from .transforms import parse_plan
+
+        with self._lock:
+            if self._rng is None:
+                self._rng = RandomSource.from_os_entropy()
+        return private_release, parse_plan
+
     def _derive(self) -> RandomSource:
+        from .randomness import derive_source
+
         with self._lock:
             return derive_source(self._rng)
 
@@ -163,6 +181,7 @@ class QueryService:
         lock makes unique across processes.  The first use of a dataset may
         load it, so the session (or the error) is released at start +
         overhead, with one doubling step on overrun."""
+        private_release, parse_plan = self._release_path()
         start = self._clock.now()
         try:
             scope = self._accountant.scope(scope_id)
@@ -230,6 +249,7 @@ class QueryService:
         no information about the data.  Budget-denied and malformed requests
         share one error shape.
         """
+        private_release, parse_plan = self._release_path()
         start = self._clock.now()
         status, code, values, labels = "error", _ERROR_CODE, (), ()
         try:
@@ -270,6 +290,7 @@ class QueryService:
     # -- reporting ---------------------------------------------------------
 
     def budget_status(self, session: QuerySession) -> BudgetStatus:
+        self._accountant.replay_ledger()  # charges other processes appended
         spent = self._accountant.spent(session.scope.scope_id)
         return BudgetStatus(
             spent=spent,

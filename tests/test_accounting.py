@@ -471,6 +471,24 @@ def test_a_verified_checkpoint_is_used_and_replays_bit_exact(tmp_path):
     assert _cold(path) == _full(path)
 
 
+def test_a_checkpoint_carries_the_sha256_of_the_ledger_bytes_it_covers(tmp_path):
+    """The digest is a plain SHA-256 of the ledger's first `offset` bytes, so
+    a checkpoint written with any SHA-256 implementation verifies."""
+    from cryptography.hazmat.primitives import hashes
+
+    path, ckpt = tmp_path / "ledger.txt", tmp_path / "ledger.txt.ckpt"
+    _charge_mix(path, 300)
+    _cold(path)
+    _charge_mix(path, 40, start=300)
+    _cold(path)  # the running hash, carried on from the first checkpoint
+    state = json.loads(ckpt.read_text())
+    prefix = path.read_bytes()[:state["offset"]]
+    assert state["seq"] == 340 and state["sha256"] == hashlib.sha256(prefix).hexdigest()
+    other = hashes.Hash(hashes.SHA256())
+    other.update(prefix)
+    assert other.finalize().hex() == state["sha256"]
+
+
 def _prefix_byte(path, ckpt):
     """One byte of an amount in the covered prefix edited in place."""
     data = bytearray(path.read_bytes())

@@ -1,6 +1,9 @@
+import gc
 import json
 import math
 import os
+import pathlib
+import re
 import shutil
 import socket
 import stat
@@ -9,14 +12,17 @@ import sys
 import tempfile
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import Bundle, RuleBasedStateMachine, invariant, multiple, rule
 
 import dpcore
 from dpcore.accounting import PrivacyCharge
-from dpcore.cli import MAX_REQUEST_LINE, CliState, _Server, build_parser, main
-from dpcore.errors import ContractViolation
+from dpcore.cli import MAX_REQUEST_LINE, CliState, _answer, _Server, build_parser, main
+from dpcore.errors import BudgetExceededError, ContractViolation
 from dpcore.relational import load_csv, load_schema, parse_schema, table_from_array
 
 
@@ -190,16 +196,101 @@ def test_audit_loads_no_query_path():
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+#: What reads data or draws noise, and what only those need.
+_DATA_PATH = ("'numpy', 'cryptography', 'dpcore.gateway', 'dpcore.mechanisms', "
+              "'dpcore.transforms', 'dpcore.relational', 'dpcore.randomness'")
+
+
+def test_cold_budget_prints_its_line_without_the_data_path(workspace, capsys):
+    """A budget report is postprocessing: importing the service and the
+    registry loads no module that reads data or draws noise, and neither
+    does a fresh `dpcore budget`, which prints the spent, remaining, alpha
+    and power bound that the ledger gives."""
+    cfg = str(workspace / "cfg.json")
+    handle = _ingest(workspace, capsys)
+    _, sid = _run(["session", "--dataset", handle, "--scope", "main", "--config", cfg], capsys)
+    _run(["query", "--session", sid.strip(), "--plan", str(workspace / "plan.txt"),
+          "--mechanism", "laplace", "--eps", "0.7", "--config", cfg], capsys)
+    spent = 0.0
+    for line in (workspace / "ledger.txt").read_text().splitlines():
+        spent += PrivacyCharge.from_line(line).amount
+    expected = (f"spent={spent!r} remaining={20.0 - spent!r} alpha=0.05 "
+                f"power_bound={math.exp(spent) * 0.05!r}")
+    proc = _cold("-c", "import sys, dpcore.service, dpcore.registry\n"
+                 f"print(sorted({{{_DATA_PATH}}} & set(sys.modules)))\n"
+                 "import dpcore.cli\n"
+                 "code = dpcore.cli.main(['budget', '--session', sys.argv[1],"
+                 " '--config', sys.argv[2]])\n"
+                 f"print(code, sorted({{{_DATA_PATH}}} & set(sys.modules)))\n",
+                 sid.strip(), cfg)
+    assert proc.returncode == 0 and proc.stdout.splitlines() == ["[]", expected, "0 []"]
+
+
+def test_a_release_imports_the_data_path_before_its_padded_window(workspace, capsys):
+    """Every clock reading of a session open and a query, the one that opens
+    the padded window first among them, comes after numpy and the gateway are
+    imported: importing them inside the window would push the work past its
+    deadline."""
+    cfg = str(workspace / "cfg.json")
+    handle = _ingest(workspace, capsys)
+    proc = _cold("-c", "import sys\n"
+                 "from dpcore.cli import CliState\n"
+                 "from dpcore.service import QueryRequest, QueryService, SystemClock\n"
+                 "class Clock(SystemClock):\n"
+                 "    loaded = []\n"
+                 "    def now(self):\n"
+                 "        self.loaded.append({'numpy', 'dpcore.gateway'} <= set(sys.modules))\n"
+                 "        return super().now()\n"
+                 "with CliState(sys.argv[1]) as state:\n"
+                 "    service = QueryService(state.registry, state.accountant, state.config,\n"
+                 "                           clock=Clock())\n"
+                 "    cold = 'numpy' not in sys.modules\n"
+                 "    session = service.open_session(sys.argv[2], 'main')\n"
+                 "    opened = len(Clock.loaded)\n"
+                 "    status = service.run_query(session, QueryRequest('count', 'laplace', 1.0))\n"
+                 "print(cold, status.status, opened, len(Clock.loaded) - opened, Clock.loaded)\n",
+                 cfg, handle)
+    assert proc.returncode == 0, proc.stderr
+    # Each padded window takes two readings: its start and the overrun check.
+    assert proc.stdout.strip() == "True ok 2 2 [True, True, True, True]"
+
+
+def test_no_command_leaves_its_ledger_file_open(workspace, capsys, monkeypatch):
+    """Run in-process, ingest, session, query and budget close the ledger
+    file on every exit, errors included, so no ResourceWarning is raised."""
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    cfg = str(workspace / "cfg.json")
+    plan = str(workspace / "plan.txt")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        handle = _ingest(workspace, capsys)
+        _, sid = _run(["session", "--dataset", handle, "--scope", "main", "--config", cfg],
+                      capsys)
+        for argv in (["query", "--session", sid.strip(), "--plan", plan],
+                     ["query", "--session", "s99", "--plan", plan],
+                     ["query", "--session", sid.strip(), "--plan", "no-such-plan"]):
+            _run([*argv, "--mechanism", "laplace", "--eps", "0.5", "--config", cfg], capsys)
+        for argv in (["budget", "--session", sid.strip()], ["budget", "--session", "s99"],
+                     ["session", "--dataset", "ds99", "--scope", "main"],
+                     ["ingest", "--csv", "no-such.csv", "--schema", "no-such.schema"]):
+            _run([*argv, "--config", cfg], capsys)
+        (workspace / "state" / "sessions.json").write_text("[]")
+        assert _run(["budget", "--session", sid.strip(), "--config", cfg], capsys)[0] == 1
+        gc.collect()
+    assert [hook.exc_value for hook in unraisable] == []
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc")
-def test_cli_numpy_starts_no_blas_threads(tmp_path):
-    """dpcore makes no BLAS call, so numpy, imported by the CLI's own data
-    path, starts no OpenBLAS worker threads."""
+def test_cli_numpy_starts_no_blas_threads():
+    """dpcore makes no BLAS call, so numpy, imported by a subcommand's own
+    code, starts no OpenBLAS worker threads."""
     proc = _cold("-c", "import sys, dpcore.cli\n"
-                 "dpcore.cli.main(['budget', '--session', 's1', '--config', sys.argv[1]])\n"
+                 "dpcore.cli.main(['audit', '--target', 'laplace_count', '--eps-grid', '1.0',"
+                 " '--n-search', '1000', '--n-test', '1000', '--reps', '1'])\n"
                  "assert 'numpy' in sys.modules\n"
-                 "print(next(l for l in open('/proc/self/status') if l.startswith('Threads:')))\n",
-                 str(tmp_path / "missing.json"))
-    assert proc.returncode == 0 and proc.stdout.split() == ["Threads:", "1"]
+                 "print(next(l for l in open('/proc/self/status') if l.startswith('Threads:')))\n")
+    assert proc.returncode == 0 and proc.stdout.split()[-2:] == ["Threads:", "1"]
 
 
 @pytest.mark.parametrize("given, seen", [({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2")])
@@ -698,3 +789,117 @@ def test_serve_ends_a_hung_up_connection_quietly(workspace, capsys):
     finally:
         _stop_server(server, thread, path)
     assert capsys.readouterr().err == ""
+
+
+_BUDGET = 4.0  # of each of the machine's scopes, A and B
+
+
+class TwoStatesOnOneDirectory(RuleBasedStateMachine):
+    """Two `CliState`s on one state directory, as two processes (a `serve`
+    and a command, say) hold them.  Every session id handed out keeps its
+    own (dataset, scope) for good, and a budget report's `spent` is the
+    left-to-right sum of the granted charges that the ledger holds.  With
+    overhead and xi at 0, no rule sleeps."""
+
+    sessions = Bundle("sessions")
+
+    def __init__(self):
+        super().__init__()
+        self.dir = pathlib.Path(tempfile.mkdtemp(prefix="dpcore-"))
+        self.ledger = self.dir / "ledger.txt"
+        self.cfg = str(self.dir / "cfg.json")
+        (self.dir / "cfg.json").write_text(json.dumps({
+            "budgets": [{"id": "A", "budget": _BUDGET}, {"id": "B", "budget": _BUDGET}],
+            "xi": 0.0, "overhead": 0.0, "ledger": str(self.ledger),
+            "state_dir": str(self.dir / "state")}))
+        csv_path, schema_path = str(self.dir / "d.csv"), str(self.dir / "d.schema")
+        pathlib.Path(csv_path).write_text("c0,c1\n10,0\n20,1\n30,0\n")
+        pathlib.Path(schema_path).write_text("c0 int 0 100\nc1 int 0 1\n")
+        self.states = [CliState(self.cfg), CliState(self.cfg)]
+        self.handles = []
+        for state in self.states:
+            self.handles.append(state.registry.ingest_files(csv_path, schema_path))
+            state.persist_dataset(self.handles[-1], csv_path, schema_path)
+        self.opened = {}  # session id -> (dataset, scope), as handed out
+
+    def teardown(self):
+        for state in self.states:
+            state.accountant.close()
+        shutil.rmtree(self.dir)
+
+    def _granted(self) -> list:
+        """The ledger's whole lines, read back; a torn tail is no charge."""
+        text = self.ledger.read_bytes().decode("utf-8")
+        return [PrivacyCharge.from_line(line) for line in text.split("\n")[:-1]]
+
+    def _spent(self, scope: str) -> float:
+        spent = 0.0  # left to right, as the accountant adds (no compensated sum())
+        for charge in self._granted():
+            if charge.scope_id == scope:
+                spent += charge.amount
+        return spent
+
+    @rule(target=sessions, i=st.integers(0, 1), dataset=st.integers(0, 1),
+          scope=st.sampled_from("AB"))
+    def open_session(self, i, dataset, scope):
+        before = len(self._granted())
+        req = {"cmd": "session", "dataset": self.handles[dataset], "scope": scope}
+        try:
+            sid = _answer(self.states[i], req)["session"]
+        except BudgetExceededError:
+            assert len(self._granted()) == before
+            return multiple()
+        assert sid not in self.opened
+        assert [(f"s{c.seq}", c.scope_id) for c in self._granted()[before:]] == [(sid, scope)]
+        self.opened[sid] = (self.handles[dataset], scope)
+        return sid
+
+    @rule(i=st.integers(0, 1), sid=sessions, eps=st.sampled_from([0.25, 0.5, 1.5]))
+    def query(self, i, sid, eps):
+        scope = self.opened[sid][1]
+        before, spent = len(self._granted()), self._spent(scope)
+        out = _answer(self.states[i], {"cmd": "query", "session": sid, "plan": "count",
+                                       "mechanism": "laplace", "eps": eps})
+        granted = [(c.scope_id, c.amount) for c in self._granted()[before:]]
+        assert out["status"] == ("ok" if spent + eps <= _BUDGET else "error")
+        assert granted == ([(scope, eps)] if out["status"] == "ok" else [])
+
+    @rule(i=st.integers(0, 1), sid=sessions)
+    def budget(self, i, sid):
+        out = _answer(self.states[i], {"cmd": "budget", "session": sid})
+        assert out["spent"] == self._spent(self.opened[sid][1])
+        assert out["remaining"] == _BUDGET - out["spent"]
+
+    @rule(i=st.integers(0, 1))
+    def restore(self, i):
+        self.states[i].accountant.close()
+        self.states[i] = CliState(self.cfg)
+
+    @rule()
+    def tear_the_tail(self):
+        """The first half of a charge whose writer died mid-line."""
+        line = f"seq={len(self._granted()) + 1} scope=A amount=0.5 mechanism=laplace time=1.0"
+        with open(self.ledger, "ab") as fh:
+            fh.write(line[:len(line) // 2].encode("utf-8"))
+
+    @rule(at=st.integers(0, 1 << 10), digest=st.booleans())
+    def corrupt_the_checkpoint(self, at, digest):
+        """Cut `<ledger>.ckpt` short, or give it another digest."""
+        ckpt = pathlib.Path(f"{self.ledger}.ckpt")
+        raw = ckpt.read_bytes() if ckpt.exists() else b""
+        if digest:
+            ckpt.write_bytes(re.sub(rb'"sha256": "[0-9a-f]*"', b'"sha256": "%064x"' % at, raw))
+        else:
+            ckpt.write_bytes(raw[:at])
+
+    @invariant()
+    def every_id_keeps_its_dataset_and_scope(self):
+        for sid, (dataset, scope) in self.opened.items():
+            for state in self.states:
+                session = state.session(sid)
+                assert (session.dataset, session.scope.scope_id) == (dataset, scope)
+
+
+TestTwoStatesOnOneDirectory = TwoStatesOnOneDirectory.TestCase
+TestTwoStatesOnOneDirectory.settings = settings(max_examples=25, stateful_step_count=20,
+                                                deadline=None)
