@@ -1,6 +1,7 @@
-"""Audit harness: sampler goodness-of-fit, black-box DP-violation search,
-and empirical stability/sensitivity verification.  The package exports what
-`dpcore audit` and perfbench import; other names come from their modules."""
+"""Audit harness: sampler goodness-of-fit, black-box DP-violation search
+(built-in targets release through the gateway, as a query does) and
+empirical stability/sensitivity verification.  Exported: what `dpcore audit`
+and perfbench import; other names come from their modules."""
 
 from .blackbox import (MechanismUnderTest, default_neighbor_suite, dp_hypothesis_test,
                        event_search)

@@ -20,14 +20,13 @@ from .blackbox import MechanismUnderTest
 
 
 def half_noise_laplace_count() -> MechanismUnderTest:
-    """Claims eps but adds Laplace noise at half the required scale, so it
-    actually satisfies only 2*eps-DP.  Caught by the black-box battery."""
+    """Claims eps but runs the correct count target at 2*eps: half the noise
+    scale, so it satisfies only 2*eps-DP.  Caught by the black-box battery."""
+    from .targets import laplace_count_target  # targets imports this module
 
-    def run_many(table: Table, eps: float, rng: RandomSource, n: int) -> np.ndarray:
-        v = aggregate(table, "count")
-        return v.values[0] + sample_laplace(rng, v.l1_sensitivity / (2.0 * eps), size=n)
-
-    return MechanismUnderTest("bug:half_noise_laplace_count", run_many=run_many)
+    run_many = laplace_count_target().run_many
+    return MechanismUnderTest("bug:half_noise_laplace_count",
+                              run_many=lambda table, eps, rng, n: run_many(table, 2 * eps, rng, n))
 
 
 def data_dependent_histogram(key_column: str):

@@ -1,58 +1,55 @@
-"""Built-in mechanisms packaged for the black-box harness.
-
-Each target wires a data-access aggregation to the Laplace sampler of the
-privacy layer and defines only `run_many`.  Every `run_many` call computes
-the exact aggregate again and charges eps * n to the target's own unlimited
-scope, created once with the target; within one call only the noise is
-redrawn for each of the n outcomes, which is exactly the separation the
-layering exists to allow.
-`MechanismUnderTest` derives `run` from it.
+"""Built-in mechanisms for the black-box harness, released through the
+gateway as a query is.  Each `run_many` call runs its plan once and releases
+the exact one-cell StatVector tiled n times (sensitivity n*Δ) through
+`gateway.release` at n*eps: n-fold composition, so each outcome carries
+Laplace(Δ/eps) noise, up to the float rounding of the scale.  The charge goes
+to an unlimited scope of an accountant closed before the call returns, and
+an eps/Δ under the mechanisms' floor is refused.
 """
 
 from __future__ import annotations
 
-import math
+import contextlib
 
 import numpy as np
 
+from .. import gateway
 from ..accounting import Accountant
-from ..randomness import RandomSource, sample_laplace
-from ..relational import Table
-from ..transforms import aggregate
+from ..randomness import RandomSource
+from ..relational import StatVector, Table
+from ..transforms import parse_plan
 from .blackbox import MechanismUnderTest
+from .bugs import half_noise_laplace_count
 
 
-def _laplace_target(name: str, *agg) -> MechanismUnderTest:
-    scope = Accountant().create_scope("audit", budget=math.inf)
+def _gateway_target(name: str, plan_text: str) -> MechanismUnderTest:
+    plan = parse_plan(plan_text)
 
     def run_many(table: Table, eps: float, rng: RandomSource, n: int) -> np.ndarray:
-        v = aggregate(table, *agg)
-        scope.charge(eps * n, "laplace")  # one charge per run
-        return v.values[0] + sample_laplace(rng, v.l1_sensitivity / eps, size=n)
+        v = plan.execute(table)
+        tiled = StatVector(np.tile(v.values, n), n * v.l1_sensitivity, v.dimension_labels * n,
+                           v.integral)
+        with contextlib.closing(Accountant()) as accountant:
+            scope = accountant.create_scope("audit")  # an unlimited budget
+            return gateway.release(tiled, "laplace", n * eps, scope, rng).values
 
     return MechanismUnderTest(name, run_many=run_many)
 
 
 def laplace_count_target() -> MechanismUnderTest:
     """COUNT(*) + Laplace(1/eps)."""
-    return _laplace_target("laplace_count", "count")
+    return _gateway_target("laplace_count", "count")
 
 
-def laplace_sum_target(column: str = "c0") -> MechanismUnderTest:
-    """SUM(column) + Laplace(sensitivity/eps) with metadata-derived sensitivity."""
-    return _laplace_target(f"laplace_sum({column})", "sum", column)
+def laplace_sum_target() -> MechanismUnderTest:
+    """SUM(c0) + Laplace(sensitivity/eps) with metadata-derived sensitivity."""
+    return _gateway_target("laplace_sum(c0)", "sum c0")
 
 
-def _builtin_targets() -> dict:
-    from .bugs import half_noise_laplace_count
-
-    return {
-        "laplace_count": laplace_count_target,
-        "laplace_sum": laplace_sum_target,
-        # The seeded-bug target is exposed so operators can verify the
-        # harness's detection power from the command line.
-        "bug:half_noise_laplace_count": half_noise_laplace_count,
-    }
-
-
-BUILTIN_TARGETS = _builtin_targets()
+BUILTIN_TARGETS = {
+    "laplace_count": laplace_count_target,
+    "laplace_sum": laplace_sum_target,
+    # The seeded bug lets an operator confirm the harness's power from the
+    # command line: `dpcore audit` must flag it.
+    "bug:half_noise_laplace_count": half_noise_laplace_count,
+}

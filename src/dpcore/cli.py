@@ -208,8 +208,7 @@ def _cmd_audit(args) -> int:
     elif args.external:
         target = _external_target(args.target)
     else:
-        print(f"unknown builtin target {args.target!r}", file=sys.stderr)
-        return 1
+        raise ContractViolation(f"unknown builtin target {args.target!r}")
     suite = default_neighbor_suite(parse_schema("c0 int 0 100\nc1 int 0 1"))
     eps_values = [_audit_eps(x) for x in args.eps_grid.split(",")]
     report = black_box_battery(

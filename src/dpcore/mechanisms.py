@@ -63,13 +63,13 @@ def _laplace_release(
     if discretize and not v.integral:
         raise ContractViolation("integer noise is private on integer-valued statistics only")
     charge = _spend(accountant, eps, v.l1_sensitivity, mechanism)
-    values = v.values.copy()
+    noise = 0.0  # `v.values + noise` below allocates the release: no copy is taken first
     if v.l1_sensitivity > 0 and discretize:
         scale = Fraction(v.l1_sensitivity) / Fraction(eps)
-        values = values + [sample_discrete_laplace(rng, scale) for _ in range(len(v))]
+        noise = [sample_discrete_laplace(rng, scale) for _ in range(len(v))]
     elif v.l1_sensitivity > 0:
-        values = values + sample_laplace(rng, v.l1_sensitivity / eps, size=len(v))
-    return MechanismResult(values, charge, v.dimension_labels)
+        noise = sample_laplace(rng, v.l1_sensitivity / eps, size=len(v))
+    return MechanismResult(v.values + noise, charge, v.dimension_labels)
 
 
 def laplace_mechanism(

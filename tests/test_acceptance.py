@@ -47,6 +47,9 @@ def _rng():
 # -- 1. sampler goodness of fit -------------------------------------------------
 
 def test_acceptance_sampler_goodness_of_fit(announce):
+    """At least 97 of 100 correct samples pass a 1%-level test, so a correct
+    sampler fails this criterion with probability P[Bin(100, 0.01) >= 4],
+    about 1.84%, by design."""
     t0 = time.perf_counter()
     rng = _rng()
     n, runs, scale = 1_000_000, 100, 1.7

@@ -10,6 +10,7 @@ import pytest
 from scipy import stats
 
 import dpcore
+from dpcore import gateway, mechanisms
 from dpcore.accounting import Accountant, PURE_EPS
 from dpcore.audit import report as audit_report
 from dpcore.audit.blackbox import (
@@ -46,8 +47,8 @@ from dpcore.audit.propcheck import (
     stability_check,
 )
 from dpcore.audit.report import audit_pair, black_box_battery
-from dpcore.audit.targets import laplace_count_target
-from dpcore.errors import ContractViolation
+from dpcore.audit.targets import laplace_count_target, laplace_sum_target
+from dpcore.errors import ContractViolation, ParameterError
 from dpcore.mechanisms import exponential_mechanism_log_probabilities, report_noisy_max
 from dpcore.randomness import sample_laplace
 from dpcore.relational import ColumnKind, ColumnMeta, Schema, StatVector, make_table
@@ -446,6 +447,44 @@ def test_battery_flags_half_noise_bug(two_col_schema, rng):
     report = black_box_battery(half_noise_laplace_count(), suite, [1.0], rng,
                                n_search=5000, n_test=20_000, repetitions=5)
     assert not report.passed and report.exit_code == 2
+
+
+def test_battery_flags_a_halved_scale_in_the_shipped_release(two_col_schema, rng,
+                                                             monkeypatch):
+    """The built-in targets release through `gateway.release`, so a sampler
+    bug in the code that ships fails their audit: with the mechanisms'
+    `sample_laplace` at half the scale, the correct `laplace_count` is
+    flagged, and each of its `run_many` calls made one release of n values."""
+    shipped, release = mechanisms.sample_laplace, gateway.release
+    releases, calls = [], []
+
+    def counting_release(vector, *args):
+        releases.append(len(vector))
+        return release(vector, *args)
+
+    monkeypatch.setattr(mechanisms, "sample_laplace",
+                        lambda rng, scale, size=None: shipped(rng, scale / 2, size=size))
+    monkeypatch.setattr(gateway, "release", counting_release)
+    target = laplace_count_target()
+
+    def run_many(table, eps, rng, n):
+        calls.append(n)
+        return target.run_many(table, eps, rng, n)
+
+    report = black_box_battery(MechanismUnderTest(target.name, run_many=run_many),
+                               default_neighbor_suite(two_col_schema), [1.0], rng,
+                               n_search=5000, n_test=20_000, repetitions=5)
+    assert not report.passed and report.exit_code == 2
+    assert len(calls) == 12 and releases == calls  # 3 pairs x 2 sides x 2 phases
+
+
+def test_builtin_targets_refuse_eps_below_the_release_floor(small_tables, rng):
+    """A target's release is a query's: an eps/sensitivity under the floor
+    is refused before it charges or samples."""
+    with pytest.raises(ParameterError, match="floor"):
+        laplace_count_target().run_many(small_tables["db2"], 1e-4, rng, 10)
+    with pytest.raises(ParameterError, match="floor"):
+        laplace_sum_target().run_many(small_tables["db2"], 0.05, rng, 10)
 
 
 def _counting_mechanism(calls):

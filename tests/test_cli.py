@@ -190,8 +190,7 @@ def test_audit_loads_no_query_path():
     proc = _cold("-c", "import sys, dpcore.cli\n"
                  "dpcore.cli.main(['audit', '--target', 'laplace_count', '--eps-grid', '1.0',"
                  " '--n-search', '1000', '--n-test', '1000', '--reps', '1'])\n"
-                 "print(sorted({'dpcore.service', 'dpcore.registry', 'dpcore.gateway',"
-                 " 'dpcore.mechanisms'} & set(sys.modules)))\n")
+                 "print(sorted({'dpcore.service', 'dpcore.registry'} & set(sys.modules)))\n")
     assert proc.returncode == 0 and "overall passed=" in proc.stdout
     assert proc.stdout.splitlines()[-1] == "[]"
 
@@ -632,6 +631,22 @@ def test_audit_subcommand_passes_correct_target(capsys):
     assert "overall passed=True" in out
 
 
+@pytest.mark.parametrize("target, code", [("laplace_count", 0),
+                                          ("bug:half_noise_laplace_count", 2)])
+def test_audit_of_a_builtin_target_leaves_no_ledger_open(target, code):
+    """Each release of a built-in target is charged to an accountant that is
+    closed before the call returns.  At --reps 5 the correct target exits 2
+    in about 0.7% of runs, so this runs 10: in 600 runs at 10 the correct
+    target always exited 0 and the bug always 2."""
+    src = os.path.dirname(os.path.dirname(dpcore.__file__))
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+                           "-m", "dpcore.cli", "audit", "--target", target, "--eps-grid", "1.0",
+                           "--n-search", "1000", "--n-test", "1000", "--reps", "10"],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert "ResourceWarning" not in proc.stderr
+    assert proc.returncode == code and f"overall passed={code == 0}" in proc.stdout
+
+
 def test_audit_external_command_protocol(workspace, capsys):
     """An external mechanism is exercised through the documented
     CMD <csv> <eps> <n> stdout protocol."""
@@ -678,10 +693,13 @@ def test_audit_external_command_starts_once_per_side_and_phase(workspace, capsys
 @pytest.mark.parametrize("flags", [
     ["--n-test", "50"],
     ["--eps-grid", "0"], ["--eps-grid", "nan"], ["--eps-grid", "inf"], ["--eps-grid", "-1"],
+    ["--eps-grid", "1e-4"],
 ])
 def test_audit_refuses_vacuous_settings(flags):
-    """Too few test samples, or an epsilon that is not finite and positive,
-    end in one `error:` line and exit 1, never a traceback or a pass."""
+    """Too few test samples, an epsilon that is not finite and positive, or
+    one whose release falls under the mechanisms' eps/sensitivity floor (the
+    bug target spends 2e-4) end in one `error:` line and exit 1, never a
+    traceback or a pass."""
     src = os.path.dirname(os.path.dirname(dpcore.__file__))
     argv = ["audit", "--target", "bug:half_noise_laplace_count", "--eps-grid", "1.0",
             "--n-search", "1000", "--n-test", "2000", "--reps", "1", *flags]
