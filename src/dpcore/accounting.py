@@ -63,12 +63,11 @@ _LINE = re.compile(rf"^seq=(\d+) scope=(\S+) kind=(\S+) amount={_NUMBER} "
 
 
 def _sha256():
-    """A SHA-256 context.  hashlib maps its own OpenSSL (about 3.5 MB of
-    resident memory), so it is imported only where a named ledger keeps a
-    hash, not by every process that imports this module."""
-    import hashlib
+    """A SHA-256 context from `cryptography`, whose OpenSSL a release loads for
+    ChaCha20 anyway; imported only where a named ledger keeps a hash."""
+    from cryptography.hazmat.primitives import hashes
 
-    return hashlib.sha256()
+    return hashes.Hash(hashes.SHA256())
 
 
 def check_scope_id(scope_id) -> None:
@@ -114,9 +113,10 @@ class Accountant:
     outlives the process and may be shared with other processes, or else an
     unnamed temporary file that goes on `close`.  `<ledger_path>.ckpt` caches a
     replay and is used only where its SHA-256 matches the ledger's bytes; only
-    a named ledger keeps that running hash.  The ledger is open in the process
-    that built the accountant, and only that process may use it: a forked
-    child shares the open file's offset, and `flock` does not exclude it.
+    a named ledger keeps that running hash, `cryptography`'s, which loads its
+    hash module but no cipher.  The ledger is open in the process that built
+    the accountant, and only that process may use it: a forked child shares
+    the open file's offset, and `flock` does not exclude it.
     Every granted charge is appended and flushed before `charge` returns, so
     no mechanism result can be released ahead of its ledger record; a closed
     accountant grants nothing.  Denied requests are counted in memory per
@@ -198,7 +198,7 @@ class Accountant:
             if records and self._ckpt:
                 state = {"offset": self._offset, "seq": self._seq,
                          "spent": {sid: repr(total) for sid, total in self._totals.items()},
-                         "sha256": self._hash.hexdigest()}
+                         "sha256": self._hash.copy().finalize().hex()}
                 with open(self._ckpt + ".tmp", "w", encoding="utf-8") as out:
                     json.dump(state, out)
                 os.replace(self._ckpt + ".tmp", self._ckpt)
@@ -265,7 +265,7 @@ class Accountant:
             fh.seek(0)
             for start in range(0, offset, 1 << 16):
                 digest.update(fh.read(min(1 << 16, offset - start)))
-            if digest.digest() == bytes.fromhex(ckpt["sha256"]):
+            if digest.copy().finalize() == bytes.fromhex(ckpt["sha256"]):
                 self._offset, self._seq, self._totals, self._hash = offset, seq, totals, digest
         except (OSError, ValueError, LookupError, TypeError, AttributeError):
             pass  # an unreadable checkpoint is a miss: replay from byte 0

@@ -97,16 +97,17 @@ def half_binomial_tail(s, c2: int) -> np.ndarray:
 
     At least s heads in s + c2 fair flips means at least s heads before the
     (c2+1)-th tail, so this is P[Y >= s] for the negative binomial
-    Y ~ NegBin(c2 + 1, 1/2), whose one pmf serves every s.  The pmf is
-    formed on s's range widened by K = 20 sqrt(c2+1) + 100 on both sides;
-    an s above Y's mean c2+1 sums the pmf upwards, any other s takes one
-    less the sum below it.  Y's log-concave tails put less than 1e-36 of
-    the result outside the window either way.
+    Y ~ NegBin(c2 + 1, 1/2), whose one pmf serves every s.  An s above Y's
+    mean c2+1 sums the pmf down from the window's top, any other s takes one
+    less the sum up from its bottom.  The window is s's range, widened by
+    K = 20 sqrt(c2+1) + 100 only on a side that some sum starts from.  Y's
+    log-concave tails put less than 1e-36 of the result outside it.
     """
     s = np.asarray(s, dtype=np.int64)
     k = int(20 * math.sqrt(c2 + 1)) + 100
-    lo = max(int(s.min()) - k, 0)
-    hi = int(s.max()) + k + 1
+    upper = s > c2 + 1
+    lo = max(int(s.min()) - (0 if upper.all() else k), 0)
+    hi = int(s.max()) + 1 + (k if upper.any() else 0)
     y = np.arange(lo, hi)
     log_pmf = (_log_factorial(y + c2) - _log_factorial(y) - math.lgamma(c2 + 1.0)
                - (y + c2 + 1) * math.log(2.0))
@@ -114,7 +115,7 @@ def half_binomial_tail(s, c2: int) -> np.ndarray:
     above = np.cumsum(pmf[::-1])[::-1]
     below = np.cumsum(pmf) - pmf
     i = s - lo
-    return np.where(s > c2 + 1, above[i], 1.0 - below[i])
+    return np.where(upper, above[i], 1.0 - below[i])
 
 
 # Reference CDFs used by the sampler test batteries.

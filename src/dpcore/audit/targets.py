@@ -1,10 +1,11 @@
 """Built-in mechanisms for the black-box harness, released through the
 gateway as a query is.  Each `run_many` call runs its plan once and releases
-the exact one-cell StatVector tiled n times (sensitivity n*Δ) through
-`gateway.release` at n*eps: n-fold composition, so each outcome carries
-Laplace(Δ/eps) noise, up to the float rounding of the scale.  The charge goes
-to an unlimited scope of an accountant closed before the call returns, and
-an eps/Δ under the mechanisms' floor is refused.
+the exact one-cell StatVector tiled n times (a read-only view with one label
+per cell, sensitivity n*Δ) through `gateway.release` at n*eps: n-fold
+composition, so each outcome carries Laplace(Δ/eps) noise, up to the float
+rounding of the scale.  The charge goes to an unlimited scope of an
+accountant closed before the call returns, and an eps/Δ under the
+mechanisms' floor is refused.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ def _gateway_target(name: str, plan_text: str) -> MechanismUnderTest:
 
     def run_many(table: Table, eps: float, rng: RandomSource, n: int) -> np.ndarray:
         v = plan.execute(table)
-        tiled = StatVector(np.tile(v.values, n), n * v.l1_sensitivity, v.dimension_labels * n,
-                           v.integral)
+        tiled = StatVector(np.broadcast_to(v.values, (n,)), n * v.l1_sensitivity,
+                           v.dimension_labels * n, v.integral)
         with contextlib.closing(Accountant()) as accountant:
             scope = accountant.create_scope("audit")  # an unlimited budget
             return gateway.release(tiled, "laplace", n * eps, scope, rng).values

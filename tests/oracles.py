@@ -14,6 +14,7 @@ import math
 import mpmath
 import numpy as np
 
+from dpcore.audit.gof import _log_factorial
 from dpcore.errors import ContractViolation, ParameterError
 
 mpmath.mp.dps = 50  # 50 significant digits everywhere in this module
@@ -92,6 +93,23 @@ def binom_sf_mp(k: int, n: int, p: float) -> float:
     for i in range(k, n + 1):
         total += mpmath.binomial(n, i) * p**i * (1 - p) ** (n - i)
     return float(total)
+
+
+def half_binomial_tail_two_sided(s, c2: int) -> np.ndarray:
+    """`gof.half_binomial_tail` with its pmf window widened by K on both sides
+    of s's range whatever the s: each returned value must match it bit for bit."""
+    s = np.asarray(s, dtype=np.int64)
+    k = int(20 * math.sqrt(c2 + 1)) + 100
+    lo = max(int(s.min()) - k, 0)
+    hi = int(s.max()) + k + 1
+    y = np.arange(lo, hi)
+    log_pmf = (_log_factorial(y + c2) - _log_factorial(y) - math.lgamma(c2 + 1.0)
+               - (y + c2 + 1) * math.log(2.0))
+    pmf = np.exp(log_pmf)
+    above = np.cumsum(pmf[::-1])[::-1]
+    below = np.cumsum(pmf) - pmf
+    i = s - lo
+    return np.where(s > c2 + 1, above[i], 1.0 - below[i])
 
 
 def multiset_distance(rows_a, rows_b) -> int:

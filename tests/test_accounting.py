@@ -489,6 +489,20 @@ def test_a_checkpoint_carries_the_sha256_of_the_ledger_bytes_it_covers(tmp_path)
     assert other.finalize().hex() == state["sha256"]
 
 
+def test_a_checkpoint_digested_by_hashlib_is_resumed_from(tmp_path):
+    """A checkpoint written before the digest came from `cryptography` holds
+    `hashlib`'s SHA-256 of the prefix; a cold start still takes it, so its
+    stored sum, not the ledger's, is what `spent` reads."""
+    path, ckpt = tmp_path / "ledger.txt", tmp_path / "ledger.txt.ckpt"
+    _charge_mix(path, 200)
+    prefix = path.read_bytes()
+    ckpt.write_text(json.dumps({"offset": len(prefix), "seq": 200,
+                                "spent": {"a": "0.5", "b": "1.25"},
+                                "sha256": hashlib.sha256(prefix).hexdigest()}))
+    assert _full(path)[0] != {"a": 0.5, "b": 1.25}
+    assert _cold(path) == ({"a": 0.5, "b": 1.25}, 200)
+
+
 def _prefix_byte(path, ckpt):
     """One byte of an amount in the covered prefix edited in place."""
     data = bytearray(path.read_bytes())

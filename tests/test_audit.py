@@ -54,7 +54,12 @@ from dpcore.randomness import sample_laplace
 from dpcore.relational import ColumnKind, ColumnMeta, Schema, StatVector, make_table
 from dpcore.testing import ScriptedSource, zero_noise_source
 from dpcore.transforms import Comparison, aggregate, group_by, select_where, union
-from oracles import anderson_darling_reference, event_search_reference, laplace_cdf_mp
+from oracles import (
+    anderson_darling_reference,
+    event_search_reference,
+    half_binomial_tail_two_sided,
+    laplace_cdf_mp,
+)
 
 
 # -- goodness of fit ---------------------------------------------------------
@@ -122,6 +127,22 @@ def test_half_binomial_tail_matches_scipy(c2):
         keep = want > 1e-290
         np.testing.assert_allclose(got[keep], want[keep], rtol=1e-9, atol=0)
         assert np.all(got[~keep] < 1e-280)
+
+
+@pytest.mark.parametrize("c2", [*range(60), 100, 400, 1500, 2000, 4000, 10 ** 5, 10 ** 6])
+def test_half_binomial_tail_one_sided_window_is_bit_identical(c2):
+    """Widening the pmf window only on the side a sum runs over changes no
+    value: s below, above and straddling the mean c2+1, in any order."""
+    mean = c2 + 1
+    w = 12 * math.isqrt(mean) + 30
+    step = max(1, w // 150)
+    below = np.arange(max(mean - w, 0), mean + 1, step)
+    above = np.arange(mean + 1, mean + w, step)
+    rng = np.random.default_rng(c2)
+    cases = [below, above, np.concatenate([below, above]), below[:1], above[-1:],
+             np.array([0, mean + w]), rng.permutation(np.concatenate([below, above]))]
+    for s in cases:
+        assert np.array_equal(half_binomial_tail(s, c2), half_binomial_tail_two_sided(s, c2))
 
 
 def test_log_factorial_matches_lgamma():

@@ -198,13 +198,18 @@ def test_audit_loads_no_query_path():
 #: What reads data or draws noise, and what only those need.
 _DATA_PATH = ("'numpy', 'cryptography', 'dpcore.gateway', 'dpcore.mechanisms', "
               "'dpcore.transforms', 'dpcore.relational', 'dpcore.randomness'")
+#: The same with `cryptography` narrowed to its ciphers (`dpcore.randomness`
+#: stays): a named ledger's digest is `cryptography`'s SHA-256, so its hash
+#: module is loaded.
+_NO_CIPHER_PATH = _DATA_PATH.replace("'cryptography'", "'cryptography.hazmat.primitives.ciphers'")
 
 
 def test_cold_budget_prints_its_line_without_the_data_path(workspace, capsys):
     """A budget report is postprocessing: importing the service and the
     registry loads no module that reads data or draws noise, and neither
     does a fresh `dpcore budget`, which prints the spent, remaining, alpha
-    and power bound that the ledger gives."""
+    and power bound that the ledger gives.  Its ledger digest loads
+    `cryptography`'s hash module, but no cipher and no sampler."""
     cfg = str(workspace / "cfg.json")
     handle = _ingest(workspace, capsys)
     _, sid = _run(["session", "--dataset", handle, "--scope", "main", "--config", cfg], capsys)
@@ -220,9 +225,43 @@ def test_cold_budget_prints_its_line_without_the_data_path(workspace, capsys):
                  "import dpcore.cli\n"
                  "code = dpcore.cli.main(['budget', '--session', sys.argv[1],"
                  " '--config', sys.argv[2]])\n"
-                 f"print(code, sorted({{{_DATA_PATH}}} & set(sys.modules)))\n",
+                 f"print(code, sorted({{{_NO_CIPHER_PATH}}} & set(sys.modules)))\n",
                  sid.strip(), cfg)
     assert proc.returncode == 0 and proc.stdout.splitlines() == ["[]", expected, "0 []"]
+
+
+def test_a_release_loads_no_second_openssl(workspace, capsys):
+    """A cold `dpcore query`, and a `serve` daemon after it answered a query,
+    load neither `hashlib` nor `_hashlib`: the ledger digest comes from the
+    OpenSSL that `cryptography` bundles, which the sampler's ChaCha20 loads."""
+    cfg = str(workspace / "cfg.json")
+    handle = _ingest(workspace, capsys)
+    _, sid = _run(["session", "--dataset", handle, "--scope", "main", "--config", cfg], capsys)
+    hashing = "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n"
+    query = _cold("-c", "import sys, dpcore.cli\n"
+                  "code = dpcore.cli.main(['query', '--session', sys.argv[1], '--plan',"
+                  " sys.argv[2], '--mechanism', 'laplace', '--eps', '0.5', '--config',"
+                  " sys.argv[3]])\n"
+                  "print(code)\n" + hashing,
+                  sid.strip(), str(workspace / "plan.txt"), cfg)
+    assert query.returncode == 0
+    assert json.loads(query.stdout.splitlines()[0])["status"] == "ok"
+    assert query.stdout.splitlines()[1:] == ["0", "[]"]
+    sock_dir = tempfile.mkdtemp(prefix="dpcore-")
+    try:
+        serve = _cold("-c", "import json, socket, sys, threading\n"
+                      "from dpcore.cli import CliState, _Server\n"
+                      "server = _Server(sys.argv[3], CliState(sys.argv[1]))\n"
+                      "threading.Thread(target=server.serve_forever, daemon=True).start()\n"
+                      "with socket.socket(socket.AF_UNIX) as conn:\n"
+                      "    conn.connect(sys.argv[3])\n"
+                      "    conn.sendall(json.dumps({'cmd': 'query', 'session': sys.argv[2],"
+                      " 'plan': 'count', 'mechanism': 'laplace', 'eps': 0.5}).encode() + b'\\n')\n"
+                      "    print(json.loads(conn.makefile('rb').readline())['status'])\n" + hashing,
+                      cfg, sid.strip(), os.path.join(sock_dir, "s"))
+    finally:
+        shutil.rmtree(sock_dir)
+    assert serve.returncode == 0 and serve.stdout.splitlines() == ["ok", "[]"]
 
 
 def test_a_release_imports_the_data_path_before_its_padded_window(workspace, capsys):

@@ -33,3 +33,10 @@ def test_modules_use_every_name_they_import():
         unused += [f"{path.relative_to(SRC)}:{line}: {name}"
                    for name, line in _imported(tree).items() if name not in used]
     assert unused == []
+
+
+def test_no_module_imports_hashlib():
+    """The ledger digest is `cryptography`'s SHA-256: `hashlib` would map a
+    second OpenSSL into every process that releases."""
+    assert [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
+            if "hashlib" in path.read_text(encoding="utf-8")] == []
