@@ -5,7 +5,7 @@ sessions, the charge ledger) persists under the config's state_dir so
 budgets survive across invocations.  There are, deliberately, no
 seed-related flags or environment variables anywhere in this interface.
 Each subcommand imports the layers it runs, so importing this module loads
-no numpy.
+no numpy.  `run` is the process entry point; `main` runs one command.
 """
 
 from __future__ import annotations
@@ -13,12 +13,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import fcntl
+import gc
 import json
 import math
 import os
-import socketserver
 import stat
 import sys
+from typing import NoReturn
 
 from .errors import BudgetExceededError, ContractViolation, ParameterError
 
@@ -92,6 +93,25 @@ class CliState:
             self._load_sessions()
             return self.service.session(session_id)
 
+    def answer(self, req: dict) -> dict:
+        """Answer a session, query or budget request, for the CLI and `serve`
+        alike.  Errors raise, an unknown request too, except a refused query,
+        answered in its padded error shape."""
+        cmd = req.get("cmd")
+        if cmd == "session":
+            session = self.service.open_session(req["dataset"], req["scope"])
+            self.save_sessions()
+            return {"status": "ok", "session": session.session_id}
+        if cmd == "query":
+            from .service import QueryRequest
+
+            request = QueryRequest(req["plan"], req["mechanism"], float(req["eps"]))
+            return vars(self.service.run_query(self.session(req["session"]), request))
+        if cmd == "budget":
+            status = self.service.budget_status(self.session(req["session"]))
+            return {"status": "ok", **vars(status)}
+        raise ContractViolation(f"unknown request: {cmd!r}")
+
     def persist_dataset(self, handle: str, csv_path: str, sidecar_path: str) -> None:
         """Store an ingested handle as its sidecar and the registered table's
         record array, parsed and corrected from `csv_path`, so no later
@@ -133,7 +153,7 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_session(args) -> int:
     with CliState(args.config) as state:
-        out = _answer(state, {"cmd": "session", "dataset": args.dataset, "scope": args.scope})
+        out = state.answer({"cmd": "session", "dataset": args.dataset, "scope": args.scope})
     print(out["session"])
     return 0
 
@@ -142,15 +162,15 @@ def _cmd_query(args) -> int:
     with CliState(args.config) as state:
         with open(args.plan, "r", encoding="utf-8") as fh:
             plan_text = fh.read()
-        out = _answer(state, {"cmd": "query", "session": args.session, "plan": plan_text,
-                              "mechanism": args.mechanism, "eps": args.eps})
+        out = state.answer({"cmd": "query", "session": args.session, "plan": plan_text,
+                            "mechanism": args.mechanism, "eps": args.eps})
     sys.stdout.buffer.write(json.dumps(out, sort_keys=True).encode("utf-8") + b"\n")
     return 0 if out["status"] == "ok" else 1
 
 
 def _cmd_budget(args) -> int:
     with CliState(args.config) as state:
-        out = _answer(state, {"cmd": "budget", "session": args.session})
+        out = state.answer({"cmd": "budget", "session": args.session})
     print(" ".join(f"{key}={out[key]!r}" for key in ("spent", "remaining", "alpha",
                                                       "power_bound")))
     return 0
@@ -223,67 +243,17 @@ def _cmd_audit(args) -> int:
     return report.exit_code
 
 
-_REJECTED = {"status": "error", "code": "request rejected"}
-
-#: Longest request line, newline included, that `serve` reads.  A longer one
-#: is answered with the one error and its connection closed.
-MAX_REQUEST_LINE = 1 << 20
-
-
-def _answer(state: CliState, req: dict) -> dict:
-    """Answer a session, query or budget request, for the CLI and `serve` alike.
-    Errors raise, except a refused query, answered in its padded error shape."""
-    cmd = req.get("cmd")
-    if cmd == "session":
-        session = state.service.open_session(req["dataset"], req["scope"])
-        state.save_sessions()
-        return {"status": "ok", "session": session.session_id}
-    if cmd == "query":
-        from .service import QueryRequest
-
-        request = QueryRequest(req["plan"], req["mechanism"], float(req["eps"]))
-        return vars(state.service.run_query(state.session(req["session"]), request))
-    if cmd == "budget":
-        status = state.service.budget_status(state.session(req["session"]))
-        return {"status": "ok", **vars(status)}
-    return _REJECTED
-
-
-class _ServeHandler(socketserver.StreamRequestHandler):
-    def handle(self) -> None:
-        # A client that hung up ends its connection quietly.
-        with contextlib.suppress(BrokenPipeError, ConnectionResetError):
-            while raw := self.rfile.readline(MAX_REQUEST_LINE + 1):
-                if len(raw) > MAX_REQUEST_LINE:
-                    self._reply(_REJECTED)
-                    return
-                if raw.strip():
-                    try:
-                        out = _answer(self.server.state, json.loads(raw))
-                    except Exception:
-                        out = _REJECTED
-                    self._reply(out)
-
-    def _reply(self, out: dict) -> None:
-        self.wfile.write(json.dumps(out, sort_keys=True).encode("utf-8") + b"\n")
-
-
-class _Server(socketserver.ThreadingUnixStreamServer):
-    allow_reuse_address = True
-
-    def __init__(self, path: str, state: CliState):
-        super().__init__(path, _ServeHandler)
-        self.state = state
-
-
 def _cmd_serve(args) -> int:
+    from .daemon import Server
+
     # Only a socket left by an earlier server is replaced; any other file
     # at the path is refused and left alone.
     if os.path.lexists(args.socket):
         if not stat.S_ISSOCK(os.lstat(args.socket).st_mode):
             raise ContractViolation(f"--socket {args.socket} exists and is not a socket")
         os.unlink(args.socket)
-    with CliState(args.config) as state, _Server(args.socket, state) as server:
+    with CliState(args.config) as state, Server(args.socket, state) as server:
+        gc.enable()  # a long-lived daemon collects as any process does
         server.serve_forever()
     return 0
 
@@ -324,7 +294,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-grid", default="0.5,1.0,2.0")
     p.add_argument("--n-search", type=int, default=50_000)
     p.add_argument("--n-test", type=int, default=100_000)
-    p.add_argument("--reps", type=int, default=50)
+    p.add_argument("--reps", type=int, default=50,
+                   help="repetitions per neighbour pair and epsilon; an entry passes when "
+                        "the mean of its p-values exceeds 0.3, which a correct mechanism "
+                        "misses more often at few repetitions: the correct laplace_count at "
+                        "--n-search 1000 --n-test 1000 exited 2 in 317, 120, 8, 0 and 0 of "
+                        "1000 runs at --reps 1, 2, 5, 10 and 50")
     p.add_argument("--report")
     p.set_defaults(func=_cmd_audit)
 
@@ -348,5 +323,19 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> NoReturn:
+    """The process entry point: the `dpcore` script and `python -m dpcore.cli`.
+
+    A command lives for a fraction of a second, so the cyclic GC would only
+    walk its heap: collection is off while the command runs, and the heap is
+    frozen before exit, so the interpreter's last collection skips it too.
+    `serve` turns collection back on.  `main` keeps whatever GC state its
+    caller has, so tests and library callers still collect what they leak."""
+    gc.disable()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

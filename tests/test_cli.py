@@ -1,3 +1,5 @@
+import ast
+import contextlib
 import gc
 import json
 import math
@@ -21,7 +23,8 @@ from hypothesis.stateful import Bundle, RuleBasedStateMachine, invariant, multip
 
 import dpcore
 from dpcore.accounting import PrivacyCharge
-from dpcore.cli import MAX_REQUEST_LINE, CliState, _answer, _Server, build_parser, main
+from dpcore.cli import CliState, build_parser, main
+from dpcore.daemon import MAX_REQUEST_LINE, Server
 from dpcore.errors import BudgetExceededError, ContractViolation
 from dpcore.relational import load_csv, load_schema, parse_schema, table_from_array
 
@@ -250,8 +253,9 @@ def test_a_release_loads_no_second_openssl(workspace, capsys):
     sock_dir = tempfile.mkdtemp(prefix="dpcore-")
     try:
         serve = _cold("-c", "import json, socket, sys, threading\n"
-                      "from dpcore.cli import CliState, _Server\n"
-                      "server = _Server(sys.argv[3], CliState(sys.argv[1]))\n"
+                      "from dpcore.cli import CliState\n"
+                      "from dpcore.daemon import Server\n"
+                      "server = Server(sys.argv[3], CliState(sys.argv[1]))\n"
                       "threading.Thread(target=server.serve_forever, daemon=True).start()\n"
                       "with socket.socket(socket.AF_UNIX) as conn:\n"
                       "    conn.connect(sys.argv[3])\n"
@@ -338,6 +342,111 @@ def test_cli_sets_one_blas_thread_unless_the_caller_chose(given, seen):
     assert proc.returncode == 0 and proc.stdout.strip() == seen
 
 
+#: Runs `python -m dpcore.cli` as `-m` does.  It counts the cyclic
+#: collections that start while the entry function `run` is on the stack, and
+#: prints, as stderr's last line at exit, that count, whether collection is
+#: on, whether the heap is frozen and whether `socketserver` was loaded.
+_ENTRY_PROBE = """\
+import atexit, gc, json, runpy, sys
+collections = []
+def watch(phase, info):
+    frame = sys._getframe().f_back
+    while frame and (frame.f_code.co_name, frame.f_code.co_filename[-6:]) != ("run", "cli.py"):
+        frame = frame.f_back
+    if phase == "start" and frame:
+        collections.append(info["generation"])
+gc.callbacks.append(watch)
+atexit.register(lambda: print(json.dumps({
+    "collections": len(collections), "enabled": gc.isenabled(),
+    "frozen": gc.get_freeze_count() > 0, "socketserver": "socketserver" in sys.modules,
+}), file=sys.stderr))
+runpy.run_module("dpcore.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_a_cold_command_collects_nothing_and_exits_frozen(workspace, capsys):
+    """From the entry function to exit, a cold query, budget or audit starts
+    no cyclic collection, and collection is still off at exit; once `main`
+    returns, the heap is frozen, so the interpreter's last collection skips
+    it.  The exit codes are `main`'s: 0, 1 for an error line, and 2 for a
+    violation found, or from argparse on a usage error, which freezes
+    nothing.  None of these commands loads `socketserver`."""
+    cfg = str(workspace / "cfg.json")
+    handle = _ingest(workspace, capsys)
+    _, sid = _run(["session", "--dataset", handle, "--scope", "main", "--config", cfg], capsys)
+    query = ["query", "--plan", str(workspace / "plan.txt"), "--mechanism", "laplace",
+             "--eps", "0.5", "--config", cfg]
+    cases = [
+        ([*query, "--session", sid.strip()], 0, True),
+        ([*query, "--session", "s99"], 1, True),
+        (["budget", "--session", sid.strip(), "--config", cfg], 0, True),
+        (["audit", "--target", "bug:half_noise_laplace_count", "--eps-grid", "1.0",
+          "--n-search", "1000", "--n-test", "1000", "--reps", "10"], 2, True),
+        (["query", "--session", sid.strip()], 2, False),
+    ]
+    for argv, code, frozen in cases:
+        proc = _cold("-c", _ENTRY_PROBE, *argv)
+        assert proc.returncode == code, (argv, proc.stderr)
+        assert json.loads(proc.stderr.splitlines()[-1]) == {
+            "collections": 0, "enabled": False, "frozen": frozen, "socketserver": False}, argv
+
+
+def test_main_keeps_its_callers_gc_state(workspace, capsys):
+    """`main` sets no GC policy: run in process, it leaves collection on or
+    off, and the count of frozen objects, as it found them, on exit 0, on an
+    error line and on a usage error."""
+    cfg = str(workspace / "cfg.json")
+    handle = _ingest(workspace, capsys)
+    _, sid = _run(["session", "--dataset", handle, "--scope", "main", "--config", cfg], capsys)
+    commands = [
+        ["query", "--session", sid.strip(), "--plan", str(workspace / "plan.txt"),
+         "--mechanism", "laplace", "--eps", "0.5", "--config", cfg],
+        ["budget", "--session", sid.strip(), "--config", cfg],
+        ["budget", "--session", "s99", "--config", cfg],
+        ["audit", "--target", "nonexistent"],
+        ["serve", "--config", cfg, "--socket", cfg],  # refused: not a socket
+        ["query"],
+    ]
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            frozen = gc.get_freeze_count()
+            for argv in commands:
+                with contextlib.suppress(SystemExit):
+                    main(argv)
+                assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen), argv
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    capsys.readouterr()
+
+
+def test_serve_runs_with_collection_on(workspace):
+    """The entry function turns collection off, and `serve` turns it back on
+    before it serves, so a long-lived daemon collects as any process does."""
+    sock_dir = tempfile.mkdtemp(prefix="dpcore-")
+    try:
+        proc = _cold("-c", "import gc, dpcore.cli, dpcore.daemon\n"
+                     "dpcore.daemon.Server.serve_forever = lambda self: print(gc.isenabled())\n"
+                     "dpcore.cli.run()\n",
+                     "serve", "--config", str(workspace / "cfg.json"),
+                     "--socket", os.path.join(sock_dir, "s"))
+    finally:
+        shutil.rmtree(sock_dir)
+    assert proc.returncode == 0 and proc.stdout == "True\n", proc.stderr
+
+
+def test_the_console_script_and_the_main_module_call_one_entry():
+    """The `dpcore` script of `pyproject.toml` and `python -m dpcore.cli`
+    both call `run`, so both take its GC policy."""
+    tomllib = pytest.importorskip("tomllib")
+    root = pathlib.Path(dpcore.__file__).parents[2]
+    project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert project["scripts"] == {"dpcore": "dpcore.cli:run"}
+    tree = ast.parse(pathlib.Path(dpcore.cli.__file__).read_text(encoding="utf-8"))
+    assert ast.unparse(tree.body[-1]) == "if __name__ == '__main__':\n    run()"
+
+
 @pytest.mark.parametrize("given", [None, "3"])
 def test_audit_external_command_gets_the_callers_environment(workspace, given):
     """The external program runs in the environment dpcore was started
@@ -363,7 +472,7 @@ def _start_server(state: CliState):
     """An in-process `serve` on a short socket path; the server, its
     thread and the path."""
     sock_dir = tempfile.mkdtemp(prefix="dpcore-")  # a unix socket path must stay short
-    server = _Server(os.path.join(sock_dir, "s"), state)
+    server = Server(os.path.join(sock_dir, "s"), state)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     return server, thread, os.path.join(sock_dir, "s")
@@ -848,6 +957,52 @@ def test_serve_ends_a_hung_up_connection_quietly(workspace, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_serve_refuses_a_connection_over_the_cap(workspace, capsys, monkeypatch):
+    """With the cap at 2 and two connections held open, a third gets the one
+    error and is closed; once one of the two ends, a new one is served."""
+    monkeypatch.setattr("dpcore.daemon.MAX_CONNECTIONS", 2)
+    cfg = str(workspace / "cfg.json")
+    handle = _ingest(workspace, capsys)
+    _, sid = _run(["session", "--dataset", handle, "--scope", "main", "--config", cfg], capsys)
+    budget = json.dumps({"cmd": "budget", "session": sid.strip()}).encode() + b"\n"
+    server, thread, path = _start_server(CliState(cfg))
+    held = []
+    try:
+        def connect():
+            conn = socket.socket(socket.AF_UNIX)
+            conn.settimeout(60)
+            conn.connect(path)
+            held.append((conn, conn.makefile("rb")))
+            return held[-1]
+
+        for _ in range(2):  # each answered, so each holds a handler thread
+            conn, reader = connect()
+            conn.sendall(budget)
+            assert json.loads(reader.readline())["status"] == "ok"
+        _, reader = connect()
+        assert json.loads(reader.readline()) == {"status": "error", "code": "request rejected"}
+        assert reader.readline() == b""  # closed
+        for conn, reader in held[1:]:
+            reader.close()
+            conn.close()
+        del held[1:]
+        deadline = time.monotonic() + 10
+        while True:  # the ended connection's thread frees its slot soon after
+            conn, reader = connect()
+            with contextlib.suppress(BrokenPipeError):  # refused and closed already
+                conn.sendall(budget)
+            reply = reader.readline()
+            if reply and json.loads(reply)["status"] == "ok":
+                break
+            assert time.monotonic() < deadline, "the freed slot serves no connection"
+            time.sleep(0.05)
+    finally:
+        for conn, reader in held:
+            reader.close()
+            conn.close()
+        _stop_server(server, thread, path)
+
+
 _BUDGET = 4.0  # of each of the machine's scopes, A and B
 
 
@@ -902,7 +1057,7 @@ class TwoStatesOnOneDirectory(RuleBasedStateMachine):
         before = len(self._granted())
         req = {"cmd": "session", "dataset": self.handles[dataset], "scope": scope}
         try:
-            sid = _answer(self.states[i], req)["session"]
+            sid = self.states[i].answer(req)["session"]
         except BudgetExceededError:
             assert len(self._granted()) == before
             return multiple()
@@ -915,15 +1070,15 @@ class TwoStatesOnOneDirectory(RuleBasedStateMachine):
     def query(self, i, sid, eps):
         scope = self.opened[sid][1]
         before, spent = len(self._granted()), self._spent(scope)
-        out = _answer(self.states[i], {"cmd": "query", "session": sid, "plan": "count",
-                                       "mechanism": "laplace", "eps": eps})
+        out = self.states[i].answer({"cmd": "query", "session": sid, "plan": "count",
+                                     "mechanism": "laplace", "eps": eps})
         granted = [(c.scope_id, c.amount) for c in self._granted()[before:]]
         assert out["status"] == ("ok" if spent + eps <= _BUDGET else "error")
         assert granted == ([(scope, eps)] if out["status"] == "ok" else [])
 
     @rule(i=st.integers(0, 1), sid=sessions)
     def budget(self, i, sid):
-        out = _answer(self.states[i], {"cmd": "budget", "session": sid})
+        out = self.states[i].answer({"cmd": "budget", "session": sid})
         assert out["spent"] == self._spent(self.opened[sid][1])
         assert out["remaining"] == _BUDGET - out["spent"]
 
