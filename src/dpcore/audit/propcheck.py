@@ -1,5 +1,5 @@
-"""Empirical verification of stability, sensitivity and Lipschitz claims,
-plus the exponential-mechanism ratio checks.
+"""Empirical verification of stability and sensitivity claims, plus the
+exponential-mechanism ratio checks.
 
 The small-instance checks are exhaustive: they enumerate every multiset
 over a small row pool up to a size cap and every add/remove perturbation up
@@ -130,40 +130,6 @@ def sensitivity_check(
 
     result = stability_check(observed, claimed_delta, schema, row_pool, max_rows, max_k)
     return replace(result, passed=result.passed and max(reported, default=0.0) <= claimed_delta)
-
-
-def lipschitz_check(
-    vector_map: Callable[[np.ndarray], np.ndarray],
-    claimed_c: float,
-    dim: int,
-    rng: RandomSource,
-    trials: int = 200,
-    perturbation: float = 1.0,
-) -> CheckResult:
-    """Pass iff ||f(x + e) - f(x)||_1 <= claimed_c * ||e||_1 over random
-    probes, including all single-coordinate unit perturbations."""
-    worst = (0.0, 0.0, None)
-    passed = True
-
-    def probe(x: np.ndarray, e: np.ndarray):
-        nonlocal worst, passed
-        observed = float(np.sum(np.abs(vector_map(x + e) - vector_map(x))))
-        bound = claimed_c * float(np.sum(np.abs(e)))
-        if observed > bound * (1 + 1e-12):
-            passed = False
-        if worst[2] is None or observed - bound > worst[0] - worst[1]:
-            worst = (observed, bound, (tuple(x), tuple(e)))
-
-    for i in range(dim):
-        for sign in (+1.0, -1.0):
-            e = np.zeros(dim)
-            e[i] = sign * perturbation
-            probe(np.zeros(dim), e)
-    for _ in range(trials):
-        x = (rng.uniform_full(dim) - 0.5) * 20.0
-        e = (rng.uniform_full(dim) - 0.5) * 2.0 * perturbation
-        probe(x, e)
-    return CheckResult(passed, worst[0], worst[1], worst[2])
 
 
 def expmech_ratio_check(

@@ -20,7 +20,6 @@ from ..randomness import RandomSource
 from ..relational import StatVector, Table
 from ..transforms import parse_plan
 from .blackbox import MechanismUnderTest
-from .bugs import half_noise_laplace_count
 
 
 def _gateway_target(name: str, plan_text: str) -> MechanismUnderTest:
@@ -45,6 +44,14 @@ def laplace_count_target() -> MechanismUnderTest:
 def laplace_sum_target() -> MechanismUnderTest:
     """SUM(c0) + Laplace(sensitivity/eps) with metadata-derived sensitivity."""
     return _gateway_target("laplace_sum(c0)", "sum c0")
+
+
+def half_noise_laplace_count() -> MechanismUnderTest:
+    """Claims eps but runs the correct count target at 2*eps: half the noise
+    scale, so it satisfies only 2*eps-DP.  Caught by the black-box battery."""
+    run_many = laplace_count_target().run_many
+    return MechanismUnderTest("bug:half_noise_laplace_count",
+                              run_many=lambda table, eps, rng, n: run_many(table, 2 * eps, rng, n))
 
 
 BUILTIN_TARGETS = {

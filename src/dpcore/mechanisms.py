@@ -19,9 +19,7 @@ import numpy as np
 
 from .accounting import PrivacyCharge, ScopeHandle
 from .errors import ContractViolation, ParameterError
-from .randomness import (
-    RandomSource, log_add, sample_discrete_laplace, sample_exponential, sample_laplace,
-)
+from .randomness import RandomSource, log_add, sample_discrete_laplace, sample_laplace
 from .relational import StatVector
 
 #: Lower limit on eps/sensitivity.  Tiny budgets mean enormous noise scales,
@@ -90,84 +88,20 @@ def laplace_mechanism(
     return _laplace_release(v, eps, accountant, rng, "laplace", discretize)
 
 
-def report_noisy_max(
-    answers: StatVector, eps: float, accountant: ScopeHandle, rng: RandomSource
-) -> int:
-    """Index of the largest exponentially-noised answer; the index is all
-    that is released.
+def exponential_mechanism_log_probabilities(
+    quality: np.ndarray, delta_q: float, eps: float
+) -> np.ndarray:
+    """Log selection probabilities b_i - log Z of the exponential mechanism,
+    with b_i = eps*q_i/(2 delta_q) and log Z summed by log_add.
 
-    Each entry gets independent Exp(2/eps) noise (per-entry sensitivity 1);
-    ties break toward the smallest index.  A NaN or infinite answer would
-    pick the index itself, so it is refused before the charge.
+    Never leaves log scale, so no candidate's probability underflows to an
+    exact zero; the audit's ratio checks run on these values.
     """
-    if len(answers) == 0:
-        raise ContractViolation("report_noisy_max requires a nonempty vector")
-    if not np.isfinite(answers.values).all():
-        raise ParameterError("report_noisy_max requires finite answers")
-    _spend(accountant, eps, 1.0, "report_noisy_max")
-    noisy = answers.values + sample_exponential(rng, 2.0 / eps, size=len(answers))
-    return int(np.argmax(noisy))  # argmax takes the first of equal maxima
-
-
-def _log_weights(quality, delta_q: float, eps: float) -> tuple[np.ndarray, float]:
-    """Unnormalized log weights b_i = eps*q_i/(2 delta_q) and log Z, summed
-    in log domain by log_add."""
     b = eps * np.asarray(quality, dtype=np.float64) / (2.0 * delta_q)
     log_z = -math.inf
     for bi in b:
         log_z = log_add(log_z, float(bi))
-    return b, log_z
-
-
-def exponential_mechanism_log_probabilities(
-    quality: np.ndarray, delta_q: float, eps: float
-) -> np.ndarray:
-    """Log selection probabilities eps*q_i/(2 delta_q) - log Z, via log_add.
-
-    Exposed so audits can check the privacy ratio constraints directly on
-    the weights the sampler actually uses.  Never leaves log scale.
-    """
-    b, log_z = _log_weights(quality, delta_q, eps)
     return b - log_z
-
-
-def exponential_mechanism(
-    candidates,
-    quality,
-    delta_q: float,
-    eps: float,
-    accountant: ScopeHandle,
-    rng: RandomSource,
-):
-    """Sample candidate i with probability proportional to exp(eps*q_i/(2 delta_q)).
-
-    The cumulative comparison happens entirely in log domain: normalized
-    probabilities are never materialized in linear scale, so no candidate's
-    weight can underflow to an exact zero.  Prefer report_noisy_max where an
-    argmax release suffices; this mechanism is kept for arbitrary candidate
-    sets, hardened as above.
-    """
-    if not delta_q > 0:
-        raise ParameterError("delta_q must be positive")
-    candidates = list(candidates)
-    quality = np.asarray(quality, dtype=np.float64)
-    if not candidates:
-        raise ContractViolation("exponential_mechanism requires candidates")
-    if len(candidates) != quality.shape[0]:
-        raise ContractViolation("one quality score per candidate required")
-    if not np.isfinite(quality).all():  # a NaN weight would pick the last candidate
-        raise ParameterError("exponential_mechanism requires finite qualities")
-    _spend(accountant, eps, 0.0, "exponential_mechanism")  # log-domain weights: no floor
-    b, log_z = _log_weights(quality, delta_q, eps)
-    # Inverse-CDF in log domain: find the first index whose cumulative log
-    # weight reaches log(u) + log Z.
-    target = math.log(rng.uniform_full()) + log_z
-    cum = -math.inf
-    for i, bi in enumerate(b):
-        cum = log_add(cum, float(bi))
-        if cum >= target:
-            return candidates[i]
-    return candidates[-1]
 
 
 def noisy_histogram(

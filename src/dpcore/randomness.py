@@ -6,14 +6,13 @@ Sources are keyed only from operating-system entropy or by derivation from
 another source.  There is no integer-seed constructor, no seed flag and no
 way to persist a seed: that is the API contract, not an omission.
 
-The Laplace and exponential samplers transform full-precision float
-uniforms; `sample_discrete_laplace` draws only integers and is exact.
+`sample_laplace` transforms full-precision float uniforms;
+`sample_discrete_laplace` draws only integers and is exact.
 A full-precision uniform takes one 64-bit keystream word (and a fresh word
 for one value in 4096), and a sign takes one keystream bit, so a Laplace
 draw reads about 8.13 keystream bytes.
 
-All samplers draw exclusively from the RandomSource they are handed, so a
-scripted stand-in (see dpcore.testing) makes them deterministic in tests.
+All samplers draw exclusively from the RandomSource they are handed.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ __all__ = [
     "log_add",
     "sample_laplace",
     "sample_discrete_laplace",
-    "sample_exponential",
 ]
 
 _KEY_BYTES = 32
@@ -164,15 +162,6 @@ def log_add(x: float, y: float) -> float:
 # scale through the returned values' construction only; the epsilon-floor
 # rule (eps/sensitivity >= 1e-3) is enforced one layer up, in mechanisms.
 # ---------------------------------------------------------------------------
-
-def sample_exponential(rng: RandomSource, scale: float, size: int | None = None):
-    """Exp(scale) on [0, inf), via -scale * ln(U) on a full-precision uniform."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    u = rng.uniform_full(size if size is not None else 1)
-    out = -scale * np.log(u)
-    return out if size is not None else float(out[0])
-
 
 def sample_laplace(rng: RandomSource, scale: float, size: int | None = None):
     """Laplace(0, scale): a random sign on an Exp(scale) magnitude.

@@ -80,8 +80,10 @@ class ServiceConfig:
             raise ContractViolation("config files must not carry randomness seeds")
         for spec in budgets:
             check_scope_id(spec["id"])
-        return cls(budgets=budgets, **numbers, ledger_path=raw.get("ledger"),
-                   state_dir=raw.get("state_dir"))
+        ledger, state_dir = raw.get("ledger"), raw.get("state_dir")
+        if not all(p is None or isinstance(p, str) for p in (ledger, state_dir)):
+            raise ContractViolation("config ledger and state_dir must be path strings")
+        return cls(budgets=budgets, **numbers, ledger_path=ledger, state_dir=state_dir)
 
 
 @dataclass(frozen=True)

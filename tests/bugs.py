@@ -1,10 +1,8 @@
-"""Catalog of deliberately broken mechanism variants.
+"""Deliberately broken mechanism variants that only the tests use.
 
-These exist so the audit harness has known-bad inputs to prove its own
-power against.  Every entry must be flagged by at least one audit
-operation; the test suite pins which operation catches which bug.
-
-Nothing in here is reachable from production code paths.
+They give the audit checks known-bad inputs to prove their power against;
+test_audit.py pins which check catches which bug.  The one seeded bug that
+ships, `bug:half_noise_laplace_count`, is in dpcore.audit.targets.
 """
 
 from __future__ import annotations
@@ -13,20 +11,10 @@ import math
 
 import numpy as np
 
-from ..randomness import RandomSource, sample_exponential, sample_laplace
-from ..relational import Table
-from ..transforms import aggregate, group_by
-from .blackbox import MechanismUnderTest
-
-
-def half_noise_laplace_count() -> MechanismUnderTest:
-    """Claims eps but runs the correct count target at 2*eps: half the noise
-    scale, so it satisfies only 2*eps-DP.  Caught by the black-box battery."""
-    from .targets import laplace_count_target  # targets imports this module
-
-    run_many = laplace_count_target().run_many
-    return MechanismUnderTest("bug:half_noise_laplace_count",
-                              run_many=lambda table, eps, rng, n: run_many(table, 2 * eps, rng, n))
+from dpcore.audit.blackbox import MechanismUnderTest
+from dpcore.randomness import RandomSource, sample_laplace
+from dpcore.relational import Table
+from dpcore.transforms import aggregate, group_by
 
 
 def data_dependent_histogram(key_column: str):
@@ -70,25 +58,6 @@ def linear_scale_exponential_mechanism(
         return np.log(w / total)
 
 
-def tie_biased_noisy_max() -> "object":
-    """Noisy max that coarsely discretizes its noise and then breaks the
-    frequent ties toward the *largest* index.
-
-    Violates the documented smallest-index tie rule; the deterministic
-    tie-break check (all answers equal under a zero-noise scripted source)
-    flags it.
-    """
-
-    def run(answers, eps: float, rng: RandomSource) -> int:
-        values = np.asarray(answers, dtype=np.float64)
-        noise = sample_exponential(rng, 2.0 / eps, size=values.shape[0])
-        noisy = values + np.rint(noise)  # coarse discretization -> ties
-        best = np.max(noisy)
-        return int(np.nonzero(noisy == best)[0][-1])  # <- biased tie-break
-
-    return run
-
-
 def accountant_bypass_laplace_count(scope) -> MechanismUnderTest:
     """Laplace count that samples and releases without ever charging.
 
@@ -101,12 +70,3 @@ def accountant_bypass_laplace_count(scope) -> MechanismUnderTest:
         return float(v.values[0] + sample_laplace(rng, v.l1_sensitivity / eps))
 
     return MechanismUnderTest("bug:accountant_bypass", run)
-
-
-CATALOG = {
-    "half_noise_laplace_count": half_noise_laplace_count,
-    "data_dependent_histogram": data_dependent_histogram,
-    "linear_scale_exponential_mechanism": linear_scale_exponential_mechanism,
-    "tie_biased_noisy_max": tie_biased_noisy_max,
-    "accountant_bypass_laplace_count": accountant_bypass_laplace_count,
-}

@@ -1,9 +1,8 @@
-"""Test-only doubles: a scripted randomness source and a simulated clock.
+"""Test doubles: a scripted randomness source and a simulated clock.
 
-This module is the gate: production modules never import it (the test suite
-enforces that), so a scripted source cannot leak into a real release path.
-Both doubles satisfy the same duck-typed protocols as their production
-counterparts.
+They live under tests/, outside the installed package, so a scripted source
+cannot reach a real release path.  Both doubles satisfy the same duck-typed
+protocols as their production counterparts.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ class ScriptedSource:
 
 
 def zero_noise_source() -> ScriptedSource:
-    """A source under which Laplace/exponential noise is exactly zero.
+    """A source under which Laplace noise is exactly zero.
 
     uniform_full = 1.0 makes -scale*ln(u) = 0, and signs multiply zero
     magnitudes.  For the discrete Laplace, all-zero bits keep U = 0, stop

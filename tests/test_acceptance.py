@@ -15,18 +15,17 @@ import pytest
 import mpmath
 from dpcore.accounting import Accountant, PURE_EPS, power_bound, replay_spent
 from dpcore.audit.blackbox import default_neighbor_suite
-from dpcore.audit.bugs import half_noise_laplace_count
 from dpcore.audit.gof import AD_CRITICAL_99, anderson_darling, laplace_cdf
 from dpcore.audit.propcheck import expmech_ratio_check, stability_check
 from dpcore.audit.report import black_box_battery
-from dpcore.audit.targets import laplace_count_target
+from dpcore.audit.targets import half_noise_laplace_count, laplace_count_target
 from dpcore.mechanisms import exponential_mechanism_log_probabilities, noisy_histogram
 from dpcore.randomness import RandomSource, log_add, sample_laplace
 from dpcore.registry import DatasetRegistry
 from dpcore.relational import ColumnKind, ColumnMeta, Schema, StatVector, make_table
 from dpcore.service import QueryRequest, QueryService, ServiceConfig
-from dpcore.testing import ScriptedSource, SimulatedClock
 from dpcore.transforms import aggregate, group_by, union
+from doubles import ScriptedSource, SimulatedClock
 from oracles import linear_query_epsilon, max_column_l1
 
 

@@ -738,6 +738,30 @@ def test_missing_files_and_unreadable_config_values_get_one_error_line(workspace
     assert len((workspace / "ledger.txt").read_text().splitlines()) == 1  # the session's
 
 
+@pytest.mark.parametrize("key, value", [("ledger", True), ("state_dir", 7)])
+def test_a_config_path_that_is_not_a_string_gets_one_error_line(workspace, capsys, key, value):
+    """`"ledger": true` opened fd 1 as the ledger and `"state_dir": 7` reached
+    `os.path.join`, each ending in a traceback.  Every command that reads a
+    config now refuses it with exit 1 and one `error:` line.  The commands
+    run in their own processes, so a ledger opened on fd 1 harms no other."""
+    cfg = str(workspace / "cfg.json")
+    handle = _ingest(workspace, capsys)
+    _, sid = _run(["session", "--dataset", handle, "--scope", "main", "--config", cfg], capsys)
+    raw = json.loads((workspace / "cfg.json").read_text())
+    bad = str(workspace / "bad.json")
+    (workspace / "bad.json").write_text(json.dumps({**raw, key: value}))
+    for argv in (["ingest", "--csv", str(workspace / "d.csv"), "--schema",
+                  str(workspace / "d.schema")],
+                 ["session", "--dataset", handle, "--scope", "main"],
+                 ["query", "--session", sid.strip(), "--plan", str(workspace / "plan.txt"),
+                  "--mechanism", "laplace", "--eps", "0.5"],
+                 ["budget", "--session", sid.strip()]):
+        proc = _cold("-m", "dpcore.cli", *argv, "--config", bad)
+        assert (proc.returncode, proc.stdout) == (1, ""), (argv, proc.stderr)
+        assert proc.stderr == "error: config ledger and state_dir must be path strings\n", argv
+    assert len((workspace / "ledger.txt").read_text().splitlines()) == 1  # the session's
+
+
 def test_rejected_query_exits_nonzero(workspace, capsys):
     cfg = str(workspace / "cfg.json")
     _, handle = _run(["ingest", "--csv", str(workspace / "d.csv"),

@@ -7,15 +7,13 @@ from dpcore.accounting import Accountant, PURE_EPS
 from dpcore.errors import BudgetExceededError, ContractViolation, ParameterError
 from dpcore.mechanisms import (
     EPSILON_SENSITIVITY_FLOOR,
-    exponential_mechanism,
     exponential_mechanism_log_probabilities,
     laplace_mechanism,
     noisy_histogram,
-    report_noisy_max,
 )
 from dpcore.relational import ColumnKind, ColumnMeta, Schema, StatVector, make_table
-from dpcore.testing import ScriptedSource, zero_noise_source
 from dpcore.transforms import aggregate, group_by
+from doubles import ScriptedSource, zero_noise_source
 from oracles import logsumexp_mp
 
 
@@ -154,57 +152,12 @@ def test_epsilon_mechanisms_refuse_a_bad_eps_before_the_charge(tmp_path, rng, ep
         lambda: laplace_mechanism(v, eps, scope, rng),
         lambda: laplace_mechanism(v, eps, scope, rng, discretize=True),
         lambda: noisy_histogram(v, eps, scope, rng),
-        lambda: report_noisy_max(v, eps, scope, rng),
-        lambda: exponential_mechanism(["a", "b"], [0.0, 1.0], 1.0, eps, scope, rng),
     )
     for call in calls:
         with pytest.raises(ParameterError):
             call()
     assert acct.spent("s") == 0.0 and acct.ledger == () and (tmp_path / "l.txt").read_text() == ""
     acct.close()
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_selection_mechanisms_refuse_a_nonfinite_score_before_the_charge(tmp_path, rng, bad):
-    """A NaN answer won every report_noisy_max, and a NaN quality made the
-    exponential mechanism return its last candidate: the released index
-    would be set by the data, not by the noise."""
-    acct = Accountant(ledger_path=str(tmp_path / "l.txt"))
-    scope = acct.create_scope("s", PURE_EPS)
-    with pytest.raises(ParameterError):
-        report_noisy_max(_vec([1.0, bad, 0.0]), 1.0, scope, rng)
-    with pytest.raises(ParameterError):
-        exponential_mechanism(["a", "b", "c"], [1.0, bad, 0.0], 1.0, 1.0, scope, rng)
-    assert acct.spent("s") == 0.0 and acct.ledger == () and (tmp_path / "l.txt").read_text() == ""
-    acct.close()
-
-
-# -- report noisy max ----------------------------------------------------------------
-
-def test_report_noisy_max_returns_argmax_index(scope):
-    v = _vec([1.0, 9.0, 3.0])
-    assert report_noisy_max(v, 1.0, scope, zero_noise_source()) == 1
-
-
-def test_report_noisy_max_breaks_ties_toward_smallest_index(scope):
-    v = _vec([4.0, 4.0, 4.0])
-    assert report_noisy_max(v, 1.0, scope, zero_noise_source()) == 0
-
-
-def test_report_noisy_max_charges_once(accountant, scope):
-    report_noisy_max(_vec([1.0, 2.0]), 0.25, scope, zero_noise_source())
-    assert accountant.spent("main") == 0.25
-
-
-def test_report_noisy_max_is_actually_random(rng, scope):
-    hits = [report_noisy_max(_vec([0.0, 0.0]), 0.1, scope, rng) for _ in range(400)]
-    assert 50 < sum(hits) < 350  # both indices occur
-
-
-def test_report_noisy_max_empty_vector(scope):
-    v = StatVector(np.zeros(0), 1.0, ())
-    with pytest.raises(ContractViolation):
-        report_noisy_max(v, 1.0, scope, zero_noise_source())
 
 
 # -- exponential mechanism -------------------------------------------------------------
@@ -227,25 +180,6 @@ def test_expmech_no_underflow_holes_at_tiny_eps():
     assert np.all(np.isfinite(logp))
     # Log-ratio between best and worst candidate respects the DP bound.
     assert logp.max() - logp.min() <= 1e-6 * 2000 / (2 * 0.1) + 1e-9
-
-
-def test_expmech_sampling_frequencies(rng, scope):
-    quality = np.array([0.0, math.log(3.0)])  # weights 1 : 3 at eps/(2dq) = 1
-    picks = [exponential_mechanism(["a", "b"], quality, 0.5, 1.0, scope, rng)
-             for _ in range(4000)]
-    frac_b = picks.count("b") / len(picks)
-    assert frac_b == pytest.approx(0.75, abs=0.03)
-
-
-def test_expmech_parameter_validation(scope, rng):
-    with pytest.raises(ContractViolation):
-        exponential_mechanism([], [], 1.0, 1.0, scope, rng)
-    with pytest.raises(ContractViolation):
-        exponential_mechanism(["a"], [1.0, 2.0], 1.0, 1.0, scope, rng)
-    with pytest.raises(ParameterError):
-        exponential_mechanism(["a"], [1.0], 0.0, 1.0, scope, rng)
-    with pytest.raises(ParameterError):
-        exponential_mechanism(["a"], [1.0], 1.0, 0.0, scope, rng)
 
 
 # -- noisy histogram -----------------------------------------------------------------

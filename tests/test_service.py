@@ -1,3 +1,4 @@
+import importlib
 import inspect
 import json
 import math
@@ -33,8 +34,8 @@ from dpcore.service import (
     SystemClock,
     build_accountant,
 )
-from dpcore.testing import ScriptedSource, SimulatedClock
 from dpcore.transforms import Comparison, TransformPlan, parse_plan
+from doubles import ScriptedSource, SimulatedClock
 
 
 SIDECAR = "c0 int 0 100\nc1 int 0 1\n"
@@ -79,20 +80,12 @@ def test_service_api_never_touches_tables_or_vectors():
             assert "StatVector" not in text, (name, text)
 
 
-def test_production_modules_never_import_the_test_stub():
-    import ast
-    import pathlib
-    src = pathlib.Path(service_mod.__file__).parent
-    for path in src.rglob("*.py"):
-        if path.name == "testing.py":
-            continue
-        tree = ast.parse(path.read_text())
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                assert node.module not in ("testing", "dpcore.testing"), path
-                assert not (node.level and node.module == "testing"), path
-            if isinstance(node, ast.Import):
-                assert all(a.name != "dpcore.testing" for a in node.names), path
+def test_the_package_ships_no_test_double_and_no_test_only_bug():
+    """The scripted source, the simulated clock and the test-only bugs live
+    in tests/, so the installed package holds no replayable randomness."""
+    for module in ("dpcore.testing", "dpcore.audit.bugs"):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
 
 
 def test_gateway_is_the_only_release_path():

@@ -8,7 +8,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 from dpcore.errors import ContractViolation, RejectedOperationError
 from dpcore.randomness import RandomSource
 from dpcore.relational import ColumnKind, ColumnMeta, Schema, make_table, symmetric_difference
-from dpcore.testing import ScriptedSource
 from dpcore.transforms import (
     Affine,
     Clamp,
@@ -26,6 +25,7 @@ from dpcore.transforms import (
     select_where,
     union,
 )
+from doubles import ScriptedSource
 from oracles import interval_image, multiset_distance, reference_step
 
 
