@@ -7,7 +7,6 @@ overspend, and replaying the ledger reproduces `spent` bit for bit.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import fcntl
 import json
@@ -119,13 +118,11 @@ class Accountant:
     the open file's offset, and `flock` does not exclude it.
     Every granted charge is appended and flushed before `charge` returns, so
     no mechanism result can be released ahead of its ledger record; a closed
-    accountant grants nothing.  Denied requests are counted in memory per
-    (scope, mechanism), without spending, so audits can detect probing.
+    accountant grants nothing.
     """
 
     def __init__(self, ledger_path: str | None = None) -> None:
         self._scopes: dict[str, BudgetScope] = {}
-        self._denials: collections.Counter[tuple[str, str]] = collections.Counter()
         self._lock = threading.Lock()
         self._seq = 0
         self._ledger_file = (open(ledger_path, "a+b") if ledger_path
@@ -172,7 +169,6 @@ class Accountant:
             scope = self._scope(scope_id)
             spent = self._totals.get(scope_id, 0.0)
             if spent + amount > scope.budget:
-                self._denials[scope_id, mechanism] += 1
                 raise BudgetExceededError()
             record = PrivacyCharge(self._seq + 1, scope_id, scope.kind, amount, mechanism,
                                    time.time())
@@ -291,12 +287,6 @@ class Accountant:
             self._ledger_file.seek(0)
             text = self._ledger_file.read(self._offset).decode("utf-8")
         return tuple(map(PrivacyCharge.from_line, text.splitlines()))
-
-    @property
-    def denials(self) -> dict[tuple[str, str], int]:
-        """Denied charges so far, counted per (scope id, mechanism)."""
-        with self._lock:
-            return dict(self._denials)
 
     def close(self) -> None:
         self._ledger_file.close()

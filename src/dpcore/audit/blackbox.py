@@ -30,7 +30,7 @@ import numpy as np
 
 from ..errors import ContractViolation
 from ..randomness import RandomSource, derive_source
-from ..relational import ColumnKind, Schema, Table, make_table, symmetric_difference
+from ..relational import Schema, Table, make_table, symmetric_difference
 from .gof import half_binomial_tail
 
 
@@ -98,9 +98,7 @@ def default_neighbor_suite(schema: Schema) -> list[NeighborPair]:
 
     Two-column numeric schema (first in [0,100], second in [0,1]):
     DB1 = {}, DB2 = {(0,0)}, DB3 = {(100,1),(0,0)}, DB4 = {(100,1),(50,0),(0,0)},
-    paired consecutively.  A three-column schema with a categorical middle
-    column gets the extended variant of the same chain plus the (DB3, DB5)
-    pair that perturbs the categorical value.
+    paired consecutively.  Any other schema shape is refused.
     """
     cols = schema.columns
     if len(cols) == 2 and cols[0].is_numeric and cols[1].is_numeric:
@@ -114,21 +112,6 @@ def default_neighbor_suite(schema: Schema) -> list[NeighborPair]:
             NeighborPair(db1, db2, "DB1~DB2"),
             NeighborPair(db2, db3, "DB2~DB3"),
             NeighborPair(db3, db4, "DB3~DB4"),
-        ]
-    if len(cols) == 3 and cols[1].kind is ColumnKind.CATEGORICAL:
-        cats = cols[1].values
-        if not {"1", "c", "2.0"} <= set(cats):
-            raise ContractViolation("categorical middle column must contain '1', 'c', '2.0'")
-        db1 = make_table(schema, [])
-        db2 = make_table(schema, [(0, "1", 0)])
-        db3 = make_table(schema, [(100, "2.0", 1), (0, "1", 0)])
-        db4 = make_table(schema, [(100, "2.0", 1), (0, "1", 0), (100, "1", 0)])
-        db5 = make_table(schema, [(100, "2.0", 1), (0, "1", 0), (50, "c", 0)])
-        return [
-            NeighborPair(db1, db2, "DB1~DB2"),
-            NeighborPair(db2, db3, "DB2~DB3"),
-            NeighborPair(db3, db4, "DB3~DB4"),
-            NeighborPair(db3, db5, "DB3~DB5"),
         ]
     raise ContractViolation("no default suite for this schema shape")
 

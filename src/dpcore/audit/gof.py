@@ -1,10 +1,9 @@
-"""Goodness-of-fit tests for samplers.
+"""Goodness-of-fit and tail probabilities for the audit.
 
 Anderson-Darling for continuous one-dimensional distributions (it weights
-the tails, which is where privacy problems show up) and chi-squared for
-discrete distributions with few outcomes.  The two tail probabilities the
-audit needs, chi-squared and the fair-coin binomial of the black-box test,
-are closed forms over ln n! and `math.lgamma`.
+the tails, which is where privacy problems show up), and the fair-coin
+binomial tail of the black-box test, a closed form over ln n! and
+`math.lgamma`.
 """
 
 from __future__ import annotations
@@ -34,47 +33,6 @@ def anderson_darling(samples, cdf) -> tuple[float, bool]:
     i = np.arange(1, n + 1, dtype=np.float64)
     statistic = -n - np.sum((2.0 * i - 1.0) / n * (np.log(f) + np.log(1.0 - f[::-1])))
     return float(statistic), bool(statistic <= AD_CRITICAL_99)
-
-
-def chi_squared_gof(observed, expected_probs) -> tuple[float, float]:
-    """Chi-squared GOF statistic and upper-tail p-value (k-1 dof).
-
-    `observed` are outcome counts, `expected_probs` the null probabilities.
-    An expected probability of zero with a nonzero observation is an error
-    (the null assigns that outcome no mass).
-    """
-    observed = np.asarray(observed, dtype=np.float64)
-    probs = np.asarray(expected_probs, dtype=np.float64)
-    if observed.shape != probs.shape:
-        raise ValueError("observed and expected shapes differ")
-    total = observed.sum()
-    expected = probs * total
-    if np.any((expected == 0) & (observed > 0)):
-        raise ValueError("nonzero observation with zero expected probability")
-    mask = expected > 0
-    statistic = float(np.sum((observed[mask] - expected[mask]) ** 2 / expected[mask]))
-    dof = int(mask.sum()) - 1
-    p = chi2_tail(statistic, dof) if dof > 0 else 1.0
-    return statistic, p
-
-
-def chi2_tail(x: float, dof: int) -> float:
-    """P[chi^2 with `dof` degrees of freedom >= x], for an integer dof >= 1.
-
-    With z = x/2 and h = 0 (even dof) or 1/2 (odd dof) this is
-    [odd: erfc(sqrt z)] + sum_{j < dof//2} z^(j+h) e^-z / Gamma(j+h+1);
-    each term is formed in log space and the terms are added exactly.
-    """
-    z = x / 2.0
-    if z <= 0.0:
-        return 1.0
-    if math.isinf(z):
-        return 0.0
-    h = (dof % 2) / 2.0
-    head = math.erfc(math.sqrt(z)) if dof % 2 else 0.0
-    log_z = math.log(z)
-    return math.fsum([head] + [math.exp((j + h) * log_z - z - math.lgamma(j + h + 1.0))
-                               for j in range(dof // 2)])
 
 
 #: ln k! for k < 16, below the Stirling series' range.
@@ -118,7 +76,7 @@ def half_binomial_tail(s, c2: int) -> np.ndarray:
     return np.where(upper, above[i], 1.0 - below[i])
 
 
-# Reference CDFs used by the sampler test batteries.
+# The reference CDF of the Anderson-Darling batteries.
 
 def laplace_cdf(scale: float):
     def cdf(x):
@@ -126,9 +84,3 @@ def laplace_cdf(scale: float):
         return np.where(x < 0, 0.5 * np.exp(x / scale), 1.0 - 0.5 * np.exp(-x / scale))
 
     return cdf
-
-
-def two_sided_geometric_pmf(alpha: float, support) -> np.ndarray:
-    """Exact masses P(k) = (1-alpha)/(1+alpha) * alpha^|k| on the given support."""
-    k = np.asarray(support, dtype=np.int64)
-    return (1.0 - alpha) / (1.0 + alpha) * alpha ** np.abs(k)

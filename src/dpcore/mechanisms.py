@@ -85,7 +85,8 @@ def laplace_mechanism(
     draws only), which is private only on integer values: a vector not
     marked `integral` is refused before the charge.
     """
-    return _laplace_release(v, eps, accountant, rng, "laplace", discretize)
+    return _laplace_release(v, eps, accountant, rng,
+                            "laplace_int" if discretize else "laplace", discretize)
 
 
 def exponential_mechanism_log_probabilities(

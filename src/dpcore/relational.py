@@ -21,7 +21,6 @@ import enum
 import functools
 import math
 import sys
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -223,31 +222,6 @@ class StatVector:
         return int(self.values.shape[0])
 
 
-class DevLog:
-    """In-memory developer-only log of silent data corrections.
-
-    Appends are O(1) onto a deque and never block the query path; the log is
-    drained out of band.  Nothing here is ever shown to users.
-    """
-
-    def __init__(self) -> None:
-        self._entries: collections.deque = collections.deque()
-        self._lock = threading.Lock()
-
-    def append(self, message: str) -> None:
-        with self._lock:
-            self._entries.append(message)
-
-    def drain(self) -> list[str]:
-        with self._lock:
-            out = list(self._entries)
-            self._entries.clear()
-        return out
-
-
-dev_log = DevLog()
-
-
 def symmetric_difference(a: Table, b: Table) -> int:
     """Multiset symmetric-difference cardinality between two tables."""
     if a.schema != b.schema:
@@ -259,8 +233,7 @@ def symmetric_difference(a: Table, b: Table) -> int:
 def make_table(schema: Schema, rows: Iterable[Row]) -> Table:
     """The stability-1 table of `rows`, each value forced into its declared
     domain, silently: out-of-bounds numbers are clamped and out-of-domain
-    categorical values mapped to the declared sentinel.  Each correction goes
-    to the developer log only."""
+    categorical values mapped to the declared sentinel."""
     rows = [tuple(r) for r in rows]
     if any(len(r) != len(schema) for r in rows):
         raise ContractViolation("row arity does not match schema")
@@ -344,8 +317,7 @@ def table_from_array(schema: Schema, array: np.ndarray) -> Table:
 
 def _column(col: ColumnMeta, values: Sequence) -> list:
     """One column's values corrected into its declared domain, as stored:
-    numbers as they are, categoricals as codes.  Each correction goes to
-    the developer log."""
+    numbers as they are, categoricals as codes."""
     if col.kind is ColumnKind.CATEGORICAL:
         code = {v: i for i, v in enumerate(col.values)}
         stored = [code.get(v, -1) for v in values]
@@ -358,9 +330,7 @@ def _column(col: ColumnMeta, values: Sequence) -> list:
         bad = [i for i, v in enumerate(stored)
                if not (type(v) in fast and lo <= v <= hi or col.contains(v))]
     for i in bad:
-        fixed = col.correct(values[i])
-        dev_log.append(f"schema correction: column={col.name} -> {fixed!r}")
-        stored[i] = 0 if col.kind is ColumnKind.CATEGORICAL else fixed
+        stored[i] = 0 if col.kind is ColumnKind.CATEGORICAL else col.correct(values[i])
     return stored
 
 

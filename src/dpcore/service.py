@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 from .accounting import (Accountant, DEFAULT_ALPHA, PURE_EPS, ScopeHandle, check_scope_id,
                          power_bound)
-from .errors import ContractViolation
+from .errors import ContractViolation, UnknownScopeError
 
 if TYPE_CHECKING:
     from .randomness import RandomSource
@@ -220,7 +220,8 @@ class QueryService:
         not hold; refuse a file `dump_sessions` cannot have written.  A
         non-finite n-hat would let `run_query` charge, then fail to compute
         its padding; a negative one is a noisy count of a small dataset,
-        padded as zero.  A `counter` left by an older version is ignored."""
+        padded as zero.  A `counter` left by an older version is ignored, and
+        so is a session whose scope the config no longer declares."""
         try:
             stored = {sid: (s["dataset"], s["scope"], float(s["n_hat"]))
                       for sid, s in raw.get("sessions", {}).items()}
@@ -230,7 +231,10 @@ class QueryService:
             raise ContractViolation("sessions.json holds an n_hat that is not finite")
         with self._lock:
             for sid, (dataset, scope_id, n_hat) in stored.items():
-                scope = self._accountant.scope(scope_id)
+                try:
+                    scope = self._accountant.scope(scope_id)
+                except UnknownScopeError:
+                    continue
                 self._sessions.setdefault(sid, QuerySession(sid, dataset, scope, n_hat))
 
     def session(self, session_id: str) -> QuerySession:

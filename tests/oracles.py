@@ -44,6 +44,12 @@ def laplace_cdf_mp(x: float, scale: float) -> float:
     return float(1 - mpmath.exp(-x) / 2)
 
 
+def two_sided_geometric_pmf(alpha: float, support) -> np.ndarray:
+    """Exact masses P(k) = (1-alpha)/(1+alpha) * alpha^|k| on the given support."""
+    k = np.asarray(support, dtype=np.int64)
+    return (1.0 - alpha) / (1.0 + alpha) * alpha ** np.abs(k)
+
+
 def interval_image(f, lo: float, hi: float, steps: int = 2001) -> tuple[float, float]:
     """Empirical image of f over [lo, hi] on a dense grid (monotone pieces
     assumed short relative to the grid)."""

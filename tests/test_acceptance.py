@@ -24,7 +24,7 @@ from dpcore.randomness import RandomSource, log_add, sample_laplace
 from dpcore.registry import DatasetRegistry
 from dpcore.relational import ColumnKind, ColumnMeta, Schema, StatVector, make_table
 from dpcore.service import QueryRequest, QueryService, ServiceConfig
-from dpcore.transforms import aggregate, group_by, union
+from dpcore.transforms import aggregate, group_by, self_union
 from doubles import ScriptedSource, SimulatedClock
 from oracles import linear_query_epsilon, max_column_l1
 
@@ -97,7 +97,7 @@ def test_acceptance_stability_witness(announce):
 
     def chain(t):
         for _ in range(5):
-            t = union(t, t)
+            t = self_union(t)
         return t
 
     t = make_table(schema, [(1, 0)])
@@ -119,11 +119,11 @@ def test_acceptance_doubled_sum_sensitivity(announce):
     schema = Schema((ColumnMeta("wage", ColumnKind.INTEGER,
                                 lower=0, upper=300_000),))
     t = make_table(schema, [(120_000,), (80_000,)])
-    v = aggregate(union(t, t), "sum", "wage")
+    v = aggregate(self_union(t), "sum", "wage")
     # Empirical cross-check at a scaled-down domain (same pipeline shape).
     small = Schema((ColumnMeta("wage", ColumnKind.INTEGER, lower=0, upper=3),))
     from dpcore.audit.propcheck import sensitivity_check
-    emp = sensitivity_check(lambda tt: aggregate(union(tt, tt), "sum", "wage"),
+    emp = sensitivity_check(lambda tt: aggregate(self_union(tt), "sum", "wage"),
                             6.0, small, [(0,), (1,), (3,)], max_rows=3, max_k=2)
     ok = v.l1_sensitivity == 600_000.0 and emp.passed
     announce(ok, "criterion 4: doubled SUM(wage) claims sensitivity 600000; "

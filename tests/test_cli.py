@@ -160,6 +160,31 @@ def test_failed_session_save_keeps_the_previous_file(workspace, capsys, monkeypa
     assert code == 0 and "spent=" in out
 
 
+def test_a_session_on_a_removed_scope_locks_out_no_other(workspace, capsys):
+    """Dropping a scope from the config drops its sessions: the others still
+    answer, the dropped one is an unknown session, and the next save
+    leaves it out of `sessions.json`."""
+    cfg = workspace / "cfg.json"
+    raw = json.loads(cfg.read_text())
+    raw["budgets"] = [{"id": "A", "budget": 20.0}, {"id": "B", "budget": 20.0}]
+    cfg.write_text(json.dumps(raw))
+    handle = _ingest(workspace, capsys)
+    sids = [_run(["session", "--dataset", handle, "--scope", scope, "--config", str(cfg)],
+                 capsys)[1].strip() for scope in ("A", "B")]
+    raw["budgets"] = raw["budgets"][:1]
+    cfg.write_text(json.dumps(raw))
+    code, out = _run(["query", "--session", sids[0], "--plan", str(workspace / "plan.txt"),
+                      "--mechanism", "laplace", "--eps", "1.0", "--config", str(cfg)], capsys)
+    assert code == 0 and json.loads(out)["status"] == "ok"
+    code, out = _run(["budget", "--session", sids[0], "--config", str(cfg)], capsys)
+    assert code == 0 and "spent=" in out
+    assert main(["budget", "--session", sids[1], "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: unknown session: {sids[1]}\n"
+    _, sid = _run(["session", "--dataset", handle, "--scope", "A", "--config", str(cfg)], capsys)
+    saved = json.loads((workspace / "state" / "sessions.json").read_text())["sessions"]
+    assert sorted(saved) == sorted([sids[0], sid.strip()])
+
+
 def test_cli_import_leaves_out_the_audit_package():
     src = os.path.dirname(os.path.dirname(dpcore.__file__))
     out = subprocess.run(

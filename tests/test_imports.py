@@ -1,6 +1,7 @@
 """Every `src/dpcore` module other than a package `__init__` uses each name
-it imports.  No linter is a test dependency, so this reads the modules with
-`ast`: a name counts as used when the module refers to it anywhere."""
+it imports, and every top-level definition has a reader outside the tests.
+No linter is a test dependency, so this reads the modules with `ast`: a name
+counts as used when the module refers to it anywhere."""
 
 import ast
 import pathlib
@@ -8,6 +9,15 @@ import pathlib
 import dpcore
 
 SRC = pathlib.Path(dpcore.__file__).parent
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+#: Definitions that only the tests read, each kept for a reason of its own.
+TEST_ONLY = {
+    "replay_spent": "the reference replay of acceptance criterion 5 and the ledger tests",
+    "exponential_mechanism_log_probabilities": "acceptance criterion 6; ROADMAP item 6 ships it",
+    "sensitivity_check": "ROADMAP item 7 wires it into `dpcore audit --plan`",
+    "expmech_ratio_check": "ROADMAP item 7 wires it into `dpcore audit --plan`",
+}
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -40,3 +50,28 @@ def test_no_module_imports_hashlib():
     second OpenSSL into every process that releases."""
     assert [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
             if "hashlib" in path.read_text(encoding="utf-8")] == []
+
+
+def test_every_src_definition_has_a_shipped_reader():
+    """A top-level `def` or `class` under `src/dpcore` is read, as a name,
+    an attribute or an imported name, somewhere in `src/dpcore` or in
+    perfbench's non-test modules.  Code that only the tests reach belongs
+    in `tests/` or nowhere."""
+    readers = sorted(SRC.rglob("*.py")) + sorted(
+        p for p in PERFBENCH.glob("*.py") if not p.name.startswith("test_"))
+    read = set()
+    for path in readers:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    unread = {node.name: path.relative_to(SRC)
+              for path in sorted(SRC.rglob("*.py"))
+              for node in ast.parse(path.read_text(encoding="utf-8")).body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and node.name not in read}
+    assert [f"{path}: {name}" for name, path in unread.items() if name not in TEST_ONLY] == []
+    assert TEST_ONLY.keys() <= unread.keys()  # an exemption that gained a reader is stale

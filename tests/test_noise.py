@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from dpcore.audit.gof import two_sided_geometric_pmf
 from dpcore.randomness import (
     RandomSource,
     derive_source,
@@ -17,7 +16,7 @@ from dpcore.randomness import (
     sample_laplace,
 )
 from doubles import ScriptedSource, zero_noise_source
-from oracles import log_add_mp
+from oracles import log_add_mp, two_sided_geometric_pmf
 
 
 # -- the random source itself -------------------------------------------------

@@ -23,7 +23,7 @@ from dpcore.transforms import (
     project,
     rejected_operation,
     select_where,
-    union,
+    self_union,
 )
 from doubles import ScriptedSource
 from oracles import interval_image, multiset_distance, reference_step
@@ -115,19 +115,10 @@ def test_one_stable_operators_contract(rows_a, rows_b):
     assert multiset_distance(distinct(a, ["c0"]).rows, distinct(b, ["c0"]).rows) <= d
 
 
-def test_union_adds_stability_and_hulls_bounds():
-    a = make_table(_schema(50), [(10, 0)])
-    b = make_table(_schema(100), [(90, 1)])
-    out = union(a, b)
-    assert out.stability == 2
-    assert out.schema.column("c0").upper == 100
-    assert sorted(out.rows) == [(10, 0), (90, 1)]
-
-
 def test_five_self_unions_reach_stability_32():
     t = make_table(_schema(), [(1, 0)])
     for _ in range(5):
-        t = union(t, t)
+        t = self_union(t)
     assert t.stability == 32
     assert len(t.rows) == 32
 
@@ -208,7 +199,7 @@ def test_count_sensitivity_is_stability():
     v = aggregate(t, "count")
     assert v.values.tolist() == [2.0]
     assert v.l1_sensitivity == 1.0
-    assert aggregate(union(t, t), "count").l1_sensitivity == 2.0
+    assert aggregate(self_union(t), "count").l1_sensitivity == 2.0
 
 
 def test_sum_sensitivity_uses_declared_bound():
@@ -221,7 +212,7 @@ def test_sum_sensitivity_uses_declared_bound():
 def test_doubled_sum_claims_doubled_sensitivity():
     schema = Schema((ColumnMeta("wage", ColumnKind.INTEGER, lower=0, upper=300_000),))
     t = make_table(schema, [(10_000,), (20_000,)])
-    doubled = union(t, t)
+    doubled = self_union(t)
     v = aggregate(doubled, "sum", "wage")
     assert v.l1_sensitivity == 600_000.0
     assert v.values.tolist() == [60_000.0]
