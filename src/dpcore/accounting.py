@@ -17,6 +17,7 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BudgetExceededError, ContractViolation, ParameterError, UnknownScopeError
 
@@ -27,8 +28,7 @@ PURE_EPS = "pure-eps"
 DEFAULT_ALPHA = 0.05
 
 
-@dataclass(frozen=True)
-class PrivacyCharge:
+class PrivacyCharge(NamedTuple):
     """One granted charge: exactly one per successful mechanism invocation."""
 
     seq: int
@@ -116,17 +116,18 @@ class Accountant:
     hash module but no cipher.  The ledger is open in the process that built
     the accountant, and only that process may use it: a forked child shares
     the open file's offset, and `flock` does not exclude it.
-    Every granted charge is appended and flushed before `charge` returns, so
-    no mechanism result can be released ahead of its ledger record; a closed
-    accountant grants nothing.
+    The file is unbuffered: every granted charge is one `write` of its whole
+    line, made before `charge` returns, so no mechanism result can be
+    released ahead of its ledger record; a write that stores less raises and
+    grants nothing, and a closed accountant grants nothing.
     """
 
     def __init__(self, ledger_path: str | None = None) -> None:
         self._scopes: dict[str, BudgetScope] = {}
         self._lock = threading.Lock()
         self._seq = 0
-        self._ledger_file = (open(ledger_path, "a+b") if ledger_path
-                             else tempfile.TemporaryFile("a+b"))
+        self._ledger_file = (open(ledger_path, "a+b", buffering=0) if ledger_path
+                             else tempfile.TemporaryFile("a+b", buffering=0))
         self._pid = os.getpid()  # the one process that may use `_ledger_file`
         self._ckpt = ledger_path and ledger_path + ".ckpt"
         self._offset = 0  # ledger bytes applied to `_totals` and `_hash`
@@ -160,26 +161,33 @@ class Accountant:
     def charge(self, scope_id: str, amount: float, mechanism: str) -> PrivacyCharge:
         """Atomically spend `amount` from the scope or deny without side
         effects.  Denial raises BudgetExceededError with a uniform message.
-        The check and the append hold the ledger's `flock`, after applying
+        The check and the write hold the ledger's `flock`, after applying
         what other processes appended, so processes cannot overspend together."""
         if not amount >= 0:
             raise ParameterError("charge amount must be nonnegative")
         amount = float(amount) + 0.0  # the repr replay reads: no -0.0, no numpy scalar
-        with self._synced():
-            scope = self._scope(scope_id)
-            spent = self._totals.get(scope_id, 0.0)
-            if spent + amount > scope.budget:
-                raise BudgetExceededError()
-            record = PrivacyCharge(self._seq + 1, scope_id, scope.kind, amount, mechanism,
-                                   time.time())
-            line = (record.to_line() + "\n").encode("utf-8")
-            self._ledger_file.write(line)
-            self._ledger_file.flush()
-            self._offset += len(line)
-            if self._hash:
-                self._hash.update(line)
-            self._seq = record.seq
-            self._totals[scope_id] = spent + amount
+        self._check_process()
+        fh = self._ledger_file
+        with self._lock:
+            fcntl.flock(fh, fcntl.LOCK_EX)
+            try:
+                self._apply_appended(fh)
+                scope = self._scope(scope_id)
+                spent = self._totals.get(scope_id, 0.0)
+                if spent + amount > scope.budget:
+                    raise BudgetExceededError()
+                record = PrivacyCharge(self._seq + 1, scope_id, scope.kind, amount,
+                                       mechanism, time.time())
+                line = (record.to_line() + "\n").encode("utf-8")
+                if fh.write(line) != len(line):  # the next catch-up cuts the part
+                    raise OSError("a ledger line was written in part")
+                self._offset += len(line)
+                if self._hash:
+                    self._hash.update(line)
+                self._seq = record.seq
+                self._totals[scope_id] = spent + amount
+            finally:
+                fcntl.flock(fh, fcntl.LOCK_UN)
         return record
 
     def replay_ledger(self) -> None:
@@ -216,10 +224,16 @@ class Accountant:
     def _apply_appended(self, fh) -> int:
         """One pass over the ledger lines past `_offset` (or past a verified
         checkpoint), in file order: the same left-to-right sums `charge` made,
-        for every scope id, and the highest `seq`.  Caller holds `_lock` and
-        the file's `flock`."""
+        for every scope id, and the highest `seq`.  The file is read only when
+        its size is not `_offset`: bytes before `_offset` end a line and never
+        change.  The size is taken by seeking to the end, which costs less
+        than `fstat` and leaves a temporary ledger, which has no O_APPEND,
+        positioned for the next line.  Caller holds `_lock` and the file's
+        `flock`."""
         if not self._offset and self._ckpt:
             self._load_checkpoint(fh)
+        if fh.seek(0, os.SEEK_END) == self._offset:
+            return 0
         fh.seek(self._offset)
         data = fh.read()
         end = data.rfind(b"\n") + 1
@@ -258,9 +272,8 @@ class Accountant:
                     and all(total >= 0 for total in totals.values())):
                 return
             digest = _sha256()
-            fh.seek(0)
-            for start in range(0, offset, 1 << 16):
-                digest.update(fh.read(min(1 << 16, offset - start)))
+            for chunk in _chunks(fh, offset):
+                digest.update(chunk)
             if digest.copy().finalize() == bytes.fromhex(ckpt["sha256"]):
                 self._offset, self._seq, self._totals, self._hash = offset, seq, totals, digest
         except (OSError, ValueError, LookupError, TypeError, AttributeError):
@@ -284,12 +297,24 @@ class Accountant:
         """The records this accountant has applied, read back from its ledger file."""
         self._check_process()
         with self._lock:
-            self._ledger_file.seek(0)
-            text = self._ledger_file.read(self._offset).decode("utf-8")
+            text = b"".join(_chunks(self._ledger_file, self._offset)).decode("utf-8")
         return tuple(map(PrivacyCharge.from_line, text.splitlines()))
 
     def close(self) -> None:
         self._ledger_file.close()
+
+
+def _chunks(fh, end: int):
+    """The file's first `end` bytes, in reads of at most 64 KiB; an unbuffered
+    `read` may return fewer bytes than it was asked for."""
+    fh.seek(0)
+    start = 0
+    while start < end:
+        chunk = fh.read(min(1 << 16, end - start))
+        if not chunk:
+            raise ContractViolation("the ledger ends before its applied offset")
+        start += len(chunk)
+        yield chunk
 
 
 def replay_spent(ledger: list[PrivacyCharge]) -> dict[str, float]:

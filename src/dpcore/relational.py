@@ -357,10 +357,11 @@ def read_csv(path: str, schema: Schema) -> np.ndarray:
         if tuple(header) != schema.names:
             raise ContractViolation("csv header does not match schema")
         records = list(reader)
+    width = len(schema)
     for lineno, record in enumerate(records, start=2):
-        if len(record) != len(schema):
+        if len(record) != width:
             raise ContractViolation(f"csv line {lineno}: wrong arity")
-    cells = list(zip(*records)) or [()] * len(schema)
+    cells = list(zip(*records)) or [()] * width
     return build_records(schema, [_column(col, _parsed(col, c))
                                   for col, c in zip(schema.columns, cells)])
 

@@ -168,6 +168,114 @@ def test_charge_cuts_a_torn_tail_past_its_offset(tmp_path):
             for line in path.read_text().splitlines()] == [0.25, 0.5]
 
 
+class _SpiedLedger:
+    """An accountant's ledger file that records the size of every `read`,
+    returns at most `max_read` bytes from one, and stores only the first
+    `keep` bytes of the next `write`, returning that count."""
+
+    def __init__(self, fh, max_read=None, keep=None):
+        self._fh, self.max_read, self.keep, self.reads = fh, max_read, keep, []
+
+    def read(self, size=-1):
+        if self.max_read is not None:
+            size = self.max_read if size < 0 else min(size, self.max_read)
+        data = self._fh.read(size)
+        self.reads.append(len(data))
+        return data
+
+    def write(self, data):
+        keep, self.keep = self.keep, None
+        return self._fh.write(data if keep is None else data[:keep])
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+@pytest.mark.parametrize("named", [True, False], ids=["named", "unnamed"])
+def test_a_short_write_grants_nothing(tmp_path, named):
+    """A write that stores part of a line raises and spends nothing; the next
+    charge cuts the part and writes one whole line, and a replay reads only
+    whole lines."""
+    path = tmp_path / "ledger.txt"
+    acct = Accountant(ledger_path=str(path) if named else None)
+    acct.create_scope("main", PURE_EPS, 10.0)
+    first = acct.charge("main", 0.25, "laplace")
+    acct._ledger_file = _SpiedLedger(acct._ledger_file, keep=10)
+    with pytest.raises(OSError):
+        acct.charge("main", 0.5, "laplace")
+    assert acct.spent("main") == 0.25 and acct._seq == 1
+    if named:
+        assert path.read_bytes() == (first.to_line() + "\n").encode() + b"seq=2 scop"
+    second = acct.charge("main", 1.0, "laplace")
+    assert second.seq == 2 and acct.ledger == (first, second)
+    if named:
+        assert path.read_text() == f"{first.to_line()}\n{second.to_line()}\n"
+        restored = build_accountant(
+            ServiceConfig(budgets=[{"id": "main", "budget": 10.0}], ledger_path=str(path)))
+        assert restored.spent("main") == 1.25 and restored.ledger == (first, second)
+        restored.close()
+    acct.close()
+
+
+def test_a_charge_reads_the_ledger_only_when_it_grew(tmp_path):
+    """On a ledger no other accountant writes, a charge reads nothing; after
+    another accountant's append, the next charge reads exactly that line and
+    takes the seq after it."""
+    path = str(tmp_path / "ledger.txt")
+    a, b = Accountant(ledger_path=path), Accountant(ledger_path=path)
+    for acct in (a, b):
+        acct.create_scope("main", PURE_EPS, math.inf)
+    a.charge("main", 0.25, "laplace")
+    spy = a._ledger_file = _SpiedLedger(a._ledger_file)
+    for _ in range(100):
+        a.charge("main", 0.25, "laplace")
+    assert spy.reads == []
+    appended = b.charge("main", 0.5, "laplace")
+    assert appended.seq == 102
+    assert a.charge("main", 0.125, "laplace").seq == 103
+    assert spy.reads == [len(appended.to_line()) + 1]
+    assert a.spent("main") == 101 * 0.25 + 0.5 + 0.125
+    a.close()
+    b.close()
+
+
+def test_an_unnamed_ledger_reads_back_its_charges_between_charges():
+    """A temporary ledger has no O_APPEND, so each line goes where the file
+    position is: reading the ledger back between charges, even one short
+    read at a time, must leave it where the next line belongs."""
+    acct = Accountant()
+    acct.create_scope("main", PURE_EPS, math.inf)
+    granted = []
+    for i in range(40):
+        granted.append(acct.charge("main", i / 7, "laplace"))
+        if i % 3 == 0:
+            assert acct.ledger == tuple(granted)
+        if i == 20:
+            acct._ledger_file = _SpiedLedger(acct._ledger_file, max_read=7)
+    assert acct.ledger == tuple(granted)
+    acct.close()
+
+
+def test_a_checkpoint_loads_through_short_reads(tmp_path):
+    """A cold start verifies the checkpoint's digest over the whole prefix
+    even when each read returns only a few bytes."""
+    path = tmp_path / "ledger.txt"
+    _charge_mix(path, 200)
+    prefix = path.read_bytes()
+    (tmp_path / "ledger.txt.ckpt").write_text(json.dumps(
+        {"offset": len(prefix), "seq": 200, "spent": {"a": "0.5", "b": "1.25"},
+         "sha256": hashlib.sha256(prefix).hexdigest()}))
+    acct = Accountant(ledger_path=str(path))
+    for sid in "ab":
+        acct.create_scope(sid, PURE_EPS, math.inf)
+    acct._ledger_file = _SpiedLedger(acct._ledger_file, max_read=7)
+    acct.replay_ledger()
+    assert (acct.spent("a"), acct.spent("b"), acct._seq) == (0.5, 1.25, 200)
+    assert max(acct._ledger_file.reads) == 7
+    assert [c.to_line() for c in acct.ledger] == prefix.decode().splitlines()
+    acct.close()
+
+
 def test_a_closed_accountant_grants_nothing(tmp_path):
     """After close() a charge raises before it spends or writes anything."""
     path = tmp_path / "ledger.txt"
