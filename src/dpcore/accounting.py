@@ -196,28 +196,22 @@ class Accountant:
         line without its newline is a write that died half-way; it is cut
         off the file, and an intact file is left as it is.  A replay that read
         new records of a named ledger rewrites its checkpoint through a fixed
-        temporary name, so a killed writer leaves the last one whole; the
-        checkpoint is a cache, and a failed write is ignored."""
-        with self._synced() as records, contextlib.suppress(OSError):
-            if records and self._ckpt:
-                state = {"offset": self._offset, "seq": self._seq,
-                         "spent": {sid: repr(total) for sid, total in self._totals.items()},
-                         "sha256": self._hash.copy().finalize().hex()}
-                with open(self._ckpt + ".tmp", "w", encoding="utf-8") as out:
-                    json.dump(state, out)
-                os.replace(self._ckpt + ".tmp", self._ckpt)
-
-    @contextlib.contextmanager
-    def _synced(self):
-        """Hold `_lock` and the ledger's exclusive `flock`, and yield how many
-        records were read from the file.  A closed accountant, or one used in
-        another process than the one that opened its ledger, raises first."""
+        temporary name, still under the `flock`, so a killed writer leaves
+        the last one whole; the checkpoint is a cache, and a failed write is
+        ignored."""
         self._check_process()
+        fh = self._ledger_file
         with self._lock:
-            fh = self._ledger_file
             fcntl.flock(fh, fcntl.LOCK_EX)
             try:
-                yield self._apply_appended(fh)
+                if self._apply_appended(fh) and self._ckpt:
+                    state = {"offset": self._offset, "seq": self._seq,
+                             "spent": {sid: repr(total) for sid, total in self._totals.items()},
+                             "sha256": self._hash.copy().finalize().hex()}
+                    with contextlib.suppress(OSError):
+                        with open(self._ckpt + ".tmp", "w", encoding="utf-8") as out:
+                            json.dump(state, out)
+                        os.replace(self._ckpt + ".tmp", self._ckpt)
             finally:
                 fcntl.flock(fh, fcntl.LOCK_UN)
 
