@@ -1,5 +1,5 @@
 """Audit harness: sampler goodness-of-fit, black-box DP-violation search
-(built-in targets release through the gateway, as a query does) and
+(built-in targets release through `mechanisms.release`, as a query does) and
 empirical stability/sensitivity verification.  Exported: what `dpcore audit`
 and perfbench import; other names come from their modules."""
 

@@ -30,11 +30,6 @@ from .blackbox import (
 EXIT_NO_VIOLATION = 0
 EXIT_VIOLATION = 2
 
-#: Desk-scale defaults (the full-scale run used 500,000 samples and 200
-#: repetitions; these are sized for a workstation and are all overridable).
-DEFAULT_N_SEARCH = 50_000
-DEFAULT_N_TEST = 100_000
-DEFAULT_REPETITIONS = 50
 #: Outcomes one sampler call draws for a group of repetitions, at most
 #: (unless one repetition needs more): it bounds the memory of a group.
 GROUP_OUTCOMES = 1 << 18
@@ -96,9 +91,10 @@ def audit_pair(
     pair: NeighborPair,
     eps: float,
     rng: RandomSource,
-    n_search: int = DEFAULT_N_SEARCH,
-    n_test: int = DEFAULT_N_TEST,
-    repetitions: int = DEFAULT_REPETITIONS,
+    *,
+    n_search: int,
+    n_test: int,
+    repetitions: int,
 ) -> AuditEntry:
     """Repeated two-phase test of one mechanism on one neighbor pair at `eps`.
 
@@ -151,9 +147,10 @@ def black_box_battery(
     suite: list[NeighborPair],
     eps_values,
     rng: RandomSource,
-    n_search: int = DEFAULT_N_SEARCH,
-    n_test: int = DEFAULT_N_TEST,
-    repetitions: int = DEFAULT_REPETITIONS,
+    *,
+    n_search: int,
+    n_test: int,
+    repetitions: int,
 ) -> AuditReport:
     """`audit_pair` on every pair of the neighbor suite at every epsilon of
     the grid, each on its own derived source: one entry per (epsilon, pair),

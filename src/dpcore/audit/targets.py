@@ -1,7 +1,7 @@
-"""Built-in mechanisms for the black-box harness, released through the
-gateway as a query is.  Each `run_many` call runs its plan once and releases
-the exact one-cell StatVector tiled n times (a read-only view with one label
-per cell, sensitivity n*Δ) through `gateway.release` at n*eps: n-fold
+"""Built-in mechanisms for the black-box harness, released through
+`mechanisms.release` as a query is.  Each `run_many` call runs its plan once
+and releases the exact one-cell StatVector tiled n times (a read-only view
+with one label per cell, sensitivity n*Δ) with `laplace` at n*eps: n-fold
 composition, so each outcome carries Laplace(Δ/eps) noise, up to the float
 rounding of the scale.  The charge goes to an unlimited scope of an
 accountant closed before the call returns, and an eps/Δ under the
@@ -14,7 +14,7 @@ import contextlib
 
 import numpy as np
 
-from .. import gateway
+from .. import mechanisms
 from ..accounting import Accountant
 from ..randomness import RandomSource
 from ..relational import StatVector, Table
@@ -22,7 +22,7 @@ from ..transforms import parse_plan
 from .blackbox import MechanismUnderTest
 
 
-def _gateway_target(name: str, plan_text: str) -> MechanismUnderTest:
+def _release_target(name: str, plan_text: str) -> MechanismUnderTest:
     plan = parse_plan(plan_text)
 
     def run_many(table: Table, eps: float, rng: RandomSource, n: int) -> np.ndarray:
@@ -31,19 +31,19 @@ def _gateway_target(name: str, plan_text: str) -> MechanismUnderTest:
                            v.dimension_labels * n, v.integral)
         with contextlib.closing(Accountant()) as accountant:
             scope = accountant.create_scope("audit")  # an unlimited budget
-            return gateway.release(tiled, "laplace", n * eps, scope, rng).values
+            return mechanisms.release(tiled, "laplace", n * eps, scope, rng).values
 
     return MechanismUnderTest(name, run_many=run_many)
 
 
 def laplace_count_target() -> MechanismUnderTest:
     """COUNT(*) + Laplace(1/eps)."""
-    return _gateway_target("laplace_count", "count")
+    return _release_target("laplace_count", "count")
 
 
 def laplace_sum_target() -> MechanismUnderTest:
     """SUM(c0) + Laplace(sensitivity/eps) with metadata-derived sensitivity."""
-    return _gateway_target("laplace_sum(c0)", "sum c0")
+    return _release_target("laplace_sum(c0)", "sum c0")
 
 
 def half_noise_laplace_count() -> MechanismUnderTest:

@@ -113,9 +113,9 @@ class CliState:
         raise ContractViolation(f"unknown request: {cmd!r}")
 
     def persist_dataset(self, handle: str, csv_path: str, sidecar_path: str) -> None:
-        """Store an ingested handle as its sidecar and the registered table's
-        record array, parsed and corrected from `csv_path`, so no later
-        command parses the CSV again.  `table.npy` is written last."""
+        """Store an ingested handle as its sidecar and the record array the
+        registry holds for it, so no later command parses the CSV again.
+        `csv_path` is not read.  `table.npy` is written last."""
         import shutil
 
         import numpy as np

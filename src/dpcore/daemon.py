@@ -10,8 +10,10 @@ import json
 import socketserver
 import threading
 
+from .service import ERROR_CODE
+
 #: The one reply to every request that fails or is refused.
-_REJECTED = {"status": "error", "code": "request rejected"}
+_REJECTED = {"status": "error", "code": ERROR_CODE}
 
 #: Longest request line, newline included, that `serve` reads.  A longer one
 #: is answered with the one error and its connection closed.

@@ -1,12 +1,14 @@
 """Base randomized computations of the privacy layer.
 
-Every mechanism here is the only path from an exact StatVector to anything
-user-visible, and every invocation is mediated by the accountant: the charge
+`release` is the only path from an exact StatVector to anything
+user-visible: it decides which mechanisms ship, what each charges and what
+noise it draws.  Every release is mediated by the accountant: the charge
 is granted (and written to the ledger) before any randomness is consumed, so
 a denied request spends nothing, samples nothing, and fails with the uniform
 budget message.
 
-Mechanisms never see raw tables: they accept StatVectors and metadata only.
+Mechanisms never see raw tables: `private_release` runs a plan through the
+registry and hands on its StatVector only.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -21,6 +24,13 @@ from .accounting import PrivacyCharge, ScopeHandle
 from .errors import ContractViolation, ParameterError
 from .randomness import RandomSource, log_add, sample_discrete_laplace, sample_laplace
 from .relational import StatVector
+
+if TYPE_CHECKING:  # annotations only: the audit releases without the registry
+    from .registry import DatasetRegistry
+    from .transforms import TransformPlan
+
+#: The mechanisms a query may name, each booked in the ledger under its name.
+MECHANISMS = ("laplace", "laplace_int", "noisy_histogram")
 
 #: Lower limit on eps/sensitivity.  Tiny budgets mean enormous noise scales,
 #: which is where floating-point "holes" appear; requests below the floor are
@@ -37,30 +47,36 @@ class MechanismResult:
     labels: tuple[str, ...] = ()
 
 
-def _spend(scope: ScopeHandle, eps: float, sensitivity: float, mechanism: str) -> PrivacyCharge:
-    """The one charge path of every mechanism, taken before its first draw.
+def release(v: StatVector, mechanism: str, eps: float, scope: ScopeHandle,
+            rng: RandomSource) -> MechanismResult:
+    """Add noise of scale sensitivity/eps to each coordinate of `v`, as the
+    named mechanism draws it, and book the charge under that name.
 
-    A finite eps > 0 only: an infinite one would be booked and then fail in
-    the sampler, leaving `spent` infinite for good.  A positive sensitivity
-    also holds eps/sensitivity to the floor; 0 skips it.
+    `laplace` and `noisy_histogram` draw float Laplace noise; a histogram's
+    cells come from metadata, so empty groups are released as pure noise.
+    `laplace_int` draws the exact discrete Laplace (rationals, integer draws
+    only), private on integer-valued statistics only.  Outputs are released
+    as-is: no truncation, no clamping; negative counts are the
+    postprocessing layer's business.
+
+    Every refusal comes before the charge, and the charge before the first
+    draw.  eps must be finite and > 0: an infinite one would be booked and
+    then fail in the sampler, leaving `spent` infinite for good.  A positive
+    sensitivity also holds eps/sensitivity to the floor; 0 skips it.
     """
+    if mechanism not in MECHANISMS:
+        raise ContractViolation(f"unknown mechanism {mechanism!r}")
+    discretize = mechanism == "laplace_int"
+    if discretize and not v.integral:
+        raise ContractViolation("integer noise is private on integer-valued statistics only")
     if not (eps > 0 and math.isfinite(eps)):
         raise ParameterError("eps must be finite and positive")
-    if sensitivity > 0 and eps / sensitivity < EPSILON_SENSITIVITY_FLOOR:
+    if v.l1_sensitivity > 0 and eps / v.l1_sensitivity < EPSILON_SENSITIVITY_FLOOR:
         raise ParameterError(
             "eps/sensitivity below the 1e-3 floor; refusing to sample at this "
             "noise scale"
         )
-    return scope.charge(eps, mechanism)
-
-
-def _laplace_release(
-    v: StatVector, eps: float, accountant: ScopeHandle, rng: RandomSource,
-    mechanism: str, discretize: bool = False,
-) -> MechanismResult:
-    if discretize and not v.integral:
-        raise ContractViolation("integer noise is private on integer-valued statistics only")
-    charge = _spend(accountant, eps, v.l1_sensitivity, mechanism)
+    charge = scope.charge(eps, mechanism)
     noise = 0.0  # `v.values + noise` below allocates the release: no copy is taken first
     if v.l1_sensitivity > 0 and discretize:
         scale = Fraction(v.l1_sensitivity) / Fraction(eps)
@@ -70,23 +86,18 @@ def _laplace_release(
     return MechanismResult(v.values + noise, charge, v.dimension_labels)
 
 
-def laplace_mechanism(
-    v: StatVector,
-    eps: float,
-    accountant: ScopeHandle,
-    rng: RandomSource,
-    discretize: bool = False,
-) -> MechanismResult:
-    """Add Laplace(sensitivity/eps) noise per coordinate.
+def private_release(registry: DatasetRegistry, handle: str, plan: TransformPlan, mechanism: str,
+                    eps: float, scope: ScopeHandle, rng: RandomSource, clock=None,
+                    xi: float | None = None) -> MechanismResult:
+    """Execute a plan and release it through the named mechanism."""
+    return release(registry.execute_plan(handle, plan, rng=rng, clock=clock, xi=xi),
+                   mechanism, eps, scope, rng)
 
-    Outputs are released as-is: no truncation, no clamping; negative counts
-    are the postprocessing layer's business.  With `discretize` the noise is
-    the exact discrete Laplace of scale sensitivity/eps (rationals, integer
-    draws only), which is private only on integer values: a vector not
-    marked `integral` is refused before the charge.
-    """
-    return _laplace_release(v, eps, accountant, rng,
-                            "laplace_int" if discretize else "laplace", discretize)
+
+def laplace_mechanism(v: StatVector, eps: float, accountant: ScopeHandle, rng: RandomSource,
+                      discretize: bool = False) -> MechanismResult:
+    """`release` through `laplace`, or `laplace_int` with `discretize`."""
+    return release(v, "laplace_int" if discretize else "laplace", eps, accountant, rng)
 
 
 def exponential_mechanism_log_probabilities(
@@ -105,13 +116,9 @@ def exponential_mechanism_log_probabilities(
     return b - log_z
 
 
-def noisy_histogram(
-    grouped_counts: StatVector, eps: float, accountant: ScopeHandle, rng: RandomSource
-) -> MechanismResult:
-    """Laplace(sensitivity/eps) noise on every cell of the declared domain.
-
-    The cell set comes from metadata, so it is identical across runs and
-    across neighboring inputs; empty groups are released as pure noise.
-    """
-    return _laplace_release(grouped_counts, eps, accountant, rng, "noisy_histogram")
+def noisy_histogram(grouped_counts: StatVector, eps: float, accountant: ScopeHandle,
+                    rng: RandomSource) -> MechanismResult:
+    """`release` through `noisy_histogram`: noise on every cell of the
+    declared domain, the same cell set across runs and neighboring inputs."""
+    return release(grouped_counts, "noisy_histogram", eps, accountant, rng)
 

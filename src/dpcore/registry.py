@@ -1,11 +1,12 @@
 """Dataset registry: the data-access boundary the service layer talks to.
 
-The service layer holds opaque handles; only this module (and the privacy
-gateway) ever touch Table values.  Plans run on the record array that
-ingest builds and `table.npy` stores.  Execution optionally paces each
-`select_where` scan against an injected clock (see `execute_plan`).
-Importing this module loads no numpy: the code that loads or ingests a
-table imports the data path.
+The service layer holds opaque handles; on a query's path only this module
+touches Table values, and `mechanisms.private_release` gets the StatVector
+of a plan run here.  Plans run on the record array that ingest builds and
+`table.npy` stores.  Execution optionally paces each `select_where` scan
+against an injected clock (see `execute_plan`).  Importing this module
+loads no numpy: the code that loads or ingests a table imports the data
+path.
 """
 
 from __future__ import annotations

@@ -72,8 +72,8 @@ class ServiceConfig:
                 raw = json.load(fh)
                 budgets = [{"id": str(spec["id"]), "kind": spec.get("kind", PURE_EPS),
                             "budget": float(spec["budget"])} for spec in raw.get("budgets", [])]
-                numbers = {key: float(raw.get(key, default)) for key, default in
-                           (("xi", 1.0), ("overhead", 5.0), ("startup_fraction", 0.01))}
+                numbers = {key: float(raw.get(key, getattr(cls, key)))
+                           for key in ("xi", "overhead", "startup_fraction")}
             except (AttributeError, KeyError, TypeError, ValueError):
                 raise ContractViolation("config holds an unreadable number or budget") from None
         if any("seed" in key.lower() for key in raw):
@@ -101,7 +101,7 @@ class QueryRequest:
     eps: float
 
 
-_ERROR_CODE = "request rejected"  # one code for every rejected request
+ERROR_CODE = "request rejected"  # one code for every rejected request
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,7 @@ class QueryService:
         """`private_release` and `parse_plan`, with the data path imported and
         the root source drawn.  Called before a padded window opens: work
         done inside one would be released at its end, or past its deadline."""
-        from .gateway import private_release
+        from .mechanisms import private_release
         from .randomness import RandomSource
         from .transforms import parse_plan
 
@@ -257,7 +257,7 @@ class QueryService:
         """
         private_release, parse_plan = self._release_path()
         start = self._clock.now()
-        status, code, values, labels = "error", _ERROR_CODE, (), ()
+        status, code, values, labels = "error", ERROR_CODE, (), ()
         try:
             plan = parse_plan(request.plan_text)
             result = private_release(

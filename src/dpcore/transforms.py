@@ -317,6 +317,7 @@ def aggregate(t: Table | GroupedTable, agg: str, column: str | None = None) -> S
                       integral)
 
 
+#: Operators a plan may not name, each with why it is absent.
 _REJECTED = {
     "limit": (
         "limit is not offered: its stability is min(2k, 2m), which depends on "
@@ -329,13 +330,6 @@ _REJECTED = {
     "skip": "skip is not offered: same stability hazard as limit; use bernoulli_sample",
     "window": "window is not offered: window frames depend on implicit row order",
 }
-
-
-def rejected_operation(name: str):
-    """Always fails; documents why the operator is absent."""
-    if name not in _REJECTED:
-        raise ContractViolation(f"unknown operator {name!r}")
-    raise RejectedOperationError(_REJECTED[name])
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +463,7 @@ def parse_plan(text: str) -> TransformPlan:
             continue
         head, words = words[0], words[1:]
         if head in _REJECTED:
-            rejected_operation(head)
+            raise RejectedOperationError(_REJECTED[head])
         if head not in _STEPS:
             raise ContractViolation(f"unknown plan step {head!r}")
         steps.append((head, *_STEPS[head][0](words)))

@@ -10,7 +10,7 @@ import pytest
 from scipy import stats
 
 import dpcore
-from dpcore import gateway, mechanisms
+from dpcore import mechanisms
 from dpcore.accounting import Accountant, PURE_EPS
 from dpcore.audit import report as audit_report
 from dpcore.audit.blackbox import (
@@ -440,11 +440,11 @@ def test_battery_flags_half_noise_bug(two_col_schema, rng):
 
 def test_battery_flags_a_halved_scale_in_the_shipped_release(two_col_schema, rng,
                                                              monkeypatch):
-    """The built-in targets release through `gateway.release`, so a sampler
+    """The built-in targets release through `mechanisms.release`, so a sampler
     bug in the code that ships fails their audit: with the mechanisms'
     `sample_laplace` at half the scale, the correct `laplace_count` is
     flagged, and each of its `run_many` calls made one release of n values."""
-    shipped, release = mechanisms.sample_laplace, gateway.release
+    shipped, release = mechanisms.sample_laplace, mechanisms.release
     releases, calls = [], []
 
     def counting_release(vector, *args):
@@ -453,7 +453,7 @@ def test_battery_flags_a_halved_scale_in_the_shipped_release(two_col_schema, rng
 
     monkeypatch.setattr(mechanisms, "sample_laplace",
                         lambda rng, scale, size=None: shipped(rng, scale / 2, size=size))
-    monkeypatch.setattr(gateway, "release", counting_release)
+    monkeypatch.setattr(mechanisms, "release", counting_release)
     target = laplace_count_target()
 
     def run_many(table, eps, rng, n):

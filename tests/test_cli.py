@@ -224,8 +224,8 @@ def test_audit_loads_no_query_path():
 
 
 #: What reads data or draws noise, and what only those need.
-_DATA_PATH = ("'numpy', 'cryptography', 'dpcore.gateway', 'dpcore.mechanisms', "
-              "'dpcore.transforms', 'dpcore.relational', 'dpcore.randomness'")
+_DATA_PATH = ("'numpy', 'cryptography', 'dpcore.mechanisms', 'dpcore.transforms', "
+              "'dpcore.relational', 'dpcore.randomness'")
 #: The same with `cryptography` narrowed to its ciphers (`dpcore.randomness`
 #: stays): a named ledger's digest is `cryptography`'s SHA-256, so its hash
 #: module is loaded.
@@ -295,7 +295,7 @@ def test_a_release_loads_no_second_openssl(workspace, capsys):
 
 def test_a_release_imports_the_data_path_before_its_padded_window(workspace, capsys):
     """Every clock reading of a session open and a query, the one that opens
-    the padded window first among them, comes after numpy and the gateway are
+    the padded window first among them, comes after numpy and the mechanisms are
     imported: importing them inside the window would push the work past its
     deadline."""
     cfg = str(workspace / "cfg.json")
@@ -306,7 +306,7 @@ def test_a_release_imports_the_data_path_before_its_padded_window(workspace, cap
                  "class Clock(SystemClock):\n"
                  "    loaded = []\n"
                  "    def now(self):\n"
-                 "        self.loaded.append({'numpy', 'dpcore.gateway'} <= set(sys.modules))\n"
+                 "        self.loaded.append({'numpy', 'dpcore.mechanisms'} <= set(sys.modules))\n"
                  "        return super().now()\n"
                  "with CliState(sys.argv[1]) as state:\n"
                  "    service = QueryService(state.registry, state.accountant, state.config,\n"

@@ -4,7 +4,10 @@ No linter is a test dependency, so this reads the modules with `ast`: a name
 counts as used when the module refers to it anywhere."""
 
 import ast
+import importlib
 import pathlib
+
+import pytest
 
 import dpcore
 
@@ -75,3 +78,21 @@ def test_every_src_definition_has_a_shipped_reader():
               and node.name not in read}
     assert [f"{path}: {name}" for name, path in unread.items() if name not in TEST_ONLY] == []
     assert TEST_ONLY.keys() <= unread.keys()  # an exemption that gained a reader is stale
+
+
+def test_only_mechanisms_release_charges_a_scope():
+    """Outside the accountant, one function calls `.charge(`: the decision
+    of what ships, what it charges and what noise it draws is made in
+    `mechanisms.release` alone, and `dpcore.gateway` is gone."""
+    callers = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "accounting.py":
+            continue
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            callers += [(str(path.relative_to(SRC)), getattr(top, "name", None))
+                        for node in ast.walk(top)
+                        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "charge"]
+    assert callers == [("mechanisms.py", "release")]
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("dpcore.gateway")

@@ -5,12 +5,13 @@ import pytest
 
 from dpcore.accounting import Accountant, PURE_EPS
 from dpcore.errors import BudgetExceededError, ContractViolation, ParameterError
-from dpcore.gateway import MECHANISMS, release
 from dpcore.mechanisms import (
     EPSILON_SENSITIVITY_FLOOR,
+    MECHANISMS,
     exponential_mechanism_log_probabilities,
     laplace_mechanism,
     noisy_histogram,
+    release,
 )
 from dpcore.relational import ColumnKind, ColumnMeta, Schema, StatVector, make_table
 from dpcore.transforms import aggregate, group_by

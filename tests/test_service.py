@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import dpcore.service as service_mod
 from dpcore.accounting import Accountant, PURE_EPS
 from dpcore.errors import ContractViolation, ParameterError
-from dpcore.gateway import MECHANISMS, private_release
+from dpcore.mechanisms import MECHANISMS, private_release
 from dpcore.randomness import RandomSource
 from dpcore.registry import DatasetRegistry
 from dpcore.relational import (
@@ -518,6 +518,14 @@ def test_service_config_from_file(tmp_path):
     assert acct2.spent("main") == 1.5
     assert acct2.remaining("main") == 2.5
     acct2.close()
+
+
+def test_a_config_file_without_policy_numbers_loads_the_dataclass_defaults(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"budgets": [{"id": "main", "budget": 1.0}]}))
+    config, default = ServiceConfig.from_file(str(path)), ServiceConfig()
+    assert ((config.xi, config.overhead, config.startup_fraction)
+            == (default.xi, default.overhead, default.startup_fraction))
 
 
 @pytest.mark.parametrize("key", ["xi", "overhead"])

@@ -21,7 +21,6 @@ from dpcore.transforms import (
     map_column,
     parse_plan,
     project,
-    rejected_operation,
     select_where,
     self_union,
 )
@@ -251,14 +250,14 @@ def test_sum_requires_bounded_numeric_column():
 
 def test_rejected_operators_explain_themselves():
     with pytest.raises(RejectedOperationError, match="min\\(2k, 2m\\)"):
-        rejected_operation("limit")
+        parse_plan("limit 5\ncount")
     with pytest.raises(RejectedOperationError, match="bernoulli_sample"):
-        rejected_operation("limit")
+        parse_plan("limit 5\ncount")
     for name in ("order_by", "skip", "window"):
         with pytest.raises(RejectedOperationError):
-            rejected_operation(name)
+            parse_plan(f"{name}\ncount")
     with pytest.raises(ContractViolation):
-        rejected_operation("whatever")
+        parse_plan("whatever\ncount")
 
 
 # -- plan grammar -------------------------------------------------------------
