@@ -11,6 +11,7 @@ mechanisms' floor is refused.
 from __future__ import annotations
 
 import contextlib
+import functools
 
 import numpy as np
 
@@ -25,10 +26,15 @@ from .blackbox import MechanismUnderTest
 def _release_target(name: str, plan_text: str) -> MechanismUnderTest:
     plan = parse_plan(plan_text)
 
+    # An audit alternates a few sample sizes; each n-long tuple is built once.
+    @functools.lru_cache(maxsize=4)
+    def tiled_labels(labels: tuple[str, ...], n: int) -> tuple[str, ...]:
+        return labels * n
+
     def run_many(table: Table, eps: float, rng: RandomSource, n: int) -> np.ndarray:
         v = plan.execute(table)
         tiled = StatVector(np.broadcast_to(v.values, (n,)), n * v.l1_sensitivity,
-                           v.dimension_labels * n, v.integral)
+                           tiled_labels(v.dimension_labels, n), v.integral)
         with contextlib.closing(Accountant()) as accountant:
             scope = accountant.create_scope("audit")  # an unlimited budget
             return mechanisms.release(tiled, "laplace", n * eps, scope, rng).values

@@ -77,13 +77,17 @@ def release(v: StatVector, mechanism: str, eps: float, scope: ScopeHandle,
             "noise scale"
         )
     charge = scope.charge(eps, mechanism)
-    noise = 0.0  # `v.values + noise` below allocates the release: no copy is taken first
     if v.l1_sensitivity > 0 and discretize:
         scale = Fraction(v.l1_sensitivity) / Fraction(eps)
-        noise = [sample_discrete_laplace(rng, scale) for _ in range(len(v))]
+        values = v.values + [sample_discrete_laplace(rng, scale) for _ in range(len(v))]
     elif v.l1_sensitivity > 0:
-        noise = sample_laplace(rng, v.l1_sensitivity / eps, size=len(v))
-    return MechanismResult(v.values + noise, charge, v.dimension_labels)
+        # The fresh noise array takes the sum, so the release allocates one
+        # array, not two; addition commutes, so the bits are those of v + noise.
+        values = sample_laplace(rng, v.l1_sensitivity / eps, size=len(v))
+        np.add(values, v.values, out=values)
+    else:
+        values = v.values + 0.0  # a writable copy
+    return MechanismResult(values, charge, v.dimension_labels)
 
 
 def private_release(registry: DatasetRegistry, handle: str, plan: TransformPlan, mechanism: str,

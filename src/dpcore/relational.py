@@ -19,6 +19,7 @@ import collections
 import csv
 import enum
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -281,7 +282,11 @@ def parse_schema(text: str) -> Schema:
 
 def load_schema(path: str) -> Schema:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_schema(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            raise ContractViolation("schema file is not UTF-8 text") from None
+    return parse_schema(text)
 
 
 def schema_dtype(schema: Schema) -> np.dtype:
@@ -334,7 +339,7 @@ def _column(col: ColumnMeta, values: Sequence) -> list:
     return stored
 
 
-def _parsed(col: ColumnMeta, cells: tuple[str, ...]) -> list:
+def _parsed(col: ColumnMeta, cells: Sequence[str]) -> list:
     """The CSV cells of one column as Python values of its kind."""
     values = []
     try:  # `extend` keeps the cells parsed before a failure
@@ -345,25 +350,62 @@ def _parsed(col: ColumnMeta, cells: tuple[str, ...]) -> list:
     return values
 
 
+def _read_column(col: ColumnMeta, cells: list[str]) -> np.ndarray | list:
+    """One column's CSV cells as stored (see `_column`), parsed straight into
+    an array; only the cells outside the bounds, NaN too, go through
+    `correct`, so an in-bounds cell keeps its exact bits.  An int past int64
+    or an unparseable cell takes the cell-by-cell path, which clamps the one
+    and reports the other."""
+    if col.kind is ColumnKind.CATEGORICAL:
+        code = {v: i for i, v in enumerate(col.values)}
+        return np.fromiter(map(code.get, cells, itertools.repeat(0)), np.int64, len(cells))
+    integer = col.kind is ColumnKind.INTEGER
+    try:
+        a = np.fromiter(map(int if integer else float, cells),
+                        np.int64 if integer else np.float64, len(cells))
+    except (ValueError, OverflowError):
+        return _column(col, _parsed(col, cells))
+    bad = np.flatnonzero(~((a >= col.lower) & (a <= col.upper)))
+    a[bad] = [col.correct(v) for v in a[bad].tolist()]
+    return a
+
+
 def read_csv(path: str, schema: Schema) -> np.ndarray:
     """Ingest a UTF-8 CSV whose header row matches the schema order into a
-    schema-corrected record array of `schema_dtype(schema)`."""
+    schema-corrected record array of `schema_dtype(schema)`.
+
+    Column by column: the records stream into one flat list of cells, and
+    no per-row object outlives the read.  Errors come in the order the file
+    would show them whole: a reader error anywhere (bytes that are not
+    UTF-8, a field over the csv module's limit), then the lowest line of
+    wrong arity, then the first column in schema order with an unparseable
+    cell, at that cell's line."""
+    width = len(schema)
+    cells: list[str] = []
+    wrong_arity = None
+    lineno = 0  # records read, the header included: `csv line N` counts records
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ContractViolation("csv has no header row") from None
-        if tuple(header) != schema.names:
-            raise ContractViolation("csv header does not match schema")
-        records = list(reader)
-    width = len(schema)
-    for lineno, record in enumerate(records, start=2):
-        if len(record) != width:
-            raise ContractViolation(f"csv line {lineno}: wrong arity")
-    cells = list(zip(*records)) or [()] * width
-    return build_records(schema, [_column(col, _parsed(col, c))
-                                  for col, c in zip(schema.columns, cells)])
+            header = next(reader, None)
+            if header is None:
+                raise ContractViolation("csv has no header row")
+            if tuple(header) != schema.names:
+                raise ContractViolation("csv header does not match schema")
+            lineno = 1
+            for lineno, record in enumerate(reader, start=2):
+                if len(record) == width:
+                    cells += record
+                elif wrong_arity is None:
+                    wrong_arity = lineno
+        except UnicodeDecodeError:
+            raise ContractViolation("csv is not UTF-8 text") from None
+        except csv.Error as exc:
+            raise ContractViolation(f"csv line {lineno + 1}: {exc}") from None
+    if wrong_arity is not None:
+        raise ContractViolation(f"csv line {wrong_arity}: wrong arity")
+    return build_records(schema, [_read_column(col, cells[i::width])
+                                  for i, col in enumerate(schema.columns)])
 
 
 def load_csv(path: str, schema: Schema) -> Table:

@@ -45,7 +45,14 @@ from dpcore.errors import ContractViolation, ParameterError
 from dpcore.mechanisms import exponential_mechanism_log_probabilities
 from dpcore.randomness import sample_laplace
 from dpcore.relational import ColumnKind, ColumnMeta, Schema, StatVector, make_table
-from dpcore.transforms import Comparison, aggregate, group_by, select_where, self_union
+from dpcore.transforms import (
+    Comparison,
+    aggregate,
+    group_by,
+    parse_plan,
+    select_where,
+    self_union,
+)
 from bugs import (
     accountant_bypass_laplace_count,
     data_dependent_histogram,
@@ -230,6 +237,24 @@ def test_run_is_the_one_outcome_case_of_run_many(make, small_tables):
     assert one == float(m.run_many(small_tables["db2"], 1.0, ScriptedSource(**script), 1)[0])
     with pytest.raises(ContractViolation):
         MechanismUnderTest("neither")
+
+
+@pytest.mark.parametrize("make, plan", [(laplace_count_target, "count"),
+                                        (laplace_sum_target, "sum c0")])
+def test_a_target_releases_the_exact_value_plus_its_noise_bit_for_bit(make, plan, small_tables):
+    """The release adds the noise into its own array; the bits are those of
+    the tiled exact value plus a separately drawn noise array, on every call
+    and every sample size, the tiled labels of an earlier call reused or not.
+    A unit uniform draws a zero noise of either sign."""
+    m = make()
+    script = dict(uniforms=(0.25, 1.0, 1e-300, 0.75, 1.0), bits=(0, 1, 1))
+    for table, eps, n in (("db1", 0.5, 7), ("db3", 1.0, 7), ("db3", 1.0, 3), ("db4", 2.0, 7)):
+        v = parse_plan(plan).execute(small_tables[table])
+        tiled = np.broadcast_to(v.values, (n,))
+        noise = sample_laplace(ScriptedSource(**script), n * v.l1_sensitivity / (n * eps), size=n)
+        expected = tiled + noise
+        out = m.run_many(small_tables[table], eps, ScriptedSource(**script), n)
+        assert out.dtype == np.float64 and out.tobytes() == expected.tobytes(), (table, n)
 
 
 def test_run_only_mechanism_returning_a_vector_is_refused(two_col_schema, rng):

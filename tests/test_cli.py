@@ -763,6 +763,27 @@ def test_missing_files_and_unreadable_config_values_get_one_error_line(workspace
     assert len((workspace / "ledger.txt").read_text().splitlines()) == 1  # the session's
 
 
+@pytest.mark.parametrize("name, data, message", [
+    pytest.param("d.csv", b"c0,c1\n10,0\n\xe9,1\n", "csv is not UTF-8 text", id="csv-not-utf8"),
+    pytest.param("d.csv", b"c0,c1\n10,0\n" + b"1" * (2**17 + 1) + b",0\n",
+                 "csv line 3: field larger than field limit (131072)", id="csv-field-limit"),
+    pytest.param("d.schema", b"c0 int 0 100\nc1 cat \xe9 b\n", "schema file is not UTF-8 text",
+                 id="schema-not-utf8"),
+])
+def test_a_malformed_ingest_file_gets_one_error_line_and_no_handle(workspace, capsys, name,
+                                                                    data, message):
+    """Bytes that are not UTF-8 and a cell over the csv module's field limit
+    ended `ingest` in a traceback; now exit 1, one `error:` line, and no
+    handle directory claimed."""
+    (workspace / name).write_bytes(data)
+    code = main(["ingest", "--csv", str(workspace / "d.csv"), "--schema",
+                 str(workspace / "d.schema"), "--config", str(workspace / "cfg.json")])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n")
+    datasets = workspace / "state" / "datasets"
+    assert not datasets.exists() or os.listdir(datasets) == []
+
+
 @pytest.mark.parametrize("key, value", [("ledger", True), ("state_dir", 7)])
 def test_a_config_path_that_is_not_a_string_gets_one_error_line(workspace, capsys, key, value):
     """`"ledger": true` opened fd 1 as the ledger and `"state_dir": 7` reached

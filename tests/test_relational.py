@@ -1,4 +1,5 @@
 import csv
+import gc
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from dpcore.relational import (
     ColumnMeta,
     Schema,
     Table,
+    build_records,
     load_csv,
     load_schema,
     make_table,
@@ -268,10 +270,85 @@ def test_load_csv_matches_the_row_by_row_reference(tmp_path_factory, rows):
     array = read_csv(str(d / "d.csv"), schema)
     table = table_from_array(schema, array)
     assert table == expected == load_csv(str(d / "d.csv"), schema)
+    assert array.tobytes() == expected.array.tobytes()  # -0.0 keeps its sign
     assert [tuple(map(type, r)) for r in table.rows] == \
         [tuple(map(type, r)) for r in expected.rows]
     np.save(d / "t.npy", array, allow_pickle=False)
     assert table_from_array(schema, np.load(d / "t.npy", allow_pickle=False)) == expected
+
+
+_EDGE_SCHEMA = parse_schema("n int -5 5\nx real -1.5 2.0\ng cat a b,c c\n")
+
+
+@pytest.mark.parametrize("text, columns", [
+    # Quoted cells hold commas and line breaks; CRLF ends every record.
+    pytest.param('n,x,g\r\n1,-0.0,"b,c"\r\n2,nan,"x\r\ny"\r\n-3,inf,a\r\n4,-inf,"c"\r\n',
+                 ([1, 2, -3, 4], [-0.0, -1.5, 2.0, -1.5], [1, 0, 0, 2]), id="quoted-crlf"),
+    # Ints past int64 take the cell-by-cell path and clamp; -0.0 and 0.0
+    # stay apart in the real column beside them.
+    pytest.param("n,x,g\n99999999999999999999,0.0,a\n-99999999999999999999,-0.0,c\n0,1e999,z\n",
+                 ([5, -5, 0], [0.0, -0.0, 2.0], [0, 2, 0]), id="past-int64"),
+    pytest.param("n,x,g\r\n", ([], [], []), id="header-only"),
+    pytest.param("n,x,g", ([], [], []), id="header-only-unterminated"),
+])
+def test_read_csv_keeps_quoting_line_endings_and_edge_values(tmp_path, text, columns):
+    (tmp_path / "d.csv").write_bytes(text.encode("utf-8"))
+    array = read_csv(str(tmp_path / "d.csv"), _EDGE_SCHEMA)
+    assert array.dtype == schema_dtype(_EDGE_SCHEMA)
+    assert array.tobytes() == build_records(_EDGE_SCHEMA, columns).tobytes()
+
+
+_LONG = "1,0.5,a\n" * 2000  # past the first decoded chunk
+
+
+@pytest.mark.parametrize("data, message", [
+    # A reader error anywhere beats a wrong arity.
+    pytest.param(b"n,x,g\n1,0.5\n" + _LONG.encode() + b"2,0.5,\xff\n", "csv is not UTF-8 text",
+                 id="not-utf8"),
+    pytest.param(b"n,x,g\n1,0.5\n2,0.5,\"a\nb\"\n3,0.5," + b"a" * (2**17 + 1) + b"\n",
+                 "csv line 4: field larger than field limit (131072)", id="field-limit"),
+    # The lowest wrong arity beats any cell error; a blank line has arity 0.
+    # `csv line N` counts records: a quoted line break starts none.
+    pytest.param(b"n,x,g\nq,0.5,a\n1,0.5,a,b\n1,0.5\n", "csv line 3: wrong arity",
+                 id="arity"),
+    pytest.param(b"n,x,g\n1,zz,a\n\n", "csv line 3: wrong arity", id="blank-line"),
+    pytest.param(b"n,x,g\n1,0.5,\"a\nb\"\n1,0.5\n", "csv line 3: wrong arity",
+                 id="quoted-line-break"),
+    # Cell errors come in schema column order, at the first bad cell's line.
+    pytest.param(b"n,x,g\n1,zz,a\n2,0.5,a\nq,0.5,a\n", "csv line 4: unparseable numeric cell",
+                 id="column-order"),
+    pytest.param(b"n,x,g\n99999999999999999999,0.5,a\n1,zz,a\n",
+                 "csv line 3: unparseable numeric cell", id="past-int64-then-cell"),
+    pytest.param(b"n,x,g\n1,0.5,a\n" + b"1" * 5000 + b",0.5,a\n",
+                 "csv line 3: unparseable numeric cell", id="int-digit-limit"),
+    pytest.param(b"", "csv has no header row", id="empty"),
+    pytest.param(b"n,g,x\n", "csv header does not match schema", id="header"),
+])
+def test_read_csv_reports_the_first_error_the_whole_file_shows(tmp_path, data, message):
+    (tmp_path / "d.csv").write_bytes(data)
+    with pytest.raises(ContractViolation) as exc:
+        read_csv(str(tmp_path / "d.csv"), _EDGE_SCHEMA)
+    assert str(exc.value) == message
+
+
+def test_reading_a_csv_leaves_no_row_for_the_collector(tmp_path):
+    """No per-row object outlives the read, so with collection on 10^5 rows
+    run no generation-2 collection (each would walk every live object)."""
+    with open(tmp_path / "d.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(_EDGE_SCHEMA.names)
+        writer.writerows((i % 11 - 5, i / 1e5, ("a", "b,c", "z")[i % 3]) for i in range(10**5))
+    enabled = gc.isenabled()
+    gc.enable()
+    try:
+        gc.collect()
+        before = gc.get_stats()[2]["collections"]
+        array = read_csv(str(tmp_path / "d.csv"), _EDGE_SCHEMA)
+        after = gc.get_stats()[2]["collections"]
+    finally:
+        if not enabled:
+            gc.disable()
+    assert len(array) == 10**5 and after == before
 
 
 def _stored(root, schema_text: str, array) -> DatasetRegistry:
