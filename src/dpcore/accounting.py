@@ -311,18 +311,6 @@ def _chunks(fh, end: int):
         yield chunk
 
 
-def replay_spent(ledger: list[PrivacyCharge]) -> dict[str, float]:
-    """Recompute per-scope spend by summing the ledger in order.
-
-    Uses the same left-to-right float addition as the live accountant, so a
-    faithful ledger reproduces `spent` exactly, not just approximately.
-    """
-    totals: dict[str, float] = {}
-    for rec in ledger:
-        totals[rec.scope_id] = totals.get(rec.scope_id, 0.0) + rec.amount
-    return totals
-
-
 def power_bound(epsilon_spent: float, alpha: float = DEFAULT_ALPHA) -> float:
     """Interpretive bound e^eps * alpha on any level-alpha membership test's
     true positive rate.  Vacuous (inf) once the spend is astronomically

@@ -1,7 +1,8 @@
-"""Audit harness: sampler goodness-of-fit, black-box DP-violation search
-(built-in targets release through `mechanisms.release`, as a query does) and
-empirical stability/sensitivity verification.  Exported: what `dpcore audit`
-and perfbench import; other names come from their modules."""
+"""Audit harness: sampler goodness-of-fit and black-box DP-violation search
+(built-in targets release through `mechanisms.release`, as a query does).
+The exhaustive stability and sensitivity checks are test code, in
+`tests/propcheck.py`.  Exported: what `dpcore audit` and perfbench import;
+other names come from their modules."""
 
 from .blackbox import (MechanismUnderTest, default_neighbor_suite, dp_hypothesis_test,
                        event_search)

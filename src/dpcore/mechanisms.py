@@ -22,7 +22,7 @@ import numpy as np
 
 from .accounting import PrivacyCharge, ScopeHandle
 from .errors import ContractViolation, ParameterError
-from .randomness import RandomSource, log_add, sample_discrete_laplace, sample_laplace
+from .randomness import RandomSource, sample_discrete_laplace, sample_laplace
 from .relational import StatVector
 
 if TYPE_CHECKING:  # annotations only: the audit releases without the registry
@@ -102,22 +102,6 @@ def laplace_mechanism(v: StatVector, eps: float, accountant: ScopeHandle, rng: R
                       discretize: bool = False) -> MechanismResult:
     """`release` through `laplace`, or `laplace_int` with `discretize`."""
     return release(v, "laplace_int" if discretize else "laplace", eps, accountant, rng)
-
-
-def exponential_mechanism_log_probabilities(
-    quality: np.ndarray, delta_q: float, eps: float
-) -> np.ndarray:
-    """Log selection probabilities b_i - log Z of the exponential mechanism,
-    with b_i = eps*q_i/(2 delta_q) and log Z summed by log_add.
-
-    Never leaves log scale, so no candidate's probability underflows to an
-    exact zero; the audit's ratio checks run on these values.
-    """
-    b = eps * np.asarray(quality, dtype=np.float64) / (2.0 * delta_q)
-    log_z = -math.inf
-    for bi in b:
-        log_z = log_add(log_z, float(bi))
-    return b - log_z
 
 
 def noisy_histogram(grouped_counts: StatVector, eps: float, accountant: ScopeHandle,

@@ -17,7 +17,6 @@ All samplers draw exclusively from the RandomSource they are handed.
 
 from __future__ import annotations
 
-import math
 import os
 from fractions import Fraction
 
@@ -27,7 +26,6 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 __all__ = [
     "RandomSource",
     "derive_source",
-    "log_add",
     "sample_laplace",
     "sample_discrete_laplace",
 ]
@@ -137,24 +135,6 @@ def derive_source(parent: RandomSource) -> RandomSource:
     distinct and statistically independent of the parent's future output.
     """
     return RandomSource(_key=parent.bytes(_KEY_BYTES))
-
-
-# ---------------------------------------------------------------------------
-# Log-domain arithmetic.
-# ---------------------------------------------------------------------------
-
-def log_add(x: float, y: float) -> float:
-    """log(a + b) given x = log a and y = log b, without leaving log scale.
-
-    -inf is a valid input (a = 0) and acts as the additive identity; finite
-    inputs never overflow.
-    """
-    if x == -math.inf:
-        return y
-    if y == -math.inf:
-        return x
-    z, v = (x, y) if x >= y else (y, x)
-    return z + math.log1p(math.exp(v - z))
 
 
 # ---------------------------------------------------------------------------

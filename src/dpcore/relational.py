@@ -281,7 +281,9 @@ def parse_schema(text: str) -> Schema:
 
 
 def load_schema(path: str) -> Schema:
-    with open(path, "r", encoding="utf-8") as fh:
+    """Parse a UTF-8 sidecar; a leading byte-order mark is not part of the
+    first column's name."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError:
@@ -372,7 +374,8 @@ def _read_column(col: ColumnMeta, cells: list[str]) -> np.ndarray | list:
 
 def read_csv(path: str, schema: Schema) -> np.ndarray:
     """Ingest a UTF-8 CSV whose header row matches the schema order into a
-    schema-corrected record array of `schema_dtype(schema)`.
+    schema-corrected record array of `schema_dtype(schema)`.  A leading
+    byte-order mark, as spreadsheet programs write, is dropped.
 
     Column by column: the records stream into one flat list of cells, and
     no per-row object outlives the read.  Errors come in the order the file
@@ -384,7 +387,7 @@ def read_csv(path: str, schema: Schema) -> np.ndarray:
     cells: list[str] = []
     wrong_arity = None
     lineno = 0  # records read, the header included: `csv line N` counts records
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)

@@ -2,7 +2,9 @@
 
 Everything here is deliberately written the slow, obvious way, using a
 different algorithm (and where possible a different numeric stack) from the
-implementation under test.
+implementation under test.  The last section holds reference code that no
+entry point runs: the ledger replay of acceptance criterion 5 and the
+log-domain exponential-mechanism weights of criterion 6.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 import mpmath
 import numpy as np
 
+from dpcore.accounting import PrivacyCharge
 from dpcore.audit.gof import _log_factorial
 from dpcore.errors import ContractViolation, ParameterError
 
@@ -259,3 +262,49 @@ def reference_step(kind: str, args: tuple, schema_in, schema_out, rows, rng, sta
     else:
         labels = (kind if not args else f"{kind}({args[0]})",)
     return values, labels, stability * influence, integral
+
+
+# ---------------------------------------------------------------------------
+# Reference code that no entry point runs.
+# ---------------------------------------------------------------------------
+
+def replay_spent(ledger: list[PrivacyCharge]) -> dict[str, float]:
+    """Recompute per-scope spend by summing the ledger in order.
+
+    Uses the same left-to-right float addition as the live accountant, so a
+    faithful ledger reproduces `spent` exactly, not just approximately.
+    """
+    totals: dict[str, float] = {}
+    for rec in ledger:
+        totals[rec.scope_id] = totals.get(rec.scope_id, 0.0) + rec.amount
+    return totals
+
+
+def log_add(x: float, y: float) -> float:
+    """log(a + b) given x = log a and y = log b, without leaving log scale.
+
+    -inf is a valid input (a = 0) and acts as the additive identity; finite
+    inputs never overflow.
+    """
+    if x == -math.inf:
+        return y
+    if y == -math.inf:
+        return x
+    z, v = (x, y) if x >= y else (y, x)
+    return z + math.log1p(math.exp(v - z))
+
+
+def exponential_mechanism_log_probabilities(
+    quality: np.ndarray, delta_q: float, eps: float
+) -> np.ndarray:
+    """Log selection probabilities b_i - log Z of the exponential mechanism,
+    with b_i = eps*q_i/(2 delta_q) and log Z summed by log_add.
+
+    Never leaves log scale, so no candidate's probability underflows to an
+    exact zero; the audit's ratio checks run on these values.
+    """
+    b = eps * np.asarray(quality, dtype=np.float64) / (2.0 * delta_q)
+    log_z = -math.inf
+    for bi in b:
+        log_z = log_add(log_z, float(bi))
+    return b - log_z

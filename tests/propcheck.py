@@ -17,9 +17,9 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from ..errors import ContractViolation
-from ..randomness import RandomSource
-from ..relational import (
+from dpcore.errors import ContractViolation
+from dpcore.randomness import RandomSource
+from dpcore.relational import (
     GroupedTable,
     Schema,
     StatVector,

@@ -13,20 +13,21 @@ import numpy as np
 import pytest
 
 import mpmath
-from dpcore.accounting import Accountant, PURE_EPS, power_bound, replay_spent
+from dpcore.accounting import Accountant, PURE_EPS, power_bound
 from dpcore.audit.blackbox import default_neighbor_suite
 from dpcore.audit.gof import AD_CRITICAL_99, anderson_darling, laplace_cdf
-from dpcore.audit.propcheck import expmech_ratio_check, stability_check
 from dpcore.audit.report import black_box_battery
 from dpcore.audit.targets import half_noise_laplace_count, laplace_count_target
-from dpcore.mechanisms import exponential_mechanism_log_probabilities, noisy_histogram
-from dpcore.randomness import RandomSource, log_add, sample_laplace
+from dpcore.mechanisms import noisy_histogram
+from dpcore.randomness import RandomSource, sample_laplace
 from dpcore.registry import DatasetRegistry
 from dpcore.relational import ColumnKind, ColumnMeta, Schema, StatVector, make_table
 from dpcore.service import QueryRequest, QueryService, ServiceConfig
 from dpcore.transforms import aggregate, group_by, self_union
 from doubles import ScriptedSource, SimulatedClock
-from oracles import linear_query_epsilon, max_column_l1
+from oracles import (exponential_mechanism_log_probabilities, linear_query_epsilon, log_add,
+                     max_column_l1, replay_spent)
+from propcheck import expmech_ratio_check, stability_check
 
 
 @pytest.fixture
@@ -122,7 +123,7 @@ def test_acceptance_doubled_sum_sensitivity(announce):
     v = aggregate(self_union(t), "sum", "wage")
     # Empirical cross-check at a scaled-down domain (same pipeline shape).
     small = Schema((ColumnMeta("wage", ColumnKind.INTEGER, lower=0, upper=3),))
-    from dpcore.audit.propcheck import sensitivity_check
+    from propcheck import sensitivity_check
     emp = sensitivity_check(lambda tt: aggregate(self_union(tt), "sum", "wage"),
                             6.0, small, [(0,), (1,), (3,)], max_rows=3, max_k=2)
     ok = v.l1_sensitivity == 600_000.0 and emp.passed

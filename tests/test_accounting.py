@@ -24,7 +24,6 @@ from dpcore.accounting import (
     PURE_EPS,
     PrivacyCharge,
     power_bound,
-    replay_spent,
 )
 from dpcore.errors import (
     BUDGET_EXCEEDED_MESSAGE,
@@ -34,7 +33,7 @@ from dpcore.errors import (
     UnknownScopeError,
 )
 from dpcore.service import ServiceConfig, build_accountant
-from oracles import linear_query_epsilon, max_column_l1, verify_accounting
+from oracles import linear_query_epsilon, max_column_l1, replay_spent, verify_accounting
 
 
 # -- charges and the ledger ----------------------------------------------------

@@ -30,11 +30,6 @@ from dpcore.audit.gof import (
     half_binomial_tail,
     laplace_cdf,
 )
-from dpcore.audit.propcheck import (
-    expmech_ratio_check,
-    sensitivity_check,
-    stability_check,
-)
 from dpcore.audit.report import audit_pair, black_box_battery
 from dpcore.audit.targets import (
     half_noise_laplace_count,
@@ -42,7 +37,6 @@ from dpcore.audit.targets import (
     laplace_sum_target,
 )
 from dpcore.errors import ContractViolation, ParameterError
-from dpcore.mechanisms import exponential_mechanism_log_probabilities
 from dpcore.randomness import sample_laplace
 from dpcore.relational import ColumnKind, ColumnMeta, Schema, StatVector, make_table
 from dpcore.transforms import (
@@ -62,8 +56,14 @@ from doubles import ScriptedSource
 from oracles import (
     anderson_darling_reference,
     event_search_reference,
+    exponential_mechanism_log_probabilities,
     half_binomial_tail_two_sided,
     laplace_cdf_mp,
+)
+from propcheck import (
+    expmech_ratio_check,
+    sensitivity_check,
+    stability_check,
 )
 
 

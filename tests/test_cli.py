@@ -784,6 +784,24 @@ def test_a_malformed_ingest_file_gets_one_error_line_and_no_handle(workspace, ca
     assert not datasets.exists() or os.listdir(datasets) == []
 
 
+def test_ingest_of_files_with_a_byte_order_mark_stores_the_unmarked_table(workspace, capsys):
+    """A CSV and a sidecar that start with `EF BB BF` ingest like the same
+    files without the mark: a handle on stdout, the same `table.npy`."""
+    assert _ingest(workspace, capsys) == "ds1"
+    for name in ("d.csv", "d.schema"):
+        marked = b"\xef\xbb\xbf" + (workspace / name).read_bytes()
+        (workspace / ("bom-" + name)).write_bytes(marked)
+    code, out = _run(["ingest", "--csv", str(workspace / "bom-d.csv"),
+                      "--schema", str(workspace / "bom-d.schema"),
+                      "--config", str(workspace / "cfg.json")], capsys)
+    assert (code, out) == (0, "ds2\n")
+    stored = [np.load(workspace / "state" / "datasets" / handle / "table.npy", allow_pickle=False)
+              for handle in ("ds1", "ds2")]
+    assert stored[1].dtype == stored[0].dtype and stored[1].tobytes() == stored[0].tobytes()
+    assert load_schema(str(workspace / "state" / "datasets" / "ds2" / "schema.txt")) == \
+        load_schema(str(workspace / "d.schema"))
+
+
 @pytest.mark.parametrize("key, value", [("ledger", True), ("state_dir", 7)])
 def test_a_config_path_that_is_not_a_string_gets_one_error_line(workspace, capsys, key, value):
     """`"ledger": true` opened fd 1 as the ledger and `"state_dir": 7` reached

@@ -14,14 +14,6 @@ import dpcore
 SRC = pathlib.Path(dpcore.__file__).parent
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
-#: Definitions that only the tests read, each kept for a reason of its own.
-TEST_ONLY = {
-    "replay_spent": "the reference replay of acceptance criterion 5 and the ledger tests",
-    "exponential_mechanism_log_probabilities": "acceptance criterion 6; ROADMAP item 6 ships it",
-    "sensitivity_check": "ROADMAP item 7 wires it into `dpcore audit --plan`",
-    "expmech_ratio_check": "ROADMAP item 7 wires it into `dpcore audit --plan`",
-}
-
 
 def _imported(tree: ast.Module) -> dict[str, int]:
     """Name bound by each import -> its line."""
@@ -58,8 +50,8 @@ def test_no_module_imports_hashlib():
 def test_every_src_definition_has_a_shipped_reader():
     """A top-level `def` or `class` under `src/dpcore` is read, as a name,
     an attribute or an imported name, somewhere in `src/dpcore` or in
-    perfbench's non-test modules.  Code that only the tests reach belongs
-    in `tests/` or nowhere."""
+    perfbench's non-test modules, with no exemption.  Code that only the
+    tests reach belongs in `tests/` or nowhere."""
     readers = sorted(SRC.rglob("*.py")) + sorted(
         p for p in PERFBENCH.glob("*.py") if not p.name.startswith("test_"))
     read = set()
@@ -71,19 +63,19 @@ def test_every_src_definition_has_a_shipped_reader():
                 read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 read.update(alias.name for alias in node.names)
-    unread = {node.name: path.relative_to(SRC)
+    unread = [f"{path.relative_to(SRC)}: {node.name}"
               for path in sorted(SRC.rglob("*.py"))
               for node in ast.parse(path.read_text(encoding="utf-8")).body
               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-              and node.name not in read}
-    assert [f"{path}: {name}" for name, path in unread.items() if name not in TEST_ONLY] == []
-    assert TEST_ONLY.keys() <= unread.keys()  # an exemption that gained a reader is stale
+              and node.name not in read]
+    assert unread == []
 
 
 def test_only_mechanisms_release_charges_a_scope():
     """Outside the accountant, one function calls `.charge(`: the decision
     of what ships, what it charges and what noise it draws is made in
-    `mechanisms.release` alone, and `dpcore.gateway` is gone."""
+    `mechanisms.release` alone.  `dpcore.gateway` is gone, and so is
+    `dpcore.audit.propcheck`, which only the tests read (`tests/propcheck.py`)."""
     callers = []
     for path in sorted(SRC.rglob("*.py")):
         if path.name == "accounting.py":
@@ -94,5 +86,6 @@ def test_only_mechanisms_release_charges_a_scope():
                         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                         and node.func.attr == "charge"]
     assert callers == [("mechanisms.py", "release")]
-    with pytest.raises(ModuleNotFoundError):
-        importlib.import_module("dpcore.gateway")
+    for gone in ("dpcore.gateway", "dpcore.audit.propcheck"):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(gone)

@@ -8,7 +8,6 @@ from dpcore.errors import BudgetExceededError, ContractViolation, ParameterError
 from dpcore.mechanisms import (
     EPSILON_SENSITIVITY_FLOOR,
     MECHANISMS,
-    exponential_mechanism_log_probabilities,
     laplace_mechanism,
     noisy_histogram,
     release,
@@ -16,7 +15,7 @@ from dpcore.mechanisms import (
 from dpcore.relational import ColumnKind, ColumnMeta, Schema, StatVector, make_table
 from dpcore.transforms import aggregate, group_by
 from doubles import ScriptedSource, zero_noise_source
-from oracles import logsumexp_mp
+from oracles import exponential_mechanism_log_probabilities, logsumexp_mp
 
 
 def _vec(values, sens=1.0):

@@ -11,12 +11,11 @@ from scipy import stats
 from dpcore.randomness import (
     RandomSource,
     derive_source,
-    log_add,
     sample_discrete_laplace,
     sample_laplace,
 )
 from doubles import ScriptedSource, zero_noise_source
-from oracles import log_add_mp, two_sided_geometric_pmf
+from oracles import log_add, log_add_mp, two_sided_geometric_pmf
 
 
 # -- the random source itself -------------------------------------------------

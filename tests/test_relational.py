@@ -331,6 +331,26 @@ def test_read_csv_reports_the_first_error_the_whole_file_shows(tmp_path, data, m
     assert str(exc.value) == message
 
 
+def test_a_byte_order_mark_changes_neither_the_schema_nor_the_records(tmp_path):
+    """Spreadsheet programs start a UTF-8 file with `EF BB BF`.  A marked CSV
+    was refused as `csv header does not match schema`, and a marked sidecar
+    put the mark in front of its first column's name; either file, marked or
+    not, now gives the same schema and the same record bytes."""
+    sidecar = "n int -5 5\nx real -1.5 2.0\ng cat a b,c c\n"
+    text = 'n,x,g\r\n1,-0.0,"b,c"\r\n9,nan,a\r\n'
+    for name, body in (("s.txt", sidecar), ("d.csv", text)):
+        (tmp_path / name).write_bytes(body.encode("utf-8"))
+        (tmp_path / ("bom-" + name)).write_bytes(b"\xef\xbb\xbf" + body.encode("utf-8"))
+    expected = read_csv(str(tmp_path / "d.csv"), _EDGE_SCHEMA)
+    for sidecar_name in ("s.txt", "bom-s.txt"):
+        schema = load_schema(str(tmp_path / sidecar_name))
+        assert schema == _EDGE_SCHEMA
+        for csv_name in ("d.csv", "bom-d.csv"):
+            array = read_csv(str(tmp_path / csv_name), schema)
+            assert array.dtype == expected.dtype
+            assert array.tobytes() == expected.tobytes()
+
+
 def test_reading_a_csv_leaves_no_row_for_the_collector(tmp_path):
     """No per-row object outlives the read, so with collection on 10^5 rows
     run no generation-2 collection (each would walk every live object)."""
