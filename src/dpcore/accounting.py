@@ -162,32 +162,37 @@ class Accountant:
         """Atomically spend `amount` from the scope or deny without side
         effects.  Denial raises BudgetExceededError with a uniform message.
         The check and the write hold the ledger's `flock`, after applying
-        what other processes appended, so processes cannot overspend together."""
+        what other processes appended, so processes cannot overspend together.
+        The ledger is read only when its size is not `_offset`, or at
+        `_offset` 0, where `_apply_appended` loads the checkpoint."""
         if not amount >= 0:
             raise ParameterError("charge amount must be nonnegative")
         amount = float(amount) + 0.0  # the repr replay reads: no -0.0, no numpy scalar
         self._check_process()
         fh = self._ledger_file
+        fd = fh.fileno()  # a closed ledger raises here, before anything is spent
         with self._lock:
-            fcntl.flock(fh, fcntl.LOCK_EX)
+            fcntl.flock(fd, fcntl.LOCK_EX)
             try:
-                self._apply_appended(fh)
+                # The seek to the end also places a temporary ledger's next line.
+                if not self._offset or os.lseek(fd, 0, os.SEEK_END) != self._offset:
+                    self._apply_appended(fh)
                 scope = self._scope(scope_id)
-                spent = self._totals.get(scope_id, 0.0)
-                if spent + amount > scope.budget:
+                spent = self._totals.get(scope_id, 0.0) + amount
+                if spent > scope.budget:
                     raise BudgetExceededError()
                 record = PrivacyCharge(self._seq + 1, scope_id, scope.kind, amount,
                                        mechanism, time.time())
-                line = (record.to_line() + "\n").encode("utf-8")
+                line = (record.to_line() + "\n").encode()
                 if fh.write(line) != len(line):  # the next catch-up cuts the part
                     raise OSError("a ledger line was written in part")
                 self._offset += len(line)
                 if self._hash:
                     self._hash.update(line)
                 self._seq = record.seq
-                self._totals[scope_id] = spent + amount
+                self._totals[scope_id] = spent
             finally:
-                fcntl.flock(fh, fcntl.LOCK_UN)
+                fcntl.flock(fd, fcntl.LOCK_UN)
         return record
 
     def replay_ledger(self) -> None:

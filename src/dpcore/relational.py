@@ -19,6 +19,7 @@ import collections
 import csv
 import enum
 import functools
+import io
 import itertools
 import math
 import sys
@@ -352,12 +353,19 @@ def _parsed(col: ColumnMeta, cells: Sequence[str]) -> list:
     return values
 
 
+def _corrected(col: ColumnMeta, a: np.ndarray) -> np.ndarray:
+    """A numeric column's parsed values with the ones outside its bounds, NaN
+    too, replaced in place by `correct`'s; an in-bounds value keeps its exact
+    bits."""
+    bad = np.flatnonzero(~((a >= col.lower) & (a <= col.upper)))
+    a[bad] = [col.correct(v) for v in a[bad].tolist()]
+    return a
+
+
 def _read_column(col: ColumnMeta, cells: list[str]) -> np.ndarray | list:
     """One column's CSV cells as stored (see `_column`), parsed straight into
-    an array; only the cells outside the bounds, NaN too, go through
-    `correct`, so an in-bounds cell keeps its exact bits.  An int past int64
-    or an unparseable cell takes the cell-by-cell path, which clamps the one
-    and reports the other."""
+    an array and `_corrected`.  An int past int64 or an unparseable cell
+    takes the cell-by-cell path, which clamps the one and reports the other."""
     if col.kind is ColumnKind.CATEGORICAL:
         code = {v: i for i, v in enumerate(col.values)}
         return np.fromiter(map(code.get, cells, itertools.repeat(0)), np.int64, len(cells))
@@ -367,9 +375,87 @@ def _read_column(col: ColumnMeta, cells: list[str]) -> np.ndarray | list:
                         np.int64 if integer else np.float64, len(cells))
     except (ValueError, OverflowError):
         return _column(col, _parsed(col, cells))
-    bad = np.flatnonzero(~((a >= col.lower) & (a <= col.upper)))
-    a[bad] = [col.correct(v) for v in a[bad].tolist()]
-    return a
+    return _corrected(col, a)
+
+
+def _codes(col: ColumnMeta, cells: np.ndarray) -> np.ndarray:
+    """A categorical column's cells as codes into its domain, found in the
+    sorted domain; a cell outside the domain gets the sentinel code 0."""
+    domain = np.array(col.values)
+    order = np.argsort(domain)
+    at = order[np.searchsorted(domain, cells, sorter=order).clip(max=len(order) - 1)]
+    return np.where(domain[at] == cells, at, 0)
+
+
+#: The bytes of a plain CSV: printable ASCII but `"`, and the line feed.
+_PLAIN_BYTES = bytes(b for b in range(0x20, 0x7F) if b != ord('"')) + b"\n"
+
+
+def _read_plain(data: bytes, schema: Schema) -> np.ndarray | None:
+    """The records of a plain CSV, parsed by numpy's C reader, or None for
+    any other file, which `_read_general` reads.  A plain file holds only
+    `_PLAIN_BYTES`, at least one record, no empty line and no line longer
+    than `csv` and `int` accept in one field, and its header split on `,` is
+    the schema's names.  Each guard keeps out files the two readers read
+    apart: numpy reads `"\\x1c5"` as 5 where `int` refuses it (quotes and
+    CR are `csv`'s to read), skips an empty line that `csv` counts as a
+    record of wrong arity, has neither `csv`'s field-size limit nor `int`'s
+    digit limit, and drops a string's trailing NULs, so a domain value
+    ending in NUL would match the cell without them.  A string cell is read
+    at one more than the longest domain value's width, so a longer cell,
+    cut short, still matches none.  A cell numpy cannot read, or a wrong
+    arity, also defers, so every error comes from `_read_general`."""
+    if data.translate(None, _PLAIN_BYTES) \
+            or any(v.endswith("\0") for col in schema.columns for v in col.values):
+        return None
+    lines = data.decode("ascii").split("\n")
+    if not lines[-1]:
+        lines.pop()
+    limit = min(csv.field_size_limit(), sys.get_int_max_str_digits() or sys.maxsize)
+    if len(lines) < 2 or "" in lines or max(map(len, lines)) > limit \
+            or tuple(lines[0].split(",")) != schema.names:
+        return None
+    numeric = {ColumnKind.INTEGER: "<i8", ColumnKind.REAL: "<f8"}
+    dtype = np.dtype([(c.name, numeric.get(c.kind) or f"U{max(map(len, c.values)) + 1}")
+                      for c in schema.columns])
+    try:
+        parsed = np.loadtxt(lines[1:], dtype, delimiter=",", comments=None,
+                            quotechar=None, ndmin=1)
+    except ValueError:
+        return None
+    return build_records(schema, [
+        (_corrected if col.is_numeric else _codes)(col, parsed[col.name])
+        for col in schema.columns])
+
+
+def _read_general(data: bytes, schema: Schema) -> np.ndarray:
+    """The records of any CSV, through `csv.reader`: the reference that
+    `_read_plain` must match, and the source of every `read_csv` error."""
+    width = len(schema)
+    cells: list[str] = []
+    wrong_arity = None
+    lineno = 0  # records read, the header included: `csv line N` counts records
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=""))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ContractViolation("csv has no header row")
+        if tuple(header) != schema.names:
+            raise ContractViolation("csv header does not match schema")
+        lineno = 1
+        for lineno, record in enumerate(reader, start=2):
+            if len(record) == width:
+                cells += record
+            elif wrong_arity is None:
+                wrong_arity = lineno
+    except UnicodeDecodeError:
+        raise ContractViolation("csv is not UTF-8 text") from None
+    except csv.Error as exc:
+        raise ContractViolation(f"csv line {lineno + 1}: {exc}") from None
+    if wrong_arity is not None:
+        raise ContractViolation(f"csv line {wrong_arity}: wrong arity")
+    return build_records(schema, [_read_column(col, cells[i::width])
+                                  for i, col in enumerate(schema.columns)])
 
 
 def read_csv(path: str, schema: Schema) -> np.ndarray:
@@ -377,38 +463,18 @@ def read_csv(path: str, schema: Schema) -> np.ndarray:
     schema-corrected record array of `schema_dtype(schema)`.  A leading
     byte-order mark, as spreadsheet programs write, is dropped.
 
-    Column by column: the records stream into one flat list of cells, and
-    no per-row object outlives the read.  Errors come in the order the file
-    would show them whole: a reader error anywhere (bytes that are not
-    UTF-8, a field over the csv module's limit), then the lowest line of
-    wrong arity, then the first column in schema order with an unparseable
-    cell, at that cell's line."""
-    width = len(schema)
-    cells: list[str] = []
-    wrong_arity = None
-    lineno = 0  # records read, the header included: `csv line N` counts records
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise ContractViolation("csv has no header row")
-            if tuple(header) != schema.names:
-                raise ContractViolation("csv header does not match schema")
-            lineno = 1
-            for lineno, record in enumerate(reader, start=2):
-                if len(record) == width:
-                    cells += record
-                elif wrong_arity is None:
-                    wrong_arity = lineno
-        except UnicodeDecodeError:
-            raise ContractViolation("csv is not UTF-8 text") from None
-        except csv.Error as exc:
-            raise ContractViolation(f"csv line {lineno + 1}: {exc}") from None
-    if wrong_arity is not None:
-        raise ContractViolation(f"csv line {wrong_arity}: wrong arity")
-    return build_records(schema, [_read_column(col, cells[i::width])
-                                  for i, col in enumerate(schema.columns)])
+    A plain file (see `_read_plain`) is parsed by numpy's C reader; any
+    other, or one that reader refuses, by `csv.reader` (`_read_general`).
+    Both give the same bytes, and every error comes from `csv.reader`'s
+    path.  Column by column: no per-row object outlives the read.  Errors
+    come in the order the file would show them whole: a reader error
+    anywhere (bytes that are not UTF-8, a field over the csv module's
+    limit), then the lowest line of wrong arity, then the first column in
+    schema order with an unparseable cell, at that cell's line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    array = _read_plain(data, schema)
+    return _read_general(data, schema) if array is None else array
 
 
 def load_csv(path: str, schema: Schema) -> Table:

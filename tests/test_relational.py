@@ -1,11 +1,14 @@
 import csv
 import gc
 import math
+import random
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from dpcore import relational
 from dpcore.errors import ContractViolation, UnknownColumnError
 from dpcore.registry import DatasetRegistry
 from dpcore.relational import (
@@ -369,6 +372,114 @@ def test_reading_a_csv_leaves_no_row_for_the_collector(tmp_path):
         if not enabled:
             gc.disable()
     assert len(array) == 10**5 and after == before
+
+
+# -- the plain fast path against csv.reader -------------------------------------
+
+_HOSTILE_SCHEMA = parse_schema("n int -5 5\nx real -1.5 2.0\ng cat a bb c\n")
+#: numpy drops a string's trailing NULs, so this domain's `c\0` would match `c`.
+_NUL_SCHEMA = parse_schema("n int -5 5\nx real -1.5 2.0\ng cat a bb c\0\n")
+
+#: Cells on which numpy's reader and Python's `int`/`float` or `csv` could
+#: part: unicode digits and separators, underscores, padding, int64's edges,
+#: a run of digits past `int`'s digit limit, every NaN and infinity
+#: spelling, and categoricals longer than any domain value.
+_HOSTILE_CELLS = (
+    "0", "5", "-5", "+3", " 4", "4 ", "07", "-0", "9", "1_0", "٣", "\x1c5", "5\x1c",
+    "5.0", "", "x", "99999999999999999999", "-9223372036854775808",
+    "9223372036854775808", "0" * 700 + "1",
+    "0.5", "-0.0", "1.25", "-1.5", "2.0", "nan", "-nan", "NaN", "inf", "-Infinity",
+    "infinity", "+inf", "1e999", "1e-300", " 1.5", "1.5 ", "1_0.5", ".5", "2.", "1E+0",
+    "0x1p0", "٣.5", "nans",
+    "a", "bb", "c", "b", "bbb", "bbbb", " a", "a ", "A", "é", "#a", "a\\",
+    '"a"', '"b,b"', '"x\ny"', '"', "a\rb",
+)
+
+def _column_cells(valid):
+    """A column's own cell five times in six, else any hostile cell."""
+    hostile = st.one_of(st.sampled_from(_HOSTILE_CELLS),
+                        st.text(alphabet="0123456789.-+eE_ nai", max_size=6))
+    return st.tuples(st.sampled_from([True] * 5 + [False]), valid, hostile).map(
+        lambda t: t[1] if t[0] else t[2])
+
+
+_hostile_row = st.tuples(
+    _column_cells(st.integers(-9, 9).map(str)),
+    _column_cells(st.floats(-3.0, 3.0).map(repr)),
+    _column_cells(st.sampled_from(["a", "bb", "c", "bbb"])),
+).map(",".join)
+
+
+@st.composite
+def _hostile_csv(draw) -> str:
+    """Mostly a plain file of the hostile schema, now and then with a
+    stray header, arity, line ending or blank line."""
+    header = draw(st.sampled_from(["n,x,g"] * 6 + ["n,g,x", "n,x"]))
+    ending = draw(st.sampled_from(["\n"] * 6 + ["\r\n"]))
+    lines = [header] + draw(st.lists(_hostile_row, max_size=5))
+    if lines[1:] and draw(st.integers(0, 9)) == 0:
+        lines[-1] += draw(st.sampled_from([",a", ""]))
+    if draw(st.integers(0, 9)) == 0:
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    return ending.join(lines) + draw(st.sampled_from([ending, ending, ""]))
+
+
+def _outcome(read, *args):
+    try:
+        array = read(*args)
+    except ContractViolation as exc:
+        return "refused", str(exc)
+    return array.dtype, array.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@example(text="n,x,g\n" + "0" * 700 + "1,0.5,a\n", field_limit=131072, schema=_HOSTILE_SCHEMA)
+@example(text="n,x,g\n1,0.5,a\n2,0." + "5" * 30 + ",a\n", field_limit=20, schema=_HOSTILE_SCHEMA)
+@given(text=_hostile_csv(), field_limit=st.sampled_from([20, 131072]),
+       schema=st.sampled_from([_HOSTILE_SCHEMA] * 3 + [_NUL_SCHEMA]))
+def test_the_plain_reader_defers_or_gives_the_general_readers_bytes(tmp_path_factory, text,
+                                                                    field_limit, schema):
+    """numpy's reader either defers or returns `csv.reader`'s bytes, and
+    `read_csv` always gives the general path's array or error.  The field
+    and `int` digit limits are lowered so that over-long lines are cheap."""
+    data = text.encode("utf-8")
+    (path := tmp_path_factory.mktemp("csv") / "d.csv").write_bytes(data)
+    old_limit, old_digits = csv.field_size_limit(field_limit), sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        general = _outcome(relational._read_general, data, schema)
+        plain = relational._read_plain(data, schema)
+        assert plain is None or (plain.dtype, plain.tobytes()) == general
+        assert _outcome(read_csv, str(path), schema) == general
+    finally:
+        csv.field_size_limit(old_limit)
+        sys.set_int_max_str_digits(old_digits)
+
+
+def test_a_perfbench_shaped_file_takes_the_plain_path(tmp_path, monkeypatch):
+    """A file as the benchmark writes it (repr'd floats, 0.5% of cells out of
+    their domain) never reaches `csv.reader`, and gives its bytes."""
+    schema = parse_schema("age int 0 99\nregion cat north south east west\n"
+                          "tier int 0 3\nincome real 0.0 200.0\nscore int 0 100\n")
+    rng = random.Random(7)
+    lines = ["age,region,tier,income,score"]
+    for _ in range(2000):
+        lines.append(",".join([
+            str(rng.choice([rng.randint(0, 99), -3, 140])),
+            rng.choice(["north", "south", "east", "west", "unknown"]),
+            str(rng.randint(0, 3)),
+            repr(rng.choice([round(rng.uniform(0.0, 200.0), 3), -0.5, 250.25, -0.0])),
+            str(rng.randint(-1, 101))]))
+    data = ("\n".join(lines) + "\n").encode()
+    (tmp_path / "d.csv").write_bytes(data)
+    expected = relational._read_general(data, schema)
+
+    def refuse(*_):
+        raise AssertionError("the general path read a plain file")
+
+    monkeypatch.setattr(relational, "_read_general", refuse)
+    array = read_csv(str(tmp_path / "d.csv"), schema)
+    assert array.dtype == expected.dtype and array.tobytes() == expected.tobytes()
 
 
 def _stored(root, schema_text: str, array) -> DatasetRegistry:
