@@ -21,7 +21,7 @@ import stat
 import sys
 from typing import NoReturn
 
-from .errors import BudgetExceededError, ContractViolation, ParameterError
+from .errors import BudgetExceededError, ContractViolation
 
 #: The environment dpcore was started with: `--external` commands run in it.
 _CALLER_ENV = dict(os.environ)
@@ -71,6 +71,8 @@ class CliState:
                 raw = json.load(fh)
         except FileNotFoundError:
             return
+        except ValueError:  # bytes that are not UTF-8, or text that is not JSON
+            raise ContractViolation("sessions.json is unreadable") from None
         self.service.restore_sessions(raw)
 
     def save_sessions(self) -> None:
@@ -235,11 +237,7 @@ def _cmd_audit(args) -> int:
         target, suite, eps_values, RandomSource.from_os_entropy(),
         n_search=args.n_search, n_test=args.n_test, repetitions=args.reps,
     )
-    text = report.to_text()
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+    sys.stdout.write(report.to_text())
     return report.exit_code
 
 
@@ -300,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "misses more often at few repetitions: the correct laplace_count at "
                         "--n-search 1000 --n-test 1000 exited 2 in 317, 120, 8, 0 and 0 of "
                         "1000 runs at --reps 1, 2, 5, 10 and 50")
-    p.add_argument("--report")
     p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("serve", help="line-delimited JSON protocol over a unix socket")
@@ -318,7 +315,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (ContractViolation, ParameterError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -6,8 +6,9 @@ Sources are keyed only from operating-system entropy or by derivation from
 another source.  There is no integer-seed constructor, no seed flag and no
 way to persist a seed: that is the API contract, not an omission.
 
-`sample_laplace` transforms full-precision float uniforms;
-`sample_discrete_laplace` draws only integers and is exact.
+`sample_laplace` transforms full-precision float uniforms and, like
+`uniform_full` and `signs`, takes a count and returns an array of that many
+draws; `sample_discrete_laplace` draws one integer and is exact.
 A full-precision uniform takes one 64-bit keystream word (and a fresh word
 for one value in 4096), and a sign takes one keystream bit, so a Laplace
 draw reads about 8.13 keystream bytes.
@@ -47,7 +48,7 @@ class RandomSource:
     def __init__(self, *, _key: bytes | None = None) -> None:
         # No user-facing seed path: the only key material accepted is the
         # module-internal derivation hook; everything else is OS entropy.
-        key = _key if _key is not None else os.urandom(_KEY_BYTES)
+        key = os.urandom(_KEY_BYTES) if _key is None else _key
         cipher = Cipher(algorithms.ChaCha20(key, _ZERO_NONCE), mode=None)
         self._encryptor = cipher.encryptor()
 
@@ -83,8 +84,9 @@ class RandomSource:
 
     # -- uniforms -----------------------------------------------------------
 
-    def uniform_full(self, n: int | None = None):
-        """Uniform over representable floats in (0, 1), not just a 2^-53 grid.
+    def uniform_full(self, n: int) -> np.ndarray:
+        """n uniforms over representable floats in (0, 1), not just a 2^-53
+        grid.
 
         Each value is (2^52 + m) * 2^(-53-k): the significand m is bits
         63..12 of one word and k ~ Geometric(1/2) is the number of trailing
@@ -96,8 +98,7 @@ class RandomSource:
         p >= 2^-1022; the all-ones word gives 1 - 2^-53.  This is the uniform
         behind the inverse-CDF samplers and `bernoulli_sample`.
         """
-        size = n if n is not None else 1
-        words = self.u64(size)
+        words = self.u64(n)
         low = words.view(np.int64) & 0xFFF  # an intp index gathers fastest
         out = ((words >> np.uint64(12)) | np.uint64(1 << 52)).astype(np.float64)
         out *= _LOW12_SCALE[low]
@@ -107,18 +108,16 @@ class RandomSource:
             lowest = (words & (~words + np.uint64(1))).astype(np.float64)  # 2^zeros
             out[lanes] /= np.where(lowest == 0, 2.0 ** 64, lowest)  # exact
             lanes = lanes[lowest == 0]
-        return out if n is not None else float(out[0])
+        return out
 
-    def signs(self, n: int | None = None):
-        """Independent +/-1 values, one keystream bit each: bit i of the
+    def signs(self, n: int) -> np.ndarray:
+        """n independent +/-1 values, one keystream bit each: bit i of the
         stream, most significant bit of each byte first, is value i, and a
         set bit is +1."""
-        size = n if n is not None else 1
-        bits = np.unpackbits(np.frombuffer(self.bytes((size + 7) // 8), np.uint8),
-                             count=size)
+        bits = np.unpackbits(np.frombuffer(self.bytes((n + 7) // 8), np.uint8), count=n)
         s = bits * 2.0
         s -= 1.0
-        return s if n is not None else float(s[0])
+        return s
 
 
 _LOW12 = np.arange(1 << 12) | 1 << 12
@@ -143,23 +142,22 @@ def derive_source(parent: RandomSource) -> RandomSource:
 # rule (eps/sensitivity >= 1e-3) is enforced one layer up, in mechanisms.
 # ---------------------------------------------------------------------------
 
-def sample_laplace(rng: RandomSource, scale: float, size: int | None = None):
-    """Laplace(0, scale): a random sign on an Exp(scale) magnitude.
+def sample_laplace(rng: RandomSource, scale: float, size: int) -> np.ndarray:
+    """`size` Laplace(0, scale) draws: a random sign on an Exp(scale) magnitude.
 
     Equivalent to inverse-CDF sampling with a symmetric full-precision
     uniform, without the precision loss of forming 1 - 2|u|.
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
-    n = size if size is not None else 1
-    out = np.empty(n)
-    for start in range(0, n, _BLOCK):
+    out = np.empty(size)
+    for start in range(0, size, _BLOCK):
         block = out[start:start + _BLOCK]
         signs = rng.signs(len(block))
         np.log(rng.uniform_full(len(block)), out=block)
         block *= signs  # exact, so the result is sign * (-scale * ln u)
         block *= -scale
-    return out if size is not None else float(out[0])
+    return out
 
 
 def _bernoulli_exp(rng: RandomSource, num: int, den: int) -> bool:

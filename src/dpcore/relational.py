@@ -78,21 +78,13 @@ class ColumnMeta:
     def is_numeric(self) -> bool:
         return self.kind is not ColumnKind.CATEGORICAL
 
-    def contains(self, value: Value) -> bool:
-        if self.kind is ColumnKind.CATEGORICAL:
-            return value in self.values
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            return False
-        if self.kind is ColumnKind.INTEGER and isinstance(value, float) \
-                and not value.is_integer():  # NaN and infinities too
-            return False
-        return self.lower <= value <= self.upper
-
     def correct(self, value: Value) -> Value:
-        """Map an arbitrary value into the declared domain.
+        """Map an arbitrary value into the declared domain: the one domain
+        rule every stored number passes (`_column`, `_corrected`).
 
-        Numeric values are clamped, infinities too; NaN and anything
-        non-numeric on a numeric column land on the lower bound.  Unknown
+        A value already in the domain is returned as it is.  Numeric values
+        are clamped, infinities too; NaN and anything non-numeric on a
+        numeric column (a `bool` too) land on the lower bound.  Unknown
         categorical values map to the first declared domain value
         (deterministic sentinel).
         """
@@ -323,23 +315,20 @@ def table_from_array(schema: Schema, array: np.ndarray) -> Table:
     return table
 
 
-def _column(col: ColumnMeta, values: Sequence) -> list:
-    """One column's values corrected into its declared domain, as stored:
-    numbers as they are, categoricals as codes."""
+def _column(col: ColumnMeta, values: Sequence) -> np.ndarray:
+    """One column's values as stored: each number as `correct` gives it,
+    and categoricals as codes (`_lookup_codes`)."""
     if col.kind is ColumnKind.CATEGORICAL:
-        code = {v: i for i, v in enumerate(col.values)}
-        stored = [code.get(v, -1) for v in values]
-        bad = [i for i, c in enumerate(stored) if c < 0]
-    else:
-        # The type test skips `contains` for the common in-bounds cell.
-        fast = (int,) if col.kind is ColumnKind.INTEGER else (int, float)
-        lo, hi = col.lower, col.upper
-        stored = list(values)
-        bad = [i for i, v in enumerate(stored)
-               if not (type(v) in fast and lo <= v <= hi or col.contains(v))]
-    for i in bad:
-        stored[i] = 0 if col.kind is ColumnKind.CATEGORICAL else col.correct(values[i])
-    return stored
+        return _lookup_codes(col, values)
+    dtype = np.int64 if col.kind is ColumnKind.INTEGER else np.float64
+    return np.fromiter(map(col.correct, values), dtype, len(values))
+
+
+def _lookup_codes(col: ColumnMeta, values: Sequence) -> np.ndarray:
+    """A categorical column's values as codes into its domain; any other
+    value gets the sentinel code 0, `correct`'s first domain value."""
+    code = {v: i for i, v in enumerate(col.values)}
+    return np.fromiter(map(code.get, values, itertools.repeat(0)), np.int64, len(values))
 
 
 def _parsed(col: ColumnMeta, cells: Sequence[str]) -> list:
@@ -362,13 +351,12 @@ def _corrected(col: ColumnMeta, a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _read_column(col: ColumnMeta, cells: list[str]) -> np.ndarray | list:
+def _read_column(col: ColumnMeta, cells: list[str]) -> np.ndarray:
     """One column's CSV cells as stored (see `_column`), parsed straight into
     an array and `_corrected`.  An int past int64 or an unparseable cell
     takes the cell-by-cell path, which clamps the one and reports the other."""
     if col.kind is ColumnKind.CATEGORICAL:
-        code = {v: i for i, v in enumerate(col.values)}
-        return np.fromiter(map(code.get, cells, itertools.repeat(0)), np.int64, len(cells))
+        return _lookup_codes(col, cells)
     integer = col.kind is ColumnKind.INTEGER
     try:
         a = np.fromiter(map(int if integer else float, cells),

@@ -67,6 +67,6 @@ def accountant_bypass_laplace_count(scope) -> MechanismUnderTest:
     def run(table: Table, eps: float, rng: RandomSource) -> float:
         v = aggregate(table, "count")
         # No scope.charge(...) call: that is the bug.
-        return float(v.values[0] + sample_laplace(rng, v.l1_sensitivity / eps))
+        return float(v.values[0] + sample_laplace(rng, v.l1_sensitivity / eps, size=1)[0])
 
     return MechanismUnderTest("bug:accountant_bypass", run)

@@ -3,8 +3,9 @@
 Everything here is deliberately written the slow, obvious way, using a
 different algorithm (and where possible a different numeric stack) from the
 implementation under test.  The last section holds reference code that no
-entry point runs: the ledger replay of acceptance criterion 5 and the
-log-domain exponential-mechanism weights of criterion 6.
+entry point runs: the ledger replay of acceptance criterion 5, the
+log-domain exponential-mechanism weights of criterion 6, and the earlier
+membership test and stored-value rule that `ColumnMeta.correct` replaced.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 from dpcore.accounting import PrivacyCharge
 from dpcore.audit.gof import _log_factorial
 from dpcore.errors import ContractViolation, ParameterError
+from dpcore.relational import ColumnKind
 
 mpmath.mp.dps = 50  # 50 significant digits everywhere in this module
 
@@ -267,6 +269,40 @@ def reference_step(kind: str, args: tuple, schema_in, schema_out, rows, rng, sta
 # ---------------------------------------------------------------------------
 # Reference code that no entry point runs.
 # ---------------------------------------------------------------------------
+
+def contains(col, value) -> bool:
+    """Whether `value` is in `col`'s declared domain as it is: no `bool`, and
+    no fractional, NaN or infinite float on an `int` column."""
+    if col.kind is ColumnKind.CATEGORICAL:
+        return value in col.values
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    if col.kind is ColumnKind.INTEGER and isinstance(value, float) \
+            and not value.is_integer():  # NaN and infinities too
+        return False
+    return col.lower <= value <= col.upper
+
+
+def stored_column_reference(col, values) -> list:
+    """One column's values corrected into its declared domain, as stored,
+    by the rule `make_table` used before `correct` was its only one: a value
+    `contains` accepts is kept as it is, any other is `correct`ed, and a
+    categorical outside the domain gets code 0."""
+    if col.kind is ColumnKind.CATEGORICAL:
+        code = {v: i for i, v in enumerate(col.values)}
+        stored = [code.get(v, -1) for v in values]
+        bad = [i for i, c in enumerate(stored) if c < 0]
+    else:
+        # The type test skips `contains` for the common in-bounds cell.
+        fast = (int,) if col.kind is ColumnKind.INTEGER else (int, float)
+        lo, hi = col.lower, col.upper
+        stored = list(values)
+        bad = [i for i, v in enumerate(stored)
+               if not (type(v) in fast and lo <= v <= hi or contains(col, v))]
+    for i in bad:
+        stored[i] = 0 if col.kind is ColumnKind.CATEGORICAL else col.correct(values[i])
+    return stored
+
 
 def replay_spent(ledger: list[PrivacyCharge]) -> dict[str, float]:
     """Recompute per-scope spend by summing the ledger in order.

@@ -179,9 +179,9 @@ def expmech_ratio_check(
         worstify((math.inf, 0.0, ("hole-check",)))
 
     for _ in range(trials):
-        x = -6.0 + 7.0 * rng.uniform_full()
+        x = -6.0 + 7.0 * rng.uniform_full(1)[0]
         eps = 10.0 ** x
-        delta_q = 0.1 + 4.9 * rng.uniform_full()
+        delta_q = 0.1 + 4.9 * rng.uniform_full(1)[0]
         q = np.array([float(rng.randbelow(2001) - 1000) for _ in range(n_candidates)])
         shifted = q.copy()
         idx = rng.randbelow(n_candidates)

@@ -133,7 +133,7 @@ def test_acceptance_doubled_sum_sensitivity(announce):
 
 # -- 5. accounting exactness and concurrency --------------------------------------------
 
-def test_acceptance_accounting_exact_and_concurrent(announce):
+def test_acceptance_accounting_exact_and_concurrent(announce, closing):
     t0 = time.perf_counter()
     rng = np.random.default_rng()  # oracle-side randomness only
     exact = True
@@ -145,7 +145,7 @@ def test_acceptance_accounting_exact_and_concurrent(announce):
                 max_column_l1(Q, alphas), rel=1e-12):
             exact = False
             break
-    acct = Accountant()
+    acct = closing(Accountant())
     acct.create_scope("s", PURE_EPS, math.inf)
     h = acct.scope("s")
 
@@ -207,7 +207,7 @@ def test_acceptance_power_bounds(announce):
 
 # -- 8. histogram noise calibration -------------------------------------------------------
 
-def test_acceptance_histogram_calibration(announce):
+def test_acceptance_histogram_calibration(announce, closing):
     t0 = time.perf_counter()
     rng = _rng()
     schema = Schema((
@@ -217,7 +217,7 @@ def test_acceptance_histogram_calibration(announce):
     t = make_table(schema, [(5, 1), (5, 0), (600, 1)])
     counts = aggregate(group_by(t, ["k"]), "count")  # 1000 cells, sens 2
     empty_counts = aggregate(group_by(make_table(schema, []), ["k"]), "count")
-    acct = Accountant()
+    acct = closing(Accountant())
     acct.create_scope("s", PURE_EPS, math.inf)
     scope = acct.scope("s")
     eps = 1.0
@@ -237,14 +237,14 @@ def test_acceptance_histogram_calibration(announce):
 
 # -- 9. timing side channel ------------------------------------------------------------
 
-def _trace(tmp_path, rows, sub):
+def _trace(closing, tmp_path, rows, sub):
     d = tmp_path / sub
     d.mkdir()
     (d / "data.csv").write_text("c0,c1\n" + "".join(f"{a},{b}\n" for a, b in rows))
     (d / "schema.txt").write_text("c0 int 0 100\nc1 int 0 1\n")
     clock = SimulatedClock()
     registry = DatasetRegistry()
-    acct = Accountant()
+    acct = closing(Accountant())
     acct.create_scope("main", PURE_EPS, 1e9)
     svc = QueryService(registry, acct, ServiceConfig(xi=1.0, overhead=5.0),
                        clock=clock, rng=ScriptedSource(bits=(2, 7, 1, 8)))
@@ -261,11 +261,11 @@ def _trace(tmp_path, rows, sub):
     return clock.trace_bytes()
 
 
-def test_acceptance_constant_time_schedule(announce, tmp_path):
+def test_acceptance_constant_time_schedule(announce, tmp_path, closing):
     t0 = time.perf_counter()
     rows = [(i % 100, i % 2) for i in range(60)]
-    trace_a = _trace(tmp_path, rows, "a")
-    trace_b = _trace(tmp_path, rows + [(42, 1)], "b")  # add/remove neighbor
+    trace_a = _trace(closing, tmp_path, rows, "a")
+    trace_b = _trace(closing, tmp_path, rows + [(42, 1)], "b")  # add/remove neighbor
     ok = trace_a == trace_b and len(trace_a) > 0
     announce(ok, "criterion 9: full response-time traces byte-identical "
                  "across neighboring datasets, success and error paths alike", t0)
@@ -273,12 +273,12 @@ def test_acceptance_constant_time_schedule(announce, tmp_path):
 
 # -- 10. totality on the empty database ----------------------------------------------------
 
-def test_acceptance_empty_input_totality(announce, tmp_path, two_col_schema):
+def test_acceptance_empty_input_totality(announce, tmp_path, two_col_schema, closing):
     t0 = time.perf_counter()
     (tmp_path / "data.csv").write_text("c0,c1\n")
     (tmp_path / "schema.txt").write_text("c0 int 0 100\nc1 int 0 1\n")
     registry = DatasetRegistry()
-    acct = Accountant()
+    acct = closing(Accountant())
     acct.create_scope("main", PURE_EPS, 1e9)
     svc = QueryService(registry, acct, ServiceConfig(xi=1.0, overhead=5.0),
                        clock=SimulatedClock())

@@ -839,7 +839,8 @@ def test_two_processes_cannot_overspend_together(tmp_path):
     for p in procs:
         p.join(120)
         assert not p.is_alive() and p.exitcode == 0
-    charges = [PrivacyCharge.from_line(line) for line in open(path).read().splitlines()]
+    with open(path) as fh:
+        charges = [PrivacyCharge.from_line(line) for line in fh.read().splitlines()]
     assert sum(c.amount for c in charges) <= 1.0
     assert len(charges) == 8
     assert len({c.seq for c in charges}) == len(charges)

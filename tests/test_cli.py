@@ -764,6 +764,32 @@ def test_missing_files_and_unreadable_config_values_get_one_error_line(workspace
 
 
 @pytest.mark.parametrize("name, data, message", [
+    pytest.param("plan.txt", b"count\n\xff\n", "can't decode byte 0xff", id="plan-not-utf8"),
+    pytest.param("state/sessions.json", b'{"sessions": ', "sessions.json is unreadable",
+                 id="sessions-cut-short"),
+    pytest.param("state/sessions.json", b'{"sessions": {}}\xff', "sessions.json is unreadable",
+                 id="sessions-not-utf8"),
+])
+def test_a_hostile_plan_or_sessions_file_gets_one_error_line(workspace, capsys, name, data,
+                                                            message):
+    """A plan file that is not UTF-8, and a `sessions.json` cut short or not
+    UTF-8, ended `query` in a traceback; now exit 1, one `error:` line, and
+    nothing charged."""
+    cfg = str(workspace / "cfg.json")
+    handle = _ingest(workspace, capsys)
+    _, sid = _run(["session", "--dataset", handle, "--scope", "main", "--config", cfg], capsys)
+    ledger = (workspace / "ledger.txt").read_text()
+    (workspace / name).write_bytes(data)
+    code = main(["query", "--session", sid.strip(), "--plan", str(workspace / "plan.txt"),
+                 "--mechanism", "laplace", "--eps", "1.0", "--config", cfg])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err, captured.err
+    assert (workspace / "ledger.txt").read_text() == ledger
+
+
+@pytest.mark.parametrize("name, data, message", [
     pytest.param("d.csv", b"c0,c1\n10,0\n\xe9,1\n", "csv is not UTF-8 text", id="csv-not-utf8"),
     pytest.param("d.csv", b"c0,c1\n10,0\n" + b"1" * (2**17 + 1) + b",0\n",
                  "csv line 3: field larger than field limit (131072)", id="csv-field-limit"),
@@ -852,11 +878,9 @@ def test_no_seed_flags_anywhere():
 def test_audit_subcommand_flags_builtin_bug(workspace, capsys):
     code, out = _run(["audit", "--target", "bug:half_noise_laplace_count",
                       "--eps-grid", "1.0", "--n-search", "5000",
-                      "--n-test", "20000", "--reps", "5",
-                      "--report", str(workspace / "report.txt")], capsys)
+                      "--n-test", "20000", "--reps", "5"], capsys)
     assert code == 2
     assert "overall passed=False" in out
-    assert (workspace / "report.txt").read_text() == out
 
 
 def test_audit_subcommand_passes_correct_target(capsys):

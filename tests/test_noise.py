@@ -1,3 +1,4 @@
+import functools
 import inspect
 import math
 import time
@@ -100,14 +101,14 @@ def test_uniform_full_takes_one_word_and_goes_on_past_twelve_zero_bits():
                           math.ldexp(mant, -53 - 11), math.ldexp(mant, -53 - 17)]
     assert src.data == bytearray()
     one = _KeystreamScript(_words((m << 12) | 1))
-    assert one.uniform_full() == math.ldexp(mant, -53)
+    assert one.uniform_full(1)[0] == math.ldexp(mant, -53)
 
 
 def test_signs_take_one_bit_each_most_significant_first():
     src = _KeystreamScript(bytes([0b10110001, 0b01000000]))
     assert src.signs(10).tolist() == [1, -1, 1, 1, -1, -1, -1, 1, -1, 1]
     assert src.data == bytearray()
-    assert _KeystreamScript(bytes([0x80])).signs() == 1.0
+    assert _KeystreamScript(bytes([0x80])).signs(1)[0] == 1.0
 
 
 def test_sample_laplace_is_sign_times_exponential_of_one_word():
@@ -211,7 +212,7 @@ def test_scripted_source_is_deterministic():
 
 
 def test_zero_noise_source_silences_laplace():
-    assert sample_laplace(zero_noise_source(), scale=7.3) == 0.0
+    assert sample_laplace(zero_noise_source(), scale=7.3, size=1)[0] == 0.0
     for scale in (Fraction(1, 10), 1, 7.3, 1000):
         assert sample_discrete_laplace(zero_noise_source(), scale) == 0
 
@@ -235,7 +236,10 @@ def test_laplace_matches_scipy_laplace(rng, scale):
     assert p > 1e-6
 
 
-@pytest.mark.parametrize("sampler", [sample_laplace, sample_discrete_laplace])
+@pytest.mark.parametrize("sampler", [
+    pytest.param(functools.partial(sample_laplace, size=1), id="sample_laplace"),
+    sample_discrete_laplace,
+])
 def test_samplers_reject_nonpositive_scale(sampler, rng):
     with pytest.raises(ValueError):
         sampler(rng, 0.0)

@@ -27,7 +27,7 @@ from dpcore.relational import (
     table_from_array,
 )
 from dpcore.transforms import aggregate
-from oracles import multiset_distance, parse_csv_rows
+from oracles import contains, multiset_distance, parse_csv_rows, stored_column_reference
 
 
 # -- column metadata ---------------------------------------------------------
@@ -51,10 +51,10 @@ def test_categorical_domain_refuses_repeated_values():
 
 def test_contains_and_correct_numeric():
     col = ColumnMeta("x", ColumnKind.INTEGER, lower=0, upper=10)
-    assert col.contains(0) and col.contains(10)
-    assert not col.contains(-1) and not col.contains(11)
-    assert not col.contains(2.5) and not col.contains("7")
-    assert not col.contains(True)  # booleans are not integers here
+    assert contains(col, 0) and contains(col, 10)
+    assert not contains(col, -1) and not contains(col, 11)
+    assert not contains(col, 2.5) and not contains(col, "7")
+    assert not contains(col, True)  # booleans are not integers here
     assert col.correct(-5) == 0
     assert col.correct(99) == 10
     assert col.correct("junk") == 0  # non-numeric lands on the lower bound
@@ -63,7 +63,7 @@ def test_contains_and_correct_numeric():
 
 def test_correct_maps_nan_to_the_lower_bound_and_clamps_infinities():
     real = ColumnMeta("x", ColumnKind.REAL, lower=-1.0, upper=2.0)
-    assert not real.contains(math.nan)
+    assert not contains(real, math.nan)
     assert real.correct(math.nan) == -1.0
     assert real.correct(math.inf) == 2.0 and real.correct(-math.inf) == -1.0
     whole = ColumnMeta("n", ColumnKind.INTEGER, lower=0, upper=10)
@@ -156,8 +156,56 @@ def test_make_table_is_idempotent_and_total(rows):
     once = make_table(two_col_schema, rows)
     twice = make_table(two_col_schema, once.rows)
     assert once.rows == twice.rows
-    assert all(col.contains(v) for row in once.rows
+    assert all(contains(col, v) for row in once.rows
                for col, v in zip(two_col_schema.columns, row))
+
+
+_ODD_NUMBERS = st.one_of(
+    st.integers(),  # past int64 too
+    st.integers(-2**70, 2**70),
+    st.booleans(),
+    st.floats(),  # NaN, infinities and -0.0 among them
+    st.integers(-300, 300).map(float),  # integral floats
+    st.floats(-300, 300),
+    st.floats(-300, 300).map(np.float64),
+    st.integers(-300, 300).map(np.int64),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 0.5, -0.5, 2.5]),
+)
+_ODD_VALUES = st.one_of(_ODD_NUMBERS, st.text(max_size=3), st.none(),
+                        st.sampled_from(["a", "b", "c", "z", ""]))
+
+
+@st.composite
+def _column_and_values(draw):
+    kind = draw(st.sampled_from(ColumnKind))
+    if kind is ColumnKind.CATEGORICAL:
+        col = ColumnMeta("x", kind, values=draw(st.sampled_from([("a",), ("b", "a", "c")])))
+    elif kind is ColumnKind.INTEGER:
+        lo = draw(st.sampled_from([-2**63, -100, 0, 3]))
+        hi = draw(st.sampled_from([2**63 - 1, 0, 3, 250]).filter(lambda h: h >= lo))
+        col = ColumnMeta("x", kind, lower=lo, upper=hi)
+    else:
+        lo = draw(st.sampled_from([-1e300, -100.5, 0.0, 0, 3]))
+        hi = draw(st.sampled_from([1e300, 0.0, 3.25, 250]).filter(lambda h: h >= lo))
+        col = ColumnMeta("x", kind, lower=lo, upper=hi)
+    return col, draw(st.lists(_ODD_VALUES, max_size=12))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_column_and_values())
+@example((ColumnMeta("x", ColumnKind.REAL, lower=0.0, upper=1.0), [-0.0, 0.0, 1.0, 1 / 3]))
+@example((ColumnMeta("x", ColumnKind.INTEGER, lower=0, upper=10),
+          [2**64, -2**64, True, False, 3.0, -0.0, 2.5, np.int64(4), np.float64(5.0)]))
+@example((ColumnMeta("x", ColumnKind.CATEGORICAL, values=("b", "a")),
+          ["a", "b", "z", None, 1, 0.0]))
+def test_make_table_stores_what_the_earlier_rule_stored(case):
+    """`correct` is the one stored-value rule: it returns an in-domain value
+    as it is, so `make_table` stores the bytes the earlier rule (keep what
+    `contains` accepts, `correct` the rest) stored."""
+    col, values = case
+    schema = Schema((col,))
+    reference = build_records(schema, [stored_column_reference(col, values)])
+    assert make_table(schema, [(v,) for v in values]).array.tobytes() == reference.tobytes()
 
 
 def test_make_table_rejects_wrong_arity(two_col_schema):

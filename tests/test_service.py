@@ -1,3 +1,4 @@
+import contextlib
 import importlib
 import inspect
 import json
@@ -48,11 +49,11 @@ def _write_dataset(tmp_path, rows, name="d"):
     return str(tmp_path / f"{name}.csv"), str(tmp_path / f"{name}.schema")
 
 
-def _service(tmp_path, rows, clock=None, seed_bits=(7,), budget=1e9):
+def _service(closing, tmp_path, rows, clock=None, seed_bits=(7,), budget=1e9):
     tmp_path.mkdir(exist_ok=True)
     csv, sidecar = _write_dataset(tmp_path, rows)
     registry = DatasetRegistry()
-    acct = Accountant()
+    acct = closing(Accountant())
     acct.create_scope("main", PURE_EPS, budget)
     config = ServiceConfig(xi=1.0, overhead=5.0)
     svc = QueryService(registry, acct, config, clock=clock,
@@ -94,15 +95,15 @@ def test_gateway_is_the_only_release_path():
 
 # -- sessions -------------------------------------------------------------------
 
-def test_open_session_spends_startup_budget(tmp_path):
-    svc, handle, acct = _service(tmp_path, [(1, 0), (2, 1)], clock=SimulatedClock(),
+def test_open_session_spends_startup_budget(tmp_path, closing):
+    svc, handle, acct = _service(closing, tmp_path, [(1, 0), (2, 1)], clock=SimulatedClock(),
                                  budget=10.0)
     svc.open_session(handle, "main")
     assert acct.spent("main") > 0  # the n-hat estimate was paid for
 
 
-def test_dump_restore_sessions_drops_randomness(tmp_path):
-    svc, handle, acct = _service(tmp_path, [(1, 0)], clock=SimulatedClock())
+def test_dump_restore_sessions_drops_randomness(tmp_path, closing):
+    svc, handle, acct = _service(closing, tmp_path, [(1, 0)], clock=SimulatedClock())
     session = svc.open_session(handle, "main")
     raw = svc.dump_sessions()
     assert "rng" not in json.dumps(raw)  # randomness is never persisted
@@ -114,8 +115,8 @@ def test_dump_restore_sessions_drops_randomness(tmp_path):
     assert session.session_id == f"s{acct.ledger[-1].seq}"
 
 
-def test_a_sessions_file_with_an_old_counter_restores(tmp_path):
-    svc, handle, acct = _service(tmp_path, [(1, 0)], clock=SimulatedClock())
+def test_a_sessions_file_with_an_old_counter_restores(tmp_path, closing):
+    svc, handle, acct = _service(closing, tmp_path, [(1, 0)], clock=SimulatedClock())
     sid = svc.open_session(handle, "main").session_id
     raw = {"counter": 7, **svc.dump_sessions()}
     svc2 = QueryService(DatasetRegistry(), acct, ServiceConfig())
@@ -123,10 +124,10 @@ def test_a_sessions_file_with_an_old_counter_restores(tmp_path):
     assert svc2.session(sid).n_hat == raw["sessions"][sid]["n_hat"]
 
 
-def test_sessions_keep_n_hat_but_not_xi(tmp_path):
+def test_sessions_keep_n_hat_but_not_xi(tmp_path, closing):
     """Every session paces with the config's xi, so the dump leaves it out,
     and a file from before that still holds one restores all the same."""
-    svc, handle, acct = _service(tmp_path, [(1, 0)], clock=SimulatedClock())
+    svc, handle, acct = _service(closing, tmp_path, [(1, 0)], clock=SimulatedClock())
     sid = svc.open_session(handle, "main").session_id
     raw = svc.dump_sessions()
     assert set(raw["sessions"][sid]) == {"dataset", "scope", "n_hat"}
@@ -136,11 +137,11 @@ def test_sessions_keep_n_hat_but_not_xi(tmp_path):
     assert svc2.session(sid).n_hat == raw["sessions"][sid]["n_hat"]
 
 
-def test_open_session_on_an_unlimited_scope_is_refused(tmp_path):
+def test_open_session_on_an_unlimited_scope_is_refused(tmp_path, closing):
     """The startup estimate spends a share of what remains, and an unlimited
     scope has an infinite share: it is refused, and nothing is booked."""
     csv, sidecar = _write_dataset(tmp_path, [(1, 0)])
-    acct = Accountant()
+    acct = closing(Accountant())
     acct.create_scope("u", PURE_EPS)
     svc = QueryService(DatasetRegistry(), acct, ServiceConfig(), clock=SimulatedClock())
     handle = svc.ingest(csv, sidecar)
@@ -149,7 +150,7 @@ def test_open_session_on_an_unlimited_scope_is_refused(tmp_path):
     assert acct.spent("u") == 0.0 and acct.ledger == ()
 
 
-def test_open_session_trace_does_not_depend_on_the_dataset(tmp_path):
+def test_open_session_trace_does_not_depend_on_the_dataset(tmp_path, closing):
     """The first use of a dataset loads and counts it inside open_session,
     whose release is padded to start + overhead: the clock trace of a
     1-row and of a 10**4-row dataset is the same, and errors pad alike."""
@@ -157,7 +158,7 @@ def test_open_session_trace_does_not_depend_on_the_dataset(tmp_path):
     for i, n in enumerate((1, 10_000)):
         clock = SimulatedClock()
         clock.time = 100.0
-        svc, handle, _ = _service(tmp_path / f"d{i}", [(7, 1)] * n, clock=clock)
+        svc, handle, _ = _service(closing, tmp_path / f"d{i}", [(7, 1)] * n, clock=clock)
         svc.open_session(handle, "main")
         with pytest.raises(ContractViolation):
             svc.open_session("ds99", "main")
@@ -166,17 +167,17 @@ def test_open_session_trace_does_not_depend_on_the_dataset(tmp_path):
     assert traces[0] == traces[1]
 
 
-def test_unknown_session_rejected(tmp_path):
-    svc, _, _ = _service(tmp_path, [])
+def test_unknown_session_rejected(tmp_path, closing):
+    svc, _, _ = _service(closing, tmp_path, [])
     with pytest.raises(ContractViolation):
         svc.session("nope")
 
 
 # -- query execution ---------------------------------------------------------------
 
-def test_run_query_success_and_budget_decrement(tmp_path):
+def test_run_query_success_and_budget_decrement(tmp_path, closing):
     clock = SimulatedClock()
-    svc, handle, acct = _service(tmp_path, [(10, 0), (20, 1), (30, 0)], clock=clock)
+    svc, handle, acct = _service(closing, tmp_path, [(10, 0), (20, 1), (30, 0)], clock=clock)
     session = svc.open_session(handle, "main")
     spent0 = acct.spent("main")
     resp = svc.run_query(session, QueryRequest("count", "laplace", 1.0))
@@ -187,9 +188,9 @@ def test_run_query_success_and_budget_decrement(tmp_path):
     assert payload["status"] == "ok"
 
 
-def test_error_responses_share_one_shape(tmp_path):
+def test_error_responses_share_one_shape(tmp_path, closing):
     clock = SimulatedClock()
-    svc, handle, acct = _service(tmp_path, [(1, 0)], clock=clock, budget=2.0)
+    svc, handle, acct = _service(closing, tmp_path, [(1, 0)], clock=clock, budget=2.0)
     session = svc.open_session(handle, "main")
     bad_plan = svc.run_query(session, QueryRequest("frobnicate", "laplace", 0.5))
     bad_mech = svc.run_query(session, QueryRequest("count", "warp", 0.5))
@@ -200,18 +201,18 @@ def test_error_responses_share_one_shape(tmp_path):
         assert resp.values == () and resp.labels == ()
 
 
-def test_failed_query_spends_nothing(tmp_path):
+def test_failed_query_spends_nothing(tmp_path, closing):
     clock = SimulatedClock()
-    svc, handle, acct = _service(tmp_path, [(1, 0)], clock=clock)
+    svc, handle, acct = _service(closing, tmp_path, [(1, 0)], clock=clock)
     session = svc.open_session(handle, "main")
     spent0 = acct.spent("main")
     svc.run_query(session, QueryRequest("not a plan", "laplace", 0.5))
     assert acct.spent("main") == spent0
 
 
-def test_histogram_query_releases_full_domain(tmp_path):
+def test_histogram_query_releases_full_domain(tmp_path, closing):
     clock = SimulatedClock()
-    svc, handle, acct = _service(tmp_path, [(5, 1)], clock=clock)
+    svc, handle, acct = _service(closing, tmp_path, [(5, 1)], clock=clock)
     session = svc.open_session(handle, "main")
     resp = svc.run_query(session, QueryRequest("group_by c1\ncount",
                                                "noisy_histogram", 1.0))
@@ -219,10 +220,10 @@ def test_histogram_query_releases_full_domain(tmp_path):
     assert resp.labels == ("0", "1")  # both cells, including the empty one
 
 
-def test_empty_input_totality(tmp_path):
+def test_empty_input_totality(tmp_path, closing):
     """Every operation is defined on the empty database."""
     clock = SimulatedClock()
-    svc, handle, acct = _service(tmp_path, [], clock=clock, budget=10.0)
+    svc, handle, acct = _service(closing, tmp_path, [], clock=clock, budget=10.0)
     session = svc.open_session(handle, "main")
     for plan in ("count", "sum c0", "select_where c0 >= 5\ncount",
                  "group_by c1\ncount", "self_union\nsum c1"):
@@ -234,18 +235,19 @@ def test_empty_input_totality(tmp_path):
 
 # -- padded response timing -----------------------------------------------------------
 
-def _neighbor_trace(tmp_path, rows, sub, plans):
+def _neighbor_trace(closing, tmp_path, rows, sub, plans):
     """Run the same session script against `rows` and return the clock trace."""
     clock = SimulatedClock()
     (tmp_path / sub).mkdir(exist_ok=True)
-    svc, handle, _ = _service(tmp_path / sub, rows, clock=clock, seed_bits=(3, 1, 4, 1, 5, 9))
+    svc, handle, _ = _service(closing, tmp_path / sub, rows, clock=clock,
+                              seed_bits=(3, 1, 4, 1, 5, 9))
     session = svc.open_session(handle, "main")
     for plan_text, mech, eps in plans:
         svc.run_query(session, QueryRequest(plan_text, mech, eps))
     return clock.trace_bytes()
 
 
-def test_timing_trace_identical_across_neighbors(tmp_path):
+def test_timing_trace_identical_across_neighbors(tmp_path, closing):
     rows = [(i % 100, i % 2) for i in range(40)]
     neighbor = rows + [(77, 1)]
     plans = [
@@ -253,8 +255,8 @@ def test_timing_trace_identical_across_neighbors(tmp_path):
         ("sum c1", "laplace", 0.5),
         ("not a plan at all", "laplace", 0.5),  # error path pads identically
     ]
-    t1 = _neighbor_trace(tmp_path, rows, "a", plans)
-    t2 = _neighbor_trace(tmp_path, neighbor, "b", plans)
+    t1 = _neighbor_trace(closing, tmp_path, rows, "a", plans)
+    t2 = _neighbor_trace(closing, tmp_path, neighbor, "b", plans)
     assert t1 == t2  # byte-for-byte
 
 
@@ -287,15 +289,15 @@ _FUZZ_PLAN = st.builds(lambda steps, agg: "\n".join(steps + [agg]),
 def _fuzz_outcome(rows, plan_text, mechanism):
     registry = DatasetRegistry()
     handle = registry.register(make_table(_FUZZ_SCHEMA, rows))
-    acct = Accountant()
-    acct.create_scope("main", PURE_EPS, 10.0)
-    clock = SimulatedClock()
-    svc = QueryService(registry, acct, ServiceConfig(xi=1.0, overhead=5.0), clock=clock,
-                       rng=ScriptedSource(bits=(7,)))
-    session = svc.open_session(handle, "main")
-    n = len(acct.ledger)
-    resp = svc.run_query(session, QueryRequest(plan_text, mechanism, 1.0))
-    charged = [(c.amount, c.mechanism) for c in acct.ledger[n:]]
+    with contextlib.closing(Accountant()) as acct:
+        acct.create_scope("main", PURE_EPS, 10.0)
+        clock = SimulatedClock()
+        svc = QueryService(registry, acct, ServiceConfig(xi=1.0, overhead=5.0), clock=clock,
+                           rng=ScriptedSource(bits=(7,)))
+        session = svc.open_session(handle, "main")
+        n = len(acct.ledger)
+        resp = svc.run_query(session, QueryRequest(plan_text, mechanism, 1.0))
+        charged = [(c.amount, c.mechanism) for c in acct.ledger[n:]]
     return resp.status, resp.code, resp.labels, clock.trace_bytes(), charged
 
 
@@ -330,11 +332,11 @@ class _NoFloatSource(RandomSource):
     signs = uniform_full
 
 
-def test_laplace_int_release_draws_no_float():
+def test_laplace_int_release_draws_no_float(closing):
     registry = DatasetRegistry()
     handle = registry.register(
         make_table(_FUZZ_SCHEMA, [("north", 30, 2.5), ("south", 7, 1.0)]))
-    acct = Accountant()
+    acct = closing(Accountant())
     scope = acct.create_scope("main", PURE_EPS, 10.0)
     rng = _NoFloatSource()
     for text in ("count", "sum age", "group_by region\ncount", "distinct region\ncount"):
@@ -344,13 +346,13 @@ def test_laplace_int_release_draws_no_float():
         private_release(registry, handle, parse_plan("count"), "laplace", 0.5, scope, rng)
 
 
-def test_threads_share_one_service():
+def test_threads_share_one_service(closing):
     """serve answers each connection on its own thread over one service:
     concurrent opens get distinct ids and concurrent queries on one session
     all succeed.  A tiny switch interval makes interleavings likely."""
     registry = DatasetRegistry()
     handle = registry.register(make_table(_FUZZ_SCHEMA, [("north", 30, 2.5)]))
-    acct = Accountant()
+    acct = closing(Accountant())
     acct.create_scope("main", PURE_EPS, 1e9)
     svc = QueryService(registry, acct, ServiceConfig(xi=0.0, overhead=0.0))
     request = QueryRequest("count", "laplace_int", 1.0)
@@ -383,14 +385,14 @@ _BENCH_PLANS = (
 )
 
 
-def test_no_plan_step_reads_the_row_view(monkeypatch):
+def test_no_plan_step_reads_the_row_view(monkeypatch, closing):
     """Plans run on the record array: with `Table.rows` raising, every plan
     shape of the benchmark mix is still answered."""
     registry = DatasetRegistry()
     rows = [(i % 100, ("north", "south", "east", "west")[i % 4], i % 4, i * 0.5, i % 101)
             for i in range(300)]
     handle = registry.register(make_table(_BENCH_SCHEMA, rows))
-    acct = Accountant()
+    acct = closing(Accountant())
     acct.create_scope("main", PURE_EPS, 1e9)
     svc = QueryService(registry, acct, ServiceConfig(xi=1e-6, overhead=0.05),
                        clock=SimulatedClock())
@@ -405,9 +407,9 @@ def test_no_plan_step_reads_the_row_view(monkeypatch):
         assert resp.status == "ok", text
 
 
-def test_padding_is_a_power_of_two_bucket(tmp_path):
+def test_padding_is_a_power_of_two_bucket(tmp_path, closing):
     clock = SimulatedClock()
-    svc, handle, _ = _service(tmp_path, [(1, 0)] * 10, clock=clock)
+    svc, handle, _ = _service(closing, tmp_path, [(1, 0)] * 10, clock=clock)
     session = svc.open_session(handle, "main")
     pad = svc._n_hat_for_padding(session)
     assert pad == 2 ** round(np.log2(pad))
@@ -468,13 +470,13 @@ def test_system_clock_advance_does_not_sleep():
     assert time.monotonic() - start < 1.0
 
 
-def test_schedule_overrun_takes_one_doubling_step(tmp_path):
+def test_schedule_overrun_takes_one_doubling_step(tmp_path, closing):
     class DraggingClock(SimulatedClock):
         def advance(self, dt):
             super().advance(dt * 100.0)  # every scan step overruns wildly
 
     clock = DraggingClock()
-    svc, handle, _ = _service(tmp_path, [(1, 0)] * 30, clock=clock)
+    svc, handle, _ = _service(closing, tmp_path, [(1, 0)] * 30, clock=clock)
     session = svc.open_session(handle, "main")
     start = clock.now()
     svc.run_query(session,
@@ -486,8 +488,8 @@ def test_schedule_overrun_takes_one_doubling_step(tmp_path):
 
 # -- postprocessing -------------------------------------------------------------------
 
-def test_budget_status_reports_power_bound(tmp_path):
-    svc, handle, acct = _service(tmp_path, [(1, 0)], budget=10.0,
+def test_budget_status_reports_power_bound(tmp_path, closing):
+    svc, handle, acct = _service(closing, tmp_path, [(1, 0)], budget=10.0,
                                  clock=SimulatedClock())
     session = svc.open_session(handle, "main")
     svc.run_query(session, QueryRequest("count", "laplace", 1.0))
