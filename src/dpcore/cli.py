@@ -125,7 +125,7 @@ class CliState:
         d = os.path.join(self.state_dir, "datasets", handle)  # claimed by `register`
         shutil.copyfile(sidecar_path, os.path.join(d, "schema.txt"))
         with _replaced(os.path.join(d, "table.npy"), "wb") as fh:
-            np.save(fh, self.registry._table(handle).array, allow_pickle=False)
+            np.save(fh, self.registry.table(handle).array, allow_pickle=False)
 
 
 @contextlib.contextmanager
@@ -280,7 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.set_defaults(func=_cmd_query)
 
-    p = sub.add_parser("budget", help="report spent/remaining budget")
+    p = sub.add_parser("budget", help="report spent/remaining budget", description=(
+        "Report a session's spent and remaining budget.  Epsilon counts rows, not "
+        "persons: a person with m rows in a dataset loses up to m*eps to a release "
+        "booked as eps, and loses the sum of what every scope used on that dataset "
+        "spent, while this reports one scope."))
     p.add_argument("--session", required=True)
     p.add_argument("--config", required=True)
     p.set_defaults(func=_cmd_budget)

@@ -7,8 +7,8 @@ is granted (and written to the ledger) before any randomness is consumed, so
 a denied request spends nothing, samples nothing, and fails with the uniform
 budget message.
 
-Mechanisms never see raw tables: `private_release` runs a plan through the
-registry and hands on its StatVector only.
+Mechanisms never see raw tables: `private_release` runs a plan on a
+registered table and hands `release` its StatVector only.
 """
 
 from __future__ import annotations
@@ -91,11 +91,9 @@ def release(v: StatVector, mechanism: str, eps: float, scope: ScopeHandle,
 
 
 def private_release(registry: DatasetRegistry, handle: str, plan: TransformPlan, mechanism: str,
-                    eps: float, scope: ScopeHandle, rng: RandomSource, clock=None,
-                    xi: float | None = None) -> MechanismResult:
+                    eps: float, scope: ScopeHandle, rng: RandomSource) -> MechanismResult:
     """Execute a plan and release it through the named mechanism."""
-    return release(registry.execute_plan(handle, plan, rng=rng, clock=clock, xi=xi),
-                   mechanism, eps, scope, rng)
+    return release(plan.execute(registry.table(handle), rng), mechanism, eps, scope, rng)
 
 
 def laplace_mechanism(v: StatVector, eps: float, accountant: ScopeHandle, rng: RandomSource,

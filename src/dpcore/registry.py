@@ -1,10 +1,9 @@
 """Dataset registry: the data-access boundary the service layer talks to.
 
 The service layer holds opaque handles; on a query's path only this module
-touches Table values, and `mechanisms.private_release` gets the StatVector
-of a plan run here.  Plans run on the record array that ingest builds and
-`table.npy` stores.  Execution optionally paces each `select_where` scan
-against an injected clock (see `execute_plan`).  Importing this module
+hands out Table values, and only to `mechanisms.private_release`, which
+runs a plan on one and releases its StatVector.  Plans run on the record
+array that ingest builds and `table.npy` stores.  Importing this module
 loads no numpy: the code that loads or ingests a table imports the data
 path.
 """
@@ -21,7 +20,6 @@ from .errors import ContractViolation
 
 if TYPE_CHECKING:
     from .relational import Table
-    from .transforms import TransformPlan
 
 
 class DatasetRegistry:
@@ -53,7 +51,8 @@ class DatasetRegistry:
                 self._tables[handle] = table
                 return handle
 
-    def _table(self, handle: str) -> Table:
+    def table(self, handle: str) -> Table:
+        """The table of `handle`, loaded from the root on its first use."""
         import numpy as np
 
         from .relational import load_schema, table_from_array
@@ -78,13 +77,3 @@ class DatasetRegistry:
                 return self._tables[handle]
             except KeyError:
                 raise ContractViolation(f"unknown dataset handle: {handle}") from None
-
-    def execute_plan(self, handle: str, plan: TransformPlan, rng=None,
-                     clock=None, xi: float | None = None):
-        """Run a plan against a registered table, returning its StatVector.
-
-        When a clock and xi are given, predicate scans are paced: each scan
-        advances the clock by exactly xi per record (see
-        `TransformPlan.execute`).
-        """
-        return plan.execute(self._table(handle), rng, clock, xi)

@@ -31,12 +31,6 @@ class SystemClock:
     def now(self) -> float:
         return time.monotonic()
 
-    def advance(self, dt: float) -> None:
-        """Does not sleep.  Paced scans call this once per scan, and every
-        `time.sleep` overshoots by tens of microseconds, so sleeping here
-        would make the release time track the scans a plan makes.  The
-        response schedule's single `sleep_until` pays for the work instead."""
-
     def sleep_until(self, t: float) -> None:
         time.sleep(max(t - time.monotonic(), 0.0))
 
@@ -46,7 +40,7 @@ class ServiceConfig:
     """Runtime policy knobs; budgets and paths live in a JSON config file."""
 
     budgets: list = field(default_factory=list)  # [{"id", "kind", "budget"}]
-    xi: float = 1.0  # per-record predicate time budget
+    xi: float = 1.0  # padding seconds per row of a session's n-hat bucket
     overhead: float = 5.0  # fixed response-schedule overhead
     startup_fraction: float = 0.01  # share of scope budget spent on n-hat
     ledger_path: str | None = None
@@ -80,6 +74,10 @@ class ServiceConfig:
             raise ContractViolation("config files must not carry randomness seeds")
         for spec in budgets:
             check_scope_id(spec["id"])
+            # An unlimited scope fails every session: n-hat's eps would be
+            # startup_fraction * inf.  Scopes made in code may be unlimited.
+            if not math.isfinite(spec["budget"]):
+                raise ContractViolation(f"budget of scope {spec['id']} must be finite")
         ledger, state_dir = raw.get("ledger"), raw.get("state_dir")
         if not all(p is None or isinstance(p, str) for p in (ledger, state_dir)):
             raise ContractViolation("config ledger and state_dir must be path strings")
@@ -202,7 +200,7 @@ class QueryService:
         """Persistable session state.  Randomness is never part of it: each
         query derives its source from the service's own, and n-hat is kept
         (it is never recomputed within a session's lifetime).  xi is not
-        kept: every session paces with the config's."""
+        kept: every session pads with the config's."""
         with self._lock:
             return {
                 "sessions": {
@@ -263,7 +261,6 @@ class QueryService:
             result = private_release(
                 self._registry, session.dataset, plan, request.mechanism,
                 request.eps, session.scope, self._derive(),
-                clock=self._clock, xi=self._config.xi,
             )
             status, code = "ok", ""
             values = tuple(float(x) for x in result.values)

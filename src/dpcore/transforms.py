@@ -443,15 +443,10 @@ class TransformPlan:
             if kind == "group_by" and i != len(kinds) - 2:
                 raise ContractViolation("a grouped table can only be aggregated")
 
-    def execute(self, t: Table, rng=None, clock=None, xi: float | None = None) -> StatVector:
-        """Run the steps on `t`.  With a clock and xi, each `select_where`
-        scan is paced: once it returns, the clock advances by xi times the
-        rows it read, in one `advance`."""
+    def execute(self, t: Table, rng=None) -> StatVector:
+        """Run the steps on `t`."""
         for kind, *args in self.steps:
-            out = _STEPS[kind][1](t, rng, *args)
-            if kind == "select_where" and clock is not None and xi is not None:
-                clock.advance(len(t) * xi)
-            t = out
+            t = _STEPS[kind][1](t, rng, *args)
         return t
 
 

@@ -1,16 +1,20 @@
-"""Test doubles: a scripted randomness source and a simulated clock.
+"""Test doubles: a scripted randomness source, a simulated clock and a
+model of scan time on that clock.
 
 They live under tests/, outside the installed package, so a scripted source
-cannot reach a real release path.  Both doubles satisfy the same duck-typed
-protocols as their production counterparts.
+cannot reach a real release path.  The source and the clock satisfy the
+same duck-typed protocols as their production counterparts.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from dpcore import transforms
 
 
 class ScriptedSource:
@@ -63,8 +67,9 @@ def zero_noise_source() -> ScriptedSource:
 class SimulatedClock:
     """Deterministic clock with an event trace.
 
-    `now` advances only through `advance`/`sleep_until`; every sleep target
-    is recorded so tests can compare full timing traces byte for byte.
+    `now` advances only through `advance` (see `paced_scans`) and
+    `sleep_until`; every sleep target is recorded so tests can compare full
+    timing traces byte for byte.
     """
 
     time: float = 0.0
@@ -88,3 +93,24 @@ class SimulatedClock:
 
     def trace_bytes(self) -> bytes:
         return repr(self.trace).encode("utf-8")
+
+
+@contextlib.contextmanager
+def paced_scans(clock: SimulatedClock, xi: float):
+    """Model scan work on a simulated clock: while open, each `select_where`
+    step, once it returns, advances `clock` by `xi` per row it read, in one
+    `advance`.  A scan refused from metadata raises first and advances
+    nothing.  The shipped data path takes no time on a simulated clock, so
+    this gives the padding tests work whose cost grows with the row count."""
+    parse, scan = transforms._STEPS["select_where"]
+
+    def paced(t, rng, *args):
+        out = scan(t, rng, *args)
+        clock.advance(len(t) * xi)
+        return out
+
+    transforms._STEPS["select_where"] = (parse, paced)
+    try:
+        yield
+    finally:
+        transforms._STEPS["select_where"] = (parse, scan)

@@ -24,7 +24,7 @@ from dpcore.registry import DatasetRegistry
 from dpcore.relational import ColumnKind, ColumnMeta, Schema, StatVector, make_table
 from dpcore.service import QueryRequest, QueryService, ServiceConfig
 from dpcore.transforms import aggregate, group_by, self_union
-from doubles import ScriptedSource, SimulatedClock
+from doubles import ScriptedSource, SimulatedClock, paced_scans
 from oracles import (exponential_mechanism_log_probabilities, linear_query_epsilon, log_add,
                      max_column_l1, replay_spent)
 from propcheck import expmech_ratio_check, stability_check
@@ -250,14 +250,15 @@ def _trace(closing, tmp_path, rows, sub):
                        clock=clock, rng=ScriptedSource(bits=(2, 7, 1, 8)))
     handle = svc.ingest(str(d / "data.csv"), str(d / "schema.txt"))
     session = svc.open_session(handle, "main")
-    for plan, mech, eps in [
-        ("select_where c0 >= 10\ncount", "laplace", 0.5),
-        ("sum c1", "laplace", 0.5),
-        ("group_by c1\ncount", "noisy_histogram", 1.0),
-        ("definitely not a plan", "laplace", 0.5),
-        ("count", "no_such_mechanism", 0.5),
-    ]:
-        svc.run_query(session, QueryRequest(plan, mech, eps))
+    with paced_scans(clock, 1.0):
+        for plan, mech, eps in [
+            ("select_where c0 >= 10\ncount", "laplace", 0.5),
+            ("sum c1", "laplace", 0.5),
+            ("group_by c1\ncount", "noisy_histogram", 1.0),
+            ("definitely not a plan", "laplace", 0.5),
+            ("count", "no_such_mechanism", 0.5),
+        ]:
+            svc.run_query(session, QueryRequest(plan, mech, eps))
     return clock.trace_bytes()
 
 

@@ -702,9 +702,9 @@ def test_a_config_without_a_ledger_is_refused(workspace, capsys):
 
 @pytest.mark.parametrize("budget", [math.nan, math.inf])
 def test_a_nan_or_unlimited_budget_gets_no_session(workspace, capsys, budget):
-    """A NaN budget would grant every charge and is refused with the config;
-    an unlimited one would make the startup estimate spend infinite epsilon.
-    Either way: exit 1, one error line, nothing charged."""
+    """A NaN budget would grant every charge, and on an unlimited one the
+    startup estimate would spend infinite epsilon; both are refused with the
+    config.  Either way: exit 1, one error line, nothing charged."""
     handle = _ingest(workspace, capsys)
     raw = json.loads((workspace / "cfg.json").read_text())
     raw["budgets"][0]["budget"] = budget
@@ -714,6 +714,23 @@ def test_a_nan_or_unlimited_budget_gets_no_session(workspace, capsys, budget):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert (workspace / "ledger.txt").read_text() == ""
+
+
+def test_a_config_file_with_an_infinite_budget_is_refused(workspace, capsys):
+    """JSON's `1e999` reads as an infinite budget, on which every session's
+    n-hat would spend startup_fraction * inf.  The config is refused with
+    one error line naming the scope's budget, by every command."""
+    handle = _ingest(workspace, capsys)
+    cfg = workspace / "cfg.json"
+    cfg.write_text(cfg.read_text().replace('"budget": 20.0', '"budget": 1e999'))
+    for argv in (["session", "--dataset", handle, "--scope", "main"],
+                 ["ingest", "--csv", str(workspace / "d.csv"),
+                  "--schema", str(workspace / "d.schema")]):
+        code = main(argv + ["--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: budget of scope main must be finite\n"
     assert (workspace / "ledger.txt").read_text() == ""
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from dpcore.accounting import Accountant, PURE_EPS
 from dpcore.errors import BudgetExceededError, ContractViolation, ParameterError
@@ -15,7 +16,8 @@ from dpcore.mechanisms import (
 from dpcore.relational import ColumnKind, ColumnMeta, Schema, StatVector, make_table
 from dpcore.transforms import aggregate, group_by
 from doubles import ScriptedSource, zero_noise_source
-from oracles import exponential_mechanism_log_probabilities, logsumexp_mp
+from oracles import (exponential_mechanism_log_probabilities, logsumexp_mp,
+                     two_sided_geometric_pmf)
 
 
 def _vec(values, sens=1.0):
@@ -146,6 +148,27 @@ def test_laplace_variance_matches_target(rng, scope):
     v = _vec(np.zeros(200_000), sens=sens)
     out = laplace_mechanism(v, eps, scope, rng)
     assert float(np.var(out.values)) == pytest.approx(2 * (sens / eps) ** 2, rel=0.05)
+
+
+@pytest.mark.parametrize("eps", [0.5, 1.0, 2.0])
+def test_laplace_int_release_follows_the_exact_law(rng, scope, eps):
+    """`release` through `laplace_int` at sensitivity 1 draws the discrete
+    Laplace of scale 1/eps: chi-square-close to the two-sided geometric with
+    alpha = exp(-eps) on -K..K plus one bin for both tails.  At eps = 0.5
+    the law's variance is 7.83; a scale halved whenever eps != 1, a 2-eps
+    release booked as eps, gives 1.84 there and fails by far.  A correct
+    release fails each case with probability 1e-6 (the p-value threshold,
+    under the chi-square approximation), so the three fail together about
+    3 times in a million runs."""
+    n = 20_000
+    out = release(_vec(np.zeros(n)), "laplace_int", eps, scope, rng).values
+    k = int(3 / eps) + 1
+    support = np.arange(-k, k + 1)
+    expected = two_sided_geometric_pmf(math.exp(-eps), support) * n
+    observed = np.array([np.sum(out == j) for j in support])
+    _, p = stats.chisquare(np.append(observed, n - observed.sum()),
+                           np.append(expected, n - expected.sum()))
+    assert p > 1e-6
 
 
 @pytest.mark.parametrize("eps", [math.inf, -math.inf, math.nan, 0.0, -1.0])

@@ -549,7 +549,7 @@ def _small_array(ages, codes):
 
 def test_stored_table_loads_unchanged(tmp_path):
     registry = _stored(tmp_path, SMALL, _small_array([0, 100, 7], [2, 0, 1]))
-    assert registry._table("ds1").rows == ((0, "c"), (100, "a"), (7, "b"))
+    assert registry.table("ds1").rows == ((0, "c"), (100, "a"), (7, "b"))
 
 
 @pytest.mark.parametrize("schema_text, array", [
@@ -570,7 +570,7 @@ def test_stored_table_loads_unchanged(tmp_path):
 def test_stored_table_is_refused_never_corrected(tmp_path, schema_text, array):
     registry = _stored(tmp_path, schema_text, array)
     with pytest.raises(ContractViolation):
-        registry._table("ds1")
+        registry.table("ds1")
 
 
 def test_registries_on_one_root_claim_distinct_handles(tmp_path):

@@ -4,7 +4,6 @@ import inspect
 import json
 import math
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -32,11 +31,10 @@ from dpcore.service import (
     QueryResponse,
     QueryService,
     ServiceConfig,
-    SystemClock,
     build_accountant,
 )
 from dpcore.transforms import Comparison, TransformPlan, parse_plan
-from doubles import ScriptedSource, SimulatedClock
+from doubles import ScriptedSource, SimulatedClock, paced_scans
 
 
 SIDECAR = "c0 int 0 100\nc1 int 0 1\n"
@@ -125,7 +123,7 @@ def test_a_sessions_file_with_an_old_counter_restores(tmp_path, closing):
 
 
 def test_sessions_keep_n_hat_but_not_xi(tmp_path, closing):
-    """Every session paces with the config's xi, so the dump leaves it out,
+    """Every session pads with the config's xi, so the dump leaves it out,
     and a file from before that still holds one restores all the same."""
     svc, handle, acct = _service(closing, tmp_path, [(1, 0)], clock=SimulatedClock())
     sid = svc.open_session(handle, "main").session_id
@@ -242,8 +240,9 @@ def _neighbor_trace(closing, tmp_path, rows, sub, plans):
     svc, handle, _ = _service(closing, tmp_path / sub, rows, clock=clock,
                               seed_bits=(3, 1, 4, 1, 5, 9))
     session = svc.open_session(handle, "main")
-    for plan_text, mech, eps in plans:
-        svc.run_query(session, QueryRequest(plan_text, mech, eps))
+    with paced_scans(clock, svc._config.xi):
+        for plan_text, mech, eps in plans:
+            svc.run_query(session, QueryRequest(plan_text, mech, eps))
     return clock.trace_bytes()
 
 
@@ -296,7 +295,8 @@ def _fuzz_outcome(rows, plan_text, mechanism):
                            rng=ScriptedSource(bits=(7,)))
         session = svc.open_session(handle, "main")
         n = len(acct.ledger)
-        resp = svc.run_query(session, QueryRequest(plan_text, mechanism, 1.0))
+        with paced_scans(clock, 1.0):
+            resp = svc.run_query(session, QueryRequest(plan_text, mechanism, 1.0))
         charged = [(c.amount, c.mechanism) for c in acct.ledger[n:]]
     return resp.status, resp.code, resp.labels, clock.trace_bytes(), charged
 
@@ -435,7 +435,8 @@ def _paced_count():
     registry, handle, clock, advances = _paced_registry([(10,), (20,)])
     pred = (Comparison("c0", ">=", 50),)
     plan = TransformPlan((("select_where", pred), ("count",)))
-    v = registry.execute_plan(handle, plan, clock=clock, xi=1.0)
+    with paced_scans(clock, 1.0):
+        v = plan.execute(registry.table(handle))
     return v.values.tolist(), advances
 
 
@@ -452,35 +453,44 @@ def test_each_paced_scan_costs_xi_per_row_it_reads():
     registry, handle, clock, advances = _paced_registry(rows)
     plan = parse_plan("self_union\nselect_where c0 >= 50\nselect_where c0 < 75\ncount")
     xi = 0.25
-    v = registry.execute_plan(handle, plan, clock=clock, xi=xi)
+    with paced_scans(clock, xi):
+        v = plan.execute(registry.table(handle))
     n, m = len(rows), 2 * 3  # the 3 rows >= 50, each twice
     assert v.values.tolist() == [4.0]
     assert advances == [2 * n * xi, m * xi]
     assert clock.now() == pytest.approx((2 * n + m) * xi)
     # A scan refused from metadata reads no row and advances nothing.
-    with pytest.raises(ContractViolation):
-        registry.execute_plan(handle, parse_plan("select_where nope >= 1\ncount"),
-                              clock=clock, xi=xi)
+    with paced_scans(clock, xi), pytest.raises(ContractViolation):
+        parse_plan("select_where nope >= 1\ncount").execute(registry.table(handle))
     assert len(advances) == 2
 
 
-def test_system_clock_advance_does_not_sleep():
-    start = time.monotonic()
-    SystemClock().advance(5.0)
-    assert time.monotonic() - start < 1.0
+def test_a_clock_needs_only_now_and_sleep_until(tmp_path, closing):
+    """The service only reads the clock and sleeps on it: a clock with no
+    other method answers a scan with status ok."""
+    class BareClock:
+        time = 0.0
+
+        def now(self):
+            return self.time
+
+        def sleep_until(self, t):
+            self.time = max(self.time, t)
+
+    svc, handle, _ = _service(closing, tmp_path, [(1, 0), (2, 1)], clock=BareClock())
+    session = svc.open_session(handle, "main")
+    resp = svc.run_query(session, QueryRequest("select_where c0 >= 0\ncount", "laplace", 1.0))
+    assert resp.status == "ok"
 
 
 def test_schedule_overrun_takes_one_doubling_step(tmp_path, closing):
-    class DraggingClock(SimulatedClock):
-        def advance(self, dt):
-            super().advance(dt * 100.0)  # every scan step overruns wildly
-
-    clock = DraggingClock()
+    clock = SimulatedClock()
     svc, handle, _ = _service(closing, tmp_path, [(1, 0)] * 30, clock=clock)
     session = svc.open_session(handle, "main")
     start = clock.now()
-    svc.run_query(session,
-                  QueryRequest("select_where c0 >= 0\ncount", "laplace", 1.0))
+    with paced_scans(clock, 100.0 * svc._config.xi):  # every scan step overruns wildly
+        svc.run_query(session,
+                      QueryRequest("select_where c0 >= 0\ncount", "laplace", 1.0))
     target = clock.trace[-1][1]
     pad = svc._n_hat_for_padding(session)
     assert target == pytest.approx(start + 2.0 * pad * svc._config.xi + 5.0)
