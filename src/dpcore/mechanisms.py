@@ -7,8 +7,9 @@ is granted (and written to the ledger) before any randomness is consumed, so
 a denied request spends nothing, samples nothing, and fails with the uniform
 budget message.
 
-Mechanisms never see raw tables: `private_release` runs a plan on a
-registered table and hands `release` its StatVector only.
+Mechanisms never see raw tables.  `private_release` checks a plan on a
+registered table's schema, then `release` refuses, charges, has the table
+loaded and scanned, and draws, in that order.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .relational import StatVector
 
 if TYPE_CHECKING:  # annotations only: the audit releases without the registry
     from .registry import DatasetRegistry
-    from .transforms import TransformPlan
+    from .transforms import Claim, TransformPlan
 
 #: The mechanisms a query may name, each booked in the ledger under its name.
 MECHANISMS = ("laplace", "laplace_int", "noisy_histogram")
@@ -47,8 +48,8 @@ class MechanismResult:
     labels: tuple[str, ...] = ()
 
 
-def release(v: StatVector, mechanism: str, eps: float, scope: ScopeHandle,
-            rng: RandomSource) -> MechanismResult:
+def release(v: StatVector | Claim, mechanism: str, eps: float, scope: ScopeHandle,
+            rng: RandomSource, scan=None) -> MechanismResult:
     """Add noise of scale sensitivity/eps to each coordinate of `v`, as the
     named mechanism draws it, and book the charge under that name.
 
@@ -59,10 +60,12 @@ def release(v: StatVector, mechanism: str, eps: float, scope: ScopeHandle,
     as-is: no truncation, no clamping; negative counts are the
     postprocessing layer's business.
 
-    Every refusal comes before the charge, and the charge before the first
-    draw.  eps must be finite and > 0: an infinite one would be booked and
-    then fail in the sampler, leaving `spent` infinite for good.  A positive
-    sensitivity also holds eps/sensitivity to the floor; 0 skips it.
+    `v` is the exact StatVector, or a plan's Claim on one that `scan` computes.
+    Every refusal comes before the charge, the scan after it (a failed scan
+    keeps it), and the charge before the first draw.  eps must be finite
+    and > 0: an infinite one would be booked and then fail in the sampler,
+    leaving `spent` infinite for good.  A positive sensitivity also holds
+    eps/sensitivity to the floor; 0 skips it.
     """
     if mechanism not in MECHANISMS:
         raise ContractViolation(f"unknown mechanism {mechanism!r}")
@@ -77,6 +80,7 @@ def release(v: StatVector, mechanism: str, eps: float, scope: ScopeHandle,
             "noise scale"
         )
     charge = scope.charge(eps, mechanism)
+    v = v if scan is None else scan()
     if v.l1_sensitivity > 0 and discretize:
         scale = Fraction(v.l1_sensitivity) / Fraction(eps)
         values = v.values + [sample_discrete_laplace(rng, scale) for _ in range(len(v))]
@@ -92,8 +96,11 @@ def release(v: StatVector, mechanism: str, eps: float, scope: ScopeHandle,
 
 def private_release(registry: DatasetRegistry, handle: str, plan: TransformPlan, mechanism: str,
                     eps: float, scope: ScopeHandle, rng: RandomSource) -> MechanismResult:
-    """Execute a plan and release it through the named mechanism."""
-    return release(plan.execute(registry.table(handle), rng), mechanism, eps, scope, rng)
+    """Check a plan on a registered table's schema and release it through
+    the named mechanism; its rows are loaded and scanned once charged."""
+    claim = plan.check(registry.schema(handle))
+    return release(claim, mechanism, eps, scope, rng,
+                   lambda: claim.run(registry.table(handle), rng))
 
 
 def laplace_mechanism(v: StatVector, eps: float, accountant: ScopeHandle, rng: RandomSource,

@@ -19,15 +19,17 @@ from typing import TYPE_CHECKING
 from .errors import ContractViolation
 
 if TYPE_CHECKING:
-    from .relational import Table
+    from .relational import Schema, Table
 
 
 class DatasetRegistry:
     """Maps opaque handles to tables.  With a `root` directory, a handle's
-    `<root>/<handle>/table.npy` and `schema.txt` load on its first use."""
+    `<root>/<handle>/schema.txt` loads on its first use, and its `table.npy`
+    on the first use of its rows."""
 
     def __init__(self, root: str | None = None) -> None:
         self._root = root
+        self._schemas: dict[str, Schema] = {}
         self._tables: dict[str, Table] = {}
         self._lock = threading.Lock()
         self._counter = itertools.count(1)
@@ -48,32 +50,41 @@ class DatasetRegistry:
                         os.mkdir(os.path.join(self._root, handle))
                 except FileExistsError:
                     continue
-                self._tables[handle] = table
+                self._schemas[handle], self._tables[handle] = table.schema, table
                 return handle
 
-    def table(self, handle: str) -> Table:
-        """The table of `handle`, loaded from the root on its first use."""
-        import numpy as np
-
-        from .relational import load_schema, table_from_array
+    def schema(self, handle: str) -> Schema:
+        """The schema of `handle`, read from the root on first use without
+        its rows; a stored handle exists once `table.npy`, written last, does."""
+        from .relational import load_schema
 
         with self._lock:
             # Only names `register` hands out are looked up on disk, so a
             # handle cannot reach outside the root.
-            if handle not in self._tables and self._root is not None \
-                    and re.fullmatch(r"ds[0-9]+", handle):
-                d = os.path.join(self._root, handle)
-                try:
-                    schema = load_schema(os.path.join(d, "schema.txt"))
-                    with open(os.path.join(d, "table.npy"), "rb") as fh:
-                        array = np.load(fh, allow_pickle=False)
-                except FileNotFoundError:
-                    pass
-                except (ValueError, EOFError):  # no .npy of plain values, or a bad schema.txt
-                    raise ContractViolation(f"stored dataset {handle} is unreadable") from None
-                else:
-                    self._tables[handle] = table_from_array(schema, array)
+            if handle not in self._schemas and self._root is not None \
+                    and re.fullmatch(r"ds[0-9]+", handle) \
+                    and os.path.exists(os.path.join(self._root, handle, "table.npy")):
+                self._schemas[handle] = self._read(handle, "schema.txt", load_schema)
             try:
-                return self._tables[handle]
+                return self._schemas[handle]
             except KeyError:
                 raise ContractViolation(f"unknown dataset handle: {handle}") from None
+
+    def table(self, handle: str) -> Table:
+        """The table of `handle`, its rows loaded from the root on first use."""
+        import numpy as np
+
+        from .relational import table_from_array
+
+        schema = self.schema(handle)
+        with self._lock:
+            if handle not in self._tables:
+                array = self._read(handle, "table.npy", lambda p: np.load(p, allow_pickle=False))
+                self._tables[handle] = table_from_array(schema, array)
+            return self._tables[handle]
+
+    def _read(self, handle: str, name: str, load):
+        try:
+            return load(os.path.join(self._root, handle, name))
+        except (OSError, ValueError, EOFError):  # gone, or not a file of plain values
+            raise ContractViolation(f"stored dataset {handle} is unreadable") from None

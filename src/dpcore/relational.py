@@ -1,4 +1,4 @@
-"""Schemas, tables, grouped tables and statistic vectors.
+"""Schemas, tables and statistic vectors.
 
 This is the vocabulary every other layer is written against.  Three rules
 dominate the design:
@@ -21,7 +21,6 @@ import enum
 import functools
 import io
 import itertools
-import math
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -172,19 +171,6 @@ class Table:
         return collections.Counter(self.rows)
 
 
-@dataclass(frozen=True, eq=False)
-class GroupedTable:
-    """A table grouped onto the key domain cross-product, fixed by metadata:
-    `labels` names every key of the declared domains in sorted order, keys
-    no row has included, and row i falls in the cell `labels[cells[i]]`.
-    """
-
-    table: Table
-    labels: tuple[str, ...]
-    cells: np.ndarray
-    stability: int
-
-
 @dataclass(frozen=True)
 class StatVector:
     """Exact aggregate vector with a data-independent L1 sensitivity bound.
@@ -209,8 +195,6 @@ class StatVector:
         object.__setattr__(self, "dimension_labels", tuple(self.dimension_labels))
         if len(self.dimension_labels) != arr.shape[0]:
             raise ContractViolation("label count does not match vector dimension")
-        if not (math.isfinite(self.l1_sensitivity) and self.l1_sensitivity >= 0):
-            raise ContractViolation("l1_sensitivity must be finite and nonnegative")
 
     def __len__(self) -> int:
         return int(self.values.shape[0])

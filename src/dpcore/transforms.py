@@ -1,9 +1,11 @@
 """Data access layer: exact transforms and aggregations over tables.
 
-Every operation propagates bounds, stability and sensitivity as pure
-functions of input metadata, and computes its rows with numpy over whole
-columns.  Limit, OrderBy, Skip and Window are rejected outright; Bernoulli
-sampling is the sanctioned replacement for Limit.
+Each plan step is a metadata rule from its input's `TableMeta` to its
+output's, or to the plan's `Claim`, that also returns the row kernel that
+computes the output with numpy over whole columns.  Every refusal is raised
+by a parser or a rule, before any row is read; a kernel raises nothing.
+Limit, OrderBy, Skip and Window are rejected outright; Bernoulli sampling
+is the sanctioned replacement for Limit.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import itertools
 import math
 import operator
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -21,12 +23,14 @@ from .errors import ContractViolation, RejectedOperationError
 from .relational import (
     ColumnKind,
     ColumnMeta,
-    GroupedTable,
     Schema,
     StatVector,
     Table,
     build_records,
 )
+
+#: The most cells a `group_by` may build from the schema, whatever the rows.
+MAX_GROUP_CELLS = 1 << 20
 
 _OPS = {
     "<": operator.lt,
@@ -36,6 +40,33 @@ _OPS = {
     "==": operator.eq,
     "!=": operator.ne,
 }
+
+
+@dataclass(frozen=True)
+class TableMeta:
+    """What a plan knows of a table before it reads a row."""
+
+    schema: Schema
+    stability: int = 1
+    labels: tuple[str, ...] | None = None  # its cells', once grouped
+
+
+@dataclass(frozen=True)
+class Claim:
+    """What a plan releases, fixed by the schema alone: its cell labels, L1
+    sensitivity and integrality, and the row kernels that compute its
+    values from a table's record array."""
+
+    labels: tuple[str, ...]
+    l1_sensitivity: float
+    integral: bool
+    kernels: tuple = field(default=(), compare=False, repr=False)
+
+    def run(self, t: Table, rng=None) -> StatVector:
+        rows = t.array
+        for kernel in self.kernels:
+            rows = kernel(rows, rng)
+        return StatVector(rows, self.l1_sensitivity, self.labels, self.integral)
 
 
 def _exact(op: str, c, integral: bool) -> tuple:
@@ -59,7 +90,7 @@ def _exact(op: str, c, integral: bool) -> tuple:
 
 @dataclass(frozen=True)
 class Comparison:
-    """One column-vs-constant comparison, evaluated over a whole column."""
+    """One column-vs-constant comparison."""
 
     column: str
     op: str
@@ -69,82 +100,68 @@ class Comparison:
         if self.op not in _OPS:
             raise ContractViolation(f"unknown comparison operator {self.op!r}")
 
-    def mask(self, t: Table) -> np.ndarray:
-        """Which rows satisfy the comparison, exactly as Python compares: a
-        categorical once per domain value, a number through `_exact`."""
-        col, a = t.schema.column(self.column), t.array[self.column]
-        if col.kind is ColumnKind.CATEGORICAL:
-            return np.array([_OPS[self.op](v, self.constant) for v in col.values], dtype=bool)[a]
-        op, c = _exact(self.op, self.constant, col.kind is ColumnKind.INTEGER)
-        return _OPS[op](a, c)
 
-    def check_kind(self, col: ColumnMeta) -> None:
-        """Reject a constant that cannot be compared with the column's values:
-        a str for categorical columns, a finite int or float for numeric ones.
-        Checked from metadata, before any row is read."""
-        c = self.constant
+def select_where(m: TableMeta, pred: tuple[Comparison, ...]):
+    """Row filter: a row stays when every comparison in `pred` holds.
+    1-stable; numeric bounds refined by the comparisons.  A constant must
+    compare with its column's values: a str for a categorical column, a
+    finite int or float for a numeric one."""
+    cols = [m.schema.column(comp.column) for comp in pred]  # or UnknownColumnError
+    bounds = {}
+    for comp, col in zip(pred, cols):
+        c = comp.constant
         numeric = isinstance(c, (int, float)) and not isinstance(c, bool)
         if numeric != col.is_numeric or (isinstance(c, float) and not math.isfinite(c)):
             raise ContractViolation(f"column {col.name}: constant of the wrong kind")
+        if numeric and comp.op != "!=":  # != refines nothing
+            if col.kind is ColumnKind.INTEGER:  # the nearest integer inside the bound
+                c = {"<": math.ceil(c) - 1, "<=": math.floor(c),
+                     ">": math.floor(c) + 1, ">=": math.ceil(c)}.get(comp.op, c)
+            lower, upper = bounds.get(col.name, (col.lower, col.upper))
+            lo, hi = {"<": (lower, c), "<=": (lower, c), ">": (c, upper), ">=": (c, upper),
+                      "==": (c, c)}[comp.op]
+            bounds[col.name] = max(lower, lo), min(upper, hi)
 
-    def implied_bounds(self, col: ColumnMeta) -> tuple[float, float] | None:
-        """Bounds on a numeric column implied by this comparison, or None."""
-        if not col.is_numeric or self.op == "!=":  # != refines nothing
-            return None
-        c = self.constant
-        if col.kind is ColumnKind.INTEGER:  # the nearest integer inside the bound
-            c = {"<": math.ceil(c) - 1, "<=": math.floor(c),
-                 ">": math.floor(c) + 1, ">=": math.ceil(c)}.get(self.op, c)
-        return {"<": (col.lower, c), "<=": (col.lower, c), ">": (c, col.upper),
-                ">=": (c, col.upper), "==": (c, c)}[self.op]
+    def refined(col: ColumnMeta) -> ColumnMeta:
+        lower, upper = bounds.get(col.name, (col.lower, col.upper))
+        if lower > upper:  # unsatisfiable: a single point keeps the metadata well-formed
+            lower = upper = col.lower
+        return col if (lower, upper) == (col.lower, col.upper) \
+            else replace(col, lower=lower, upper=upper)
 
+    out = replace(m, schema=Schema(tuple(refined(c) if c.name in bounds else c
+                                         for c in m.schema.columns)))
 
-def _refine_column(col: ColumnMeta, pred: tuple[Comparison, ...]) -> ColumnMeta:
-    lower, upper = col.lower, col.upper
-    for comp in pred:
-        implied = comp.implied_bounds(col) if comp.column == col.name else None
-        if implied is not None:
-            lower, upper = max(lower, implied[0]), min(upper, implied[1])
-    if lower > upper:
-        # The comparisons are unsatisfiable on the declared domain; collapse to a
-        # single-point domain so the metadata stays well-formed.
-        lower = upper = col.lower
-    if (lower, upper) == (col.lower, col.upper):
-        return col
-    return replace(col, lower=lower, upper=upper)
+    def rows(a: np.ndarray, rng) -> np.ndarray:
+        keep = np.ones(len(a), dtype=bool)
+        for comp, col in zip(pred, cols):  # exactly as Python compares
+            x, op, c = a[col.name], comp.op, comp.constant
+            if col.kind is ColumnKind.CATEGORICAL:  # once per domain value
+                keep &= np.array([_OPS[op](v, c) for v in col.values], dtype=bool)[x]
+            else:
+                op, c = _exact(op, c, col.kind is ColumnKind.INTEGER)
+                keep &= _OPS[op](x, c)
+        # compress copies packed records many times faster than a boolean index
+        return np.compress(keep, a)
 
-
-def select_where(t: Table, pred: tuple[Comparison, ...]) -> Table:
-    """Row filter: a row stays when every comparison in `pred` holds.
-    1-stable; output bounds refined by the comparisons."""
-    for comp in pred:
-        comp.check_kind(t.schema.column(comp.column))  # or UnknownColumnError
-    new_cols = tuple(
-        _refine_column(c, pred) if c.is_numeric else c for c in t.schema.columns
-    )
-    keep = np.ones(len(t), dtype=bool)
-    for comp in pred:
-        keep &= comp.mask(t)
-    # compress copies packed records many times faster than a boolean index
-    return Table(Schema(new_cols), np.compress(keep, t.array), t.stability)
+    return out, rows
 
 
-def project(t: Table, columns: Sequence[str]) -> Table:
-    """Column projection; 1-stable; drops metadata of removed columns."""
-    schema = Schema(tuple(t.schema.column(name) for name in columns))
-    return Table(schema, build_records(schema, [t.array[n] for n in columns]), t.stability)
+def project(m: TableMeta, columns: Sequence[str]):
+    """Column projection; 1-stable; a repeated column is refused."""
+    out = replace(m, schema=Schema(tuple(map(m.schema.column, columns))))
+    return out, lambda a, rng: build_records(out.schema, [a[n] for n in columns])
 
 
-def _ranks(t: Table, col: ColumnMeta) -> np.ndarray:
-    """A column's values as numbers that sort as the values do: a
+def _ranks(col: ColumnMeta, a: np.ndarray) -> np.ndarray:
+    """A column's stored values `a` as numbers that sort as the values do: a
     categorical code becomes the rank of its value in the sorted domain."""
-    a = t.array[col.name]
     if col.kind is not ColumnKind.CATEGORICAL:
         return a
     return np.argsort(sorted(range(len(col.values)), key=col.values.__getitem__))[a]
 
 
-def distinct(t: Table, columns: Sequence[str]) -> Table:
+def distinct(m: TableMeta, columns: Sequence[str]):
     """Deduplicate on the named key columns; 1-stable.
 
     Only the key columns survive (the stability-2 variant that drags other
@@ -152,39 +169,55 @@ def distinct(t: Table, columns: Sequence[str]) -> Table:
     determined by the set of input keys, so the canonical representative is
     the key itself.  Keys come out sorted as their values sort.
     """
-    ranks = [_ranks(t, t.schema.column(name)) for name in columns]
-    order = np.lexsort(ranks[::-1])  # np.unique on records is 30x slower
-    first = np.arange(len(t)) == 0
-    for r in ranks:  # keep each key that differs from the one before it
-        r = r[order]
-        first[1:] |= r[1:] != r[:-1]
-    return project(Table(t.schema, np.take(t.array, order[first]), t.stability), columns)
+    out, keys = project(m, columns)
+
+    def rows(a: np.ndarray, rng) -> np.ndarray:
+        ranks = [_ranks(col, a[col.name]) for col in out.schema.columns]
+        order = np.lexsort(ranks[::-1])  # np.unique on records is 30x slower
+        first = np.arange(len(a)) == 0
+        for r in ranks:  # keep each key that differs from the one before it
+            r = r[order]
+            first[1:] |= r[1:] != r[:-1]
+        return keys(np.take(a, order[first]), rng)
+
+    return out, rows
 
 
-def self_union(t: Table) -> Table:
-    """The multiset union of t with itself; stability doubles."""
-    return Table(t.schema, np.concatenate([t.array, t.array]), 2 * t.stability)
+def self_union(m: TableMeta):
+    """The multiset union of a table with itself; stability doubles."""
+    out = replace(m, stability=2 * m.stability)
+    return out, lambda a, rng: np.concatenate([a, a])
 
 
-def group_by(t: Table, keys: Sequence[str]) -> GroupedTable:
+def group_by(m: TableMeta, keys: Sequence[str]):
     """Group onto the full key-domain cross-product; stability doubles.
 
-    Every element of the declared key domain gets a group, including keys
-    with no matching rows, so the group set is data-independent.  A row's
-    cell is the mixed-radix number of its key's ranks in the sorted domains.
-    """
-    key_cols = tuple(t.schema.column(k) for k in keys)
-    # A real key has no finite domain: `domain` refuses it.  The product of
-    # sorted domains is in sorted order.
-    domains = [sorted(c.domain()) for c in key_cols]
-    cells = np.zeros(len(t), dtype=np.int64)
-    for col, domain in zip(key_cols, domains):
-        cells = cells * len(domain) + _ranks(t, col) - (domain[0] if col.is_numeric else 0)
-    labels = map("/".join, itertools.product(*(list(map(str, d)) for d in domains)))
-    return GroupedTable(t, tuple(labels), cells, 2 * t.stability)
+    Every key of the declared domains gets a cell, so the cell set is
+    data-independent.  A repeated or real key, or more than
+    `MAX_GROUP_CELLS` cells, is refused before any domain is enumerated.
+    The kernel pairs the table with each row's cell: the mixed-radix number
+    of its key's ranks in the sorted domains."""
+    cols = Schema(tuple(map(m.schema.column, keys))).columns
+    # A real key has no finite domain: `domain` refuses it.
+    sizes = [c.upper - c.lower + 1 if c.kind is ColumnKind.INTEGER else len(c.domain())
+             for c in cols]
+    if math.prod(sizes) > MAX_GROUP_CELLS:
+        raise ContractViolation(f"group_by over more than {MAX_GROUP_CELLS} cells")
+    domains = [sorted(c.domain()) for c in cols]  # their product is in sorted order
+    labels = tuple(map("/".join, itertools.product(*(list(map(str, d)) for d in domains))))
+    out = replace(m, stability=2 * m.stability, labels=labels)
+
+    def cells(a: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
+        cells = np.zeros(len(a), dtype=np.int64)
+        for col, domain in zip(cols, domains):
+            cells = cells * len(domain) + _ranks(col, a[col.name]) \
+                - (domain[0] if col.is_numeric else 0)
+        return a, cells
+
+    return out, cells
 
 
-def bernoulli_sample(t: Table, p: float, rng) -> Table:
+def bernoulli_sample(m: TableMeta, p: float):
     """Keep each row independently with probability p (exactly p for a
     float p >= 2^-1022: see `RandomSource.uniform_full`).
 
@@ -193,7 +226,7 @@ def bernoulli_sample(t: Table, p: float, rng) -> Table:
     """
     if not (0.0 <= p <= 1.0):
         raise ContractViolation("sampling probability must be in [0, 1]")
-    return Table(t.schema, np.compress(rng.uniform_full(len(t)) < p, t.array), t.stability)
+    return m, lambda a, rng: np.compress(rng.uniform_full(len(a)) < p, a)
 
 
 @dataclass(frozen=True)
@@ -202,7 +235,7 @@ class Clamp:
     upper: float
 
     def __post_init__(self) -> None:
-        if self.lower > self.upper:
+        if not self.lower <= self.upper:  # a NaN bound too
             raise ContractViolation("clamp lower > upper")
 
     def __call__(self, x):
@@ -235,7 +268,7 @@ class Square:
         return (min(lo * lo, hi * hi), max(lo * lo, hi * hi))
 
 
-def map_column(t: Table, column: str, f) -> Table:
+def map_column(m: TableMeta, column: str, f):
     """Apply a whitelisted map to one numeric column.
 
     Output bounds come from interval arithmetic on declared input bounds;
@@ -244,8 +277,8 @@ def map_column(t: Table, column: str, f) -> Table:
     """
     if not isinstance(f, (Clamp, Affine, Square)):
         raise ContractViolation("map_column accepts only clamp/affine/square")
-    i = t.schema.index(column)
-    col = t.schema.columns[i]
+    i = m.schema.index(column)
+    col = m.schema.columns[i]
     if not col.is_numeric:
         raise ContractViolation(f"column {column} is not numeric")
     lo, hi = f.bounds(col.lower, col.upper)
@@ -258,14 +291,18 @@ def map_column(t: Table, column: str, f) -> Table:
     kind = ColumnKind.INTEGER if integral else ColumnKind.REAL
     if kind is ColumnKind.INTEGER:
         lo, hi = int(lo), int(hi)
-    cols = list(t.schema.columns)
+    cols = list(m.schema.columns)
     cols[i] = ColumnMeta(col.name, kind, lower=lo, upper=hi)
-    schema = Schema(tuple(cols))
-    # An int64 result stays exact; clamping to the image bounds is clamping.
-    x = t.array[column] if integral else t.array[column].astype(np.float64)
-    columns = [t.array[name] for name in schema.names]
-    columns[i] = np.clip(x, lo, hi) if isinstance(f, Clamp) else f(x)
-    return Table(schema, build_records(schema, columns), t.stability)
+    out = replace(m, schema=Schema(tuple(cols)))
+
+    def rows(a: np.ndarray, rng) -> np.ndarray:
+        # An int64 result stays exact; clamping to the image bounds is clamping.
+        x = a[column] if integral else a[column].astype(np.float64)
+        columns = [a[name] for name in out.schema.names]
+        columns[i] = np.clip(x, lo, hi) if isinstance(f, Clamp) else f(x)
+        return build_records(out.schema, columns)
+
+    return out, rows
 
 
 def _fsum(values: list) -> float:
@@ -282,39 +319,41 @@ def _fsum(values: list) -> float:
         return math.inf if total > 0 else -math.inf
 
 
-def aggregate(t: Table | GroupedTable, agg: str, column: str | None = None) -> StatVector:
+def aggregate(m: TableMeta, agg: str, column: str | None = None):
     """Exact count or bounded sum, with l1_sensitivity from metadata.
 
     l1_sensitivity = stability factor x per-record influence, where the
-    influence is 1 for count and max(|lower|, |upper|) for sum.  Defined on
-    empty input (count -> 0, sum -> 0).  Counts and sums of integer columns
-    are marked integral, sums of real columns are not.  Sums are exact and
-    rounded once, so they do not depend on row order.
+    influence is 1 for count and max(|lower|, |upper|) for sum; one that is
+    not finite and nonnegative (an unbounded column's) is refused.  Defined
+    on empty input (count -> 0, sum -> 0).  Counts and sums of integer
+    columns are marked integral, sums of real columns are not.  Sums are
+    exact and rounded once, so they do not depend on row order.
     """
     if agg not in ("count", "sum"):
         raise ContractViolation(f"unknown aggregation {agg!r}")
-    if not isinstance(t, GroupedTable):  # one cell, labelled by the aggregation
-        label = agg if column is None else f"{agg}({column})"
-        t = GroupedTable(t, (label,), np.zeros(len(t), dtype=np.int64), t.stability)
     col = None
     if agg == "sum":
-        if column is None:
-            raise ContractViolation("sum requires a column")
-        col = t.table.schema.column(column)
+        col = m.schema.column(column)  # or UnknownColumnError, None too
         if not col.is_numeric:
             raise ContractViolation("sum over a non-numeric column")
-        if not (math.isfinite(col.lower) and math.isfinite(col.upper)):
-            raise ContractViolation("sum over an unbounded column")
     influence = 1.0 if agg == "count" else max(abs(col.lower), abs(col.upper))
-    values = np.bincount(t.cells, minlength=len(t.labels))
-    if agg == "sum":  # each cell's values in one list, summed exactly, rounded once
-        ends = np.cumsum(values).tolist()
-        exact = sum if col.kind is ColumnKind.INTEGER else _fsum
-        ordered = t.table.array[column][np.argsort(t.cells, kind="stable")].tolist()
-        values = [float(exact(ordered[s:e])) for s, e in zip([0] + ends[:-1], ends)]
-    integral = agg == "count" or col.kind is ColumnKind.INTEGER
-    return StatVector(np.array(values, dtype=np.float64), t.stability * influence, t.labels,
-                      integral)
+    sensitivity = m.stability * influence
+    if not (math.isfinite(sensitivity) and sensitivity >= 0):
+        raise ContractViolation("l1_sensitivity must be finite and nonnegative")
+    grouped = m.labels is not None  # else one cell, labelled by the aggregation
+    labels = m.labels if grouped else (agg if column is None else f"{agg}({column})",)
+
+    def values(rows, rng) -> list | np.ndarray:
+        a, cells = rows if grouped else (rows, np.zeros(len(rows), dtype=np.int64))
+        values = np.bincount(cells, minlength=len(labels))
+        if agg == "sum":  # each cell's values in one list, summed exactly, rounded once
+            ends = np.cumsum(values).tolist()
+            exact = sum if col.kind is ColumnKind.INTEGER else _fsum
+            ordered = a[column][np.argsort(cells, kind="stable")].tolist()
+            values = [float(exact(ordered[s:e])) for s, e in zip([0] + ends[:-1], ends)]
+        return values
+
+    return Claim(labels, sensitivity, agg == "count" or col.kind is ColumnKind.INTEGER), values
 
 
 #: Operators a plan may not name, each with why it is absent.
@@ -407,24 +446,22 @@ def _column_map(words):
     return (words[0], make(*(_number(w) for w in words[2:])))
 
 
-def _bernoulli(t, rng, p):
-    if rng is None:
-        raise ContractViolation("bernoulli_sample requires a random source")
-    return bernoulli_sample(t, p, rng)
-
-
-#: Plan step -> (parser of the words after its name, executor).  The parser
-#: returns the step's arguments; the executor is called as (table, rng, *args).
+#: Plan step -> (parser of the words after its name, metadata rule).  The
+#: parser returns the step's arguments.  The rule, called as (meta, *args),
+#: holds every refusal of the step: it returns the output's TableMeta, or an
+#: aggregation's Claim, with the row kernel, called as (records, rng), that
+#: computes the output's record array (with group_by, and each row's cell;
+#: with an aggregation, the values) and raises nothing.
 _STEPS = {
-    "select_where": (_predicate, lambda t, rng, pred: select_where(t, pred)),
-    "project": (_columns, lambda t, rng, cols: project(t, cols)),
-    "distinct": (_columns, lambda t, rng, cols: distinct(t, cols)),
-    "self_union": (_no_words, lambda t, rng: self_union(t)),
-    "group_by": (_columns, lambda t, rng, keys: group_by(t, keys)),
-    "bernoulli_sample": (_probability, _bernoulli),
-    "map_column": (_column_map, lambda t, rng, col, f: map_column(t, col, f)),
-    "count": (_no_words, lambda t, rng: aggregate(t, "count")),
-    "sum": (_one_word, lambda t, rng, col: aggregate(t, "sum", col)),
+    "select_where": (_predicate, select_where),
+    "project": (_columns, project),
+    "distinct": (_columns, distinct),
+    "self_union": (_no_words, self_union),
+    "group_by": (_columns, group_by),
+    "bernoulli_sample": (_probability, bernoulli_sample),
+    "map_column": (_column_map, map_column),
+    "count": (_no_words, lambda m: aggregate(m, "count")),
+    "sum": (_one_word, lambda m, col: aggregate(m, "sum", col)),
 }
 _AGGREGATIONS = ("count", "sum")
 
@@ -443,11 +480,20 @@ class TransformPlan:
             if kind == "group_by" and i != len(kinds) - 2:
                 raise ContractViolation("a grouped table can only be aggregated")
 
-    def execute(self, t: Table, rng=None) -> StatVector:
-        """Run the steps on `t`."""
+    def check(self, schema: Schema, stability: int = 1) -> Claim:
+        """The plan's claim on a table of `schema`: each metadata rule runs
+        once, and every refusal of the plan is raised here."""
+        meta, kernels = TableMeta(schema, stability), []
         for kind, *args in self.steps:
-            t = _STEPS[kind][1](t, rng, *args)
-        return t
+            meta, kernel = _STEPS[kind][1](meta, *args)
+            kernels.append(kernel)
+        return replace(meta, kernels=tuple(kernels))
+
+    def execute(self, t: Table, rng=None) -> StatVector:
+        """Check the plan on `t`'s metadata, then run it on `t`'s rows."""
+        if rng is None and any(kind == "bernoulli_sample" for kind, *_ in self.steps):
+            raise ContractViolation("bernoulli_sample requires a random source")
+        return self.check(t.schema, t.stability).run(t, rng)
 
 
 def parse_plan(text: str) -> TransformPlan:

@@ -15,6 +15,7 @@ from dpcore.audit.blackbox import MechanismUnderTest
 from dpcore.randomness import RandomSource, sample_laplace
 from dpcore.relational import Table
 from dpcore.transforms import aggregate, group_by
+from steps import apply
 
 
 def data_dependent_histogram(key_column: str):
@@ -25,8 +26,8 @@ def data_dependent_histogram(key_column: str):
     """
 
     def run(table: Table, eps: float, rng: RandomSource) -> dict:
-        grouped = group_by(table, [key_column])
-        v = aggregate(grouped, "count")
+        grouped = apply(group_by, table, [key_column])
+        v = apply(aggregate, grouped, "count")
         noisy = v.values + sample_laplace(rng, v.l1_sensitivity / eps, size=len(v))
         return {
             label: float(x)
@@ -65,7 +66,7 @@ def accountant_bypass_laplace_count(scope) -> MechanismUnderTest:
     """
 
     def run(table: Table, eps: float, rng: RandomSource) -> float:
-        v = aggregate(table, "count")
+        v = apply(aggregate, table, "count")
         # No scope.charge(...) call: that is the bug.
         return float(v.values[0] + sample_laplace(rng, v.l1_sensitivity / eps, size=1)[0])
 

@@ -98,19 +98,25 @@ class SimulatedClock:
 @contextlib.contextmanager
 def paced_scans(clock: SimulatedClock, xi: float):
     """Model scan work on a simulated clock: while open, each `select_where`
-    step, once it returns, advances `clock` by `xi` per row it read, in one
-    `advance`.  A scan refused from metadata raises first and advances
-    nothing.  The shipped data path takes no time on a simulated clock, so
-    this gives the padding tests work whose cost grows with the row count."""
-    parse, scan = transforms._STEPS["select_where"]
+    row kernel, once it returns, advances `clock` by `xi` per row it read,
+    in one `advance`.  A scan refused from metadata is refused by the rule,
+    before any kernel runs, and advances nothing.  The shipped data path
+    takes no time on a simulated clock, so this gives the padding tests work
+    whose cost grows with the row count."""
+    parse, rule = transforms._STEPS["select_where"]
 
-    def paced(t, rng, *args):
-        out = scan(t, rng, *args)
-        clock.advance(len(t) * xi)
-        return out
+    def paced(meta, *args):
+        out, scan = rule(meta, *args)
+
+        def kernel(records, rng):
+            out = scan(records, rng)
+            clock.advance(len(records) * xi)
+            return out
+
+        return out, kernel
 
     transforms._STEPS["select_where"] = (parse, paced)
     try:
         yield
     finally:
-        transforms._STEPS["select_where"] = (parse, scan)
+        transforms._STEPS["select_where"] = (parse, rule)

@@ -20,13 +20,13 @@ import numpy as np
 from dpcore.errors import ContractViolation
 from dpcore.randomness import RandomSource
 from dpcore.relational import (
-    GroupedTable,
     Schema,
     StatVector,
     Table,
     make_table,
     symmetric_difference,
 )
+from steps import GroupedTable
 
 
 def _multisets(pool, size: int) -> Iterator[tuple]:

@@ -28,6 +28,7 @@ from doubles import ScriptedSource, SimulatedClock, paced_scans
 from oracles import (exponential_mechanism_log_probabilities, linear_query_epsilon, log_add,
                      max_column_l1, replay_spent)
 from propcheck import expmech_ratio_check, stability_check
+from steps import apply
 
 
 @pytest.fixture
@@ -98,7 +99,7 @@ def test_acceptance_stability_witness(announce):
 
     def chain(t):
         for _ in range(5):
-            t = self_union(t)
+            t = apply(self_union, t)
         return t
 
     t = make_table(schema, [(1, 0)])
@@ -120,11 +121,11 @@ def test_acceptance_doubled_sum_sensitivity(announce):
     schema = Schema((ColumnMeta("wage", ColumnKind.INTEGER,
                                 lower=0, upper=300_000),))
     t = make_table(schema, [(120_000,), (80_000,)])
-    v = aggregate(self_union(t), "sum", "wage")
+    v = apply(aggregate, apply(self_union, t), "sum", "wage")
     # Empirical cross-check at a scaled-down domain (same pipeline shape).
     small = Schema((ColumnMeta("wage", ColumnKind.INTEGER, lower=0, upper=3),))
     from propcheck import sensitivity_check
-    emp = sensitivity_check(lambda tt: aggregate(self_union(tt), "sum", "wage"),
+    emp = sensitivity_check(lambda tt: apply(aggregate, apply(self_union, tt), "sum", "wage"),
                             6.0, small, [(0,), (1,), (3,)], max_rows=3, max_k=2)
     ok = v.l1_sensitivity == 600_000.0 and emp.passed
     announce(ok, "criterion 4: doubled SUM(wage) claims sensitivity 600000; "
@@ -215,8 +216,8 @@ def test_acceptance_histogram_calibration(announce, closing):
         ColumnMeta("v", ColumnKind.INTEGER, lower=0, upper=1),
     ))
     t = make_table(schema, [(5, 1), (5, 0), (600, 1)])
-    counts = aggregate(group_by(t, ["k"]), "count")  # 1000 cells, sens 2
-    empty_counts = aggregate(group_by(make_table(schema, []), ["k"]), "count")
+    counts = apply(aggregate, apply(group_by, t, ["k"]), "count")  # 1000 cells, sens 2
+    empty_counts = apply(aggregate, apply(group_by, make_table(schema, []), ["k"]), "count")
     acct = closing(Accountant())
     acct.create_scope("s", PURE_EPS, math.inf)
     scope = acct.scope("s")

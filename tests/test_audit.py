@@ -40,7 +40,10 @@ from dpcore.errors import ContractViolation, ParameterError
 from dpcore.randomness import sample_laplace
 from dpcore.relational import ColumnKind, ColumnMeta, Schema, StatVector, make_table
 from dpcore.transforms import (
+    _STEPS,
+    Clamp,
     Comparison,
+    TableMeta,
     aggregate,
     group_by,
     parse_plan,
@@ -65,6 +68,7 @@ from propcheck import (
     sensitivity_check,
     stability_check,
 )
+from steps import apply
 
 
 # -- goodness of fit ---------------------------------------------------------
@@ -595,13 +599,13 @@ _POOL = [(0, 0), (1, 1), (2, 0), (3, 1)]
 
 def test_stability_check_select_where_is_one_stable():
     pred = (Comparison("c0", ">=", 2),)
-    res = stability_check(lambda t: select_where(t, pred), 1.0,
+    res = stability_check(lambda t: apply(select_where, t, pred), 1.0,
                           _small_schema(), _POOL, max_rows=3, max_k=2)
     assert res.passed
 
 
 def test_stability_check_group_by_needs_factor_two():
-    chain = lambda t: group_by(t, ["c1"])
+    chain = lambda t: apply(group_by, t, ["c1"])
     assert stability_check(chain, 2.0, _small_schema(), _POOL,
                            max_rows=3, max_k=2).passed
     under = stability_check(chain, 1.0, _small_schema(), _POOL,
@@ -613,7 +617,7 @@ def test_stability_check_group_by_needs_factor_two():
 def test_stability_check_five_self_unions():
     def chain(t):
         for _ in range(5):
-            t = self_union(t)
+            t = apply(self_union, t)
         return t
     assert stability_check(chain, 32.0, _small_schema(), _POOL,
                            max_rows=2, max_k=1).passed
@@ -625,7 +629,7 @@ def test_stability_check_five_self_unions():
 
 
 def test_sensitivity_check_sum_pipeline():
-    pipeline = lambda t: aggregate(self_union(t), "sum", "c0")
+    pipeline = lambda t: apply(aggregate, apply(self_union, t), "sum", "c0")
     assert sensitivity_check(pipeline, 6.0, _small_schema(), _POOL,
                              max_rows=3, max_k=2).passed  # 2 * max|c0| = 6
     assert not sensitivity_check(pipeline, 5.0, _small_schema(), _POOL,
@@ -636,7 +640,7 @@ def test_sensitivity_check_catches_understated_claim():
     """A pipeline whose *reported* sensitivity is too small fails even if
     the observed movement happens to stay within the claim."""
     def lying(t):
-        v = aggregate(t, "count")
+        v = apply(aggregate, t, "count")
         return StatVector(v.values, 0.25, v.dimension_labels)
     res = sensitivity_check(lying, 1.0, _small_schema(), _POOL,
                             max_rows=2, max_k=1)
@@ -644,6 +648,42 @@ def test_sensitivity_check_catches_understated_claim():
     # The reported-claim cross-check is the part that must trip:
     assert not sensitivity_check(lying, 0.5, _small_schema(), _POOL,
                                  max_rows=2, max_k=1).passed
+
+
+_CLAIM_SCHEMA = Schema((
+    ColumnMeta("k", ColumnKind.INTEGER, lower=-3, upper=2),
+    ColumnMeta("n", ColumnKind.INTEGER, lower=0, upper=3),
+))
+_CLAIM_POOL = [(-3, 0), (2, 3), (0, 2), (1, 1)]
+
+
+@pytest.mark.parametrize("text", [
+    "count", "sum k", "self_union\ncount", "group_by n\nsum k", "select_where n < 2.5\nsum n",
+    "select_where k > -1.5\nsum k", "map_column k clamp 0 1\nsum k", "distinct n\ncount",
+])
+def test_plan_claim_bounds_every_small_neighbour_pair(text):
+    """Each plan's own claim, from `check`, bounds its exact StatVectors on
+    every pair of small tables, exhaustively (integer values only, so no
+    rounding enters)."""
+    plan = parse_plan(text)
+    res = sensitivity_check(plan.execute, plan.check(_CLAIM_SCHEMA).l1_sensitivity,
+                            _CLAIM_SCHEMA, _CLAIM_POOL, max_rows=3, max_k=2)
+    assert res.passed, res
+
+
+@pytest.mark.parametrize("kind, args", [
+    ("select_where", ((Comparison("n", "<", 2.5),),)), ("project", (("k",),)),
+    ("distinct", (("n",),)), ("self_union", ()), ("group_by", (("n",),)),
+    ("map_column", ("k", Clamp(0, 1))),
+])
+def test_step_stability_bounds_every_small_neighbour_pair(kind, args):
+    """Each step's tracked stability, from its metadata rule, bounds the
+    distance of its outputs on every pair of small tables, exhaustively."""
+    rule = _STEPS[kind][1]
+    claimed = rule(TableMeta(_CLAIM_SCHEMA), *args)[0].stability
+    res = stability_check(lambda t: apply(rule, t, *args), claimed, _CLAIM_SCHEMA, _CLAIM_POOL,
+                          max_rows=3, max_k=2)
+    assert res.passed, res
 
 
 # -- exponential mechanism ratio checks ----------------------------------------------
@@ -672,8 +712,8 @@ def test_data_dependent_histogram_caught_by_cell_constancy(rng):
     cells2 = set(bug(d2, 1.0, rng))
     assert cells1 != cells2  # the violation: cell set tracks the data
     # The shipped histogram keeps the full declared cell set on both sides.
-    v1 = aggregate(group_by(d1, ["k"]), "count")
-    v2 = aggregate(group_by(d2, ["k"]), "count")
+    v1 = apply(aggregate, apply(group_by, d1, ["k"]), "count")
+    v2 = apply(aggregate, apply(group_by, d2, ["k"]), "count")
     assert v1.dimension_labels == v2.dimension_labels
 
 

@@ -18,6 +18,7 @@ from dpcore.transforms import aggregate, group_by
 from doubles import ScriptedSource, zero_noise_source
 from oracles import (exponential_mechanism_log_probabilities, logsumexp_mp,
                      two_sided_geometric_pmf)
+from steps import apply
 
 
 def _vec(values, sens=1.0):
@@ -82,14 +83,14 @@ def test_laplace_int_refuses_real_valued_statistics(tmp_path, rng):
     schema = Schema((ColumnMeta("x", ColumnKind.REAL, lower=0.0, upper=5.0),
                      ColumnMeta("k", ColumnKind.INTEGER, lower=0, upper=5)))
     t = make_table(schema, [(2.0, 1), (3.0, 2)])
-    real_sum = aggregate(t, "sum", "x")
+    real_sum = apply(aggregate, t, "sum", "x")
     assert real_sum.values.tolist() == [5.0] and not real_sum.integral
     for v in (real_sum, _vec([0.5])):
         with pytest.raises(ContractViolation):
             laplace_mechanism(v, 1.0, scope, rng, discretize=True)
     assert acct.ledger == () and path.read_text() == ""
-    int_sum = aggregate(t, "sum", "k")
-    assert int_sum.integral and aggregate(t, "count").integral
+    int_sum = apply(aggregate, t, "sum", "k")
+    assert int_sum.integral and apply(aggregate, t, "count").integral
     out = laplace_mechanism(int_sum, 1.0, scope, rng, discretize=True)
     assert out.values[0] == int(out.values[0]) and len(acct.ledger) == 1
     acct.close()
@@ -221,7 +222,7 @@ def _grouped_counts(rows):
         ColumnMeta("v", ColumnKind.INTEGER, lower=0, upper=9),
     ))
     t = make_table(schema, rows)
-    return aggregate(group_by(t, ["k"]), "count")
+    return apply(aggregate, apply(group_by, t, ["k"]), "count")
 
 
 def test_noisy_histogram_cell_set_is_data_independent(scope, rng):

@@ -28,6 +28,7 @@ from dpcore.relational import (
 )
 from dpcore.transforms import aggregate
 from oracles import contains, multiset_distance, parse_csv_rows, stored_column_reference
+from steps import apply
 
 
 # -- column metadata ---------------------------------------------------------
@@ -277,7 +278,7 @@ def test_a_negative_or_infinite_stability_is_refused_when_aggregated(factor):
     t = make_table(Schema((ColumnMeta("c", ColumnKind.INTEGER, lower=0, upper=9),)), [(1,)])
     for agg, column in (("count", None), ("sum", "c")):
         with pytest.raises(ContractViolation, match="l1_sensitivity"):
-            aggregate(Table(t.schema, t.array, factor), agg, column)
+            apply(aggregate, Table(t.schema, t.array, factor), agg, column)
 
 
 def test_nan_cell_is_corrected_before_any_sum(tmp_path):
@@ -287,8 +288,8 @@ def test_nan_cell_is_corrected_before_any_sum(tmp_path):
     schema = load_schema(str(tmp_path / "s.txt"))
     (tmp_path / "nan.csv").write_text("income\n10.5\nnan\n")
     (tmp_path / "low.csv").write_text("income\n10.5\n0.0\n")
-    with_nan = aggregate(load_csv(str(tmp_path / "nan.csv"), schema), "sum", "income")
-    at_lower = aggregate(load_csv(str(tmp_path / "low.csv"), schema), "sum", "income")
+    with_nan = apply(aggregate, load_csv(str(tmp_path / "nan.csv"), schema), "sum", "income")
+    at_lower = apply(aggregate, load_csv(str(tmp_path / "low.csv"), schema), "sum", "income")
     assert np.isfinite(with_nan.values).all()
     assert with_nan.values.tolist() == at_lower.values.tolist() == [10.5]
     assert with_nan == at_lower

@@ -34,7 +34,7 @@ from dpcore.service import (
     build_accountant,
 )
 from dpcore.transforms import Comparison, TransformPlan, parse_plan
-from doubles import ScriptedSource, SimulatedClock, paced_scans
+from doubles import ScriptedSource, SimulatedClock, paced_scans, zero_noise_source
 
 
 SIDECAR = "c0 int 0 100\nc1 int 0 1\n"
@@ -278,7 +278,8 @@ _FUZZ_STEP = st.one_of(
     st.just("self_union"),
     st.sampled_from(("0.5", "1.5", "x")).map("bernoulli_sample {}".format),
     st.builds("map_column {} {}".format, _FUZZ_COLUMNS,
-              st.sampled_from(("clamp 0 50", "clamp 9 1", "affine -2 3", "square", "square 2"))),
+              st.sampled_from(("clamp 0 50", "clamp 9 1", "clamp nan 5", "clamp 0 nan",
+                               "affine -2 3", "square", "square 2"))),
     _FUZZ_AGGREGATION,
 )
 _FUZZ_PLAN = st.builds(lambda steps, agg: "\n".join(steps + [agg]),
@@ -311,6 +312,53 @@ def test_plan_fuzz_outcome_identical_on_neighbors(plan_text, mechanism, row):
     the same on the empty dataset and on its one-row neighbor."""
     assert _fuzz_outcome([], plan_text, mechanism) == \
         _fuzz_outcome([row], plan_text, mechanism)
+
+
+class _Loaded(Exception):
+    """Raised by `_RowlessRegistry.table`: the release reached the load."""
+
+
+class _RowlessRegistry(DatasetRegistry):
+    """A registry whose `table` raises: a release that reads rows shows it."""
+
+    def table(self, handle):
+        raise _Loaded
+
+
+def _release_outcome(registry, plan_text, mechanism, eps, handle="ds1"):
+    """The exception type a `private_release` ends in (None if it returns)
+    and the ledger lines it wrote, on the empty `_FUZZ_SCHEMA` table."""
+    registry.register(make_table(_FUZZ_SCHEMA, []))
+    with contextlib.closing(Accountant()) as acct:
+        scope = acct.create_scope("main", PURE_EPS, 10.0)
+        try:
+            private_release(registry, handle, parse_plan(plan_text), mechanism, eps, scope,
+                            zero_noise_source())
+            ended = None
+        except Exception as exc:
+            ended = type(exc)
+        return ended, len(acct.ledger)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FUZZ_PLAN, st.sampled_from(MECHANISMS), st.sampled_from((1.0, 1e-5, 20.0)))
+def test_every_refusal_comes_before_the_load(plan_text, mechanism, eps):
+    """Plans from the neighbour fuzz grammar, at an eps that passes, one
+    under the floor and one over the budget: every request the real
+    registry refuses is refused alike, with nothing charged, by a registry
+    whose `table` raises; every request it grants is charged and then
+    reaches the load, whose failure keeps the charge."""
+    ended, charged = _release_outcome(DatasetRegistry(), plan_text, mechanism, eps)
+    if ended is None:
+        assert _release_outcome(_RowlessRegistry(), plan_text, mechanism, eps) == (_Loaded, 1)
+    else:
+        assert charged == 0
+        assert _release_outcome(_RowlessRegistry(), plan_text, mechanism, eps) == (ended, 0)
+
+
+def test_an_unknown_handle_is_refused_before_any_charge():
+    assert _release_outcome(_RowlessRegistry(), "count", "laplace", 1.0, handle="ds9") == \
+        (ContractViolation, 0)
 
 
 def test_laplace_int_on_a_real_sum_is_refused_alike_on_neighbors():
