@@ -14,10 +14,12 @@ The two phases each derive their own child RandomSource from the source
 they are handed, so search samples and test samples can never overlap.
 Both are thin wrappers that sample and then call the slice-level
 `select_event` and `event_pvalue`.  The repeated test of `report.audit_pair`
-calls those directly on disjoint slices of larger samples, so that a group
-of repetitions costs one sampler call per side and phase; it tests pure
+calls `select_event` on disjoint slices of larger samples and scores a whole
+group's test slices in one `event_pvalues` call, so that a group of
+repetitions costs one sampler call per side and phase; it tests pure
 epsilon (delta = 0), the one budget kind dpcore charges.  `aggregate_pvalues`
-turns the repetitions' p-values into a verdict.
+turns the repetitions' p-values into a verdict.  Every draw of the audit,
+the test's Binomial thinning included, comes from a ChaCha20 RandomSource.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 from ..errors import ContractViolation
 from ..randomness import RandomSource, derive_source
 from ..relational import Schema, Table, make_table, symmetric_difference
-from .gof import half_binomial_tail
+from .gof import binomial_draws, half_binomial_tails
 
 
 @dataclass
@@ -86,9 +88,6 @@ class OutcomeEvent:
     lo: float
     hi: float
 
-    def count(self, outcomes: np.ndarray) -> int:
-        return int(np.count_nonzero((outcomes >= self.lo) & (outcomes <= self.hi)))
-
     def describe(self) -> str:
         return f"[{self.lo}, {self.hi}]"
 
@@ -129,7 +128,7 @@ def _percentiles(pooled: np.ndarray) -> np.ndarray:
     return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
 
 
-def _event_counts(out: np.ndarray, qs: np.ndarray, counts: np.ndarray) -> None:
+def _candidate_counts(out: np.ndarray, qs: np.ndarray, counts: np.ndarray) -> None:
     """Fill row i of `counts`: how many of sorted `out` fall in (-inf, q_i], in
     [q_i, inf), and in [q_i, q_j] for every j (0 where j < i), as exact floats."""
     right = np.searchsorted(out, qs, side="right")
@@ -185,8 +184,8 @@ def select_event(out1: np.ndarray, out2: np.ndarray, eps: float) -> OutcomeEvent
     # One block, filled in place: glibc keeps a freed block this size for the next
     # search, where separate temporaries were trimmed and faulted back in each time.
     c1, c2, score_fwd, score = np.empty((4, len(qs), len(qs) + 2))
-    _event_counts(out1, qs, c1)
-    _event_counts(out2, qs, c2)
+    _candidate_counts(out1, qs, c1)
+    _candidate_counts(out2, qs, c2)
     # +1 smoothing on the sparse side keeps the score finite.
     np.divide(c1, np.multiply(e_eps, np.add(c2, 1.0, out=score_fwd), out=score_fwd),
               out=score_fwd)
@@ -199,25 +198,6 @@ def select_event(out1: np.ndarray, out2: np.ndarray, eps: float) -> OutcomeEvent
     lo = -math.inf if col == 0 else float(qs[i])
     hi = float(qs[i]) if col == 0 else math.inf if col == 1 else float(qs[col - 2])
     return OutcomeEvent(lo, hi)
-
-
-def _binomial_pvalue(
-    c1: int, c2: int, n: int, eps: float, delta: float, np_rng: np.random.Generator,
-    resamples: int = 100,
-) -> float:
-    """Ding-et-al.-style p-value for H0: p1 <= e^eps p2 + delta.
-
-    The delta slack is removed by subtracting ceil(n*delta) from the side
-    alleged to be too heavy; that count is then thinned by e^-eps, after
-    which the null predicts the thinned count and c2 are exchangeable.  The
-    one-sided exact binomial comparison P[Bin(s + c2, 1/2) >= s] gives the
-    p-value; the thinning is re-sampled and the p-values averaged.
-    """
-    c1_adj = max(c1 - math.ceil(delta * n), 0)
-    if c1_adj == 0 and c2 == 0:
-        return 1.0
-    s = np_rng.binomial(c1_adj, math.exp(-eps), size=resamples)
-    return float(np.mean(half_binomial_tail(s, c2)))
 
 
 def dp_hypothesis_test(
@@ -239,27 +219,48 @@ def dp_hypothesis_test(
     child = derive_source(rng)
     out1 = m.sample(pair.d1, eps, child, n_test)
     out2 = m.sample(pair.d2, eps, child, n_test)
-    return event_pvalue(out1, out2, event, eps, delta,
-                        np.random.default_rng(child.randbits(128)))
+    return event_pvalue(out1, out2, event, eps, delta, child)
 
 
 def event_pvalue(
     out1: np.ndarray, out2: np.ndarray, event: OutcomeEvent, eps: float, delta: float,
-    np_rng: np.random.Generator,
+    rng: RandomSource,
 ) -> float:
-    """Hypothesis test of the DP inequality on one event, over the outcomes
-    `out1` and `out2` (equal lengths) of the two sides.
+    """`event_pvalues` of one repetition."""
+    return float(event_pvalues(out1[None], out2[None], [event], eps, delta, rng)[0])
+
+
+#: Draws of the thinning behind each p-value.
+RESAMPLES = 100
+
+
+def event_counts(events: list[OutcomeEvent], outcomes: np.ndarray) -> np.ndarray:
+    """Row r: how many of outcomes[r] lie in the closed interval events[r]."""
+    lo, hi = np.array([(e.lo, e.hi) for e in events]).T[:, :, None]
+    return np.count_nonzero((outcomes >= lo) & (outcomes <= hi), axis=1)
+
+
+def event_pvalues(
+    out1: np.ndarray, out2: np.ndarray, events: list[OutcomeEvent], eps: float, delta: float,
+    rng: RandomSource,
+) -> np.ndarray:
+    """Row r: the p-value of the DP inequality on events[r] over the outcomes
+    out1[r] and out2[r] of the two sides (g x n each), after Ding et al.
+    (CCS 2018), for H0: p1 <= e^eps p2 + delta.
 
     Both orientations (d1 excess and d2 excess) are tested and the smaller
-    p-value is reported.
+    p-value is reported.  The delta slack is removed by subtracting
+    ceil(n*delta) from the side alleged to be too heavy; that count is then
+    thinned by e^-eps (Binomial draws from `rng`), after which the null
+    predicts the thinned count s and the other side's count c exchangeable.
+    The one-sided exact binomial comparison P[Bin(s + c, 1/2) >= s] gives the
+    p-value; the thinning is drawn RESAMPLES times and the p-values averaged.
     """
-    c1 = event.count(out1)
-    c2 = event.count(out2)
-    if c1 == 0 and c2 == 0:
-        return 1.0
-    p_fwd = _binomial_pvalue(c1, c2, len(out1), eps, delta, np_rng)
-    p_rev = _binomial_pvalue(c2, c1, len(out1), eps, delta, np_rng)
-    return min(p_fwd, p_rev)
+    c1, c2 = event_counts(events, out1), event_counts(events, out2)
+    heavy, light = np.concatenate([c1, c2]), np.concatenate([c2, c1])
+    heavy = np.maximum(heavy - math.ceil(delta * out1.shape[1]), 0)
+    p = half_binomial_tails(binomial_draws(rng, heavy, -eps, RESAMPLES), light).mean(axis=1)
+    return np.minimum(p[:len(events)], p[len(events):])
 
 
 @dataclass(frozen=True)

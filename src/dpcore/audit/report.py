@@ -21,7 +21,7 @@ from .blackbox import (
     NeighborPair,
     OutcomeEvent,
     aggregate_pvalues,
-    event_pvalue,
+    event_pvalues,
     require_samples,
     select_event,
 )
@@ -107,32 +107,32 @@ def audit_pair(
     The repetitions run in groups of GROUP_OUTCOMES // max(n_search, n_test)
     (at least one).  A group draws each side's search outcomes, and then its
     test outcomes, in one sampler call with its own derived source, and each
-    repetition searches and tests on its own disjoint slices of them.
+    repetition searches and tests on its own disjoint slices of them.  One
+    `event_pvalues` call scores the group's tests, its thinning drawn from
+    `rng`.
     """
     require_samples(n_search, "n_search")
     require_samples(n_test, "n_test")
     group = max(1, GROUP_OUTCOMES // max(n_search, n_test))
+    events: list[OutcomeEvent] = []
     pvalues: list[float] = []
-    worst: Counterexample | None = None
     for start in range(0, repetitions, group):
         g = min(group, repetitions - start)
         search1, search2 = (np.sort(_draw(m, d, eps, rng, g, n_search), axis=1)
                             for d in (pair.d1, pair.d2))
-        events = [select_event(a, b, eps) for a, b in zip(search1, search2)]
+        chosen = [select_event(a, b, eps) for a, b in zip(search1, search2)]
         test1, test2 = (_draw(m, d, eps, rng, g, n_test) for d in (pair.d1, pair.d2))
-        np_rng = np.random.default_rng(rng.randbits(128))
-        for event, out1, out2 in zip(events, test1, test2):
-            p = event_pvalue(out1, out2, event, eps, 0.0, np_rng)
-            pvalues.append(p)
-            if worst is None or p < worst.p_value:
-                worst = Counterexample(pair.name, event, p)
+        pvalues += event_pvalues(test1, test2, chosen, eps, 0.0, rng).tolist()
+        events += chosen
     verdict = aggregate_pvalues(pvalues)
+    worst = int(np.argmin(pvalues))
     return AuditEntry(
         name=f"{m.name}/{pair.name}/eps={eps}",
         statistic=verdict.mean_p,
         p_values=tuple(pvalues),
         passed=verdict.mean_pass,
-        counterexample=None if verdict.mean_pass else worst,
+        counterexample=None if verdict.mean_pass else Counterexample(
+            pair.name, events[worst], pvalues[worst]),
     )
 
 

@@ -106,8 +106,32 @@ def binom_sf_mp(k: int, n: int, p: float) -> float:
     return float(total)
 
 
+def half_binomial_tail(s, c2: int) -> np.ndarray:
+    """P[Bin(s + c2, 1/2) >= s] for each entry of the integer array `s` >= 0,
+    one row of `gof.half_binomial_tails`, which must match it bit for bit.
+
+    The pmf of Y ~ NegBin(c2 + 1, 1/2) over s's range, widened by
+    K = 20 sqrt(c2+1) + 100 only on a side that some sum starts from: an s
+    above Y's mean c2+1 sums the pmf down from the window's top, any other s
+    takes one less the sum up from its bottom.
+    """
+    s = np.asarray(s, dtype=np.int64)
+    k = int(20 * math.sqrt(c2 + 1)) + 100
+    upper = s > c2 + 1
+    lo = max(int(s.min()) - (0 if upper.all() else k), 0)
+    hi = int(s.max()) + 1 + (k if upper.any() else 0)
+    y = np.arange(lo, hi)
+    log_pmf = (_log_factorial(y + c2) - _log_factorial(y) - math.lgamma(c2 + 1.0)
+               - (y + c2 + 1) * math.log(2.0))
+    pmf = np.exp(log_pmf)
+    above = np.cumsum(pmf[::-1])[::-1]
+    below = np.cumsum(pmf) - pmf
+    i = s - lo
+    return np.where(upper, above[i], 1.0 - below[i])
+
+
 def half_binomial_tail_two_sided(s, c2: int) -> np.ndarray:
-    """`gof.half_binomial_tail` with its pmf window widened by K on both sides
+    """`half_binomial_tail` with its pmf window widened by K on both sides
     of s's range whatever the s: each returned value must match it bit for bit."""
     s = np.asarray(s, dtype=np.int64)
     k = int(20 * math.sqrt(c2 + 1)) + 100

@@ -5,6 +5,7 @@ import sys
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
@@ -21,13 +22,16 @@ from dpcore.audit.blackbox import (
     aggregate_pvalues,
     default_neighbor_suite,
     dp_hypothesis_test,
+    event_counts,
+    event_pvalues,
     event_search,
 )
 from dpcore.audit.gof import (
     AD_CRITICAL_99,
     _log_factorial,
     anderson_darling,
-    half_binomial_tail,
+    binomial_draws,
+    half_binomial_tails,
     laplace_cdf,
 )
 from dpcore.audit.report import audit_pair, black_box_battery
@@ -37,7 +41,7 @@ from dpcore.audit.targets import (
     laplace_sum_target,
 )
 from dpcore.errors import ContractViolation, ParameterError
-from dpcore.randomness import sample_laplace
+from dpcore.randomness import RandomSource, sample_laplace
 from dpcore.relational import ColumnKind, ColumnMeta, Schema, StatVector, make_table
 from dpcore.transforms import (
     _STEPS,
@@ -60,6 +64,7 @@ from oracles import (
     anderson_darling_reference,
     event_search_reference,
     exponential_mechanism_log_probabilities,
+    half_binomial_tail,
     half_binomial_tail_two_sided,
     laplace_cdf_mp,
 )
@@ -105,12 +110,17 @@ def test_laplace_cdf_matches_high_precision():
         assert laplace_cdf(2.0)(x) == pytest.approx(laplace_cdf_mp(x, 2.0), rel=1e-14)
 
 
+def _tail(s, c2: int) -> np.ndarray:
+    """The shipped `half_binomial_tails` on the one row `s`."""
+    return half_binomial_tails(np.asarray(s)[None], [c2])[0]
+
+
 def test_half_binomial_tail_is_exact_for_small_n():
     """P[Bin(N, 1/2) >= s] for every N <= 60 and every s, against the exact
     fraction sum_{k >= s} C(N, k) / 2^N."""
     for c2 in range(61):
         s = np.arange(61 - c2)
-        got = half_binomial_tail(s, c2)
+        got = _tail(s, c2)
         for si, g in zip(s.tolist(), got):
             n = si + c2
             exact = Fraction(sum(math.comb(n, k) for k in range(si, n + 1)), 2 ** n)
@@ -122,7 +132,7 @@ def test_half_binomial_tail_matches_scipy(c2):
     for c1 in (0, 1, 5, 50, 400, 2000, 4000):
         s = np.arange(c1 + 1)
         want = stats.binom.sf(s - 1, s + c2, 0.5)
-        got = half_binomial_tail(s, c2)
+        got = _tail(s, c2)
         assert got.shape == s.shape and got[0] == pytest.approx(1.0, rel=1e-12)
         keep = want > 1e-290
         np.testing.assert_allclose(got[keep], want[keep], rtol=1e-9, atol=0)
@@ -142,7 +152,7 @@ def test_half_binomial_tail_one_sided_window_is_bit_identical(c2):
     cases = [below, above, np.concatenate([below, above]), below[:1], above[-1:],
              np.array([0, mean + w]), rng.permutation(np.concatenate([below, above]))]
     for s in cases:
-        assert np.array_equal(half_binomial_tail(s, c2), half_binomial_tail_two_sided(s, c2))
+        assert np.array_equal(_tail(s, c2), half_binomial_tail_two_sided(s, c2))
 
 
 def test_log_factorial_matches_lgamma():
@@ -162,7 +172,67 @@ def test_half_binomial_tail_matches_scipy_at_large_counts(c2):
     s = np.arange(c2 - 10 * r, c2 + 40 * r, r // 20)
     want = stats.binom.sf(s - 1, s + c2, 0.5)
     keep = want > 1e-290
-    np.testing.assert_allclose(half_binomial_tail(s, c2)[keep], want[keep], rtol=1e-8, atol=0)
+    np.testing.assert_allclose(_tail(s, c2)[keep], want[keep], rtol=1e-8, atol=0)
+
+
+def test_half_binomial_tails_rows_are_the_one_row_reference_bit_for_bit():
+    """Row r of `half_binomial_tails` is `oracles.half_binomial_tail(s[r],
+    c2[r])` bit for bit: windows of 1 to about 1e5 cells, c2 = 0, rows whose
+    s all lie above or none above c2 + 1, and rows of different widths that
+    share a chunk."""
+    gen = np.random.default_rng(38)
+    rows = [(np.zeros(100, np.int64), 0), (np.arange(100), 0), (np.full(100, 5), 0),
+            (np.full(100, 3), 1), (np.full(100, 2), 1)]
+    for c2 in (1, 7, 60, 400, 4000, 10 ** 5):
+        mean, sd = c2 + 1, math.isqrt(c2 + 1) + 1
+        rows += [(gen.integers(mean + 1, mean + 5 * sd, 100), c2),  # all above
+                 (gen.integers(max(mean - 5 * sd, 0), mean + 1, 100), c2),  # none above
+                 (gen.integers(max(mean - 5 * sd, 0), mean + 5 * sd, 100), c2),
+                 (np.r_[0, np.full(99, mean + 3 * sd)], c2)]
+    order = gen.permutation(len(rows))
+    s = np.array([rows[i][0] for i in order])
+    c2 = np.array([rows[i][1] for i in order])
+    got = half_binomial_tails(s, c2)
+    for r in range(len(rows)):
+        assert np.array_equal(got[r], half_binomial_tail(s[r], int(c2[r]))), (s[r], c2[r])
+    # Narrower windows share chunks, each padded to its widest window.
+    small = c2 <= 400
+    many = np.tile(s[small], (40, 1))
+    assert np.array_equal(half_binomial_tails(many, np.tile(c2[small], 40)),
+                          np.tile(got[small], (40, 1)))
+
+
+@pytest.mark.parametrize("log_q", [-0.5, -1.0, -2.0])
+def test_binomial_draws_follow_the_exact_binomial_law(log_q):
+    """`binomial_draws` at n = 1, 7, 300 and 4000 in one call, each row
+    against the exact Binomial(n, e^log_q) pmf (mpmath, 50 digits) by a
+    chi-squared test, at level 1e-5, over adjacent bins pooled to at least 20
+    expected draws.  A correct sampler fails a case with probability 4e-5
+    (four rows), so the three cases fail about 0.012% of runs.  At n = 0
+    every draw is 0."""
+    size, ns = 40_000, [1, 7, 300, 4000]
+    q = math.exp(log_q)
+    draws = binomial_draws(RandomSource.from_os_entropy(), ns, log_q, size)
+    assert draws.shape == (len(ns), size) and draws.dtype == np.int64
+    for n, row in zip(ns, draws):
+        assert 0 <= row.min() and row.max() <= n
+        with mpmath.workdps(50):
+            pmf = np.array([float(mpmath.binomial(n, k) * mpmath.mpf(q) ** k
+                                  * (1 - mpmath.mpf(q)) ** (n - k)) for k in range(n + 1)])
+        expected, observed = pmf * size, np.bincount(row, minlength=n + 1).astype(float)
+        at_least = np.cumsum(expected[::-1])[::-1]  # expected draws at k or above
+        edges, acc = [0], 0.0
+        for k in range(n):
+            acc += expected[k]
+            if acc >= 20 and at_least[k + 1] >= 20:
+                edges.append(k + 1)
+                acc = 0.0
+        e, o = np.add.reduceat(expected, edges), np.add.reduceat(observed, edges)
+        assert o.sum() == size
+        if len(e) > 1:
+            p = stats.chisquare(o, e * (size / e.sum())).pvalue
+            assert p > 1e-5, (n, q, p)
+    assert np.all(binomial_draws(RandomSource.from_os_entropy(), [0, 0], log_q, 500) == 0)
 
 
 def test_audit_import_leaves_out_scipy():
@@ -173,6 +243,26 @@ def test_audit_import_leaves_out_scipy():
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_audit_leaves_out_numpy_random():
+    """`import dpcore.audit`, and a whole `dpcore audit` command with its
+    thinning draws, never import numpy.random: every audit draw comes from
+    ChaCha20, and the import cost about 9 ms and 4.7 MB of each cold command."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(dpcore.__file__))}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, dpcore.audit; print('numpy.random' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
+    run = subprocess.run([sys.executable, "-X", "importtime", "-m", "dpcore.cli", "audit",
+                          "--target", "laplace_count", "--eps-grid", "1.0", "--n-search", "1000",
+                          "--n-test", "1000", "--reps", "2"],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode in (0, 2) and "overall passed=" in run.stdout, run.stderr
+    imported = {line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "numpy" in imported and "dpcore.audit.blackbox" in imported
+    assert not [m for m in imported if m.split(".")[:2] == ["numpy", "random"]]
 
 
 def test_event_search_leaves_out_numpy_ma():
@@ -218,10 +308,11 @@ def test_neighbor_pair_must_differ_by_one(two_col_schema):
 
 
 def test_outcome_event_counts_closed_interval():
-    e = OutcomeEvent(0.0, 2.0)
-    assert e.count(np.array([-1.0, 0.0, 1.0, 2.0, 3.0])) == 3
-    ray = OutcomeEvent(-math.inf, 0.0)
-    assert ray.count(np.array([-5.0, 0.0, 5.0])) == 2
+    """Row r counts the outcomes of row r in the closed event r."""
+    events = [OutcomeEvent(0.0, 2.0), OutcomeEvent(-math.inf, 0.0), OutcomeEvent(2.0, math.inf)]
+    outcomes = np.array([[-1.0, 0.0, 1.0, 2.0, 3.0], [-5.0, 0.0, 5.0, 0.5, -0.5],
+                         [-1.0, 0.0, 1.0, 2.0, 3.0]])
+    assert event_counts(events, outcomes).tolist() == [3, 3, 2]
 
 
 # -- two-phase black-box test --------------------------------------------------
@@ -520,19 +611,21 @@ def _counting_mechanism(calls):
 
 
 def _record_slices(monkeypatch):
-    """Record the outcome slices each repetition searches and tests on."""
+    """Record the outcome slices each repetition searches and tests on: a
+    `select_event` call's, and each row of an `event_pvalues` call's."""
     seen = {"search": [], "test": []}
 
-    def recording(phase, fn):
-        def wrapped(out1, out2, *args):
-            seen[phase].append((out1.copy(), out2.copy()))
-            return fn(out1, out2, *args)
-        return wrapped
+    def search(out1, out2, *args):
+        seen["search"].append((out1.copy(), out2.copy()))
+        return select_event(out1, out2, *args)
 
-    monkeypatch.setattr(audit_report, "select_event",
-                        recording("search", audit_report.select_event))
-    monkeypatch.setattr(audit_report, "event_pvalue",
-                        recording("test", audit_report.event_pvalue))
+    def test(out1, out2, *args):
+        seen["test"].extend(zip(out1.copy(), out2.copy()))
+        return event_pvalues(out1, out2, *args)
+
+    select_event, event_pvalues = audit_report.select_event, audit_report.event_pvalues
+    monkeypatch.setattr(audit_report, "select_event", search)
+    monkeypatch.setattr(audit_report, "event_pvalues", test)
     return seen
 
 
