@@ -18,8 +18,8 @@ calls `select_event` on disjoint slices of larger samples and scores a whole
 group's test slices in one `event_pvalues` call, so that a group of
 repetitions costs one sampler call per side and phase; it tests pure
 epsilon (delta = 0), the one budget kind dpcore charges.  `aggregate_pvalues`
-turns the repetitions' p-values into a verdict.  Every draw of the audit,
-the test's Binomial thinning included, comes from a ChaCha20 RandomSource.
+turns the repetitions' p-values into a verdict.  The audit draws only the
+mechanism's outcomes, from ChaCha20; the scoring sums its thinning exactly.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 from ..errors import ContractViolation
 from ..randomness import RandomSource, derive_source
 from ..relational import Schema, Table, make_table, symmetric_difference
-from .gof import binomial_draws, half_binomial_tails
+from .gof import thinned_tails
 
 
 @dataclass
@@ -168,13 +168,14 @@ def select_event(out1: np.ndarray, out2: np.ndarray, eps: float) -> OutcomeEvent
     q_i of the pooled samples and every interval [q_i, q_j], j >= i.  Only
     intervals holding at least 0.001 * n_search * e^eps points on the
     denser side are eligible, which keeps the search away from pure noise in
-    the far tails.  Among equal scores the first candidate in search order
-    wins.  Degenerate outcome sets collapse to the point event.
+    the far tails; with none (at eps >= 709 always) the event is the line.
+    Among equal scores the first candidate in search order wins.  Degenerate
+    outcome sets collapse to the point event.
     """
     pooled = np.sort(np.concatenate([out1, out2]))
     if pooled[0] == pooled[-1]:
         return OutcomeEvent(float(pooled[0]), float(pooled[0]))
-    e_eps = math.exp(eps)
+    e_eps = math.exp(eps) if eps < 709 else math.inf  # exp overflows past 709.78
     min_count = 0.001 * len(out1) * e_eps
     # Row i of each side's k x (k + 2) count matrix holds, in search order, the
     # ray (-inf, q_i], the ray [q_i, inf) and [q_i, q_j] for ascending j.  Cells
@@ -219,19 +220,13 @@ def dp_hypothesis_test(
     child = derive_source(rng)
     out1 = m.sample(pair.d1, eps, child, n_test)
     out2 = m.sample(pair.d2, eps, child, n_test)
-    return event_pvalue(out1, out2, event, eps, delta, child)
+    return event_pvalue(out1, out2, event, eps, delta)
 
 
-def event_pvalue(
-    out1: np.ndarray, out2: np.ndarray, event: OutcomeEvent, eps: float, delta: float,
-    rng: RandomSource,
-) -> float:
+def event_pvalue(out1: np.ndarray, out2: np.ndarray, event: OutcomeEvent, eps: float,
+                 delta: float) -> float:
     """`event_pvalues` of one repetition."""
-    return float(event_pvalues(out1[None], out2[None], [event], eps, delta, rng)[0])
-
-
-#: Draws of the thinning behind each p-value.
-RESAMPLES = 100
+    return float(event_pvalues(out1[None], out2[None], [event], eps, delta)[0])
 
 
 def event_counts(events: list[OutcomeEvent], outcomes: np.ndarray) -> np.ndarray:
@@ -240,10 +235,8 @@ def event_counts(events: list[OutcomeEvent], outcomes: np.ndarray) -> np.ndarray
     return np.count_nonzero((outcomes >= lo) & (outcomes <= hi), axis=1)
 
 
-def event_pvalues(
-    out1: np.ndarray, out2: np.ndarray, events: list[OutcomeEvent], eps: float, delta: float,
-    rng: RandomSource,
-) -> np.ndarray:
+def event_pvalues(out1: np.ndarray, out2: np.ndarray, events: list[OutcomeEvent], eps: float,
+                  delta: float) -> np.ndarray:
     """Row r: the p-value of the DP inequality on events[r] over the outcomes
     out1[r] and out2[r] of the two sides (g x n each), after Ding et al.
     (CCS 2018), for H0: p1 <= e^eps p2 + delta.
@@ -251,15 +244,14 @@ def event_pvalues(
     Both orientations (d1 excess and d2 excess) are tested and the smaller
     p-value is reported.  The delta slack is removed by subtracting
     ceil(n*delta) from the side alleged to be too heavy; that count is then
-    thinned by e^-eps (Binomial draws from `rng`), after which the null
-    predicts the thinned count s and the other side's count c exchangeable.
-    The one-sided exact binomial comparison P[Bin(s + c, 1/2) >= s] gives the
-    p-value; the thinning is drawn RESAMPLES times and the p-values averaged.
+    thinned by e^-eps to S, after which the null predicts S and the other
+    side's count c exchangeable.  The p-value is the exact mean of the
+    one-sided binomial comparison P[Bin(S + c, 1/2) >= S] over S's law
+    (`gof.thinned_tails`): a function of the outcomes alone.
     """
     c1, c2 = event_counts(events, out1), event_counts(events, out2)
     heavy, light = np.concatenate([c1, c2]), np.concatenate([c2, c1])
-    heavy = np.maximum(heavy - math.ceil(delta * out1.shape[1]), 0)
-    p = half_binomial_tails(binomial_draws(rng, heavy, -eps, RESAMPLES), light).mean(axis=1)
+    p = thinned_tails(np.maximum(heavy - math.ceil(delta * out1.shape[1]), 0), light, -eps)
     return np.minimum(p[:len(events)], p[len(events):])
 
 

@@ -2,9 +2,9 @@
 
 Anderson-Darling for continuous one-dimensional distributions (it weights
 the tails, which is where privacy problems show up), and, for the black-box
-test, its fair-coin binomial tails and the Binomial draws that thin its
-counts: both are row-wise passes over windows of a pmf in ln n!
-(`_log_factorial`).
+test, its fair-coin binomial tails and their exact mean over the Binomial
+thinning of its counts: both are row-wise passes over windows of a pmf in
+ln n! (`_log_factorial`).
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from ..randomness import RandomSource
 
 #: 99% percentile of the asymptotic Anderson-Darling null distribution.
 AD_CRITICAL_99 = 3.8781250216053948842
@@ -108,15 +106,17 @@ def half_binomial_tails(s, c2) -> np.ndarray:
     return out
 
 
-def binomial_draws(rng: RandomSource, n, log_p: float, size: int) -> np.ndarray:
-    """Row r: `size` Binomial(n[r], p) draws, p = e^log_p < 1, by inverse CDF
-    on `rng.uniform_full`.  Row r's pmf is taken over n p +/- (20 sd + 100),
-    sd its standard deviation, clipped to [0, n]: Bernstein's inequality puts
-    less than 1e-60 of the law outside.
+def thinned_tails(n, c2, log_p: float) -> np.ndarray:
+    """Row r: E[P[Bin(S + c2[r], 1/2) >= S]] over S ~ Bin(n[r], e^log_p), summed
+    over S's pmf window n p +/- (10 sd + 40), sd = sqrt(n p (1 - p)), clipped
+    to [0, n], and renormalised.  By Bernstein, P[|S - n p| >= t] <=
+    2 exp(-(t^2/2) / (sd^2 + t/3)), and at t = 10 sd + 40, t^2/2 = 50 sd^2 +
+    400 sd + 800 >= 50 (sd^2 + t/3): the window leaves out less than 2 e^-50 <
+    4e-22 of the law, and, each tail being in [0, 1], the result is off by no more.
     """
-    n = np.asarray(n, dtype=np.int64)
+    n, c2 = np.asarray(n, dtype=np.int64), np.asarray(c2, dtype=np.int64)
     p, log_q = math.exp(log_p), math.log(-math.expm1(log_p))
-    k = 20 * np.sqrt(n * p * (1.0 - p)) + 100
+    k = 10 * np.sqrt(n * p * (1.0 - p)) + 40
     lo = np.maximum(n * p - k, 0).astype(np.int64)
     hi = np.minimum(n * p + k, n).astype(np.int64) + 1
 
@@ -125,13 +125,12 @@ def binomial_draws(rng: RandomSource, n, log_p: float, size: int) -> np.ndarray:
         return (_log_factorial(m) - _log_factorial(y) - _log_factorial(m - y)
                 + y * log_p + (m - y) * log_q)
 
-    u = rng.uniform_full(len(n) * size).reshape(len(n), size)
-    out = np.empty(u.shape, dtype=np.int64)
+    out = np.empty(len(n))
     for rows, pmf in _pmf_windows(lo, hi, log_pmf):
-        cdf = np.cumsum(pmf, axis=1)
-        cdf /= cdf[:, -1:]
-        out[rows] = [np.searchsorted(c, v, side="right") for c, v in zip(cdf, u[rows])]
-    return out + lo[:, None]
+        # A padding cell repeats its row's last s, so no tail window widens.
+        s = np.minimum(lo[rows, None] + np.arange(pmf.shape[1]), hi[rows, None] - 1)
+        out[rows] = (pmf * half_binomial_tails(s, c2[rows])).sum(axis=1) / pmf.sum(axis=1)
+    return out
 
 
 # The reference CDF of the Anderson-Darling batteries.

@@ -108,8 +108,8 @@ def audit_pair(
     (at least one).  A group draws each side's search outcomes, and then its
     test outcomes, in one sampler call with its own derived source, and each
     repetition searches and tests on its own disjoint slices of them.  One
-    `event_pvalues` call scores the group's tests, its thinning drawn from
-    `rng`.
+    `event_pvalues` call scores the group's tests and draws nothing: `rng`
+    only samples the mechanism.
     """
     require_samples(n_search, "n_search")
     require_samples(n_test, "n_test")
@@ -122,7 +122,7 @@ def audit_pair(
                             for d in (pair.d1, pair.d2))
         chosen = [select_event(a, b, eps) for a, b in zip(search1, search2)]
         test1, test2 = (_draw(m, d, eps, rng, g, n_test) for d in (pair.d1, pair.d2))
-        pvalues += event_pvalues(test1, test2, chosen, eps, 0.0, rng).tolist()
+        pvalues += event_pvalues(test1, test2, chosen, eps, 0.0).tolist()
         events += chosen
     verdict = aggregate_pvalues(pvalues)
     worst = int(np.argmin(pvalues))

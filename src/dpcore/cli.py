@@ -181,10 +181,11 @@ def _cmd_budget(args) -> int:
 def _external_target(command: str):
     """Wrap an external command as a MechanismUnderTest.
 
-    The command is invoked as: CMD <csv-path> <eps> <n> and must print n
-    outcomes, one per line, on stdout.
+    The command, split as a POSIX shell would, is invoked as: CMD <csv-path>
+    <eps> <n>; it must print n outcomes, one per line, on stdout, and exit 0.
     """
     import csv as csv_mod
+    import shlex
     import subprocess
     import tempfile
 
@@ -199,13 +200,13 @@ def _external_target(command: str):
             writer.writerows(table.rows)
             path = fh.name
         try:
-            out = subprocess.run(
-                [*command.split(), path, str(eps), str(n)],
-                capture_output=True, text=True, check=True, env=_CALLER_ENV,
-            ).stdout
+            out = subprocess.run([*shlex.split(command), path, str(eps), str(n)],
+                                 capture_output=True, text=True, env=_CALLER_ENV)
+            if out.returncode:
+                raise ContractViolation(f"--target exited with status {out.returncode}")
         finally:
             os.unlink(path)
-        return np.array([float(line) for line in out.split()])
+        return np.array([float(line) for line in out.stdout.split()])
 
     return MechanismUnderTest(f"external:{command}", run_many=run_many)
 

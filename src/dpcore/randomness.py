@@ -13,11 +13,9 @@ A full-precision uniform takes one 64-bit keystream word (and a fresh word
 for one value in 4096), and a sign takes one keystream bit, so a Laplace
 draw reads about 8.13 keystream bytes.
 
-All samplers draw exclusively from the RandomSource they are handed.  So
-does the audit harness, down to the Binomial thinning of its hypothesis
-test (`audit.gof.binomial_draws`, by inverse CDF on `uniform_full`): every
-audit draw comes from ChaCha20, and no module of dpcore loads numpy's own
-generators.
+All samplers draw exclusively from the RandomSource they are handed, and
+so does the audit harness, whose only draws are the mechanism's outcomes: no
+module of dpcore loads numpy's own generators.
 """
 
 from __future__ import annotations

@@ -889,8 +889,8 @@ def test_only_a_named_ledger_keeps_a_running_hash(tmp_path):
         acct.close()
 
 
-def test_budget_exceeded_is_atomic_and_uniform(tmp_path):
-    acct = Accountant(ledger_path=str(tmp_path / "l.txt"))
+def test_budget_exceeded_is_atomic_and_uniform(tmp_path, closing):
+    acct = closing(Accountant(ledger_path=str(tmp_path / "l.txt")))
     acct.create_scope("s", PURE_EPS, 1.0)
     h = acct.scope("s")
     h.charge(0.9, "laplace")
@@ -899,7 +899,6 @@ def test_budget_exceeded_is_atomic_and_uniform(tmp_path):
     assert str(exc.value) == BUDGET_EXCEEDED_MESSAGE  # no amounts leaked
     assert acct.spent("s") == 0.9
     assert len(acct.ledger) == 1  # denied charge never hits the ledger
-    acct.close()
 
 
 def test_unknown_scope_and_duplicate_scope(accountant):

@@ -30,9 +30,9 @@ from dpcore.audit.gof import (
     AD_CRITICAL_99,
     _log_factorial,
     anderson_darling,
-    binomial_draws,
     half_binomial_tails,
     laplace_cdf,
+    thinned_tails,
 )
 from dpcore.audit.report import audit_pair, black_box_battery
 from dpcore.audit.targets import (
@@ -41,7 +41,7 @@ from dpcore.audit.targets import (
     laplace_sum_target,
 )
 from dpcore.errors import ContractViolation, ParameterError
-from dpcore.randomness import RandomSource, sample_laplace
+from dpcore.randomness import sample_laplace
 from dpcore.relational import ColumnKind, ColumnMeta, Schema, StatVector, make_table
 from dpcore.transforms import (
     _STEPS,
@@ -202,37 +202,50 @@ def test_half_binomial_tails_rows_are_the_one_row_reference_bit_for_bit():
                           np.tile(got[small], (40, 1)))
 
 
-@pytest.mark.parametrize("log_q", [-0.5, -1.0, -2.0])
-def test_binomial_draws_follow_the_exact_binomial_law(log_q):
-    """`binomial_draws` at n = 1, 7, 300 and 4000 in one call, each row
-    against the exact Binomial(n, e^log_q) pmf (mpmath, 50 digits) by a
-    chi-squared test, at level 1e-5, over adjacent bins pooled to at least 20
-    expected draws.  A correct sampler fails a case with probability 4e-5
-    (four rows), so the three cases fail about 0.012% of runs.  At n = 0
-    every draw is 0."""
-    size, ns = 40_000, [1, 7, 300, 4000]
-    q = math.exp(log_q)
-    draws = binomial_draws(RandomSource.from_os_entropy(), ns, log_q, size)
-    assert draws.shape == (len(ns), size) and draws.dtype == np.int64
-    for n, row in zip(ns, draws):
-        assert 0 <= row.min() and row.max() <= n
-        with mpmath.workdps(50):
-            pmf = np.array([float(mpmath.binomial(n, k) * mpmath.mpf(q) ** k
-                                  * (1 - mpmath.mpf(q)) ** (n - k)) for k in range(n + 1)])
-        expected, observed = pmf * size, np.bincount(row, minlength=n + 1).astype(float)
-        at_least = np.cumsum(expected[::-1])[::-1]  # expected draws at k or above
-        edges, acc = [0], 0.0
-        for k in range(n):
-            acc += expected[k]
-            if acc >= 20 and at_least[k + 1] >= 20:
-                edges.append(k + 1)
-                acc = 0.0
-        e, o = np.add.reduceat(expected, edges), np.add.reduceat(observed, edges)
-        assert o.sum() == size
-        if len(e) > 1:
-            p = stats.chisquare(o, e * (size / e.sum())).pvalue
-            assert p > 1e-5, (n, q, p)
-    assert np.all(binomial_draws(RandomSource.from_os_entropy(), [0, 0], log_q, 500) == 0)
+def thinned_tail_mp(n: int, c2: int, eps: float) -> float:
+    """E[P[Bin(S + c2, 1/2) >= S]] over S ~ Bin(n, e^-eps): the whole double
+    sum, each fair-coin tail an exact integer sum over 2^(S + c2)."""
+    with mpmath.workdps(40):
+        p = mpmath.exp(-eps)
+        return float(sum(mpmath.binomial(n, s) * p ** s * (1 - p) ** (n - s)
+                         * sum(math.comb(s + c2, j) for j in range(s, s + c2 + 1))
+                         / mpmath.mpf(2) ** (s + c2) for s in range(n + 1)))
+
+
+@pytest.mark.parametrize("eps", [0.5, 1.0, 2.0])
+def test_thinned_tails_match_a_high_precision_double_sum(eps):
+    """Small (n, c2) pairs, 0 on either side included, in one call, agree
+    to 1e-12 relative with the exact sums, which reach down to 3e-24."""
+    pairs = [(0, 0), (0, 4), (5, 0), (1, 1), (7, 3), (30, 12), (60, 45), (150, 0),
+             (150, 90), (100, 200)]
+    got = thinned_tails([n for n, _ in pairs], [c for _, c in pairs], -eps)
+    want = [thinned_tail_mp(n, c, eps) for n, c in pairs]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("eps", [0.5, 1.0, 2.0])
+def test_thinned_tails_match_scipy_at_4000(eps):
+    """n = 4000 thinned against the full sum of scipy's pmf times sf over
+    [0, n], for c2 from 0 to 8000: within 1e-10 relative, or the 4e-22 that
+    the window may leave out, where the result is smaller than that."""
+    c2 = np.array([0, 300, 541, 1000, 1200, 1472, 1500, 2000, 2600, 4000, 8000])
+    s = np.arange(4001)
+    pmf = stats.binom.pmf(s, 4000, math.exp(-eps))
+    want = [np.sum(pmf * stats.binom.sf(s - 1, s + c, 0.5)) for c in c2]
+    np.testing.assert_allclose(thinned_tails(np.full(len(c2), 4000), c2, -eps), want,
+                               rtol=1e-10, atol=4e-22)
+
+
+def test_event_pvalues_are_a_function_of_the_outcomes():
+    """The scoring draws nothing: two calls on the same outcomes and events
+    return the same bits."""
+    gen = np.random.default_rng(40)
+    out1, out2 = gen.laplace(0.0, 1.0, (40, 4000)), gen.laplace(1.0, 1.0, (40, 4000))
+    events = [OutcomeEvent(-0.5 + 0.02 * i, 1.5) for i in range(39)] + [
+        OutcomeEvent(-math.inf, math.inf)]
+    first = event_pvalues(out1, out2, events, 1.0, 0.0)
+    assert np.all((first >= 0) & (first <= 1))
+    assert first.tobytes() == event_pvalues(out1, out2, events, 1.0, 0.0).tobytes()
 
 
 def test_audit_import_leaves_out_scipy():
@@ -246,9 +259,9 @@ def test_audit_import_leaves_out_scipy():
 
 
 def test_audit_leaves_out_numpy_random():
-    """`import dpcore.audit`, and a whole `dpcore audit` command with its
-    thinning draws, never import numpy.random: every audit draw comes from
-    ChaCha20, and the import cost about 9 ms and 4.7 MB of each cold command."""
+    """`import dpcore.audit`, and a whole `dpcore audit` command, never
+    import numpy.random: every audit draw comes from ChaCha20, and the import
+    cost about 9 ms and 4.7 MB of each cold command."""
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(dpcore.__file__))}
     out = subprocess.run(
         [sys.executable, "-c", "import sys, dpcore.audit; print('numpy.random' in sys.modules)"],

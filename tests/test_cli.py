@@ -967,6 +967,47 @@ def test_audit_external_command_starts_once_per_side_and_phase(workspace, capsys
     assert sorted(starts) == sorted(["1.0 80000", "1.0 160000"] * 6)
 
 
+def test_audit_external_command_path_may_hold_a_space(workspace, capsys):
+    """The target command is split as a shell would split it, so a quoted
+    script path with a space in it reaches the interpreter whole."""
+    folder = workspace / "dir with space"
+    folder.mkdir()
+    script = folder / "mech.py"
+    script.write_text(
+        "import random, sys\n"
+        "eps, n = float(sys.argv[2]), int(sys.argv[3])\n"
+        "r = random.Random()\n"
+        "print('\\n'.join(str(r.expovariate(eps) - r.expovariate(eps)) for _ in range(n)))\n"
+    )
+    code, out = _run(["audit", "--target", f"{sys.executable} '{script}'", "--external",
+                      "--eps-grid", "1.0", "--n-search", "1000", "--n-test", "1000",
+                      "--reps", "1"], capsys)
+    assert code in (0, 2) and "overall passed=" in out
+
+
+def test_audit_external_command_that_fails_is_one_error_line(workspace, capsys):
+    """A target that exits non-zero ends the audit with one `error:` line
+    and exit 1, not a traceback."""
+    script = workspace / "mech.py"
+    script.write_text("import sys\nsys.exit(3)\n")
+    code = main(["audit", "--target", f"{sys.executable} {script}", "--external",
+                 "--eps-grid", "1.0", "--n-search", "1000", "--n-test", "1000", "--reps", "1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: --target exited with status 3\n"
+
+
+@pytest.mark.parametrize("eps", ["800", "1000"])
+def test_audit_passes_at_an_eps_whose_exponential_overflows(capsys, eps):
+    """e^eps overflows a float past 709.78, yet any finite eps > 0 is a valid
+    claim: no event is then eligible, the event is the whole line, and every
+    entry passes."""
+    code, out = _run(["audit", "--target", "laplace_count", "--eps-grid", eps,
+                      "--n-search", "1000", "--n-test", "1000", "--reps", "2"], capsys)
+    assert code == 0 and out.count("passed=True") == 4
+    assert out.count("pvalues=1.0,1.0") == 3
+
+
 @pytest.mark.parametrize("flags", [
     ["--n-test", "50"],
     ["--eps-grid", "0"], ["--eps-grid", "nan"], ["--eps-grid", "inf"], ["--eps-grid", "-1"],

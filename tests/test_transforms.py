@@ -457,6 +457,7 @@ def _scripted():
 @example([("a", 0, 0, float(_BIG))], [f"select_where x < {_BIG + 1}"], [], "count")
 @example([("a", 0, 0, 0.5), ("B", 1, 0, 0.5)], ["select_where g > aa"], [], "count")
 @example([("a", 0, 0, 0.5), ("a", 1, 0, 0.5)], ["distinct g"], [], "count")
+@example([("a", 0, _BIG + 1, 0.5)], ["map_column n clamp 0 50"], [], "count")
 def test_columnar_executor_matches_the_row_reference(rows, steps, group, agg):
     """Random plans from the plan-step words on tables with categorical
     order comparisons and ints beyond 2**53: after every step the rows
